@@ -10,15 +10,14 @@ from .estimation import (AoaEstimate, EstimationError, GainEstimate, SnapshotSet
                          ls_recover, music_aoa, steering_matrix)
 from .experiments import (ExperimentResult, ExperimentRow, emit_csv,
                           inject_aoa_error, parse_csv, run_experiment)
-from .optimizers import (ConvergenceError, InfeasibleError, QcqpInstance,
-                         ReflectionSolution, build_instance,
-                         build_instance_from_estimates, dft_codebook_design,
-                         dft_codebook_search,
-                         dual_value, kkt_certificate, lagrange_semiclosed,
-                         min_irs_elements, mmse_delta_search, mmse_reflection,
-                         random_phase, reverse_alignment, solve_pgd)
-from .power_model import (GainSet, IrsPanel, NirsPanel, RadarNode, Scenario,
-                          Target, beamforming_gains, chirp_waveform,
-                          matched_beamformer, radar_power, sum_power)
+from .optimizers import (ConvergenceError, InfeasibleError, ReflectionSolution,
+                         dft_codebook_design, dual_value, kkt_certificate,
+                         lagrange_semiclosed, min_irs_elements,
+                         mmse_delta_search, random_phase, reverse_alignment,
+                         single_link, solve_pgd)
+from .power_model import (GainSet, IrsPanel, NirsPanel, QcqpInstance, RadarNode,
+                          Scenario, Target, beamforming_gains, chirp_waveform,
+                          link_factor, matched_beamformer, radar_power,
+                          sum_power)
 
 __version__ = "0.1.0"

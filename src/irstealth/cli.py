@@ -10,11 +10,10 @@ import numpy as np
 from .config import (ConfigError, ScenarioConfig, build_scenario,
                      single_radar_config, with_seed)
 from .experiments import PRESET_NAMES, emit_csv, run_experiment
-from .optimizers import (ConvergenceError, InfeasibleError, build_instance,
-                         dft_codebook_search, min_irs_elements,
-                         mmse_delta_search, random_phase, reverse_alignment,
-                         solve_pgd)
-from .power_model import beamforming_gains, cascaded_vectors, sum_power
+from .optimizers import (ConvergenceError, InfeasibleError, dft_codebook_design,
+                         min_irs_elements, mmse_delta_search, random_phase,
+                         reverse_alignment, single_link, solve_pgd)
+from .power_model import link_factor, sum_power
 
 SOLVER_NAMES = ("pgd", "reverse-alignment", "mmse", "dft-codebook", "random-phase",
                 "no-irs")
@@ -75,18 +74,17 @@ def _cmd_solve(args) -> int:
     scenario = build_scenario(config)
     n1 = scenario.target.irs_geometry.num_elements
     beta = scenario.target.irs.beta_max
+    factor = link_factor(scenario)
     if args.solver == "pgd":
-        theta = solve_pgd(build_instance(scenario)).theta
+        theta = solve_pgd(factor).theta
     elif args.solver == "reverse-alignment":
         if scenario.num_radars != 1:
             raise ValueError("reverse-alignment applies to single-radar scenarios")
-        gains = beamforming_gains(scenario)
-        u_vec = cascaded_vectors(scenario)[0][0, 0]
-        theta = reverse_alignment(u_vec, gains.c_nirs[0, 0], beta).theta
+        theta = reverse_alignment(*single_link(factor), beta).theta
     elif args.solver == "mmse":
-        theta = mmse_delta_search(scenario)[1].theta
+        theta = mmse_delta_search(factor)[1].theta
     elif args.solver == "dft-codebook":
-        theta = dft_codebook_search(scenario).theta
+        theta = dft_codebook_design(factor).theta
     elif args.solver == "random-phase":
         theta = random_phase(n1, beta, config.seed + 0x5EED)
     else:

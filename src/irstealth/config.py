@@ -9,13 +9,16 @@ maps to one reproducible scenario.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+import numbers
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .arrays import ArrayGeometry, ArrayKind
 from .power_model import (IrsPanel, NirsPanel, RadarNode, Scenario, Target,
-                          angles_between, matched_beamformer, _RADAR_AXES)
+                          angles_between, matched_beamformer, _RADAR_AXES,
+                          _TARGET_AXES)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -108,7 +111,21 @@ class ScenarioConfig:
             return cls.from_dict(json.load(fh))
 
 
+def _require_finite(prefix: str, section) -> None:
+    """Reject NaN or infinite numbers and coordinates of one config section."""
+    for item in fields(section):
+        value = getattr(section, item.name)
+        parts = value if isinstance(value, tuple) else (value,)
+        if (all(isinstance(x, numbers.Real) for x in parts)
+                and not all(math.isfinite(x) for x in parts)):
+            raise ConfigError(f"{prefix}{item.name}", f"must be finite, got {value}")
+
+
 def validate_config(cfg: ScenarioConfig) -> None:
+    _require_finite("", cfg)
+    for i, radar in enumerate(cfg.radars):
+        _require_finite(f"radars[{i}].", radar)
+    _require_finite("target.", cfg.target)
     if cfg.wavelength <= 0:
         raise ConfigError("wavelength", f"must be positive, got {cfg.wavelength}")
     if not cfg.radars:
@@ -121,8 +138,14 @@ def validate_config(cfg: ScenarioConfig) -> None:
             raise ConfigError(f"{path}.spacing", "spacing must be positive")
         if not 0 < radar.pulse < radar.pri:
             raise ConfigError(f"{path}.pulse", "need 0 < pulse < pri")
-        if not all(np.isfinite(radar.position)):
-            raise ConfigError(f"{path}.position", "coordinates must be finite")
+        if radar.beam_azimuth_deg is not None and not -90 < radar.beam_azimuth_deg < 90:
+            raise ConfigError(f"{path}.beam_azimuth_deg", "must lie in (-90, 90)")
+        try:
+            angles_between(cfg.target.position, radar.position, _TARGET_AXES)
+            angles_between(radar.position, cfg.target.position, _RADAR_AXES)
+        except ValueError as exc:
+            raise ConfigError(f"{path}.position", "radar must face the target's "
+                              f"panel from below it ({exc})") from exc
     tgt = cfg.target
     for name in ("n1x", "n1y", "n2x", "n2y", "cssa_lx", "cssa_ly"):
         if getattr(tgt, name) < 1:
@@ -135,8 +158,6 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("target.zeta", "must be in [0, 1]")
     if tgt.cssa_lx % 2 == 0 or tgt.cssa_ly % 2 == 0:
         raise ConfigError("target.cssa_lx", "sensing-array arms must be odd")
-    if not all(np.isfinite(tgt.position)):
-        raise ConfigError("target.position", "coordinates must be finite")
     if tgt.epoch_jitter < 0:
         raise ConfigError("target.epoch_jitter", "must be nonnegative")
 

@@ -18,15 +18,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arrays import AnglePair, cascaded_response, split_ts_response, upa_response
+from .arrays import AnglePair
 from .config import ScenarioConfig, build_scenario, watts_to_db, with_seed
 from .estimation import estimate_parameters
-from .optimizers import (QcqpInstance, build_instance,
-                         build_instance_from_estimates, dft_codebook_design,
-                         min_irs_elements, mmse_delta_search, random_phase,
-                         reverse_alignment, ridge_delta_search, solve_pgd)
-from .power_model import (angles_at_target, beamforming_gains,
-                          cascaded_vectors, link_weights, sum_power)
+from .optimizers import (dft_codebook_design, min_irs_elements,
+                         mmse_delta_search, random_phase, reverse_alignment,
+                         single_link, solve_pgd)
+from .power_model import angles_at_target, link_factor
 
 PRESET_NAMES = ("power-vs-distance", "power-vs-elements", "power-vs-angle",
                 "power-vs-aoa-error", "power-vs-num-radars",
@@ -75,44 +73,29 @@ def inject_aoa_error(truth: AnglePair, error_deg: float, seed) -> AnglePair:
     return AnglePair(azimuth, truth.elevation)
 
 
-def _single_radar_data(scenario):
-    gains = beamforming_gains(scenario)
-    u_vec = cascaded_vectors(scenario)[0][0, 0]
-    return u_vec, gains.c_nirs[0, 0]
-
-
 def solver_powers(scenario, trial_seed: int, design=None) -> dict[str, float]:
     """Sum received power of every applicable design on the true scenario.
 
-    ``design`` optionally carries perturbed-parameter data as a dict with
-    keys ``instance`` (objective data for the optimizing and codebook
-    designs), ``system`` (stacked matrix and right-hand side for the ridge
-    design) and, for the single-radar case, ``cascaded``/``c_gain`` for the
-    closed form.  Baselines never look at it.
+    ``design`` optionally gives the link factor the optimizing, ridge,
+    closed-form and codebook designs see (built from perturbed or estimated
+    parameters by :func:`~irstealth.power_model.link_factor`); by default
+    they see the true one.  Baselines never look at it.  Every power is
+    evaluated on the true factor, built once.
     """
-    design = design or {}
-    instance = design.get("instance")
-    if instance is None:
-        instance = build_instance(scenario)
+    truth = link_factor(scenario)
+    design = truth if design is None else design
     n1 = scenario.target.irs_geometry.num_elements
     beta = scenario.target.irs.beta_max
-    thetas = {"pgd": solve_pgd(instance).theta}
+    thetas = {"pgd": solve_pgd(design).theta}
     if scenario.num_radars == 1:
-        if "cascaded" in design:
-            u_vec, c_gain = design["cascaded"], design["c_gain"]
-        else:
-            u_vec, c_gain = _single_radar_data(scenario)
-        thetas["reverse-alignment"] = reverse_alignment(u_vec, c_gain, beta).theta
+        thetas["reverse-alignment"] = reverse_alignment(*single_link(design),
+                                                        beta).theta
     else:
-        system = design.get("system")
-        if system is None:
-            thetas["mmse"] = mmse_delta_search(scenario)[1].theta
-        else:
-            thetas["mmse"] = ridge_delta_search(system[0], system[1], beta)[1].theta
-    thetas["dft-codebook"] = dft_codebook_design(instance).theta
+        thetas["mmse"] = mmse_delta_search(design)[1].theta
+    thetas["dft-codebook"] = dft_codebook_design(design).theta
     thetas["random-phase"] = random_phase(n1, beta, int(trial_seed) + 0x5EED)
     thetas["no-irs"] = np.zeros(n1, dtype=complex)
-    return {name: sum_power(theta, scenario) for name, theta in thetas.items()}
+    return {name: truth.objective(theta) for name, theta in thetas.items()}
 
 
 def _sweep_rows(config, trials, sweep_values, scenario_for, design_for=None):
@@ -174,45 +157,6 @@ def _preset_angle(config, trials):
     return "beam_azimuth_deg", sweep, _sweep_rows(config, trials, sweep, scenario_for)
 
 
-def steering_error_design(scenario, angles) -> dict:
-    """Design data whose panel steering knowledge uses the given angles.
-
-    Models an arrival-angle estimation error: the cascaded panel vectors are
-    rebuilt from the (perturbed) angles while the coating reflection gains
-    and beamforming weights keep their true, offline-calibrated values.
-    """
-    gains = beamforming_gains(scenario)
-    weights = link_weights(scenario, gains)
-    c_true = gains.c_nirs
-    target = scenario.target
-    k_r = scenario.num_radars
-    blocks = []
-    for pair in angles:
-        full = upa_response(target.surface_geometry, pair, scenario.wavelength)
-        blocks.append(split_ts_response(full, target.irs_geometry.nx,
-                                        target.nirs_geometry.nx,
-                                        target.irs_geometry.ny)[0])
-    n1 = target.irs_geometry.num_elements
-    u = np.zeros((k_r, k_r, n1), dtype=complex)
-    for k in range(k_r):
-        for j in range(k_r):
-            u[k, j] = cascaded_response(blocks[k], blocks[j])
-    u_mat = np.einsum("kj,kjn,kjm->nm", weights, u, u.conj())
-    u_mat = 0.5 * (u_mat + u_mat.conj().T)
-    v_vec = np.einsum("kj,kj,kjn->n", weights, c_true, u)
-    c_const = float(np.sum(weights * np.abs(c_true) ** 2))
-    design = {"instance": QcqpInstance(u_mat, v_vec, c_const,
-                                       target.irs.beta_max)}
-    if k_r == 1:
-        design["cascaded"] = u[0, 0]
-        design["c_gain"] = c_true[0, 0]
-    else:
-        amp = np.sqrt(weights).reshape(-1, 1)
-        design["system"] = (amp * u.conj().reshape(k_r * k_r, -1),
-                            (np.sqrt(weights) * c_true).reshape(-1))
-    return design
-
-
 def _preset_aoa_error(config, trials):
     sweep = (0.0, 0.5, 1.0, 2.0)
 
@@ -222,7 +166,8 @@ def _preset_aoa_error(config, trials):
     def design_for(scenario, value, seed):
         angles = [inject_aoa_error(angles_at_target(scenario, k), value, seed + k)
                   for k in range(scenario.num_radars)]
-        return steering_error_design(scenario, angles)
+        # Steering error: perturbed panel rows, true coating gains and weights.
+        return link_factor(scenario, angles)
 
     return "aoa_error_deg", sweep, _sweep_rows(config, trials, sweep, scenario_for,
                                                design_for)
@@ -252,9 +197,10 @@ def _preset_min_elements(config, trials, realizations: int = 20):
         cfg = replace(config, target=replace(config.target, n1x=int(value) // n1y))
         for trial, seed in enumerate(seeds):
             scenario = build_scenario(with_seed(cfg, int(seed)))
-            u_vec, c_gain = _single_radar_data(scenario)
-            sol = reverse_alignment(u_vec, c_gain, scenario.target.irs.beta_max)
-            watts = sum_power(sol.theta, scenario)
+            truth = link_factor(scenario)
+            sol = reverse_alignment(*single_link(truth),
+                                    scenario.target.irs.beta_max)
+            watts = truth.objective(sol.theta)
             rows.append(ExperimentRow(float(value), "reverse-alignment", trial,
                                       int(seed), float(watts), watts_to_db(watts)))
     return "num_elements", sweep, rows
@@ -269,11 +215,10 @@ def _preset_estimation(config, trials):
             scenario = build_scenario(with_seed(config, int(seed)))
             aoa, gains2 = estimate_parameters(scenario, n_snapshots=int(value),
                                               seed=int(seed) + 0xA0A)
-            est_instance = build_instance_from_estimates(scenario, aoa.angles,
-                                                         gains2.g2_tx)
-            power_est = sum_power(solve_pgd(est_instance).theta, scenario)
-            power_true = sum_power(solve_pgd(build_instance(scenario)).theta,
-                                   scenario)
+            truth = link_factor(scenario)
+            estimated = link_factor(scenario, aoa.angles, gains2.g2_tx)
+            power_est = truth.objective(solve_pgd(estimated).theta)
+            power_true = truth.objective(solve_pgd(truth).theta)
             for solver, watts in (("pgd-estimated", power_est),
                                   ("pgd-true", power_true)):
                 rows.append(ExperimentRow(float(value), solver, trial, int(seed),

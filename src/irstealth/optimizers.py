@@ -1,7 +1,16 @@
 """Reflection designs that minimize the radars' (sum) received signal power.
 
-The common problem is a convex QCQP: minimize theta^H U theta
-+ 2 Re(v^H theta) + c over per-element amplitude caps |theta_n| <= beta.
+The common problem is a convex QCQP: minimize ||D theta + r||^2 over
+per-element amplitude caps |theta_n| <= beta.  The problem is held as its
+link factor (D, r) (:class:`~irstealth.power_model.QcqpInstance`, built by
+:func:`~irstealth.power_model.link_factor`): one row per radar link, K^2
+rows for K radars.  The expanded form theta^H U theta + 2 Re(v^H theta) + c
+has U = D^H D, v = D^H r and c = ||r||^2, but no design forms the N1 x N1
+matrix U.  One thin SVD of D (O(K^4 N1)) gives the exact step-size bound
+lambda_max(U) = sigma_1^2, the minimum-norm stationary point and every ridge
+candidate; each projected-gradient iteration or ridge candidate then costs
+O(K^2 N1), a duality-gap check O(K^4 N1 + K^6), and the codebook one N1-point
+FFT per link row, instead of the O(N1^3) of the expanded form.
 Five designs are provided:
 
 * accelerated projected gradient (global optimum of the QCQP),
@@ -13,7 +22,7 @@ Five designs are provided:
 
 All designs return amplitude-feasible vectors; objectives are reported on
 the same scale as :func:`irstealth.power_model.sum_power` (watts when the
-instance comes from a scenario).
+factor comes from a scenario).
 """
 
 from __future__ import annotations
@@ -23,9 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import cascaded_response, split_ts_response, upa_response
-from .power_model import (Scenario, beamforming_gains, cascaded_vectors,
-                          link_weights)
+from .power_model import QcqpInstance
 
 
 class ConvergenceError(RuntimeError):
@@ -40,42 +47,6 @@ class InfeasibleError(RuntimeError):
     """No candidate in the search grid satisfied the amplitude constraints."""
 
 
-@dataclass(frozen=True, eq=False)
-class QcqpInstance:
-    """Quadratic objective data (Hermitian PSD matrix, linear term, constant)."""
-
-    u_mat: np.ndarray
-    v_vec: np.ndarray
-    c_const: float
-    beta_max: float
-
-    def __post_init__(self):
-        u = np.asarray(self.u_mat)
-        v = np.asarray(self.v_vec)
-        if u.ndim != 2 or u.shape[0] != u.shape[1]:
-            raise ValueError(f"quadratic term must be square, got {u.shape}")
-        if v.shape != (u.shape[0],):
-            raise ValueError("linear term length does not match the matrix")
-        scale = max(float(np.max(np.abs(u), initial=0.0)), 1e-300)
-        if np.max(np.abs(u - u.conj().T)) > 1e-9 * scale:
-            raise ValueError("quadratic term must be Hermitian")
-        if float(np.linalg.eigvalsh(u)[0]) < -1e-9 * scale:
-            raise ValueError("quadratic term must be positive semidefinite")
-        if self.c_const < -1e-9 * scale:
-            raise ValueError("constant term must be nonnegative")
-        if not 0 < self.beta_max <= 1:
-            raise ValueError(f"beta_max must be in (0, 1], got {self.beta_max}")
-
-    @property
-    def n_elements(self) -> int:
-        return np.asarray(self.v_vec).size
-
-    def objective(self, theta: np.ndarray) -> float:
-        theta = np.asarray(theta)
-        quad = np.real(theta.conj() @ (self.u_mat @ theta))
-        return float(quad + 2.0 * np.real(np.vdot(self.v_vec, theta)) + self.c_const)
-
-
 @dataclass
 class ReflectionSolution:
     """A reflection vector with its achieved objective and solver metadata."""
@@ -88,60 +59,6 @@ class ReflectionSolution:
     multipliers: np.ndarray | None = None
 
 
-def build_instance(scenario: Scenario) -> QcqpInstance:
-    """Objective data of the sum-received-power problem for a scenario.
-
-    Every echo/cross link contributes its cascaded panel response weighted by
-    the transmit power and the squared beamforming gains, so the instance
-    objective at any feasible theta equals the sum received power in watts.
-    """
-    gains = beamforming_gains(scenario)
-    u, _ = cascaded_vectors(scenario)
-    w = link_weights(scenario, gains)
-    return _assemble_instance(w, u, gains.c_nirs, scenario.target.irs.beta_max)
-
-
-def build_instance_from_estimates(scenario: Scenario, angles, g2) -> QcqpInstance:
-    """Objective data built from sensed arrival angles and gain estimates.
-
-    ``angles`` are the estimated arrival directions (one per radar, any
-    order) and ``g2`` the matching power-scaled squared beamforming gains.
-    The coating coefficients are a fixed property of the target and are taken
-    from the scenario.  The uniform power scale carried by the gain estimates
-    rescales the objective without moving its minimizer.  Assumes a common
-    transmit power across radars.
-    """
-    g2 = np.asarray(g2, dtype=float)
-    if len(angles) != g2.size:
-        raise ValueError("need one gain estimate per estimated angle")
-    target = scenario.target
-    responses = []
-    for pair in angles:
-        full = upa_response(target.surface_geometry, pair, scenario.wavelength)
-        responses.append(split_ts_response(full, target.irs_geometry.nx,
-                                           target.nirs_geometry.nx,
-                                           target.irs_geometry.ny))
-    k_r = g2.size
-    n1 = target.irs_geometry.num_elements
-    phi = np.asarray(target.nirs.phi)
-    u = np.zeros((k_r, k_r, n1), dtype=complex)
-    c = np.zeros((k_r, k_r), dtype=complex)
-    for k in range(k_r):
-        for j in range(k_r):
-            u[k, j] = cascaded_response(responses[k][0], responses[j][0])
-            c[k, j] = np.vdot(cascaded_response(responses[k][1], responses[j][1]), phi)
-    w = g2[:, None] * g2[None, :]
-    return _assemble_instance(w, u, c, target.irs.beta_max)
-
-
-def _assemble_instance(weights, u, c, beta_max) -> QcqpInstance:
-    u_mat = np.einsum("kj,kjn,kjm->nm", weights, u, u.conj())
-    u_mat = 0.5 * (u_mat + u_mat.conj().T)
-    v_vec = np.einsum("kj,kj,kjn->n", weights, c, u)
-    c_const = float(np.sum(weights * np.abs(c) ** 2))
-    return QcqpInstance(u_mat, v_vec, c_const, beta_max)
-
-
 def _project(theta: np.ndarray, beta: float) -> np.ndarray:
     mag = np.abs(theta)
     over = mag > beta
@@ -152,23 +69,34 @@ def _project(theta: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def _spectral_top(u_mat: np.ndarray) -> float:
-    """Largest eigenvalue via power iteration (deterministic start)."""
-    n = u_mat.shape[0]
-    vec = np.ones(n) + np.linspace(0.0, 0.5, n)
-    vec = vec / np.linalg.norm(vec)
-    lam = 0.0
-    for _ in range(200):
-        nxt = u_mat @ vec
-        nrm = np.linalg.norm(nxt)
-        if nrm == 0.0:
-            return 0.0
-        vec_new = nxt / nrm
-        lam_new = float(np.real(np.vdot(vec_new, u_mat @ vec_new)))
-        if abs(lam_new - lam) <= 1e-13 * max(lam_new, 1e-300):
-            return lam_new
-        vec, lam = vec_new, lam_new
-    return lam
+def _svd(instance: QcqpInstance):
+    """Thin SVD (P, sigma, Q^H) of the link matrix, sigma descending."""
+    return np.linalg.svd(instance.d_mat, full_matrices=False)
+
+
+def _ridge_designs(instance: QcqpInstance, deltas, svd=None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge designs -(U + delta I)^{-1} v and their residuals ||D theta + r||^2.
+
+    With D = P diag(sigma) Q^H the design for each regularization is
+    -Q diag(sigma / (sigma^2 + delta)) P^H r, one column per candidate, and
+    its residual is ||r - P P^H r||^2 + sum_i (delta / (sigma_i^2 + delta))^2
+    |(P^H r)_i|^2, which carries no cancellation and grows with delta.
+    ``delta = 0`` gives the minimum-norm least-squares point, with the
+    singular-value cutoff of numpy's ``lstsq``.
+    """
+    p, sig, qh = _svd(instance) if svd is None else svd
+    deltas = np.asarray(deltas, dtype=float)
+    cutoff = np.finfo(float).eps * max(instance.d_mat.shape) * sig[0]
+    denom = sig[:, None] ** 2 + deltas[None, :]
+    live = (sig[:, None] > cutoff) | (deltas[None, :] > 0)
+    gain = np.divide(sig[:, None], denom, out=np.zeros_like(denom), where=live)
+    kept = np.divide(deltas[None, :], denom, out=np.ones_like(denom), where=live)
+    coords = p.conj().T @ instance.r_vec
+    outside = instance.r_vec - p @ coords
+    residuals = (float(np.real(np.vdot(outside, outside)))
+                 + np.sum((kept * np.abs(coords)[:, None]) ** 2, axis=0))
+    return -(qh.conj().T @ (gain * coords[:, None])), residuals
 
 
 def solve_pgd(instance: QcqpInstance, tol: float = 1e-10,
@@ -176,79 +104,77 @@ def solve_pgd(instance: QcqpInstance, tol: float = 1e-10,
     """Globally solve the amplitude-constrained QCQP by projected gradient.
 
     Runs Nesterov-accelerated projected gradient with restart on objective
-    increase, step 1/lambda_max and per-element amplitude clamping, and stops
-    once the projected-gradient norm falls below ``tol`` relative to the
-    gradient scale (or once the recovered duality gap certifies the same
-    relative accuracy); by convexity the returned point is the global
-    optimum within tolerance.  When the minimum-norm stationary point is
-    already feasible it is returned directly.  Raises
-    :class:`ConvergenceError` carrying the best iterate if the iteration
-    budget runs out.
+    increase, step 1/lambda_max (exact, from the factor's top singular
+    value) and per-element amplitude clamping, and stops once the
+    projected-gradient norm falls below ``tol`` relative to the gradient
+    scale (or once the recovered duality gap certifies the same relative
+    accuracy); by convexity the returned point is the global optimum within
+    tolerance.  When the minimum-norm stationary point is already feasible
+    it is returned directly.  Each iteration tracks the link residual
+    D theta + r, so objectives carry no expanded-form cancellation, and
+    costs two products with D.  Raises :class:`ConvergenceError` carrying
+    the best iterate if the iteration budget runs out.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    u_mat = np.asarray(instance.u_mat)
-    v_vec = np.asarray(instance.v_vec)
+    d_mat, r_vec = instance.d_mat, instance.r_vec
+    d_adj = np.ascontiguousarray(d_mat.conj().T)
     beta = instance.beta_max
     n = instance.n_elements
 
-    if np.all(v_vec == 0):
+    v_vec = d_adj @ r_vec
+    if not np.any(v_vec):
         theta = np.zeros(n, dtype=complex)
         return ReflectionSolution(theta, instance.objective(theta), "pgd", 0)
 
-    lam_max = _spectral_top(u_mat)
-    if lam_max <= 0:
-        # Purely linear objective: saturate every element against the
-        # linear term.
-        theta = np.where(np.abs(v_vec) > 0, -beta * v_vec / np.abs(v_vec), 0.0)
-        return ReflectionSolution(theta, instance.objective(theta), "pgd", 0)
+    svd = _svd(instance)
+    lam_max = float(svd[1][0]) ** 2
     v_norm = float(np.linalg.norm(v_vec))
+    f_zero = float(np.real(np.vdot(r_vec, r_vec)))
     grad_scale = lam_max * beta * math.sqrt(n) + v_norm
-    obj_scale = lam_max * beta ** 2 * n + 2.0 * v_norm * beta * math.sqrt(n) \
-        + abs(instance.c_const)
+    obj_scale = lam_max * beta ** 2 * n + 2.0 * v_norm * beta * math.sqrt(n) + f_zero
 
     # Unconstrained stationary point: optimal whenever it is feasible.
-    theta_u, *_ = np.linalg.lstsq(u_mat, -v_vec, rcond=None)
-    if (np.linalg.norm(u_mat @ theta_u + v_vec) <= 1e-10 * grad_scale
+    theta_u = _ridge_designs(instance, [0.0], svd)[0][:, 0]
+    if (np.linalg.norm(d_adj @ (d_mat @ theta_u + r_vec)) <= 1e-10 * grad_scale
             and np.max(np.abs(theta_u)) <= beta * (1.0 + 1e-12)):
         theta_u = _project(theta_u, beta)
         return ReflectionSolution(theta_u, instance.objective(theta_u), "pgd", 0)
 
-    def value(theta, u_theta):
-        quad = float(np.real(np.vdot(theta, u_theta)))
-        return quad + 2.0 * float(np.real(np.vdot(v_vec, theta))) + instance.c_const
-
-    # Small cushion against the power iteration under-reading lambda_max.
-    step = 1.0 / (lam_max * 1.001)
+    step = 1.0 / lam_max
     theta = np.zeros(n, dtype=complex)
-    u_theta = np.zeros(n, dtype=complex)
-    moment = theta
+    grad = v_vec
+    # The gradient is affine in theta, so the momentum point's gradient is
+    # the same combination of the last two iterates' gradients.
+    moment, grad_moment = theta, grad
     t_acc = 1.0
-    f_cur = value(theta, u_theta)
+    f_cur = f_zero
     best_theta, best_f = theta, f_cur
     for it in range(1, max_iter + 1):
-        grad = u_mat @ moment + v_vec
-        candidate = _project(moment - step * grad, beta)
-        u_cand = u_mat @ candidate
-        f_new = value(candidate, u_cand)
+        candidate = _project(moment - step * grad_moment, beta)
+        residual = d_mat @ candidate + r_vec
+        f_new = float(np.real(np.vdot(residual, residual)))
         if f_new > f_cur:
             # Momentum overshoot: restart from the last monotone iterate.
             t_acc = 1.0
-            candidate = _project(theta - step * (u_theta + v_vec), beta)
-            u_cand = u_mat @ candidate
-            f_new = value(candidate, u_cand)
+            candidate = _project(theta - step * grad, beta)
+            residual = d_mat @ candidate + r_vec
+            f_new = float(np.real(np.vdot(residual, residual)))
+        grad_cand = d_adj @ residual
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        moment = candidate + ((t_acc - 1.0) / t_next) * (candidate - theta)
-        theta, u_theta, f_cur, t_acc = candidate, u_cand, f_new, t_next
+        mix = (t_acc - 1.0) / t_next
+        moment = candidate + mix * (candidate - theta)
+        grad_moment = grad_cand + mix * (grad_cand - grad)
+        theta, grad, f_cur, t_acc = candidate, grad_cand, f_new, t_next
         if f_cur < best_f:
             best_theta, best_f = theta, f_cur
-        pg = (theta - _project(theta - step * (u_theta + v_vec), beta)) / step
+        pg = (theta - _project(theta - step * grad, beta)) / step
         if np.linalg.norm(pg) <= tol * grad_scale:
             return ReflectionSolution(theta, f_cur, "pgd", it)
         if it % 128 == 0:
             # Duality-gap certificate: cheap safety net for boundary optima
             # on which the gradient criterion converges slowly.
-            lam = _multipliers_from(u_theta + v_vec, theta, beta)
+            lam = _multipliers_from(grad, theta, beta)
             gap = f_cur - dual_value(instance, lam)
             if gap <= tol * (abs(f_cur) + 1e-2 * obj_scale):
                 return ReflectionSolution(theta, f_cur, "pgd", it)
@@ -256,23 +182,62 @@ def solve_pgd(instance: QcqpInstance, tol: float = 1e-10,
     raise ConvergenceError(f"no convergence within {max_iter} iterations", best)
 
 
-def lagrange_semiclosed(instance: QcqpInstance, multipliers: np.ndarray) -> np.ndarray:
-    """Stationary point -(U + diag(lam))^{-1} v for given multipliers.
-
-    With the multipliers recovered from an optimal solution this reproduces
-    the optimizer; raises ``numpy.linalg.LinAlgError`` when the shifted
-    matrix is singular.
-    """
+def _checked_multipliers(instance: QcqpInstance, multipliers) -> np.ndarray:
     lam = np.asarray(multipliers, dtype=float)
     if lam.shape != (instance.n_elements,):
         raise ValueError("multiplier vector length does not match the instance")
     if np.any(lam < 0):
         raise ValueError("multipliers must be nonnegative")
-    shifted = np.asarray(instance.u_mat) + np.diag(lam)
-    eigvals = np.linalg.eigvalsh(shifted)
-    if eigvals[0] <= 1e-13 * max(eigvals[-1], 1e-300):
-        raise np.linalg.LinAlgError("U + diag(lam) is singular")
-    return np.linalg.solve(shifted, -np.asarray(instance.v_vec))
+    return lam
+
+
+def _lagrangian_minimizer(instance: QcqpInstance, lam: np.ndarray):
+    """Minimizer of ||D x + r||^2 + sum(lam |x|^2), in link-row dimensions.
+
+    Elements with a positive multiplier are eliminated in closed form: with
+    S = D_A diag(lam_A)^(-1/2) and W = I + S S^H, the remaining elements
+    solve min ||W^(-1/2) (D_F x_F + r)||, whose squared residual is the
+    minimum value, and x_A = -diag(lam_A)^(-1) D_A^H W^(-1) (D_F x_F + r).
+    Returns the minimizer, the whitened residual and the whitened free block
+    W^(-1/2) D_F.
+    """
+    d_mat = instance.d_mat
+    active = lam > 0
+    w_isqrt = np.eye(d_mat.shape[0], dtype=complex)
+    if np.any(active):
+        p, sig, _ = np.linalg.svd(d_mat[:, active] / np.sqrt(lam[active]),
+                                  full_matrices=False)
+        w_isqrt += (p * (1.0 / np.sqrt(1.0 + sig ** 2) - 1.0)) @ p.conj().T
+    free = w_isqrt @ d_mat[:, ~active]
+    residual = w_isqrt @ instance.r_vec
+    x = np.zeros(instance.n_elements, dtype=complex)
+    if free.shape[1]:
+        x_free = np.linalg.lstsq(free, -residual, rcond=None)[0]
+        x[~active] = x_free
+        residual = residual + free @ x_free
+    x[active] = -(d_mat[:, active].conj().T @ (w_isqrt @ residual)) / lam[active]
+    return x, residual, free
+
+
+def lagrange_semiclosed(instance: QcqpInstance, multipliers: np.ndarray) -> np.ndarray:
+    """Stationary point -(U + diag(lam))^{-1} v for given multipliers.
+
+    With the multipliers recovered from an optimal solution this reproduces
+    the optimizer.  Computed in the factor without forming U; raises
+    ``numpy.linalg.LinAlgError`` when the shifted matrix is singular, i.e.
+    when the elements with zero multiplier leave a direction of U's null
+    space unpenalized.
+    """
+    lam = _checked_multipliers(instance, multipliers)
+    x, _, free = _lagrangian_minimizer(instance, lam)
+    if free.shape[1]:
+        # free^H free is the Schur complement of U + diag(lam) on the
+        # zero-multiplier elements.
+        top = float(np.linalg.norm(instance.d_mat, 2)) ** 2 + float(lam.max())
+        sig = np.linalg.svd(free, compute_uv=False)
+        if free.shape[1] > sig.size or sig[-1] ** 2 <= 1e-13 * max(top, 1e-300):
+            raise np.linalg.LinAlgError("U + diag(lam) is singular")
+    return x
 
 
 def _multipliers_from(grad: np.ndarray, theta: np.ndarray, beta: float) -> np.ndarray:
@@ -295,7 +260,7 @@ def kkt_certificate(instance: QcqpInstance,
     """
     theta = np.asarray(solution.theta)
     beta = instance.beta_max
-    grad = np.asarray(instance.u_mat) @ theta + np.asarray(instance.v_vec)
+    grad = instance.d_mat.conj().T @ (instance.d_mat @ theta + instance.r_vec)
     lam = _multipliers_from(grad, theta, beta)
     stationarity = np.linalg.norm(grad + lam * theta)
     slack = np.linalg.norm(lam * (np.abs(theta) ** 2 - beta ** 2))
@@ -305,20 +270,15 @@ def kkt_certificate(instance: QcqpInstance,
 def dual_value(instance: QcqpInstance, multipliers: np.ndarray) -> float:
     """Lagrangian dual value c - beta^2 sum(lam) - v^H (U + diag(lam))^+ v.
 
-    Returns -inf when the linear term leaves the range of the shifted matrix
-    (the dual function is unbounded below there).
+    Evaluated as min_x ||D x + r||^2 + sum(lam |x|^2) - beta^2 sum(lam), a
+    least-squares value in link-row dimensions.  Because v = D^H r always
+    lies in the range of U + diag(lam), the dual function is finite for
+    every nonnegative multiplier vector.
     """
-    lam = np.asarray(multipliers, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("multipliers must be nonnegative")
-    shifted = np.asarray(instance.u_mat) + np.diag(lam)
-    v_vec = np.asarray(instance.v_vec)
-    x, *_ = np.linalg.lstsq(shifted, v_vec, rcond=None)
-    v_norm = float(np.linalg.norm(v_vec))
-    if np.linalg.norm(shifted @ x - v_vec) > 1e-8 * max(v_norm, 1e-300):
-        return -np.inf
-    quad = float(np.real(np.vdot(v_vec, x)))
-    return instance.c_const - instance.beta_max ** 2 * float(np.sum(lam)) - quad
+    lam = _checked_multipliers(instance, multipliers)
+    _, residual, _ = _lagrangian_minimizer(instance, lam)
+    return (float(np.real(np.vdot(residual, residual)))
+            - instance.beta_max ** 2 * float(np.sum(lam)))
 
 
 def reverse_alignment(u: np.ndarray, c_gain: complex, beta_max: float) -> ReflectionSolution:
@@ -354,81 +314,35 @@ def reverse_alignment(u: np.ndarray, c_gain: complex, beta_max: float) -> Reflec
     return ReflectionSolution(theta, objective, "reverse-alignment", 0)
 
 
-def stacked_system(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Gain-weighted stacked link matrices (D, E) with D theta = -E phi at stealth.
+def single_link(instance: QcqpInstance) -> tuple[np.ndarray, complex]:
+    """Cascaded response u and coating gain c of a one-link factor.
 
-    Row (k, j) carries sqrt(P_j) |g_rx_k g_tx_j| times the conjugated
-    cascaded responses, so ||D theta + E phi||^2 equals the sum received
-    power in watts.
+    The factor's only row is a * u^H and its coating term a * c, with the
+    link amplitude a = |D[0, n]| for every n, so
+    ``reverse_alignment(*single_link(instance), beta)`` designs against it.
     """
-    gains = beamforming_gains(scenario)
-    u, u_nirs = cascaded_vectors(scenario)
-    amp = np.sqrt(link_weights(scenario, gains)).reshape(-1, 1)
-    k_sq = scenario.num_radars ** 2
-    d_mat = amp * u.conj().reshape(k_sq, -1)
-    e_mat = amp * u_nirs.conj().reshape(k_sq, -1)
-    return d_mat, e_mat
+    if instance.d_mat.shape[0] != 1:
+        raise ValueError(f"need a one-link factor, got {instance.d_mat.shape[0]} links")
+    row = instance.d_mat[0]
+    amp = float(np.abs(row[0]))
+    return row.conj() / amp, complex(instance.r_vec[0] / amp)
 
 
-def stacked_system_from_estimates(scenario: Scenario, angles, g2
-                                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked link matrix and right-hand side built from sensed parameters.
+def mmse_delta_search(instance: QcqpInstance, grid: np.ndarray | None = None
+                      ) -> tuple[float, ReflectionSolution]:
+    """Smallest-residual amplitude-feasible ridge solution of D theta = -r.
 
-    Mirrors :func:`stacked_system` with estimated arrival angles and
-    power-scaled squared gains; the uniform power scale does not move the
-    ridge designs.
+    Evaluates the candidate regularization values in increasing order and
+    keeps the feasible design with the smallest ||D theta + r||^2 (ties go
+    to the smaller regularization).  All candidates of a grid come from one
+    SVD of the factor.  A caller-provided fully infeasible grid raises
+    :class:`InfeasibleError`; the default grid widens itself upward until a
+    feasible design appears (large regularization shrinks the design to
+    zero, which is always feasible).  The solution's ``iterations`` counts
+    the candidates tried.
     """
-    g2 = np.asarray(g2, dtype=float)
-    target = scenario.target
-    responses = []
-    for pair in angles:
-        full = upa_response(target.surface_geometry, pair, scenario.wavelength)
-        responses.append(split_ts_response(full, target.irs_geometry.nx,
-                                           target.nirs_geometry.nx,
-                                           target.irs_geometry.ny))
-    phi = np.asarray(target.nirs.phi)
-    k_r = g2.size
-    rows = []
-    rhs = []
-    for k in range(k_r):
-        for j in range(k_r):
-            amp = math.sqrt(g2[k] * g2[j])
-            rows.append(amp * cascaded_response(responses[k][0], responses[j][0]).conj())
-            rhs.append(amp * np.vdot(cascaded_response(responses[k][1],
-                                                       responses[j][1]), phi))
-    return np.stack(rows), np.array(rhs)
-
-
-def mmse_reflection(scenario: Scenario, delta: float) -> np.ndarray:
-    """Regularized least-squares design -(D^H D + delta I)^{-1} D^H E phi.
-
-    ``delta = 0`` returns the minimum-norm exact least-squares solution.
-    """
-    if delta < 0:
-        raise ValueError(f"regularization must be nonnegative, got {delta}")
-    d_mat, e_mat = stacked_system(scenario)
-    rhs = e_mat @ np.asarray(scenario.target.nirs.phi)
-    if delta == 0:
-        theta, *_ = np.linalg.lstsq(d_mat, -rhs, rcond=None)
-        return theta
-    gram = d_mat.conj().T @ d_mat + delta * np.eye(d_mat.shape[1])
-    return -np.linalg.solve(gram, d_mat.conj().T @ rhs)
-
-
-def ridge_delta_search(d_mat: np.ndarray, rhs: np.ndarray, beta_max: float,
-                       grid: np.ndarray | None = None
-                       ) -> tuple[float, ReflectionSolution]:
-    """Smallest-residual amplitude-feasible ridge solution of D theta = -rhs.
-
-    Sweeps the candidate regularization values in increasing order and keeps
-    the feasible design with the smallest ||D theta + rhs||^2 (ties go to
-    the smaller regularization).  A caller-provided fully infeasible grid
-    raises :class:`InfeasibleError`; the default grid widens itself upward
-    until a feasible design appears (large regularization shrinks the design
-    to zero, which is always feasible).
-    """
-    gram = d_mat.conj().T @ d_mat
-    lam_top = max(float(np.linalg.eigvalsh(gram)[-1]), 1e-300)
+    svd = _svd(instance)
+    lam_top = max(float(svd[1][0]) ** 2, 1e-300)
     auto = grid is None
     if auto:
         grid = np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40)
@@ -436,37 +350,27 @@ def ridge_delta_search(d_mat: np.ndarray, rhs: np.ndarray, beta_max: float,
     if grid.size == 0 or np.any(grid < 0):
         raise ValueError("grid must be nonempty with nonnegative entries")
 
-    eye = np.eye(d_mat.shape[1])
-    projected = d_mat.conj().T @ rhs
+    beta = instance.beta_max
     tried = 0
     for _ in range(6):
-        best = None
-        for delta in np.sort(grid):
-            tried += 1
-            if delta == 0:
-                theta, *_ = np.linalg.lstsq(d_mat, -rhs, rcond=None)
-            else:
-                theta = -np.linalg.solve(gram + delta * eye, projected)
-            if np.max(np.abs(theta), initial=0.0) > beta_max * (1.0 + 1e-12):
-                continue
-            residual = float(np.linalg.norm(d_mat @ theta + rhs) ** 2)
-            if best is None or residual < best[2]:
-                best = (float(delta), theta, residual)
-        if best is not None:
-            delta, theta, residual = best
-            return delta, ReflectionSolution(theta, residual, "mmse", tried)
+        deltas = np.sort(grid)
+        tried += deltas.size
+        thetas, residuals = _ridge_designs(instance, deltas, svd)
+        feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
+        if np.any(feasible):
+            best = int(np.argmin(np.where(feasible, residuals, np.inf)))
+            return float(deltas[best]), ReflectionSolution(
+                thetas[:, best].copy(), float(residuals[best]), "mmse", tried)
         if not auto:
             raise InfeasibleError("no grid candidate satisfies the amplitude cap")
         grid = np.geomspace(grid[-1] * 10.0, grid[-1] * 1e5, 16)
     raise InfeasibleError("no feasible regularization found while widening")
 
 
-def mmse_delta_search(scenario: Scenario,
-                      grid: np.ndarray | None = None) -> tuple[float, ReflectionSolution]:
-    """Regularization search over the scenario's stacked link system."""
-    d_mat, e_mat = stacked_system(scenario)
-    rhs = e_mat @ np.asarray(scenario.target.nirs.phi)
-    return ridge_delta_search(d_mat, rhs, scenario.target.irs.beta_max, grid)
+def _codebook_objectives(instance: QcqpInstance) -> np.ndarray:
+    """Objective of every DFT codeword; the link responses are one FFT per row of D."""
+    links = instance.beta_max * np.fft.fft(instance.d_mat, axis=1) + instance.r_vec[:, None]
+    return np.sum(np.abs(links) ** 2, axis=0)
 
 
 def dft_codebook_design(instance: QcqpInstance) -> ReflectionSolution:
@@ -476,20 +380,10 @@ def dft_codebook_design(instance: QcqpInstance) -> ReflectionSolution:
     modulus ``beta_max``; ties break toward the lowest column index.
     """
     n = instance.n_elements
-    beta = instance.beta_max
-    idx = np.arange(n)
-    codebook = beta * np.exp(-2j * np.pi * np.outer(idx, idx) / n)
-    quad = np.real(np.sum(codebook.conj() * (instance.u_mat @ codebook), axis=0))
-    lin = 2.0 * np.real(np.asarray(instance.v_vec).conj() @ codebook)
-    objectives = quad + lin + instance.c_const
+    objectives = _codebook_objectives(instance)
     best = int(np.argmin(objectives))
-    return ReflectionSolution(codebook[:, best].copy(), float(objectives[best]),
-                              "dft-codebook", n)
-
-
-def dft_codebook_search(scenario: Scenario) -> ReflectionSolution:
-    """Codebook search against a scenario's own objective data."""
-    return dft_codebook_design(build_instance(scenario))
+    theta = instance.beta_max * np.exp(-2j * np.pi * (np.arange(n) * best) / n)
+    return ReflectionSolution(theta, float(objectives[best]), "dft-codebook", n)
 
 
 def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:

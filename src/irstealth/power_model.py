@@ -8,7 +8,10 @@ All nodes carry 3D positions; angles follow the convention of
 points down (world -z) and every radar's points up (world +z), all array
 y-axes lie along world +x and the normals along world +y, so node layouts
 inside the world x-z plane give zero elevation and in-plane azimuths.
-Powers are linear watts throughout.
+Powers are linear watts throughout.  The received-power objective is held as
+its stacked link factor (:class:`QcqpInstance`, built by
+:func:`link_factor`): K radars see the panel only through K^2 rank-one
+links.
 """
 
 from __future__ import annotations
@@ -189,17 +192,21 @@ def radar_distance(scenario: Scenario, k: int) -> float:
                                 - np.asarray(scenario.target.position, dtype=float)))
 
 
-def target_side_responses(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Panel and coating blocks of the whole-surface response toward radar k.
+def _split_surface(scenario: Scenario, pair: AnglePair) -> tuple[np.ndarray, np.ndarray]:
+    """Panel and coating blocks of the whole-surface response toward a direction.
 
     Built by splitting the full surface response so the coating block keeps
     its x-index offset phase relative to the panel block.
     """
     target = scenario.target
-    full = upa_response(target.surface_geometry, angles_at_target(scenario, k),
-                        scenario.wavelength)
+    full = upa_response(target.surface_geometry, pair, scenario.wavelength)
     return split_ts_response(full, target.irs_geometry.nx,
                              target.nirs_geometry.nx, target.irs_geometry.ny)
+
+
+def target_side_responses(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Panel and coating blocks of the whole-surface response toward radar k."""
+    return _split_surface(scenario, angles_at_target(scenario, k))
 
 
 def chirp_waveform(t, radar: RadarNode):
@@ -228,20 +235,35 @@ def matched_beamformer(radar_geometry: ArrayGeometry, target_angles: AnglePair,
     return np.conj(a) / np.sqrt(a.size)
 
 
-def beamforming_gains(scenario: Scenario) -> GainSet:
-    """Complex transmit/receive gains per radar and coating gains per radar pair."""
-    k_r = scenario.num_radars
-    g = np.zeros(k_r, dtype=complex)
-    for k in range(k_r):
-        radar = scenario.radars[k]
+def _radar_gains(scenario: Scenario) -> np.ndarray:
+    """Complex beamforming gain rho_k * (a_k . w_k) of every radar toward the target."""
+    g = np.zeros(scenario.num_radars, dtype=complex)
+    for k, radar in enumerate(scenario.radars):
         rho = path_gain(radar_distance(scenario, k), scenario.ref_gain,
                         scenario.wavelength)
         a = upa_response(radar.geometry, angles_at_radar(scenario, k),
                          scenario.wavelength)
         g[k] = rho.value * (a @ np.asarray(radar.beamformer))
-    _, nirs_vectors = cascaded_vectors(scenario)
-    phi = np.asarray(scenario.target.nirs.phi)
-    c = np.einsum("kjn,n->kj", nirs_vectors.conj(), phi)
+    return g
+
+
+def _stacked_blocks(scenario: Scenario, angles) -> tuple[np.ndarray, np.ndarray]:
+    """Panel and coating blocks toward each direction, one row per direction."""
+    blocks = [_split_surface(scenario, pair) for pair in angles]
+    return np.array([b[0] for b in blocks]), np.array([b[1] for b in blocks])
+
+
+def _coating_gains(coating: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Coating reflection gains c[k, j] = sum_n b_k[n] b_j[n] phi[n] per link."""
+    return (coating * phi) @ coating.T
+
+
+def beamforming_gains(scenario: Scenario) -> GainSet:
+    """Complex transmit/receive gains per radar and coating gains per radar pair."""
+    g = _radar_gains(scenario)
+    true_angles = [angles_at_target(scenario, k) for k in range(scenario.num_radars)]
+    _, coating = _stacked_blocks(scenario, true_angles)
+    c = _coating_gains(coating, np.asarray(scenario.target.nirs.phi))
     return GainSet(g_tx=g, g_rx=g.copy(), c_nirs=c)
 
 
@@ -262,37 +284,124 @@ def cascaded_vectors(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 
 def link_weights(scenario: Scenario, gains: GainSet | None = None) -> np.ndarray:
     """Nonnegative weights P_j * |g_rx[k]|^2 * |g_tx[j]|^2 of every echo/cross link."""
-    gains = gains if gains is not None else beamforming_gains(scenario)
+    if gains is None:
+        g_rx = g_tx = _radar_gains(scenario)
+    else:
+        g_rx, g_tx = gains.g_rx, gains.g_tx
     powers = np.array([r.tx_power for r in scenario.radars])
-    return np.abs(gains.g_rx[:, None]) ** 2 * (powers * np.abs(gains.g_tx) ** 2)[None, :]
+    return np.abs(g_rx[:, None]) ** 2 * (powers * np.abs(g_tx) ** 2)[None, :]
+
+
+@dataclass(frozen=True, eq=False)
+class QcqpInstance:
+    """Received-power objective ||D theta + r||^2 held as its stacked link factor.
+
+    ``d_mat`` has one row per link and one column per panel element,
+    ``r_vec`` the matching coating terms.  The expanded quadratic form
+    theta^H U theta + 2 Re(v^H theta) + c has U = D^H D, v = D^H r and
+    c = ||r||^2, so it is positive semidefinite by construction and is never
+    formed.  ``beta_max`` caps every element's reflection amplitude.
+    """
+
+    d_mat: np.ndarray
+    r_vec: np.ndarray
+    beta_max: float
+
+    def __post_init__(self):
+        d = np.asarray(self.d_mat, dtype=complex)
+        r = np.asarray(self.r_vec, dtype=complex)
+        if d.ndim != 2:
+            raise ValueError(f"link matrix must be two-dimensional, got {d.shape}")
+        if r.shape != (d.shape[0],):
+            raise ValueError("coating terms do not match the link rows")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(r))):
+            raise ValueError("link factor must be finite")
+        if not 0 < self.beta_max <= 1:
+            raise ValueError(f"beta_max must be in (0, 1], got {self.beta_max}")
+        object.__setattr__(self, "d_mat", d)
+        object.__setattr__(self, "r_vec", r)
+
+    @property
+    def n_elements(self) -> int:
+        return self.d_mat.shape[1]
+
+    def objective(self, theta: np.ndarray) -> float:
+        residual = self.d_mat @ np.asarray(theta) + self.r_vec
+        return float(np.real(np.vdot(residual, residual)))
+
+
+def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
+    """Stacked link factor (D, r) of the sum-received-power objective.
+
+    Row (k, j) belongs to the link radar j -> target -> radar k.  It carries
+    the link amplitude sqrt(w_kj) times the panel response a_k * a_j, and the
+    same amplitude times the coating gain sum_n b_k[n] b_j[n] phi[n], where
+    a and b are the panel and coating blocks of the surface response.  Every
+    panel and coating response is built once.  The inputs select one of
+    three documented cases:
+
+    * neither ``angles`` nor ``g2``: the true scenario, with weights
+      w_kj = P_j |g_rx_k|^2 |g_tx_j|^2, so the objective at any feasible
+      theta equals :func:`sum_power` in watts;
+    * ``angles`` alone, one per radar in radar order: a steering error.  The
+      panel rows follow the given (perturbed) angles, while the coating
+      gains and link weights keep their true, offline-calibrated values;
+    * ``angles`` and ``g2``: sensed parameters.  ``angles`` are estimated
+      arrival directions in any order and ``g2`` the matching power-scaled
+      squared gains, so w_kj = g2_k g2_j; panel rows and coating gains both
+      follow the estimated angles, and the coating coefficients are the
+      target's own.  The uniform power scale of the estimates rescales the
+      objective without moving its minimizer.  Assumes a common transmit
+      power across radars.
+    """
+    k_r = scenario.num_radars
+    phi = np.asarray(scenario.target.nirs.phi)
+    if g2 is None:
+        if angles is not None and len(angles) != k_r:
+            raise ValueError(f"need one angle per radar, got {len(angles)} "
+                             f"for {k_r}")
+        true_angles = [angles_at_target(scenario, k) for k in range(k_r)]
+        panel, coating = _stacked_blocks(scenario, true_angles)
+        if angles is not None:
+            panel, _ = _stacked_blocks(scenario, angles)
+        weights = link_weights(scenario)
+    else:
+        g2 = np.asarray(g2, dtype=float)
+        if angles is None or len(angles) != g2.size:
+            raise ValueError("need one gain estimate per estimated angle")
+        panel, coating = _stacked_blocks(scenario, angles)
+        weights = g2[:, None] * g2[None, :]
+    amp = np.sqrt(weights).reshape(-1)
+    links = (panel[:, None, :] * panel[None, :, :]).reshape(amp.size, -1)
+    return QcqpInstance(amp[:, None] * links,
+                        amp * _coating_gains(coating, phi).reshape(-1),
+                        scenario.target.irs.beta_max)
+
+
+def _check_amplitudes(theta: np.ndarray, scenario: Scenario) -> np.ndarray:
+    theta = np.asarray(theta)
+    if np.max(np.abs(theta), initial=0.0) > scenario.target.irs.beta_max + 1e-9:
+        raise ValueError("reflection amplitudes exceed beta_max")
+    return theta
 
 
 def radar_power(k: int, theta: np.ndarray, scenario: Scenario) -> float:
     """Received signal power at radar k over one PRI, in watts.
 
     Sums P_j |g_rx_k|^2 |g_tx_j|^2 |u_kj^H theta + c_kj|^2 over the probing
-    radars j; with a common transmit power this is P times the per-radar
-    stealth objective.
+    radars j, i.e. the link-factor rows (k, 0..K-1); with a common transmit
+    power this is P times the per-radar stealth objective.
     """
-    theta = np.asarray(theta)
-    beta = scenario.target.irs.beta_max
-    if np.max(np.abs(theta), initial=0.0) > beta + 1e-9:
-        raise ValueError("reflection amplitudes exceed beta_max")
-    gains = beamforming_gains(scenario)
-    u, _ = cascaded_vectors(scenario)
-    w = link_weights(scenario, gains)
-    reflection = np.einsum("jn,n->j", u[k].conj(), theta) + gains.c_nirs[k]
-    return float(np.sum(w[k] * np.abs(reflection) ** 2))
+    k_r = scenario.num_radars
+    if not 0 <= k < k_r:
+        raise ValueError(f"radar index {k} out of range for {k_r} radars")
+    theta = _check_amplitudes(theta, scenario)
+    factor = link_factor(scenario)
+    rows = slice(k * k_r, (k + 1) * k_r)
+    residual = factor.d_mat[rows] @ theta + factor.r_vec[rows]
+    return float(np.real(np.vdot(residual, residual)))
 
 
 def sum_power(theta: np.ndarray, scenario: Scenario) -> float:
     """Sum of the received signal powers over all radars, in watts."""
-    theta = np.asarray(theta)
-    beta = scenario.target.irs.beta_max
-    if np.max(np.abs(theta), initial=0.0) > beta + 1e-9:
-        raise ValueError("reflection amplitudes exceed beta_max")
-    gains = beamforming_gains(scenario)
-    u, _ = cascaded_vectors(scenario)
-    w = link_weights(scenario, gains)
-    reflection = np.einsum("kjn,n->kj", u.conj(), theta) + gains.c_nirs
-    return float(np.sum(w * np.abs(reflection) ** 2))
+    return link_factor(scenario).objective(_check_amplitudes(theta, scenario))

@@ -4,15 +4,27 @@ import numpy as np
 import pytest
 
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
-from irstealth.optimizers import QcqpInstance
+from irstealth.power_model import QcqpInstance
 
 
 def unit_phases(rng, n):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
 
 
+def single_link_instance(u, c, beta=1.0):
+    """Link factor of |u^H theta + c|^2: one row u^H, coating term c."""
+    return QcqpInstance(np.conj(u)[None, :], np.array([c]), beta)
+
+
+def dense_terms(inst):
+    """Expanded objective data U = D^H D, v = D^H r, c = ||r||^2 (test oracle)."""
+    d_mat, r_vec = np.asarray(inst.d_mat), np.asarray(inst.r_vec)
+    return (d_mat.conj().T @ d_mat, d_mat.conj().T @ r_vec,
+            float(np.real(np.vdot(r_vec, r_vec))))
+
+
 def random_single_instance(rng, n1=None, beta=1.0):
-    """Rank-one objective data of one mono-static link, plus its (u, c) pair.
+    """Link factor of one mono-static link, plus its (u, c) pair.
 
     The gain magnitude is drawn wide enough to hit both the saturated and
     the fully-cancelling regimes.
@@ -20,30 +32,28 @@ def random_single_instance(rng, n1=None, beta=1.0):
     n1 = int(n1 if n1 is not None else rng.integers(1, 33))
     u = unit_phases(rng, n1)
     c = rng.uniform(0.0, 2.0 * n1 * beta) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    inst = QcqpInstance(np.outer(u, u.conj()), c * u, abs(c) ** 2, beta)
-    return inst, u, c
+    return single_link_instance(u, c, beta), u, c
 
 
 def random_multi_instance(rng, n1x=4, ny=2, k=3, beta=1.0):
-    """Consistent multi-link objective data from random geometry and gains."""
+    """Link factor of k^2 weighted links from random geometry and gains.
+
+    Link (i, j) contributes w_ij |u_ij^H theta + g_ij|^2 with the cascaded
+    response u_ij of the random arrival directions.
+    """
     geom = ArrayGeometry(ArrayKind.UPA, n1x, ny, 0.0125)
     responses = [upa_response(geom, AnglePair(rng.uniform(-1.3, 1.3),
                                               rng.uniform(-0.5, 0.5)), 0.05)
                  for _ in range(k)]
     weights = rng.uniform(0.1, 1.0, (k, k))
     gains = (rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))) * 2.0
-    n1 = n1x * ny
-    u_mat = np.zeros((n1, n1), dtype=complex)
-    v_vec = np.zeros(n1, dtype=complex)
-    c_const = 0.0
+    rows, rhs = [], []
     for i in range(k):
         for j in range(k):
-            u_ij = np.conj(responses[i] * responses[j])
-            u_mat += weights[i, j] * np.outer(u_ij, u_ij.conj())
-            v_vec += weights[i, j] * gains[i, j] * u_ij
-            c_const += weights[i, j] * abs(gains[i, j]) ** 2
-    u_mat = 0.5 * (u_mat + u_mat.conj().T)
-    return QcqpInstance(u_mat, v_vec, float(c_const), beta)
+            amp = np.sqrt(weights[i, j])
+            rows.append(amp * responses[i] * responses[j])
+            rhs.append(amp * gains[i, j])
+    return QcqpInstance(np.array(rows), np.array(rhs), beta)
 
 
 def polar_grid(beta, amp_step, phase_step):
@@ -57,9 +67,9 @@ def grid_search_min_1(inst, amp_step=0.01, phase_step=0.01):
     """Exhaustive polar-grid minimum for a one-element instance."""
     amps, phases = polar_grid(inst.beta_max, amp_step, phase_step)
     z = (amps[:, None] * np.exp(1j * phases)[None, :]).ravel()
-    a11 = float(np.real(inst.u_mat[0, 0]))
-    vals = a11 * np.abs(z) ** 2 + 2.0 * np.real(np.conj(inst.v_vec[0]) * z) \
-        + inst.c_const
+    u_mat, v_vec, c_const = dense_terms(inst)
+    a11 = float(np.real(u_mat[0, 0]))
+    vals = a11 * np.abs(z) ** 2 + 2.0 * np.real(np.conj(v_vec[0]) * z) + c_const
     return float(vals.min())
 
 
@@ -72,15 +82,16 @@ def grid_search_min_2(inst, amp_step=0.01, phase_step=0.01):
     """
     amps, phases = polar_grid(inst.beta_max, amp_step, phase_step)
     n_psi = phases.size
-    a11 = float(np.real(inst.u_mat[0, 0]))
-    a22 = float(np.real(inst.u_mat[1, 1]))
-    u12 = complex(inst.u_mat[0, 1])
-    v1, v2 = complex(inst.v_vec[0]), complex(inst.v_vec[1])
+    u_mat, v_vec, c_const = dense_terms(inst)
+    a11 = float(np.real(u_mat[0, 0]))
+    a22 = float(np.real(u_mat[1, 1]))
+    u12 = complex(u_mat[0, 1])
+    v1, v2 = complex(v_vec[0]), complex(v_vec[1])
     best = np.inf
     e_psi = np.exp(1j * phases)
     for r1 in amps:
         w = u12 * r1 * np.conj(e_psi) + np.conj(v2)
-        base = a11 * r1 * r1 + 2.0 * np.real(np.conj(v1) * r1 * e_psi) + inst.c_const
+        base = a11 * r1 * r1 + 2.0 * np.real(np.conj(v1) * r1 * e_psi) + c_const
         target = np.pi - np.angle(w)
         k0 = np.floor(target / phase_step).astype(int)
         cand = np.stack([(k0 + d) % n_psi for d in (-1, 0, 1, 2)])
@@ -95,12 +106,13 @@ def grid_search_min_2_literal(inst, amp_step, phase_step):
     """Plain full enumeration over both elements (coarse grids only)."""
     amps, phases = polar_grid(inst.beta_max, amp_step, phase_step)
     z = (amps[:, None] * np.exp(1j * phases)[None, :]).ravel()
-    a11 = float(np.real(inst.u_mat[0, 0]))
-    a22 = float(np.real(inst.u_mat[1, 1]))
-    u12 = complex(inst.u_mat[0, 1])
-    vals = (a11 * np.abs(z) ** 2 + 2.0 * np.real(np.conj(inst.v_vec[0]) * z))[:, None] \
-        + (a22 * np.abs(z) ** 2 + 2.0 * np.real(np.conj(inst.v_vec[1]) * z))[None, :] \
-        + 2.0 * np.real(u12 * np.conj(z)[:, None] * z[None, :]) + inst.c_const
+    u_mat, v_vec, c_const = dense_terms(inst)
+    a11 = float(np.real(u_mat[0, 0]))
+    a22 = float(np.real(u_mat[1, 1]))
+    u12 = complex(u_mat[0, 1])
+    vals = (a11 * np.abs(z) ** 2 + 2.0 * np.real(np.conj(v_vec[0]) * z))[:, None] \
+        + (a22 * np.abs(z) ** 2 + 2.0 * np.real(np.conj(v_vec[1]) * z))[None, :] \
+        + 2.0 * np.real(u12 * np.conj(z)[:, None] * z[None, :]) + c_const
     return float(vals.min())
 
 

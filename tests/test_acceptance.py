@@ -10,21 +10,19 @@ import time
 import numpy as np
 from scipy import stats
 
-from conftest import (grid_search_min_1, grid_search_min_2,
+from conftest import (dense_terms, grid_search_min_1, grid_search_min_2,
                       random_multi_instance, random_single_instance)
 from irstealth.config import (build_scenario, multi_radar_config,
                               single_radar_config, with_seed)
 from irstealth.estimation import estimate_parameters
 from irstealth.experiments import (emit_csv, inject_aoa_error, run_experiment,
-                                   solver_powers, steering_error_design,
-                                   trial_seeds)
-from irstealth.optimizers import (build_instance, build_instance_from_estimates,
-                                  dft_codebook_search, dual_value,
+                                   solver_powers, trial_seeds)
+from irstealth.optimizers import (dft_codebook_design, dual_value,
                                   kkt_certificate, min_irs_elements,
                                   mmse_delta_search, random_phase,
                                   reverse_alignment, solve_pgd)
 from irstealth.power_model import (angles_at_target, beamforming_gains,
-                                   cascaded_vectors, sum_power)
+                                   cascaded_vectors, link_factor, sum_power)
 
 
 def record(num, description, passed, detail=""):
@@ -66,9 +64,10 @@ def test_02_grid_search_oracle_equivalence():
                 inst = random_multi_instance(rng, n1x=n1, ny=1, k=2)
             sol = solve_pgd(inst)
             grid = grid_search_min_1(inst) if n1 == 1 else grid_search_min_2(inst)
+            u_mat, v_vec, _ = dense_terms(inst)
             eps = np.sqrt(n1) * np.hypot(0.005, inst.beta_max * 0.005)
-            grad = np.linalg.norm(inst.u_mat @ sol.theta + inst.v_vec)
-            lam_top = float(np.linalg.eigvalsh(inst.u_mat)[-1])
+            grad = np.linalg.norm(u_mat @ sol.theta + v_vec)
+            lam_top = float(np.linalg.eigvalsh(u_mat)[-1])
             bound = 2.0 * grad * eps + lam_top * eps ** 2 + 1e-9
             gap = grid - sol.objective
             if not -1e-9 * (1 + abs(sol.objective)) <= gap <= bound:
@@ -122,7 +121,7 @@ def test_05_multi_radar_stealth_threshold():
     worst = 0.0
     for seed in trial_seeds(config.seed, 3):
         scenario = build_scenario(with_seed(config, int(seed)))
-        theta = solve_pgd(build_instance(scenario)).theta
+        theta = solve_pgd(link_factor(scenario)).theta
         baseline = sum_power(np.zeros_like(theta), scenario)
         worst = max(worst, sum_power(theta, scenario) / baseline)
     elapsed = time.monotonic() - start
@@ -145,8 +144,9 @@ def test_06_mmse_near_optimality_across_distances():
         scaled = dataclasses.replace(config, radars=radars, target=target)
         for seed in trial_seeds(config.seed, 2):
             scenario = build_scenario(with_seed(scaled, int(seed)))
-            pgd_theta = solve_pgd(build_instance(scenario)).theta
-            mmse_theta = mmse_delta_search(scenario)[1].theta
+            factor = link_factor(scenario)
+            pgd_theta = solve_pgd(factor).theta
+            mmse_theta = mmse_delta_search(factor)[1].theta
             pgd_power = sum_power(pgd_theta, scenario)
             mmse_power = sum_power(mmse_theta, scenario)
             baseline = sum_power(np.zeros_like(pgd_theta), scenario)
@@ -164,7 +164,7 @@ def test_07_baseline_ordering_and_ratios():
     dft_vals, random_vals = [], []
     for seed in trial_seeds(config.seed, 200):
         scenario = build_scenario(with_seed(config, int(seed)))
-        dft_vals.append(dft_codebook_search(scenario).objective)
+        dft_vals.append(dft_codebook_design(link_factor(scenario)).objective)
         random_vals.append(sum_power(random_phase(8, 1.0, int(seed) + 0x5EED),
                                      scenario))
     ratio = np.mean(dft_vals) / np.mean(random_vals)
@@ -195,7 +195,7 @@ def _aoa_error_curve(config, n_seeds=200):
                                        int(seed) + k)
                       for k in range(scenario.num_radars)]
             powers = solver_powers(scenario, int(seed),
-                                   steering_error_design(scenario, angles))
+                                   link_factor(scenario, angles))
             optimal[err].append(powers[optimal_name])
             codebook[err].append(powers["dft-codebook"])
     means = [float(np.mean(optimal[e])) for e in errors]
@@ -234,9 +234,8 @@ def test_09_estimation_pipeline():
     gain_err = np.max(np.abs(gains2.g2_tx[order] - expected[truth_order])
                       / expected[truth_order])
 
-    est_theta = solve_pgd(build_instance_from_estimates(
-        scenario, aoa.angles, gains2.g2_tx)).theta
-    true_theta = solve_pgd(build_instance(scenario)).theta
+    est_theta = solve_pgd(link_factor(scenario, aoa.angles, gains2.g2_tx)).theta
+    true_theta = solve_pgd(link_factor(scenario)).theta
     theta_err = float(np.max(np.abs(est_theta - true_theta)))
     baseline = sum_power(np.zeros_like(true_theta), scenario)
     power_err = abs(sum_power(est_theta, scenario)

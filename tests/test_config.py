@@ -87,6 +87,52 @@ class TestValidation:
         with pytest.raises(ConfigError):
             multi_radar_config(num_radars=6)
 
+    @pytest.mark.parametrize("fieldpath", [
+        "wavelength", "alpha_db", "radars[0].tx_power_dbm", "radars[0].spacing",
+        "radars[0].bandwidth", "radars[0].noise_dbm", "radars[1].position",
+        "target.spacing", "target.cssa_noise_dbm", "target.epoch_jitter",
+        "target.position"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_value_rejected(self, fieldpath, bad):
+        config = multi_radar_config(num_radars=2)
+        section, _, name = fieldpath.rpartition(".")
+        value = (0.0, bad, 0.0) if name == "position" else bad
+        if not section:
+            bad_config = dataclasses.replace(config, **{name: value})
+        elif section == "target":
+            bad_config = dataclasses.replace(config, target=dataclasses.replace(
+                config.target, **{name: value}))
+        else:
+            k = int(section[len("radars["):-1])
+            radars = list(config.radars)
+            radars[k] = dataclasses.replace(radars[k], **{name: value})
+            bad_config = dataclasses.replace(config, radars=tuple(radars))
+        with pytest.raises(ConfigError) as err:
+            build_scenario(bad_config)
+        assert err.value.fieldpath == fieldpath
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(bad_config.to_dict())
+        assert err.value.fieldpath == fieldpath
+
+    @pytest.mark.parametrize("position", [(0.0, 0.0, 200.0), (0.0, 50.0, 100.0),
+                                          (0.0, 0.0, 100.0)])
+    def test_radar_outside_front_half_space_rejected(self, position):
+        # The target is 100 m up; its panel faces down.
+        config = multi_radar_config(num_radars=2)
+        radars = (config.radars[0], dataclasses.replace(config.radars[1],
+                                                        position=position))
+        with pytest.raises(ConfigError) as err:
+            build_scenario(dataclasses.replace(config, radars=radars))
+        assert err.value.fieldpath == "radars[1].position"
+
+    def test_beam_override_outside_visible_range_rejected(self):
+        config = single_radar_config()
+        bad = dataclasses.replace(config, radars=(dataclasses.replace(
+            config.radars[0], beam_azimuth_deg=90.0),))
+        with pytest.raises(ConfigError) as err:
+            build_scenario(bad)
+        assert err.value.fieldpath == "radars[0].beam_azimuth_deg"
+
 
 class TestBuildScenario:
     def test_deterministic_coating_draw(self):

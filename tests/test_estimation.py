@@ -10,9 +10,9 @@ from irstealth.estimation import (EstimationError, SnapshotSet,
                                   gain_estimate, ls_recover, music_aoa,
                                   steering_matrix, _grid_spectrum,
                                   _noise_subspace)
-from irstealth.optimizers import (build_instance, build_instance_from_estimates,
-                                  solve_pgd)
-from irstealth.power_model import angles_at_target, beamforming_gains, sum_power
+from irstealth.optimizers import solve_pgd
+from irstealth.power_model import (angles_at_target, beamforming_gains,
+                                   link_factor, sum_power)
 
 GRID = np.deg2rad(1.0)
 
@@ -228,9 +228,8 @@ def _pipeline_gains(scenario):
 class TestEndToEnd:
     def test_estimated_parameters_reproduce_true_design(self, clean_multi):
         aoa, gains2 = estimate_parameters(clean_multi, n_snapshots=64, seed=6)
-        est_instance = build_instance_from_estimates(clean_multi, aoa.angles,
-                                                     gains2.g2_tx)
-        true_instance = build_instance(clean_multi)
+        est_instance = link_factor(clean_multi, aoa.angles, gains2.g2_tx)
+        true_instance = link_factor(clean_multi)
         theta_est = solve_pgd(est_instance).theta
         theta_true = solve_pgd(true_instance).theta
         np.testing.assert_allclose(theta_est, theta_true, atol=1e-6)

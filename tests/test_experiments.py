@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irstealth.arrays import AnglePair
-from irstealth.config import multi_radar_config, single_radar_config
+from irstealth.config import build_scenario, multi_radar_config, single_radar_config
 from irstealth.experiments import (ExperimentResult, ExperimentRow, emit_csv,
                                    inject_aoa_error, parse_csv,
-                                   run_experiment, trial_seeds)
+                                   run_experiment, solver_powers, trial_seeds)
 
 
 class TestInjectAoaError:
@@ -211,3 +212,22 @@ class TestRunExperiment:
                          if r.sweep == d and r.solver == "no-irs"])
                 for d in result.sweep_values]
         assert all(a >= b for a, b in zip(dark, dark[1:]))
+
+
+class TestLargePanel:
+    def test_ten_thousand_elements_stay_in_link_dimensions(self):
+        # A dense N1 x N1 complex matrix alone would take 1.6 GB here; the
+        # link factor of 25 links keeps every design in O(K^2 N1) memory.
+        scenario = build_scenario(multi_radar_config(num_radars=5, n1x=5000))
+        assert scenario.target.irs_geometry.num_elements == 10_000
+        tracemalloc.start()
+        try:
+            powers = solver_powers(scenario, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 200e6
+        assert set(powers) == {"pgd", "mmse", "dft-codebook", "random-phase",
+                               "no-irs"}
+        assert powers["pgd"] <= 1e-6 * powers["no-irs"]
+        assert powers["pgd"] <= powers["mmse"] * (1 + 1e-9) + 1e-9 * powers["no-irs"]

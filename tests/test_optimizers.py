@@ -2,34 +2,52 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import (grid_search_min_1, grid_search_min_2,
+from conftest import (dense_terms, grid_search_min_1, grid_search_min_2,
                       grid_search_min_2_literal, random_multi_instance,
-                      random_single_instance, unit_phases)
+                      random_single_instance, single_link_instance, unit_phases)
+from irstealth.arrays import AnglePair
 from irstealth.config import build_scenario, multi_radar_config, single_radar_config
 from irstealth.optimizers import (ConvergenceError, InfeasibleError,
-                                  QcqpInstance, ReflectionSolution,
-                                  build_instance, dft_codebook_search,
+                                  ReflectionSolution, dft_codebook_design,
                                   dual_value, kkt_certificate,
                                   lagrange_semiclosed, min_irs_elements,
-                                  mmse_delta_search, mmse_reflection,
-                                  random_phase, reverse_alignment, solve_pgd,
-                                  stacked_system)
-from irstealth.power_model import (NirsPanel, beamforming_gains,
-                                   cascaded_vectors, sum_power)
+                                  mmse_delta_search, random_phase,
+                                  reverse_alignment, single_link, solve_pgd,
+                                  _codebook_objectives, _ridge_designs, _svd)
+from irstealth.power_model import (NirsPanel, QcqpInstance, angles_at_target,
+                                   beamforming_gains, cascaded_vectors,
+                                   link_factor, link_weights, sum_power)
 
 
 def scalar_instance():
     # One element, unit cascaded response, gain 2, full amplitude budget.
     return QcqpInstance(np.ones((1, 1), dtype=complex),
-                        np.array([2.0 + 0.0j]), 4.0, 1.0)
+                        np.array([2.0 + 0.0j]), 1.0)
+
+
+def link_sum_oracle(scenario, theta):
+    """Sum over links of w_kj |u_kj^H theta + c_kj|^2, link by link."""
+    gains = beamforming_gains(scenario)
+    u, _ = cascaded_vectors(scenario)
+    w = link_weights(scenario, gains)
+    total = 0.0
+    for k in range(scenario.num_radars):
+        for j in range(scenario.num_radars):
+            total += w[k, j] * abs(np.vdot(u[k, j], theta) + gains.c_nirs[k, j]) ** 2
+    return total
 
 
 class TestBuildInstance:
+    """The link factor built from a scenario."""
+
     def test_single_radar_is_rank_one(self, single_scenario):
-        inst = build_instance(single_scenario)
-        eigvals = np.linalg.eigvalsh(inst.u_mat)
+        inst = link_factor(single_scenario)
+        eigvals = np.linalg.eigvalsh(dense_terms(inst)[0])
+        assert inst.d_mat.shape == (1, inst.n_elements)
         assert eigvals[-1] > 0
         assert eigvals[-2] <= 1e-10 * eigvals[-1]
 
@@ -39,9 +57,9 @@ class TestBuildInstance:
         absorbing = NirsPanel(np.zeros(n2, dtype=complex), np.ones(n2))
         scenario = dataclasses.replace(
             single_scenario, target=dataclasses.replace(target, nirs=absorbing))
-        inst = build_instance(scenario)
-        np.testing.assert_array_equal(inst.v_vec, 0.0)
-        assert inst.c_const == 0.0
+        inst = link_factor(scenario)
+        np.testing.assert_array_equal(inst.r_vec, 0.0)
+        assert inst.objective(np.zeros(inst.n_elements)) == 0.0
         np.testing.assert_array_equal(solve_pgd(inst).theta, 0.0)
 
     def test_constant_term_oracle(self, multi_scenario):
@@ -56,23 +74,45 @@ class TestBuildInstance:
                 expected += multi_scenario.radars[j].tx_power \
                     * abs(gains.g_rx[k]) ** 2 * abs(gains.g_tx[j]) ** 2 \
                     * abs(c_kj) ** 2
-        inst = build_instance(multi_scenario)
-        assert inst.c_const == pytest.approx(expected, rel=1e-9)
+        inst = link_factor(multi_scenario)
+        assert dense_terms(inst)[2] == pytest.approx(expected, rel=1e-9)
 
     def test_objective_matches_sum_power(self, multi_scenario):
         rng = np.random.default_rng(5)
-        inst = build_instance(multi_scenario)
+        inst = link_factor(multi_scenario)
         theta = 0.8 * unit_phases(rng, inst.n_elements)
         assert inst.objective(theta) == pytest.approx(
             sum_power(theta, multi_scenario), rel=1e-9)
+        assert inst.objective(theta) == pytest.approx(
+            link_sum_oracle(multi_scenario, theta), rel=1e-9)
 
-    def test_rejects_non_hermitian(self):
+    def test_rejects_mismatched_coating_terms(self):
         with pytest.raises(ValueError):
-            QcqpInstance(np.array([[1.0, 1j], [1j, 1.0]]), np.zeros(2), 0.0, 1.0)
+            QcqpInstance(np.ones((2, 3), dtype=complex), np.zeros(3), 1.0)
 
-    def test_rejects_indefinite(self):
+    def test_rejects_non_finite_factor(self):
         with pytest.raises(ValueError):
-            QcqpInstance(np.diag([1.0, -1.0]).astype(complex), np.zeros(2), 0.0, 1.0)
+            QcqpInstance(np.array([[1.0, np.nan]]), np.zeros(1), 1.0)
+
+    def test_steering_error_keeps_true_coating_terms(self, multi_scenario):
+        truth = link_factor(multi_scenario)
+        angles = [AnglePair(a.azimuth + 0.01, a.elevation) for a in
+                  (angles_at_target(multi_scenario, k) for k in range(3))]
+        perturbed = link_factor(multi_scenario, angles)
+        np.testing.assert_array_equal(perturbed.r_vec, truth.r_vec)
+        scale = np.max(np.abs(truth.d_mat))
+        assert np.max(np.abs(perturbed.d_mat - truth.d_mat)) > 1e-3 * scale
+        np.testing.assert_allclose(np.abs(perturbed.d_mat), np.abs(truth.d_mat),
+                                   rtol=1e-12)
+
+    def test_estimates_need_matching_angles(self, multi_scenario):
+        angles = [angles_at_target(multi_scenario, k) for k in range(3)]
+        with pytest.raises(ValueError):
+            link_factor(multi_scenario, angles, np.ones(2))
+        with pytest.raises(ValueError):
+            link_factor(multi_scenario, None, np.ones(3))
+        with pytest.raises(ValueError):
+            link_factor(multi_scenario, angles[:2])
 
 
 class TestSolvePgd:
@@ -87,7 +127,7 @@ class TestSolvePgd:
             n1 = int(rng.integers(1, 24))
             u = unit_phases(rng, n1)
             c = rng.uniform(0, n1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            inst = QcqpInstance(np.outer(u, u.conj()), c * u, abs(c) ** 2, 1.0)
+            inst = single_link_instance(u, c)
             assert solve_pgd(inst).objective <= 1e-10
 
     def test_matches_grid_oracle_one_element(self):
@@ -128,15 +168,6 @@ class TestSolvePgd:
         assert isinstance(best, ReflectionSolution)
         assert np.max(np.abs(best.theta)) <= inst.beta_max + 1e-9
 
-    def test_purely_linear_objective(self):
-        # Degenerate data with no quadratic part: every element saturates
-        # against the linear term.
-        inst = QcqpInstance(np.zeros((2, 2), dtype=complex),
-                            np.array([1.0 + 0j, 1j]), 4.0, 0.5)
-        sol = solve_pgd(inst)
-        np.testing.assert_allclose(sol.theta, [-0.5, -0.5j], atol=1e-12)
-        assert sol.objective == pytest.approx(2.0, rel=1e-12)
-
     def test_feasibility_of_returned_designs(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -150,9 +181,10 @@ class TestSolvePgd:
 def _grid_resolution_bound(inst, sol):
     # Each element of the optimum moves at most half a grid cell, so the
     # grid value exceeds the optimum by at most the induced objective change.
+    u_mat, v_vec, _ = dense_terms(inst)
     eps = np.sqrt(inst.n_elements) * np.hypot(0.005, inst.beta_max * 0.005)
-    grad = np.linalg.norm(inst.u_mat @ sol.theta + inst.v_vec)
-    lam_top = float(np.linalg.eigvalsh(inst.u_mat)[-1])
+    grad = np.linalg.norm(u_mat @ sol.theta + v_vec)
+    lam_top = float(np.linalg.eigvalsh(u_mat)[-1])
     return 2.0 * grad * eps + lam_top * eps ** 2 + 1e-9
 
 
@@ -166,23 +198,25 @@ class TestLagrangeSemiclosed:
     def test_zero_multipliers_give_unconstrained_minimizer(self):
         rng = np.random.default_rng(7)
         base = random_multi_instance(rng, n1x=3, ny=2, k=2)
-        # Regularize to full rank so the unconstrained minimizer is unique.
-        u_mat = base.u_mat + 0.5 * np.eye(base.n_elements)
-        inst = QcqpInstance(u_mat, base.v_vec, base.c_const, 1.0)
-        theta = lagrange_semiclosed(inst, np.zeros(inst.n_elements))
-        np.testing.assert_allclose(u_mat @ theta, -np.asarray(inst.v_vec),
-                                   atol=1e-10)
+        # Regularize to full rank so the unconstrained minimizer is unique:
+        # extra rows sqrt(0.5) I add 0.5 I to U and leave v unchanged.
+        n = base.n_elements
+        inst = QcqpInstance(np.vstack([base.d_mat, np.sqrt(0.5) * np.eye(n)]),
+                            np.concatenate([base.r_vec, np.zeros(n)]), 1.0)
+        u_mat, v_vec, _ = dense_terms(inst)
+        theta = lagrange_semiclosed(inst, np.zeros(n))
+        np.testing.assert_allclose(u_mat @ theta, -v_vec, atol=1e-10)
 
     def test_consistency_with_recovered_multipliers(self):
         # Saturated single-radar case: all constraints active, multipliers
         # positive, shifted matrix invertible.
         rng = np.random.default_rng(8)
-        inst, _, _ = random_single_instance(rng, n1=6)
-        while abs(inst.v_vec[0]) <= 8.0:
-            inst, _, _ = random_single_instance(rng, n1=6)
+        inst, _, c = random_single_instance(rng, n1=6)
+        while abs(c) <= 8.0:
+            inst, _, c = random_single_instance(rng, n1=6)
         sol = solve_pgd(inst, tol=1e-12)
         lam, residual = kkt_certificate(inst, sol)
-        assert residual <= 1e-6 * (1.0 + inst.c_const)
+        assert residual <= 1e-6 * (1.0 + abs(c) ** 2)
         theta = lagrange_semiclosed(inst, lam)
         np.testing.assert_allclose(theta, sol.theta, atol=1e-6)
 
@@ -202,7 +236,7 @@ class TestKktCertificate:
         rng = np.random.default_rng(10)
         u = unit_phases(rng, 8)
         c = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        inst = QcqpInstance(np.outer(u, u.conj()), c * u, abs(c) ** 2, 1.0)
+        inst = single_link_instance(u, c)
         sol = solve_pgd(inst)
         lam, residual = kkt_certificate(inst, sol)
         np.testing.assert_array_equal(lam, 0.0)
@@ -269,36 +303,37 @@ class TestReverseAlignment:
 
 class TestMmse:
     def test_min_norm_cancels_single_radar(self, single_scenario):
-        theta = mmse_reflection(single_scenario, 0.0)
+        theta = _ridge_designs(link_factor(single_scenario), [0.0])[0][:, 0]
         gains = beamforming_gains(single_scenario)
         u = cascaded_vectors(single_scenario)[0][0, 0]
         assert abs(np.vdot(u, theta) + gains.c_nirs[0, 0]) <= 1e-10
 
     def test_heavy_regularization_goes_dark(self, multi_scenario):
-        theta = mmse_reflection(multi_scenario, 1e12)
+        theta = _ridge_designs(link_factor(multi_scenario), [1e12])[0]
         assert np.max(np.abs(theta)) < 1e-9
 
     def test_negative_regularization_rejected(self, multi_scenario):
         with pytest.raises(ValueError):
-            mmse_reflection(multi_scenario, -1.0)
+            mmse_delta_search(link_factor(multi_scenario), grid=np.array([-1.0]))
 
     def test_residual_monotone_in_regularization(self, multi_scenario):
-        d_mat, e_mat = stacked_system(multi_scenario)
-        rhs = e_mat @ multi_scenario.target.nirs.phi
-        gram_top = float(np.linalg.eigvalsh(d_mat.conj().T @ d_mat)[-1])
-        residuals = []
-        for delta in np.geomspace(1e-10 * gram_top, 1e2 * gram_top, 13):
-            theta = mmse_reflection(multi_scenario, delta)
-            residuals.append(np.linalg.norm(d_mat @ theta + rhs) ** 2)
+        inst = link_factor(multi_scenario)
+        gram_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
+        deltas = np.geomspace(1e-10 * gram_top, 1e2 * gram_top, 13)
+        thetas, reported = _ridge_designs(inst, deltas)
+        residuals = [inst.objective(theta) for theta in thetas.T]
+        # The direct evaluation rounds at about eps * ||r||^2 * ||D theta + r||.
+        np.testing.assert_allclose(reported, residuals, rtol=1e-9,
+                                   atol=1e-18 * dense_terms(inst)[2])
         assert all(a <= b * (1 + 1e-9) for a, b in zip(residuals, residuals[1:]))
 
     def test_delta_search_picks_smallest_feasible_residual(self, multi_scenario):
-        delta, sol = mmse_delta_search(multi_scenario)
+        inst = link_factor(multi_scenario)
+        delta, sol = mmse_delta_search(inst)
         assert np.max(np.abs(sol.theta)) <= 1.0 + 1e-9
         # Residuals grow with the regularization, so the chosen value sits
         # at the bottom of the feasible part of the default grid.
-        d_mat, e_mat = stacked_system(multi_scenario)
-        gram_top = float(np.linalg.eigvalsh(d_mat.conj().T @ d_mat)[-1])
+        gram_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
         assert delta <= 1e-11 * gram_top
 
     def test_delta_search_reports_infeasible_grid(self):
@@ -307,24 +342,23 @@ class TestMmse:
             config, target=dataclasses.replace(config.target, beta_max=0.05))
         scenario = build_scenario(config)
         with pytest.raises(InfeasibleError):
-            mmse_delta_search(scenario, grid=np.array([0.0]))
+            mmse_delta_search(link_factor(scenario), grid=np.array([0.0]))
 
     def test_delta_search_widens_default_grid(self):
         config = multi_radar_config(n1x=2)
         config = dataclasses.replace(
             config, target=dataclasses.replace(config.target, beta_max=0.05))
         scenario = build_scenario(config)
-        _, sol = mmse_delta_search(scenario)
+        _, sol = mmse_delta_search(link_factor(scenario))
         assert np.max(np.abs(sol.theta)) <= 0.05 + 1e-12
 
     def test_stacked_residual_equals_objective(self, multi_scenario):
         rng = np.random.default_rng(16)
-        inst = build_instance(multi_scenario)
+        inst = link_factor(multi_scenario)
         theta = 0.6 * unit_phases(rng, inst.n_elements)
-        d_mat, e_mat = stacked_system(multi_scenario)
-        rhs = e_mat @ multi_scenario.target.nirs.phi
-        residual = float(np.linalg.norm(d_mat @ theta + rhs) ** 2)
-        assert residual == pytest.approx(inst.objective(theta), rel=1e-9)
+        residual = float(np.linalg.norm(inst.d_mat @ theta + inst.r_vec) ** 2)
+        assert residual == pytest.approx(link_sum_oracle(multi_scenario, theta),
+                                         rel=1e-9)
 
 
 class TestBaselines:
@@ -333,21 +367,21 @@ class TestBaselines:
         config = dataclasses.replace(
             config, target=dataclasses.replace(config.target, n1y=1, n2y=1))
         scenario = build_scenario(config)
-        sol = dft_codebook_search(scenario)
+        sol = dft_codebook_design(link_factor(scenario))
         np.testing.assert_allclose(sol.theta, [1.0 + 0.0j])
 
     def test_codebook_beats_random_on_average(self):
         dft_vals, random_vals = [], []
         for seed in range(100):
             scenario = build_scenario(single_radar_config(seed=seed))
-            dft_vals.append(dft_codebook_search(scenario).objective)
+            dft_vals.append(dft_codebook_design(link_factor(scenario)).objective)
             theta = random_phase(8, 1.0, seed + 50_000)
             random_vals.append(sum_power(theta, scenario))
         assert np.mean(dft_vals) <= np.mean(random_vals)
 
     def test_codebook_deterministic(self, multi_scenario):
-        a = dft_codebook_search(multi_scenario)
-        b = dft_codebook_search(multi_scenario)
+        a = dft_codebook_design(link_factor(multi_scenario))
+        b = dft_codebook_design(link_factor(multi_scenario))
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_random_phase_contract(self):
@@ -364,10 +398,10 @@ class TestBaselines:
     def test_ordering_across_solvers(self):
         for seed in (3, 17):
             scenario = build_scenario(multi_radar_config(n1x=4, seed=seed))
-            inst = build_instance(scenario)
+            inst = link_factor(scenario)
             pgd = solve_pgd(inst).objective
-            mmse = mmse_delta_search(scenario)[1].objective
-            dft = dft_codebook_search(scenario).objective
+            mmse = mmse_delta_search(inst)[1].objective
+            dft = dft_codebook_design(inst).objective
             worst_random = max(sum_power(random_phase(8, 1.0, s + 0x5EED),
                                          scenario) for s in range(10))
             slack = 1e-9 * (1 + dft)
@@ -413,3 +447,79 @@ class TestCoatingGainStatistics:
         assert np.var(c) == pytest.approx(sigma2, rel=0.05)
         ks = stats.kstest(np.abs(c) ** 2, "expon", args=(0, sigma2))
         assert ks.statistic < 0.02
+
+
+def _random_multi_scenario(seed):
+    num_radars = 2 + seed % 4
+    return build_scenario(multi_radar_config(num_radars=num_radars,
+                                             n1x=3 + seed % 7, seed=seed))
+
+
+class TestFactorOracles:
+    """Factor-form results against dense oracles built here from D and r."""
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_objective_matches_expanded_form(self, seed):
+        scenario = _random_multi_scenario(seed % 10_000)
+        inst = link_factor(scenario)
+        u_mat, v_vec, c_const = dense_terms(inst)
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0, 1, inst.n_elements) * unit_phases(rng, inst.n_elements)
+        expanded = float(np.real(np.vdot(theta, u_mat @ theta))
+                         + 2.0 * np.real(np.vdot(v_vec, theta)) + c_const)
+        assert inst.objective(theta) == pytest.approx(expanded, rel=1e-9)
+        assert inst.objective(theta) == pytest.approx(sum_power(theta, scenario),
+                                                      rel=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_codebook_objectives_match_codebook_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_multi_instance(rng, n1x=int(rng.integers(1, 9)), ny=2,
+                                     k=int(rng.integers(1, 4)),
+                                     beta=float(rng.uniform(0.2, 1.0)))
+        n = inst.n_elements
+        idx = np.arange(n)
+        codebook = inst.beta_max * np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+        explicit = np.sum(np.abs(inst.d_mat @ codebook + inst.r_vec[:, None]) ** 2,
+                          axis=0)
+        np.testing.assert_allclose(_codebook_objectives(inst), explicit, rtol=1e-9)
+        sol = dft_codebook_design(inst)
+        best = int(np.argmin(explicit))
+        assert sol.objective <= explicit[best] * (1 + 1e-9)
+        np.testing.assert_allclose(sol.theta, codebook[:, int(np.argmin(
+            _codebook_objectives(inst)))], atol=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_ridge_candidates_match_dense_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_multi_instance(rng, n1x=int(rng.integers(1, 9)), ny=2,
+                                     k=int(rng.integers(1, 4)))
+        u_mat, v_vec, _ = dense_terms(inst)
+        lam_top = float(np.linalg.eigvalsh(u_mat)[-1])
+        deltas = lam_top * np.geomspace(1e-3, 1e2, 6)
+        thetas, residuals = _ridge_designs(inst, deltas)
+        eye = np.eye(inst.n_elements)
+        for col, delta in enumerate(deltas):
+            dense = -np.linalg.solve(u_mat + delta * eye, v_vec)
+            np.testing.assert_allclose(thetas[:, col], dense, rtol=1e-9,
+                                       atol=1e-12 * np.linalg.norm(dense))
+            assert residuals[col] == pytest.approx(inst.objective(dense), rel=1e-9)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_step_bound_is_exact_top_eigenvalue(self, seed):
+        rng = np.random.default_rng(seed)
+        inst = random_multi_instance(rng, n1x=int(rng.integers(1, 9)), ny=2,
+                                     k=int(rng.integers(1, 4)))
+        lam_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
+        assert float(_svd(inst)[1][0]) ** 2 == pytest.approx(lam_top, rel=1e-12)
+
+    def test_single_link_recovers_closed_form_inputs(self, single_scenario):
+        u, c = single_link(link_factor(single_scenario))
+        gains = beamforming_gains(single_scenario)
+        np.testing.assert_allclose(u, cascaded_vectors(single_scenario)[0][0, 0],
+                                   rtol=1e-12)
+        assert c == pytest.approx(gains.c_nirs[0, 0], rel=1e-12)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
 from irstealth.channel import los_channel, path_gain
 from irstealth.config import build_scenario, single_radar_config
-from irstealth.optimizers import build_instance, solve_pgd
+from irstealth.optimizers import solve_pgd
 from irstealth.power_model import (IrsPanel, NirsPanel, angles_at_radar,
                                    angles_at_target, beamforming_gains,
-                                   chirp_waveform, link_weights,
+                                   chirp_waveform, link_factor, link_weights,
                                    matched_beamformer, radar_distance,
                                    radar_power, sum_power,
                                    target_side_responses)
@@ -102,7 +102,7 @@ class TestRadarPower:
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_optimized_panel_cancels(self, single_scenario):
-        solution = solve_pgd(build_instance(single_scenario))
+        solution = solve_pgd(link_factor(single_scenario))
         baseline = radar_power(0, np.zeros_like(solution.theta), single_scenario)
         assert radar_power(0, solution.theta, single_scenario) <= 1e-10 * baseline
 
