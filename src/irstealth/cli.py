@@ -10,7 +10,8 @@ import numpy as np
 from .config import (ConfigError, ScenarioConfig, build_scenario,
                      single_radar_config, with_seed)
 from .experiments import PRESET_NAMES, emit_csv, run_experiment
-from .optimizers import (ConvergenceError, InfeasibleError, dft_codebook_design,
+from .optimizers import (ConvergenceError, InfeasibleError, ReflectionSolution,
+                         dft_codebook_design, dual_value, kkt_certificate,
                          min_irs_elements, mmse_delta_search, random_phase,
                          reverse_alignment, single_link, solve_pgd)
 from .power_model import link_factor, sum_power
@@ -69,14 +70,20 @@ def _cmd_min_elements(args) -> int:
     return 0
 
 
+def _fmt(x: float) -> str:
+    return np.format_float_scientific(x, unique=True)
+
+
 def _cmd_solve(args) -> int:
     config = _load_config(args.config, args.seed)
     scenario = build_scenario(config)
     n1 = scenario.target.irs_geometry.num_elements
     beta = scenario.target.irs.beta_max
     factor = link_factor(scenario)
+    solution = None
     if args.solver == "pgd":
-        theta = solve_pgd(factor).theta
+        solution = solve_pgd(factor)
+        theta = solution.theta
     elif args.solver == "reverse-alignment":
         if scenario.num_radars != 1:
             raise ValueError("reverse-alignment applies to single-radar scenarios")
@@ -89,8 +96,15 @@ def _cmd_solve(args) -> int:
         theta = random_phase(n1, beta, config.seed + 0x5EED)
     else:
         theta = np.zeros(n1, dtype=complex)
+    objective = sum_power(theta, scenario)
+    lam, kkt = kkt_certificate(factor, ReflectionSolution(theta, objective, args.solver))
     print(f"solver: {args.solver}")
-    print(f"objective_watts: {np.format_float_scientific(sum_power(theta, scenario), unique=True)}")
+    print(f"objective_watts: {_fmt(objective)}")
+    if solution is not None:
+        print(f"termination: {solution.termination}")
+        print(f"iterations: {solution.iterations}")
+    print(f"kkt_residual: {_fmt(kkt)}")
+    print(f"duality_gap_watts: {_fmt(factor.objective(theta) - dual_value(factor, lam))}")
     for n, value in enumerate(theta):
         print(f"theta[{n}] = {value.real:+.12e}{value.imag:+.12e}j")
     return 0

@@ -8,16 +8,24 @@ ambiguity is harmless downstream because the reflection designs are
 invariant to a uniform gain rescaling.
 
 Elevation is searched over [0, pi/2) only: a planar array cannot tell the
-sign of the elevation, so the nonnegative representative is reported.
+sign of the elevation, so the nonnegative representative is reported.  The
+coarse scan reuses one cached steering grid per array, wavelength and step
+and projects it in one matrix product; each peak is then refined to the
+argmax of a 100-times finer lattice, found by branch and bound on a bound
+of how fast the spectrum can change.  The gain scaling assumes
+one transmit power, interval and pulse for all radars, which
+:func:`estimate_parameters` enforces.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import AnglePair, ArrayGeometry, cssa_response
+from .config import ConfigError
 from .power_model import (Scenario, angles_at_target, beamforming_gains,
                           chirp_waveform)
 
@@ -102,19 +110,43 @@ def collect_snapshots(scenario: Scenario, n_snapshots: int, seed) -> SnapshotSet
                        target.cssa_geometry, scenario.wavelength)
 
 
-def _steering_grid(geometry: ArrayGeometry, wavelength: float,
-                   azimuths: np.ndarray, elevations: np.ndarray) -> np.ndarray:
-    """Cross-array steering vectors for a whole angle grid, shape (L, n_az, n_el)."""
-    ce = np.cos(elevations)[None, :]
-    cx = ce * np.cos(azimuths)[:, None]
-    cy = ce * np.sin(azimuths)[:, None]
+def _steering(geometry: ArrayGeometry, wavelength: float,
+              azimuths: np.ndarray, elevations: np.ndarray) -> np.ndarray:
+    """Cross-array steering vectors at broadcast angle arrays, shape (L, *shape)."""
+    ce = np.cos(elevations)
+    cx = ce * np.cos(azimuths)
+    cy = ce * np.sin(azimuths)
     scale = 2.0 * geometry.spacing / wavelength
-    off_x = (np.arange(geometry.nx) - (geometry.nx - 1) / 2)[:, None, None]
-    off_y = (np.arange(geometry.ny) - (geometry.ny - 1) / 2)[:, None, None]
+    lead = (1,) * cx.ndim
+    off_x = (np.arange(geometry.nx) - (geometry.nx - 1) / 2).reshape((-1,) + lead)
+    off_y = (np.arange(geometry.ny) - (geometry.ny - 1) / 2).reshape((-1,) + lead)
     arm_x = np.exp(-1j * np.pi * off_x * (scale * cx)[None])
     arm_y = np.exp(-1j * np.pi * off_y * (scale * cy)[None])
     keep = np.arange(geometry.ny) != (geometry.ny - 1) // 2
     return np.concatenate([arm_x, arm_y[keep]], axis=0)
+
+
+def _steering_grid(geometry: ArrayGeometry, wavelength: float,
+                   azimuths: np.ndarray, elevations: np.ndarray) -> np.ndarray:
+    """Cross-array steering vectors for a whole angle grid, shape (L, n_az, n_el)."""
+    return _steering(geometry, wavelength, azimuths[:, None], elevations[None, :])
+
+
+@functools.lru_cache(maxsize=8)
+def _coarse_grid(geometry: ArrayGeometry, wavelength: float, grid_step: float):
+    """Coarse scan angles and their steering vectors, shape (L, n_az * n_el).
+
+    The grid depends only on the array, the wavelength and the step, so it
+    is built once per combination and shared read-only between calls.
+    """
+    steps = int(np.floor((np.pi / 2 - 1e-9) / grid_step))
+    azimuths = np.arange(-steps, steps + 1) * grid_step
+    elevations = np.arange(0, steps + 1) * grid_step
+    steering = _steering_grid(geometry, wavelength, azimuths, elevations)
+    steering = steering.reshape(steering.shape[0], -1)
+    for array in (azimuths, elevations, steering):
+        array.setflags(write=False)
+    return azimuths, elevations, steering
 
 
 def _noise_subspace(snapshots: SnapshotSet, k_sources: int) -> np.ndarray:
@@ -124,13 +156,19 @@ def _noise_subspace(snapshots: SnapshotSet, k_sources: int) -> np.ndarray:
     return vectors[:, : z.shape[0] - k_sources]
 
 
+def _spectrum(noise_basis: np.ndarray, steering: np.ndarray) -> np.ndarray:
+    """Pseudo-spectrum 1/||E_n^H a||^2 of steering vectors along the first axis."""
+    flat = steering.reshape(steering.shape[0], -1)
+    projections = noise_basis.conj().T @ flat
+    power = projections.real ** 2 + projections.imag ** 2
+    return (1.0 / np.sum(power, axis=0)).reshape(steering.shape[1:])
+
+
 def _grid_spectrum(noise_basis: np.ndarray, snapshots: SnapshotSet,
                    azimuths: np.ndarray, elevations: np.ndarray) -> np.ndarray:
-    """Pseudo-spectrum 1/||E_n^H a||^2 on the given angle grid."""
-    steering = _steering_grid(snapshots.geometry, snapshots.wavelength,
-                              azimuths, elevations)
-    projections = np.einsum("lk,lae->kae", noise_basis.conj(), steering)
-    return 1.0 / np.sum(np.abs(projections) ** 2, axis=0)
+    """Pseudo-spectrum on the given angle grid, shape (n_az, n_el)."""
+    return _spectrum(noise_basis, _steering_grid(snapshots.geometry, snapshots.wavelength,
+                                                 azimuths, elevations))
 
 
 def _local_peaks(spectrum: np.ndarray) -> list[tuple[int, int]]:
@@ -155,10 +193,12 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
 
     The sample covariance is eigen-decomposed, the noise subspace spans the
     smallest eigenvectors, and the pseudo-spectrum is scanned on a coarse
-    angle grid of the given step.  Peaks closer than two grid steps merge
-    into the larger one.  Each kept peak is refined on a local lattice one
-    hundred times finer, polished by quadratic interpolation and snapped
-    back to that lattice.
+    angle grid of the given step (its steering vectors are cached per
+    array, wavelength and step; the scan is one matrix product).  Peaks
+    closer than two grid steps merge into the larger one.  Each kept peak
+    is refined to the argmax of a local lattice one hundred times finer
+    (found by branch and bound, :func:`_refine_peak`), polished by quadratic
+    interpolation and snapped back to that lattice.
     """
     n_elem = snapshots.geometry.num_elements
     if k_sources >= n_elem:
@@ -170,12 +210,10 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
 
-    half = np.pi / 2
-    steps = int(np.floor((half - 1e-9) / grid_step))
-    azimuths = np.arange(-steps, steps + 1) * grid_step
-    elevations = np.arange(0, steps + 1) * grid_step
+    azimuths, elevations, steering = _coarse_grid(snapshots.geometry,
+                                                  snapshots.wavelength, grid_step)
     noise_basis = _noise_subspace(snapshots, k_sources)
-    spectrum = _grid_spectrum(noise_basis, snapshots, azimuths, elevations)
+    spectrum = _spectrum(noise_basis, steering).reshape(azimuths.size, elevations.size)
 
     kept: list[tuple[int, int]] = []
     for ij in _local_peaks(spectrum):
@@ -198,7 +236,44 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
     return AoaEstimate(tuple(angles), spectrum, azimuths, elevations, grid_step)
 
 
+# Side, in lattice points, of the first boxes of the bounded refine (a
+# power of two: boxes are halved down to single points).
+_REFINE_BOX = 16
+
+
+def _block_radius(geometry, wavelength, az, el, d_az, d_el):
+    """Bound on ||a(az', el') - a(az, el)|| for |az' - az| <= d_az, |el' - el| <= d_el.
+
+    Element phases are pi * scale * offset * c, with c = cos(el) cos(az) on
+    the x arm and cos(el) sin(az) on the y arm, and
+    |exp(i x) - exp(i y)| <= |x - y|.  The change of each c is bounded by
+    the largest partial derivatives over the box.
+    """
+    scale = 2.0 * geometry.spacing / wavelength
+    off_x = np.arange(geometry.nx) - (geometry.nx - 1) / 2
+    off_y = np.arange(geometry.ny) - (geometry.ny - 1) / 2
+    sin_az = np.minimum(np.abs(np.sin(az)) + d_az, 1.0)
+    cos_az = np.minimum(np.abs(np.cos(az)) + d_az, 1.0)
+    sin_el = np.minimum(np.abs(np.sin(el)) + d_el, 1.0)
+    dcx = sin_az * d_az + sin_el * d_el
+    dcy = cos_az * d_az + sin_el * d_el
+    return np.pi * scale * np.sqrt(np.sum(off_x ** 2) * dcx ** 2
+                                   + np.sum(off_y ** 2) * dcy ** 2)
+
+
 def _refine_peak(noise_basis, snapshots, az0, el0, coarse, fine):
+    """Best point of the fine lattice within one coarse step of a peak.
+
+    The result is the exhaustive lattice argmax, found by branch and bound
+    instead of a scan of the whole lattice.  The spectrum is 1 / h^2 with
+    h = ||E_n^H a||, and h moves by at most ||a' - a|| (E_n has orthonormal
+    columns), so the h at a box's centre less :func:`_block_radius` bounds
+    h over the box.  Square boxes tile the lattice; each round evaluates
+    their centres, drops every box whose bound exceeds the smallest h found
+    (it cannot hold the maximum) and splits the rest into four, down to
+    single points.  The argmax's lattice neighbours along each axis feed
+    the quadratic polish.
+    """
     half = np.pi / 2
     az_lo = max(az0 - coarse, -half + fine)
     az_hi = min(az0 + coarse, half - fine)
@@ -206,8 +281,40 @@ def _refine_peak(noise_basis, snapshots, az0, el0, coarse, fine):
     el_hi = min(el0 + coarse, half - fine)
     az_grid = az_lo + fine * np.arange(int(round((az_hi - az_lo) / fine)) + 1)
     el_grid = el_lo + fine * np.arange(int(round((el_hi - el_lo) / fine)) + 1)
-    local = _grid_spectrum(noise_basis, snapshots, az_grid, el_grid)
-    i, j = np.unravel_index(int(np.argmax(local)), local.shape)
+    size = (az_grid.size, el_grid.size)
+    local = np.full(size, -np.inf)
+
+    def scan(ia, ie):
+        local[ia, ie] = _spectrum(noise_basis, _steering(snapshots.geometry, snapshots.wavelength,
+                                                         az_grid[ia], el_grid[ie]))
+
+    # A box of the given side starting at (sa, se) holds the lattice points
+    # up to side - 1 further along each axis; its centre, clipped to the
+    # lattice, lies within side // 2 of each of them.
+    side = _REFINE_BOX
+    sa, se = (grid.ravel() for grid in np.meshgrid(np.arange(0, size[0], side),
+                                                   np.arange(0, size[1], side),
+                                                   indexing="ij"))
+    while True:
+        ca, ce = np.minimum(sa + side // 2, size[0] - 1), np.minimum(se + side // 2, size[1] - 1)
+        scan(ca, ce)
+        if side == 1:
+            break
+        reach = side // 2 * fine
+        floor = 1.0 / np.sqrt(local[ca, ce]) - _block_radius(
+            snapshots.geometry, snapshots.wavelength, az_grid[ca], el_grid[ce], reach, reach)
+        # The margin covers rounding in the computed h (about 1e-15 * ||a||).
+        keep = floor <= 1.0 / np.sqrt(local.max()) + 1e-9
+        side //= 2
+        sa = (sa[keep, None] + np.array([0, 0, side, side])).ravel()
+        se = (se[keep, None] + np.array([0, side, 0, side])).ravel()
+        inside = (sa < size[0]) & (se < size[1])
+        sa, se = sa[inside], se[inside]
+
+    i, j = np.unravel_index(int(np.argmax(local)), size)
+    for a, e in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+        if 0 <= a < size[0] and 0 <= e < size[1] and local[a, e] == -np.inf:
+            scan(a, e)
     az = az_grid[i] + _parabolic_offset(local[:, j], i) * fine
     el = el_grid[j] + _parabolic_offset(local[i, :], j) * fine
     az = az_lo + round((az - az_lo) / fine) * fine
@@ -267,12 +374,21 @@ def estimate_parameters(scenario: Scenario, n_snapshots: int = 64, seed=0,
     """Full sensing pass: snapshots, arrival angles, then gain estimates.
 
     The gain ordering follows the returned angle ordering, so the pair can
-    be fed directly to the estimate-based reflection designs.
+    be fed directly to the estimate-based reflection designs.  The gain
+    scaling reads the first radar's interval and pulse, and the estimates
+    carry one transmit power for all radars, so every radar must share
+    ``tx_power``, ``pri`` and ``pulse``; a scenario that does not is
+    rejected with a :class:`~irstealth.config.ConfigError` naming the first
+    differing ``radars[i].<field>``.
     """
+    first = scenario.radars[0]
+    for i, radar in enumerate(scenario.radars[1:], start=1):
+        for name in ("tx_power", "pri", "pulse"):
+            if getattr(radar, name) != getattr(first, name):
+                raise ConfigError(f"radars[{i}].{name}", "sensing needs every radar "
+                                  f"to share radars[0].{name}")
     snapshots = collect_snapshots(scenario, n_snapshots, seed)
     aoa = music_aoa(snapshots, scenario.num_radars, grid_step)
     a_matrix = steering_matrix(snapshots, aoa.angles)
     recovered = ls_recover(snapshots, a_matrix)
-    pri = scenario.radars[0].pri
-    pulse = scenario.radars[0].pulse
-    return aoa, gain_estimate(recovered, pri, pulse)
+    return aoa, gain_estimate(recovered, first.pri, first.pulse)

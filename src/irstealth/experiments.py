@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .arrays import AnglePair
 from .config import ScenarioConfig, build_scenario, watts_to_db, with_seed
 from .estimation import estimate_parameters
-from .optimizers import (dft_codebook_design, min_irs_elements,
+from .optimizers import (ConvergenceError, dft_codebook_design, min_irs_elements,
                          mmse_delta_search, random_phase, reverse_alignment,
                          single_link, solve_pgd)
 from .power_model import angles_at_target, link_factor
@@ -98,6 +99,16 @@ def solver_powers(scenario, trial_seed: int, design=None) -> dict[str, float]:
     return {name: truth.objective(theta) for name, theta in thetas.items()}
 
 
+@contextmanager
+def _trial_point(value, trial: int, seed: int):
+    """Name the (sweep, trial, seed) point of a solve that ran out of iterations."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"{exc} at sweep {value:g}, trial {trial}, seed {seed}",
+                               exc.best) from exc
+
+
 def _sweep_rows(config, trials, sweep_values, scenario_for, design_for=None):
     rows = []
     seeds = trial_seeds(config.seed, trials)
@@ -105,7 +116,8 @@ def _sweep_rows(config, trials, sweep_values, scenario_for, design_for=None):
         for trial, seed in enumerate(seeds):
             scenario = scenario_for(value, int(seed))
             design = design_for(scenario, value, int(seed)) if design_for else None
-            powers = solver_powers(scenario, int(seed), design)
+            with _trial_point(value, trial, int(seed)):
+                powers = solver_powers(scenario, int(seed), design)
             for solver, watts in sorted(powers.items()):
                 rows.append(ExperimentRow(float(value), solver, trial, int(seed),
                                           float(watts), watts_to_db(watts)))
@@ -217,8 +229,9 @@ def _preset_estimation(config, trials):
                                               seed=int(seed) + 0xA0A)
             truth = link_factor(scenario)
             estimated = link_factor(scenario, aoa.angles, gains2.g2_tx)
-            power_est = truth.objective(solve_pgd(estimated).theta)
-            power_true = truth.objective(solve_pgd(truth).theta)
+            with _trial_point(value, trial, int(seed)):
+                power_est = truth.objective(solve_pgd(estimated).theta)
+                power_true = truth.objective(solve_pgd(truth).theta)
             for solver, watts in (("pgd-estimated", power_est),
                                   ("pgd-true", power_true)):
                 rows.append(ExperimentRow(float(value), solver, trial, int(seed),

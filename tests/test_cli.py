@@ -40,6 +40,24 @@ class TestSolve:
         proc = run_cli("solve", "--solver", "pgd")
         assert proc.returncode == 0
 
+    def test_reports_how_the_solve_ended(self, tmp_path):
+        path = tmp_path / "multi.json"
+        multi_radar_config(n1x=4, seed=4).save(path)
+        proc = run_cli("solve", "--config", str(path), "--solver", "pgd")
+        assert proc.returncode == 0
+        report = dict(line.split(": ") for line in proc.stdout.splitlines()[1:6])
+        assert report["termination"] in ("min-norm", "gradient", "gap", "newton")
+        assert int(report["iterations"]) >= 0
+        assert float(report["kkt_residual"]) >= 0
+        objective = float(report["objective_watts"])
+        assert abs(float(report["duality_gap_watts"])) <= 1e-9 * max(objective, 1e-30) + 1e-30
+
+    def test_baseline_reports_optimality_measures_only(self):
+        proc = run_cli("solve", "--solver", "random-phase")
+        assert proc.returncode == 0
+        keys = [line.split(": ")[0] for line in proc.stdout.splitlines()[:4]]
+        assert keys == ["solver", "objective_watts", "kkt_residual", "duality_gap_watts"]
+
     def test_mmse_requires_multiple_radars_config(self, tmp_path):
         path = tmp_path / "multi.json"
         multi_radar_config(n1x=4, seed=4).save(path)

@@ -2,14 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind
-from irstealth.config import build_scenario, multi_radar_config, single_radar_config
+from irstealth.config import (ConfigError, build_scenario, multi_radar_config,
+                              single_radar_config)
 from irstealth.estimation import (EstimationError, SnapshotSet,
                                   collect_snapshots, estimate_parameters,
                                   gain_estimate, ls_recover, music_aoa,
-                                  steering_matrix, _grid_spectrum,
-                                  _noise_subspace)
+                                  steering_matrix, _block_radius, _grid_spectrum,
+                                  _local_peaks, _noise_subspace, _refine_peak,
+                                  _steering, _steering_grid)
 from irstealth.optimizers import solve_pgd
 from irstealth.power_model import (angles_at_target, beamforming_gains,
                                    link_factor, sum_power)
@@ -237,3 +241,95 @@ class TestEndToEnd:
         diff = abs(sum_power(theta_est, clean_multi)
                    - sum_power(theta_true, clean_multi))
         assert diff <= 1e-6 * baseline
+
+
+def exhaustive_refine(noise_basis, snapshots, az0, el0, coarse, fine):
+    """Refine oracle: argmax over the whole fine lattice within one coarse
+    step of the peak, then the quadratic polish and the snap to the lattice."""
+    half = np.pi / 2
+    az_lo, az_hi = max(az0 - coarse, -half + fine), min(az0 + coarse, half - fine)
+    el_lo, el_hi = max(el0 - coarse, 0.0), min(el0 + coarse, half - fine)
+    az_grid = az_lo + fine * np.arange(int(round((az_hi - az_lo) / fine)) + 1)
+    el_grid = el_lo + fine * np.arange(int(round((el_hi - el_lo) / fine)) + 1)
+    steering = _steering_grid(snapshots.geometry, snapshots.wavelength, az_grid, el_grid)
+    local = 1.0 / np.sum(np.abs(np.einsum("lk,lae->kae", noise_basis.conj(),
+                                          steering)) ** 2, axis=0)
+    i, j = np.unravel_index(int(np.argmax(local)), local.shape)
+
+    def offset(values, idx):
+        if idx == 0 or idx == values.size - 1:
+            return 0.0
+        left, mid, right = values[idx - 1], values[idx], values[idx + 1]
+        denom = 2.0 * (2.0 * mid - left - right)
+        return 0.0 if denom <= 0 else float(np.clip((right - left) / denom, -0.5, 0.5))
+
+    az = az_grid[i] + offset(local[:, j], i) * fine
+    el = el_grid[j] + offset(local[i, :], j) * fine
+    az = az_lo + round((az - az_lo) / fine) * fine
+    el = el_lo + round((el - el_lo) / fine) * fine
+    return float(np.clip(az, -half + fine, half - fine)), float(max(el, 0.0))
+
+
+def check_peaks(config, num_radars, n_snapshots, seed):
+    snapshots = collect_snapshots(build_scenario(config), n_snapshots, seed)
+    noise_basis = _noise_subspace(snapshots, num_radars)
+    aoa = music_aoa(snapshots, num_radars, GRID)
+    for i, j in _local_peaks(aoa.spectrum)[:num_radars]:
+        args = (noise_basis, snapshots, aoa.azimuth_grid[i], aoa.elevation_grid[j],
+                GRID, GRID / 100)
+        assert _refine_peak(*args) == exhaustive_refine(*args), (seed, num_radars, (i, j))
+
+
+class TestBoundedRefine:
+    @pytest.mark.parametrize("block", range(4))
+    def test_matches_exhaustive_lattice(self, block):
+        # 25 seeded scenarios per block with one to five radars (the
+        # single-radar ones alternate with the default single-radar setup)
+        # at 16 and 64 snapshots: every refined peak lands on the exhaustive
+        # search's point.
+        for seed in range(25 * block, 25 * block + 25):
+            num_radars = 1 + seed % 5
+            if num_radars == 1 and seed % 2:
+                config = single_radar_config(seed=seed)
+            else:
+                config = multi_radar_config(num_radars=num_radars, seed=seed)
+            check_peaks(config, num_radars, 16 if seed % 10 < 5 else 64, seed)
+
+    @pytest.mark.parametrize("seed", [114, 224, 259, 316, 364])
+    def test_narrow_peaks(self, seed):
+        # Peaks narrower than a tenth of the coarse step, where the lattice
+        # holds several local maxima along the peak's ridge: a search that
+        # climbs from sampled lattice points stopped on another one here.
+        num_radars = 1 + seed % 5
+        check_peaks(multi_radar_config(num_radars=num_radars, seed=seed), num_radars,
+                    16, seed)
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.floats(0.2, 1.0),
+           st.floats(-1.5, 1.5), st.floats(0.0, 1.5), st.floats(0.0, 0.05),
+           st.floats(0.0, 0.05))
+    @settings(max_examples=200, deadline=None)
+    def test_block_radius_bounds_steering_change(self, hx, hy, spacing, az, el,
+                                                 d_az, d_el):
+        # Every corner and edge midpoint of the box moves the steering
+        # vector by at most the radius.
+        geometry = ArrayGeometry(ArrayKind.CSSA, 2 * hx + 1, 2 * hy + 1, spacing)
+        u, v = np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
+        moved = _steering(geometry, 1.0, az + u * d_az, el + v * d_el)
+        start = _steering(geometry, 1.0, np.array(az), np.array(el))
+        change = np.linalg.norm(moved - start[:, None, None], axis=0)
+        radius = _block_radius(geometry, 1.0, az, el, d_az, d_el)
+        assert change.max() <= radius * (1 + 1e-12) + 1e-12
+
+
+class TestSensingAssumptions:
+    @pytest.mark.parametrize("field,value,name", [("tx_power_dbm", 20.0, "tx_power"),
+                                                  ("pri", 120e-6, "pri"),
+                                                  ("pulse", 25e-6, "pulse")])
+    def test_rejects_radars_that_differ(self, field, value, name):
+        config = multi_radar_config()
+        radars = list(config.radars)
+        radars[2] = dataclasses.replace(radars[2], **{field: value})
+        scenario = build_scenario(dataclasses.replace(config, radars=tuple(radars)))
+        with pytest.raises(ConfigError) as err:
+            estimate_parameters(scenario, n_snapshots=16, seed=0)
+        assert err.value.fieldpath == f"radars[2].{name}"

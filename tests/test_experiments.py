@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from irstealth import experiments
 from irstealth.arrays import AnglePair
 from irstealth.config import build_scenario, multi_radar_config, single_radar_config
 from irstealth.experiments import (ExperimentResult, ExperimentRow, emit_csv,
                                    inject_aoa_error, parse_csv,
                                    run_experiment, solver_powers, trial_seeds)
+from irstealth.optimizers import ConvergenceError
 
 
 class TestInjectAoaError:
@@ -186,6 +188,19 @@ class TestRunExperiment:
         assert len(est) == len(true) == 6
         noirs = 1e-10  # generous absolute scale for a 100 m single-radar setup
         assert all(e <= t + 1e-3 * noirs for e, t in zip(est, true))
+
+    @pytest.mark.parametrize("preset", ["power-vs-num-radars", "estimation-pipeline"])
+    def test_convergence_failure_names_its_trial(self, monkeypatch, preset):
+        def exhausted(instance, *args, **kwargs):
+            raise ConvergenceError("no convergence within 7 iterations", None)
+
+        monkeypatch.setattr(experiments, "solve_pgd", exhausted)
+        with pytest.raises(ConvergenceError) as err:
+            run_experiment(preset, single_radar_config(seed=3), 2)
+        seed = int(trial_seeds(3, 2)[0])
+        sweep = "1" if preset == "power-vs-num-radars" else "16"
+        assert str(err.value) == (f"no convergence within 7 iterations at sweep "
+                                  f"{sweep}, trial 0, seed {seed}")
 
     def test_num_radars_preset_sweeps_prefixes(self):
         result = run_experiment("power-vs-num-radars",

@@ -10,14 +10,18 @@ from conftest import (dense_terms, grid_search_min_1, grid_search_min_2,
                       grid_search_min_2_literal, random_multi_instance,
                       random_single_instance, single_link_instance, unit_phases)
 from irstealth.arrays import AnglePair
-from irstealth.config import build_scenario, multi_radar_config, single_radar_config
+from irstealth.config import (build_scenario, multi_radar_config, single_radar_config,
+                              with_seed)
+from irstealth.estimation import estimate_parameters
+from irstealth.experiments import inject_aoa_error, trial_seeds
 from irstealth.optimizers import (ConvergenceError, InfeasibleError,
                                   ReflectionSolution, dft_codebook_design,
                                   dual_value, kkt_certificate,
                                   lagrange_semiclosed, min_irs_elements,
                                   mmse_delta_search, random_phase,
                                   reverse_alignment, single_link, solve_pgd,
-                                  _codebook_objectives, _ridge_designs, _svd)
+                                  _barrier_newton, _codebook_objectives,
+                                  _ridge_designs, _svd)
 from irstealth.power_model import (NirsPanel, QcqpInstance, angles_at_target,
                                    beamforming_gains, cascaded_vectors,
                                    link_factor, link_weights, sum_power)
@@ -523,3 +527,125 @@ class TestFactorOracles:
         np.testing.assert_allclose(u, cascaded_vectors(single_scenario)[0][0, 0],
                                    rtol=1e-12)
         assert c == pytest.approx(gains.c_nirs[0, 0], rel=1e-12)
+
+
+def dense_barrier(inst, gap):
+    """Log-barrier solve on the real 2 N1 form with a dense Hessian (test oracle).
+
+    Minimizes t ||A x + b||^2 - sum log(beta^2 - |x_n|^2) by damped Newton
+    steps with a backtracking line search, growing t tenfold, until the
+    central-path bound N1 / t on the suboptimality falls below ``gap``.
+    """
+    d, r, beta = inst.d_mat, inst.r_vec, inst.beta_max
+    n = d.shape[1]
+    a = np.block([[d.real, -d.imag], [d.imag, d.real]])
+    b = np.concatenate([r.real, r.imag])
+    idx = np.arange(n)
+
+    def barrier_objective(x, t):
+        slack = beta ** 2 - x[:n] ** 2 - x[n:] ** 2
+        if np.any(slack <= 0):
+            return np.inf
+        res = a @ x + b
+        return t * (res @ res) - np.sum(np.log(slack))
+
+    x = np.zeros(2 * n)
+    t = 1.0 / max(float(b @ b), 1e-300)
+    while True:
+        for _ in range(200):
+            re, im = x[:n], x[n:]
+            slack = beta ** 2 - re ** 2 - im ** 2
+            grad = 2 * t * a.T @ (a @ x + b) + 2 * x / np.concatenate([slack, slack])
+            hess = 2 * t * a.T @ a
+            hess[idx, idx] += 2 / slack + 4 * re ** 2 / slack ** 2
+            hess[idx + n, idx + n] += 2 / slack + 4 * im ** 2 / slack ** 2
+            hess[idx, idx + n] += 4 * re * im / slack ** 2
+            hess[idx + n, idx] += 4 * re * im / slack ** 2
+            step_dir = -np.linalg.solve(hess, grad)
+            decrement = -grad @ step_dir
+            if decrement / 2 <= 1e-12:
+                break
+            step, base = 1.0, barrier_objective(x, t)
+            while (barrier_objective(x + step * step_dir, t) > base - 0.25 * step * decrement
+                   and step > 1e-14):
+                step *= 0.5
+            x = x + step * step_dir
+        if n / t <= gap:
+            return x[:n] + 1j * x[n:]
+        t *= 10.0
+
+
+def objective_scale(inst):
+    """The objective scale of the projected-gradient gap test."""
+    n, beta = inst.n_elements, inst.beta_max
+    lam_max = float(np.linalg.norm(inst.d_mat, 2)) ** 2
+    v_norm = float(np.linalg.norm(inst.d_mat.conj().T @ inst.r_vec))
+    return (lam_max * beta ** 2 * n + 2 * v_norm * beta * np.sqrt(n)
+            + float(np.real(np.vdot(inst.r_vec, inst.r_vec))))
+
+
+def ill_conditioned_factor(rng, decades):
+    """Random factor whose singular values span ``decades`` orders of magnitude,
+    with a coating term large enough that the amplitude caps bind."""
+    m, n = int(rng.integers(2, 7)), int(rng.integers(3, 11))
+    rank = min(m, n)
+    p = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0][:, :rank]
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0][:, :rank]
+    d = (p * np.geomspace(1.0, 10.0 ** -decades, rank)) @ q.conj().T
+    r = rng.normal(size=m) + 1j * rng.normal(size=m)
+    r *= rng.uniform(0.5, 3.0) * np.sqrt(n) / np.linalg.norm(r)
+    return QcqpInstance(d, r, float(rng.uniform(0.3, 1.0)))
+
+
+def steering_error_factor(num_radars, seed, error_deg):
+    scenario = build_scenario(with_seed(multi_radar_config(num_radars=num_radars), seed))
+    angles = [inject_aoa_error(angles_at_target(scenario, k), error_deg, seed + k)
+              for k in range(num_radars)]
+    return link_factor(scenario, angles)
+
+
+class TestNewtonFinish:
+    """Log-barrier Newton finish of stalled projected-gradient solves."""
+
+    def test_stalled_sensed_design_is_certified(self):
+        # Default three-radar config, master seed 2, 16 snapshots: projected
+        # gradient alone exhausts its 100 000 iterations on this design.
+        seed = int(trial_seeds(2, 1)[0])
+        scenario = build_scenario(with_seed(multi_radar_config(), seed))
+        aoa, gains = estimate_parameters(scenario, n_snapshots=16, seed=seed + 0xA0A)
+        design = link_factor(scenario, aoa.angles, gains.g2_tx)
+        sol = solve_pgd(design)
+        assert sol.termination == "newton"
+        assert np.max(np.abs(sol.theta)) <= design.beta_max
+        assert sol.objective == design.objective(sol.theta)
+        threshold = 1e-10 * (sol.objective + 1e-2 * objective_scale(design))
+        oracle = dense_barrier(design, 1e-2 * threshold)
+        assert sol.objective <= design.objective(oracle) + threshold
+        assert design.objective(oracle) <= sol.objective + 1e-2 * threshold
+
+    @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 7.0))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_dense_barrier_on_ill_conditioned_factors(self, seed, decades):
+        inst = ill_conditioned_factor(np.random.default_rng(seed), decades)
+        scale = objective_scale(inst)
+        theta, bound, steps = _barrier_newton(inst, np.zeros(inst.n_elements, complex),
+                                              scale, 1e-10)
+        assert theta is not None, f"no certificate after {steps} Newton steps"
+        assert np.max(np.abs(theta)) <= inst.beta_max
+        f_newton = inst.objective(theta)
+        threshold = 1e-10 * (f_newton + 1e-2 * scale)
+        assert bound <= f_newton <= bound + threshold
+        f_dense = inst.objective(dense_barrier(inst, 1e-2 * threshold))
+        # Both are certified: Newton within the threshold of the optimum,
+        # the dense oracle within its central-path bound.
+        assert f_newton <= f_dense + threshold
+        assert bound <= f_dense + 1e-2 * threshold
+
+    @pytest.mark.parametrize("seed,error_deg", [(935760796, 0.5), (3557740035, 2.0)])
+    def test_slow_steering_error_design_stays_with_projected_gradient(self, seed,
+                                                                     error_deg):
+        # Five radars, N1 = 50: the duality gap sits on a plateau at the
+        # hand-off check although projected gradient finishes in its budget.
+        sol = solve_pgd(steering_error_factor(5, seed, error_deg))
+        assert sol.iterations > 4096
+        assert sol.termination != "newton"
