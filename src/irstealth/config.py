@@ -3,7 +3,9 @@
 Configs hold dB/dBm quantities at the boundary and convert to linear units
 exactly once when the scenario is built.  Randomized scenario state (coating
 phases, radar pulse clocks) is drawn from the config seed, so one config
-maps to one reproducible scenario.
+maps to one reproducible scenario.  :func:`build_geometry` validates a
+config and builds its seed-free half once; drawing a seed from it gives the
+same scenario as :func:`build_scenario` on the config with that seed.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .arrays import ArrayGeometry, ArrayKind
-from .power_model import (IrsPanel, NirsPanel, RadarNode, Scenario, Target,
-                          angles_between, matched_beamformer, _RADAR_AXES,
-                          _TARGET_AXES)
+from .arrays import AnglePair, ArrayGeometry, ArrayKind
+from .power_model import (IrsPanel, NirsPanel, RadarNode, Scenario,
+                          ScenarioGeometry, Target, angles_between,
+                          matched_beamformer, _RADAR_AXES, _TARGET_AXES)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -111,21 +113,74 @@ class ScenarioConfig:
             return cls.from_dict(json.load(fh))
 
 
-def _require_finite(prefix: str, section) -> None:
-    """Reject NaN or infinite numbers and coordinates of one config section."""
+def _check_types(prefix: str, section) -> None:
+    """Reject wrongly typed or non-finite values of one config section.
+
+    Integer fields take integers only (not booleans or floats), number
+    fields real numbers (not booleans or strings) and positions three of
+    them; nested sections are checked by the caller.
+    """
     for item in fields(section):
         value = getattr(section, item.name)
-        parts = value if isinstance(value, tuple) else (value,)
-        if (all(isinstance(x, numbers.Real) for x in parts)
-                and not all(math.isfinite(x) for x in parts)):
-            raise ConfigError(f"{prefix}{item.name}", f"must be finite, got {value}")
+        path = f"{prefix}{item.name}"
+        if item.type == "int":
+            if not _is_integer(value):
+                raise ConfigError(path, f"must be an integer, got {value!r}")
+            continue
+        if item.type == "float | None" and value is None:
+            continue
+        if item.type.startswith("tuple[float"):
+            if not (isinstance(value, tuple) and len(value) == 3
+                    and all(map(_is_real, value))):
+                raise ConfigError(path, f"must be three real coordinates, got {value!r}")
+            parts = value
+        elif item.type.startswith("float"):
+            if not _is_real(value):
+                raise ConfigError(path, f"must be a real number, got {value!r}")
+            parts = (value,)
+        else:
+            continue
+        try:
+            finite = all(math.isfinite(x) for x in parts)
+        except OverflowError:  # an integer too large for a float
+            finite = False
+        if not finite:
+            raise ConfigError(path, f"must be finite, got {value}")
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_level(path: str, to_linear, level: float, positive: bool) -> None:
+    """Reject a dB level whose linear value overflows, or underflows to zero
+    where it must be positive."""
+    try:
+        linear = to_linear(level)
+    except OverflowError:
+        linear = math.inf
+    if math.isinf(linear) or (positive and linear == 0):
+        raise ConfigError(path, f"{level} is out of range (linear value {linear})")
 
 
 def validate_config(cfg: ScenarioConfig) -> None:
-    _require_finite("", cfg)
+    _check_types("", cfg)
+    if cfg.seed < 0:
+        raise ConfigError("seed", f"must be nonnegative, got {cfg.seed}")
+    _check_level("alpha_db", db_to_linear, cfg.alpha_db, positive=True)
     for i, radar in enumerate(cfg.radars):
-        _require_finite(f"radars[{i}].", radar)
-    _require_finite("target.", cfg.target)
+        _check_types(f"radars[{i}].", radar)
+        _check_level(f"radars[{i}].tx_power_dbm", dbm_to_watts, radar.tx_power_dbm,
+                     positive=True)
+        _check_level(f"radars[{i}].noise_dbm", dbm_to_watts, radar.noise_dbm,
+                     positive=False)
+    _check_types("target.", cfg.target)
+    _check_level("target.cssa_noise_dbm", dbm_to_watts, cfg.target.cssa_noise_dbm,
+                 positive=False)
     if cfg.wavelength <= 0:
         raise ConfigError("wavelength", f"must be positive, got {cfg.wavelength}")
     if not cfg.radars:
@@ -162,20 +217,20 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("target.epoch_jitter", "must be nonnegative")
 
 
-def build_scenario(config: ScenarioConfig) -> Scenario:
-    """Materialize a scenario from a config, drawing its random state."""
+def build_geometry(config: ScenarioConfig) -> ScenarioGeometry:
+    """Validate a config and build its seed-free geometry.
+
+    The geometry holds everything the seed does not change; its
+    :meth:`~irstealth.power_model.ScenarioGeometry.draw` makes the scenario
+    of any seed, and every scenario drawn from one geometry shares its
+    responses, gains and true link matrix.
+    """
     validate_config(config)
-    rng = np.random.default_rng(config.seed)
     tgt = config.target
 
-    n2 = tgt.n2x * tgt.n2y
-    zeta = np.full(n2, float(tgt.zeta))
-    phases = rng.uniform(0.0, 2.0 * np.pi, n2)
-    nirs = NirsPanel(np.sqrt(1.0 - zeta) * np.exp(1j * phases), zeta)
-
-    n1 = tgt.n1x * tgt.n1y
-    irs = IrsPanel(np.zeros(n1, dtype=complex), tgt.beta_max)
-
+    zeta = np.full(tgt.n2x * tgt.n2y, float(tgt.zeta))
+    nirs = NirsPanel(np.sqrt(1.0 - zeta).astype(complex), zeta)
+    irs = IrsPanel(np.zeros(tgt.n1x * tgt.n1y, dtype=complex), tgt.beta_max)
     target = Target(position=tuple(float(p) for p in tgt.position),
                     irs_geometry=ArrayGeometry(ArrayKind.UPA, tgt.n1x, tgt.n1y,
                                                tgt.spacing),
@@ -192,12 +247,10 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
         if rc.beam_azimuth_deg is None:
             aim = angles_between(rc.position, tgt.position, _RADAR_AXES)
         else:
-            from .arrays import AnglePair
             aim = AnglePair(np.deg2rad(rc.beam_azimuth_deg), 0.0)
         beam = matched_beamformer(geom, aim, config.wavelength)
         distance = float(np.linalg.norm(np.asarray(rc.position, dtype=float)
                                         - np.asarray(tgt.position, dtype=float)))
-        epoch = distance / SPEED_OF_LIGHT + rng.uniform(0.0, tgt.epoch_jitter)
         radars.append(RadarNode(geometry=geom,
                                 position=tuple(float(p) for p in rc.position),
                                 beamformer=beam,
@@ -205,10 +258,18 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
                                 pri=rc.pri, pulse=rc.pulse,
                                 bandwidth=rc.bandwidth,
                                 noise_power=dbm_to_watts(rc.noise_dbm),
-                                pulse_epoch=float(epoch)))
-    return Scenario(wavelength=config.wavelength, radars=tuple(radars),
-                    target=target, ref_gain=db_to_linear(config.alpha_db),
-                    seed=config.seed)
+                                pulse_epoch=distance / SPEED_OF_LIGHT))
+    return ScenarioGeometry(config.wavelength, db_to_linear(config.alpha_db),
+                            tuple(radars), target, tgt.epoch_jitter)
+
+
+def build_scenario(config: ScenarioConfig) -> Scenario:
+    """Materialize a scenario from a config, drawing its random state.
+
+    Builds a fresh geometry; to draw many seeds of one config, build the
+    geometry once with :func:`build_geometry` and draw from it.
+    """
+    return build_geometry(config).draw(config.seed)
 
 
 def single_radar_config(n1x: int = 4, distance: float = 100.0,
@@ -241,4 +302,6 @@ def multi_radar_config(num_radars: int = 3, n1x: int = 25, height: float = 100.0
 
 
 def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:
+    if not _is_integer(seed):
+        raise ConfigError("seed", f"must be an integer, got {seed!r}")
     return replace(config, seed=int(seed))

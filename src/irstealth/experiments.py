@@ -20,7 +20,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arrays import AnglePair
-from .config import ScenarioConfig, build_scenario, watts_to_db, with_seed
+from .config import (ConfigError, ScenarioConfig, build_geometry, validate_config,
+                     watts_to_db, with_seed)
 from .estimation import estimate_parameters
 from .optimizers import (ConvergenceError, dft_codebook_design, min_irs_elements,
                          mmse_delta_search, random_phase, reverse_alignment,
@@ -109,12 +110,27 @@ def _trial_point(value, trial: int, seed: int):
                                exc.best) from exc
 
 
-def _sweep_rows(config, trials, sweep_values, scenario_for, design_for=None):
+def _geometries(sweep_values, config_for):
+    """(value, geometry) of every sweep point, given its config by ``config_for``.
+
+    Each point's geometry is validated and built once and shared by all its
+    trials; a point whose config (seed aside) equals the previous point's
+    shares that point's geometry too.  Only one geometry is held at a time.
+    """
+    last = geometry = None
+    for value in sweep_values:
+        point = with_seed(config_for(value), 0)
+        if point != last:
+            last, geometry = point, build_geometry(point)
+        yield value, geometry
+
+
+def _sweep_rows(config, trials, sweep_values, config_for, design_for=None):
     rows = []
     seeds = trial_seeds(config.seed, trials)
-    for value in sweep_values:
+    for value, geometry in _geometries(sweep_values, config_for):
         for trial, seed in enumerate(seeds):
-            scenario = scenario_for(value, int(seed))
+            scenario = geometry.draw(int(seed))
             design = design_for(scenario, value, int(seed)) if design_for else None
             with _trial_point(value, trial, int(seed)):
                 powers = solver_powers(scenario, int(seed), design)
@@ -132,16 +148,22 @@ def _scaled_positions(config: ScenarioConfig, factor: float) -> ScenarioConfig:
     return replace(config, radars=radars, target=target)
 
 
+def _with_elements(config: ScenarioConfig, num_elements) -> ScenarioConfig:
+    """The config with a panel of ``num_elements`` elements on its y-grid."""
+    return replace(config, target=replace(
+        config.target, n1x=int(num_elements) // config.target.n1y))
+
+
 def _preset_distance(config, trials):
     base = min(float(np.linalg.norm(np.asarray(r.position, dtype=float)
                                     - np.asarray(config.target.position, dtype=float)))
                for r in config.radars)
     sweep = (60.0, 80.0, 100.0, 120.0, 140.0, 160.0, 180.0, 200.0)
 
-    def scenario_for(value, seed):
-        return build_scenario(with_seed(_scaled_positions(config, value / base), seed))
+    def config_for(value):
+        return _scaled_positions(config, value / base)
 
-    return "distance_m", sweep, _sweep_rows(config, trials, sweep, scenario_for)
+    return "distance_m", sweep, _sweep_rows(config, trials, sweep, config_for)
 
 
 def _preset_elements(config, trials):
@@ -150,30 +172,22 @@ def _preset_elements(config, trials):
     else:
         n1x_values = (5, 10, 15, 20, 25, 30, 35, 40, 45)
     sweep = tuple(n * config.target.n1y for n in n1x_values)
-
-    def scenario_for(value, seed):
-        cfg = replace(config, target=replace(config.target,
-                                             n1x=int(value) // config.target.n1y))
-        return build_scenario(with_seed(cfg, seed))
-
-    return "num_elements", sweep, _sweep_rows(config, trials, sweep, scenario_for)
+    return "num_elements", sweep, _sweep_rows(
+        config, trials, sweep, lambda value: _with_elements(config, value))
 
 
 def _preset_angle(config, trials):
     sweep = tuple(float(a) for a in range(-60, 61, 10))
 
-    def scenario_for(value, seed):
+    def config_for(value):
         radars = tuple(replace(r, beam_azimuth_deg=value) for r in config.radars)
-        return build_scenario(with_seed(replace(config, radars=radars), seed))
+        return replace(config, radars=radars)
 
-    return "beam_azimuth_deg", sweep, _sweep_rows(config, trials, sweep, scenario_for)
+    return "beam_azimuth_deg", sweep, _sweep_rows(config, trials, sweep, config_for)
 
 
 def _preset_aoa_error(config, trials):
     sweep = (0.0, 0.5, 1.0, 2.0)
-
-    def scenario_for(value, seed):
-        return build_scenario(with_seed(config, seed))
 
     def design_for(scenario, value, seed):
         angles = [inject_aoa_error(angles_at_target(scenario, k), value, seed + k)
@@ -181,22 +195,28 @@ def _preset_aoa_error(config, trials):
         # Steering error: perturbed panel rows, true coating gains and weights.
         return link_factor(scenario, angles)
 
-    return "aoa_error_deg", sweep, _sweep_rows(config, trials, sweep, scenario_for,
-                                               design_for)
+    return "aoa_error_deg", sweep, _sweep_rows(config, trials, sweep,
+                                               lambda value: config, design_for)
 
 
 def _preset_num_radars(config, trials):
     sweep = tuple(float(k) for k in range(1, len(config.radars) + 1))
 
-    def scenario_for(value, seed):
-        cfg = replace(config, radars=config.radars[: int(value)])
-        return build_scenario(with_seed(cfg, seed))
+    def config_for(value):
+        return replace(config, radars=config.radars[: int(value)])
 
-    return "num_radars", sweep, _sweep_rows(config, trials, sweep, scenario_for)
+    return "num_radars", sweep, _sweep_rows(config, trials, sweep, config_for)
 
 
 def _preset_min_elements(config, trials, realizations: int = 20):
-    """Residual power of the closed form around the predicted element count."""
+    """Residual power of the closed form around the predicted element count.
+
+    The prediction is a single-radar formula, so the config must hold
+    exactly one radar.
+    """
+    if len(config.radars) != 1:
+        raise ConfigError("radars", "min-elements-validation needs exactly one "
+                          f"radar, got {len(config.radars)}")
     n2 = config.target.n2x * config.target.n2y
     n1y = config.target.n1y
     predicted = min_irs_elements(config.target.zeta, n2, config.target.beta_max,
@@ -205,10 +225,9 @@ def _preset_min_elements(config, trials, realizations: int = 20):
     sweep = tuple(n1x * n1y for n1x in range(max(1, n1x_pred - 2), n1x_pred + 2))
     rows = []
     seeds = trial_seeds(config.seed, trials)
-    for value in sweep:
-        cfg = replace(config, target=replace(config.target, n1x=int(value) // n1y))
+    for value, geometry in _geometries(sweep, lambda value: _with_elements(config, value)):
         for trial, seed in enumerate(seeds):
-            scenario = build_scenario(with_seed(cfg, int(seed)))
+            scenario = geometry.draw(int(seed))
             truth = link_factor(scenario)
             sol = reverse_alignment(*single_link(truth),
                                     scenario.target.irs.beta_max)
@@ -222,9 +241,9 @@ def _preset_estimation(config, trials):
     sweep = (16.0, 32.0, 64.0)
     rows = []
     seeds = trial_seeds(config.seed, trials)
-    for value in sweep:
+    for value, geometry in _geometries(sweep, lambda value: config):
         for trial, seed in enumerate(seeds):
-            scenario = build_scenario(with_seed(config, int(seed)))
+            scenario = geometry.draw(int(seed))
             aoa, gains2 = estimate_parameters(scenario, n_snapshots=int(value),
                                               seed=int(seed) + 0xA0A)
             truth = link_factor(scenario)
@@ -256,6 +275,7 @@ def run_experiment(preset: str, config: ScenarioConfig, trials: int) -> Experime
         raise ValueError(f"unknown preset {preset!r}; choose one of {PRESET_NAMES}")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    validate_config(config)
     sweep_name, sweep_values, rows = _PRESETS[preset](config, trials)
     rows = tuple(sorted(rows, key=lambda r: (r.sweep, r.solver, r.trial)))
     digest = hashlib.sha256(json.dumps(config.to_dict(), sort_keys=True)

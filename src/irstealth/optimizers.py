@@ -10,7 +10,10 @@ matrix U.  One thin SVD of D (O(K^4 N1)) gives the exact step-size bound
 lambda_max(U) = sigma_1^2, the minimum-norm stationary point and every ridge
 candidate; each projected-gradient iteration or ridge candidate then costs
 O(K^2 N1), a duality-gap check O(K^4 N1 + K^6), and the codebook one N1-point
-FFT per link row, instead of the O(N1^3) of the expanded form.
+FFT per link row, instead of the O(N1^3) of the expanded form.  The SVD,
+the adjoint and the FFTs are computed once per
+:class:`~irstealth.power_model.LinkMatrix`, so every design on one factor,
+and every trial's true factor at one sweep point, shares them.
 Five designs are provided:
 
 * accelerated projected gradient (global optimum of the QCQP), with a
@@ -72,13 +75,7 @@ def _project(theta: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def _svd(instance: QcqpInstance):
-    """Thin SVD (P, sigma, Q^H) of the link matrix, sigma descending."""
-    return np.linalg.svd(instance.d_mat, full_matrices=False)
-
-
-def _ridge_designs(instance: QcqpInstance, deltas, svd=None
-                   ) -> tuple[np.ndarray, np.ndarray]:
+def _ridge_designs(instance: QcqpInstance, deltas) -> tuple[np.ndarray, np.ndarray]:
     """Ridge designs -(U + delta I)^{-1} v and their residuals ||D theta + r||^2.
 
     With D = P diag(sigma) Q^H the design for each regularization is
@@ -88,7 +85,7 @@ def _ridge_designs(instance: QcqpInstance, deltas, svd=None
     ``delta = 0`` gives the minimum-norm least-squares point, with the
     singular-value cutoff of numpy's ``lstsq``.
     """
-    p, sig, qh = _svd(instance) if svd is None else svd
+    p, sig, qh = instance.link.svd
     deltas = np.asarray(deltas, dtype=float)
     cutoff = np.finfo(float).eps * max(instance.d_mat.shape) * sig[0]
     denom = sig[:, None] ** 2 + deltas[None, :]
@@ -146,7 +143,7 @@ def solve_pgd(instance: QcqpInstance, tol: float = 1e-10,
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     d_mat, r_vec = instance.d_mat, instance.r_vec
-    d_adj = np.ascontiguousarray(d_mat.conj().T)
+    d_adj = instance.link.adjoint
     beta = instance.beta_max
     n = instance.n_elements
 
@@ -156,15 +153,14 @@ def solve_pgd(instance: QcqpInstance, tol: float = 1e-10,
         return ReflectionSolution(theta, instance.objective(theta), "pgd", 0,
                                   termination="min-norm")
 
-    svd = _svd(instance)
-    lam_max = float(svd[1][0]) ** 2
+    lam_max = float(instance.link.svd[1][0]) ** 2
     v_norm = float(np.linalg.norm(v_vec))
     f_zero = float(np.real(np.vdot(r_vec, r_vec)))
     grad_scale = lam_max * beta * math.sqrt(n) + v_norm
     obj_scale = lam_max * beta ** 2 * n + 2.0 * v_norm * beta * math.sqrt(n) + f_zero
 
     # Unconstrained stationary point: optimal whenever it is feasible.
-    theta_u = _ridge_designs(instance, [0.0], svd)[0][:, 0]
+    theta_u = _ridge_designs(instance, [0.0])[0][:, 0]
     if (np.linalg.norm(d_adj @ (d_mat @ theta_u + r_vec)) <= 1e-10 * grad_scale
             and np.max(np.abs(theta_u)) <= beta * (1.0 + 1e-12)):
         theta_u = _project(theta_u, beta)
@@ -537,8 +533,7 @@ def mmse_delta_search(instance: QcqpInstance, grid: np.ndarray | None = None
     zero, which is always feasible).  The solution's ``iterations`` counts
     the candidates tried.
     """
-    svd = _svd(instance)
-    lam_top = max(float(svd[1][0]) ** 2, 1e-300)
+    lam_top = max(float(instance.link.svd[1][0]) ** 2, 1e-300)
     auto = grid is None
     if auto:
         grid = np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40)
@@ -551,7 +546,7 @@ def mmse_delta_search(instance: QcqpInstance, grid: np.ndarray | None = None
     for _ in range(6):
         deltas = np.sort(grid)
         tried += deltas.size
-        thetas, residuals = _ridge_designs(instance, deltas, svd)
+        thetas, residuals = _ridge_designs(instance, deltas)
         feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
         if np.any(feasible):
             best = int(np.argmin(np.where(feasible, residuals, np.inf)))
@@ -564,8 +559,9 @@ def mmse_delta_search(instance: QcqpInstance, grid: np.ndarray | None = None
 
 
 def _codebook_objectives(instance: QcqpInstance) -> np.ndarray:
-    """Objective of every DFT codeword; the link responses are one FFT per row of D."""
-    links = instance.beta_max * np.fft.fft(instance.d_mat, axis=1) + instance.r_vec[:, None]
+    """Objective of every DFT codeword; the link responses are one FFT per row of D
+    (computed once per link matrix)."""
+    links = instance.beta_max * instance.link.fft + instance.r_vec[:, None]
     return np.sum(np.abs(links) ** 2, axis=0)
 
 

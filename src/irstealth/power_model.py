@@ -12,11 +12,19 @@ Powers are linear watts throughout.  The received-power objective is held as
 its stacked link factor (:class:`QcqpInstance`, built by
 :func:`link_factor`): K radars see the panel only through K^2 rank-one
 links.
+
+A scenario splits into a seed-free :class:`ScenarioGeometry` (nodes,
+surface responses, radar gains, link amplitudes and the true link matrix,
+each built once on first use) and the per-seed coating phases and pulse
+epochs that :meth:`ScenarioGeometry.draw` adds.  Scenarios drawn from one
+geometry share everything it has built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -125,13 +133,21 @@ class Target:
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """Immutable world state: K radars, one target, one wavelength."""
+    """Immutable world state: K radars, one target, one wavelength.
+
+    ``geometry`` is the shared seed-free half of a scenario drawn by
+    :meth:`ScenarioGeometry.draw`.  A scenario built by hand, or changed
+    with ``dataclasses.replace``, has none and builds its responses and
+    gains afresh on every call.
+    """
 
     wavelength: float
     radars: tuple[RadarNode, ...]
     target: Target
     ref_gain: float
     seed: int = 0
+    geometry: ScenarioGeometry | None = field(default=None, init=False,
+                                              repr=False, compare=False)
 
     def __post_init__(self):
         if self.wavelength <= 0:
@@ -177,8 +193,7 @@ def angles_between(pos_from, pos_to, axes) -> AnglePair:
 
 def angles_at_target(scenario: Scenario, k: int) -> AnglePair:
     """Arrival direction of radar k at the target surface."""
-    return angles_between(scenario.target.position, scenario.radars[k].position,
-                          _TARGET_AXES)
+    return _geometry(scenario).true_angles[k]
 
 
 def angles_at_radar(scenario: Scenario, k: int) -> AnglePair:
@@ -188,25 +203,17 @@ def angles_at_radar(scenario: Scenario, k: int) -> AnglePair:
 
 
 def radar_distance(scenario: Scenario, k: int) -> float:
-    return float(np.linalg.norm(np.asarray(scenario.radars[k].position, dtype=float)
-                                - np.asarray(scenario.target.position, dtype=float)))
+    return _distance(scenario.radars[k].position, scenario.target.position)
 
 
-def _split_surface(scenario: Scenario, pair: AnglePair) -> tuple[np.ndarray, np.ndarray]:
-    """Panel and coating blocks of the whole-surface response toward a direction.
-
-    Built by splitting the full surface response so the coating block keeps
-    its x-index offset phase relative to the panel block.
-    """
-    target = scenario.target
-    full = upa_response(target.surface_geometry, pair, scenario.wavelength)
-    return split_ts_response(full, target.irs_geometry.nx,
-                             target.nirs_geometry.nx, target.irs_geometry.ny)
+def _distance(pos_a, pos_b) -> float:
+    return float(np.linalg.norm(np.asarray(pos_a, dtype=float)
+                                - np.asarray(pos_b, dtype=float)))
 
 
 def target_side_responses(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Panel and coating blocks of the whole-surface response toward radar k."""
-    return _split_surface(scenario, angles_at_target(scenario, k))
+    return _geometry(scenario).surface(angles_at_target(scenario, k))
 
 
 def chirp_waveform(t, radar: RadarNode):
@@ -235,24 +242,6 @@ def matched_beamformer(radar_geometry: ArrayGeometry, target_angles: AnglePair,
     return np.conj(a) / np.sqrt(a.size)
 
 
-def _radar_gains(scenario: Scenario) -> np.ndarray:
-    """Complex beamforming gain rho_k * (a_k . w_k) of every radar toward the target."""
-    g = np.zeros(scenario.num_radars, dtype=complex)
-    for k, radar in enumerate(scenario.radars):
-        rho = path_gain(radar_distance(scenario, k), scenario.ref_gain,
-                        scenario.wavelength)
-        a = upa_response(radar.geometry, angles_at_radar(scenario, k),
-                         scenario.wavelength)
-        g[k] = rho.value * (a @ np.asarray(radar.beamformer))
-    return g
-
-
-def _stacked_blocks(scenario: Scenario, angles) -> tuple[np.ndarray, np.ndarray]:
-    """Panel and coating blocks toward each direction, one row per direction."""
-    blocks = [_split_surface(scenario, pair) for pair in angles]
-    return np.array([b[0] for b in blocks]), np.array([b[1] for b in blocks])
-
-
 def _coating_gains(coating: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Coating reflection gains c[k, j] = sum_n b_k[n] b_j[n] phi[n] per link."""
     return (coating * phi) @ coating.T
@@ -260,10 +249,9 @@ def _coating_gains(coating: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def beamforming_gains(scenario: Scenario) -> GainSet:
     """Complex transmit/receive gains per radar and coating gains per radar pair."""
-    g = _radar_gains(scenario)
-    true_angles = [angles_at_target(scenario, k) for k in range(scenario.num_radars)]
-    _, coating = _stacked_blocks(scenario, true_angles)
-    c = _coating_gains(coating, np.asarray(scenario.target.nirs.phi))
+    geometry = _geometry(scenario)
+    g = geometry.gains
+    c = _coating_gains(geometry.true_blocks[1], np.asarray(scenario.target.nirs.phi))
     return GainSet(g_tx=g, g_rx=g.copy(), c_nirs=c)
 
 
@@ -285,11 +273,55 @@ def cascaded_vectors(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
 def link_weights(scenario: Scenario, gains: GainSet | None = None) -> np.ndarray:
     """Nonnegative weights P_j * |g_rx[k]|^2 * |g_tx[j]|^2 of every echo/cross link."""
     if gains is None:
-        g_rx = g_tx = _radar_gains(scenario)
+        g_rx = g_tx = _geometry(scenario).gains
     else:
         g_rx, g_tx = gains.g_rx, gains.g_tx
-    powers = np.array([r.tx_power for r in scenario.radars])
+    return _link_weights(g_rx, g_tx, scenario.radars)
+
+
+def _link_weights(g_rx: np.ndarray, g_tx: np.ndarray, radars) -> np.ndarray:
+    powers = np.array([r.tx_power for r in radars])
     return np.abs(g_rx[:, None]) ** 2 * (powers * np.abs(g_tx) ** 2)[None, :]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """A read-only view of an array (the array itself stays as it was)."""
+    view = array.view()
+    view.flags.writeable = False
+    return view
+
+
+class LinkMatrix:
+    """Read-only link matrix D with its decompositions, each computed on first use.
+
+    Factors that share one link matrix (the true factor of every trial drawn
+    from one :class:`ScenarioGeometry`) share its thin SVD, its contiguous
+    adjoint and its row FFTs.  All of them are read-only.
+    """
+
+    def __init__(self, d_mat):
+        d = np.asarray(d_mat, dtype=complex)
+        if d.ndim != 2:
+            raise ValueError(f"link matrix must be two-dimensional, got {d.shape}")
+        if not np.all(np.isfinite(d)):
+            raise ValueError("link factor must be finite")
+        self.array = _read_only(d)
+
+    @cached_property
+    def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Thin SVD (P, sigma, Q^H), sigma descending."""
+        return tuple(_read_only(x)
+                     for x in np.linalg.svd(self.array, full_matrices=False))
+
+    @cached_property
+    def adjoint(self) -> np.ndarray:
+        """D^H, C-contiguous."""
+        return _read_only(np.ascontiguousarray(self.array.conj().T))
+
+    @cached_property
+    def fft(self) -> np.ndarray:
+        """FFT of every row of D."""
+        return _read_only(np.fft.fft(self.array, axis=1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,25 +333,28 @@ class QcqpInstance:
     theta^H U theta + 2 Re(v^H theta) + c has U = D^H D, v = D^H r and
     c = ||r||^2, so it is positive semidefinite by construction and is never
     formed.  ``beta_max`` caps every element's reflection amplitude.
+    ``d_mat`` may be given as a :class:`LinkMatrix`, whose decompositions are
+    then shared with every factor built on it; ``link`` holds it either way,
+    and ``d_mat`` and ``r_vec`` are read-only.
     """
 
     d_mat: np.ndarray
     r_vec: np.ndarray
     beta_max: float
+    link: LinkMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        d = np.asarray(self.d_mat, dtype=complex)
+        link = self.d_mat if isinstance(self.d_mat, LinkMatrix) else LinkMatrix(self.d_mat)
         r = np.asarray(self.r_vec, dtype=complex)
-        if d.ndim != 2:
-            raise ValueError(f"link matrix must be two-dimensional, got {d.shape}")
-        if r.shape != (d.shape[0],):
+        if r.shape != (link.array.shape[0],):
             raise ValueError("coating terms do not match the link rows")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(r))):
+        if not np.all(np.isfinite(r)):
             raise ValueError("link factor must be finite")
         if not 0 < self.beta_max <= 1:
             raise ValueError(f"beta_max must be in (0, 1], got {self.beta_max}")
-        object.__setattr__(self, "d_mat", d)
-        object.__setattr__(self, "r_vec", r)
+        object.__setattr__(self, "link", link)
+        object.__setattr__(self, "d_mat", link.array)
+        object.__setattr__(self, "r_vec", _read_only(r))
 
     @property
     def n_elements(self) -> int:
@@ -330,15 +365,20 @@ class QcqpInstance:
         return float(np.real(np.vdot(residual, residual)))
 
 
+def _link_matrix(amp: np.ndarray, panel: np.ndarray) -> LinkMatrix:
+    """Rows amp[(k, j)] * a_k * a_j of the panel blocks a toward each radar."""
+    links = (panel[:, None, :] * panel[None, :, :]).reshape(amp.size, -1)
+    return LinkMatrix(amp[:, None] * links)
+
+
 def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
     """Stacked link factor (D, r) of the sum-received-power objective.
 
     Row (k, j) belongs to the link radar j -> target -> radar k.  It carries
     the link amplitude sqrt(w_kj) times the panel response a_k * a_j, and the
     same amplitude times the coating gain sum_n b_k[n] b_j[n] phi[n], where
-    a and b are the panel and coating blocks of the surface response.  Every
-    panel and coating response is built once.  The inputs select one of
-    three documented cases:
+    a and b are the panel and coating blocks of the surface response.  The
+    inputs select one of three documented cases:
 
     * neither ``angles`` nor ``g2``: the true scenario, with weights
       w_kj = P_j |g_rx_k|^2 |g_tx_j|^2, so the objective at any feasible
@@ -353,29 +393,145 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
       target's own.  The uniform power scale of the estimates rescales the
       objective without moving its minimizer.  Assumes a common transmit
       power across radars.
+
+    Everything but the coating phases comes from the scenario's
+    :class:`ScenarioGeometry`: on true data only r is computed, and the true
+    factor of every scenario drawn from one geometry shares one
+    :class:`LinkMatrix`.  A steering error reuses the panel blocks already
+    built toward the same direction; sensed directions are not kept.
     """
     k_r = scenario.num_radars
+    geometry = _geometry(scenario)
     phi = np.asarray(scenario.target.nirs.phi)
     if g2 is None:
         if angles is not None and len(angles) != k_r:
             raise ValueError(f"need one angle per radar, got {len(angles)} "
                              f"for {k_r}")
-        true_angles = [angles_at_target(scenario, k) for k in range(k_r)]
-        panel, coating = _stacked_blocks(scenario, true_angles)
-        if angles is not None:
-            panel, _ = _stacked_blocks(scenario, angles)
-        weights = link_weights(scenario)
+        amp = geometry.amplitudes
+        coating = geometry.true_blocks[1]
+        if angles is None or tuple(angles) == geometry.true_angles:
+            link = geometry.true_link
+        else:
+            link = _link_matrix(amp, geometry.stacked_blocks(angles)[0])
     else:
         g2 = np.asarray(g2, dtype=float)
         if angles is None or len(angles) != g2.size:
             raise ValueError("need one gain estimate per estimated angle")
-        panel, coating = _stacked_blocks(scenario, angles)
-        weights = g2[:, None] * g2[None, :]
-    amp = np.sqrt(weights).reshape(-1)
-    links = (panel[:, None, :] * panel[None, :, :]).reshape(amp.size, -1)
-    return QcqpInstance(amp[:, None] * links,
-                        amp * _coating_gains(coating, phi).reshape(-1),
+        panel, coating = geometry.stacked_blocks(angles, keep=False)
+        amp = np.sqrt(g2[:, None] * g2[None, :]).reshape(-1)
+        link = _link_matrix(amp, panel)
+    return QcqpInstance(link, amp * _coating_gains(coating, phi).reshape(-1),
                         scenario.target.irs.beta_max)
+
+
+class ScenarioGeometry:
+    """Seed-free half of a scenario, shared by every trial drawn from it.
+
+    Holds the wavelength, reference path gain, radar nodes (their pulse
+    epochs are the bare propagation delays), the target (its coating at zero
+    phase) and the pulse-clock jitter bound.  On first use, and then once,
+    it builds the panel and coating blocks of the surface response toward
+    each direction it is asked for, the radars' beamforming gains, the link
+    amplitudes and the true :class:`LinkMatrix`; every array it hands out is
+    read-only.  Coating phases and pulse epochs are never read from it:
+    :meth:`draw` adds them per seed.
+    """
+
+    def __init__(self, wavelength: float, ref_gain: float, radars: tuple[RadarNode, ...],
+                 target: Target, epoch_jitter: float = 0.0):
+        self.wavelength = wavelength
+        self.ref_gain = ref_gain
+        self.radars = tuple(radars)
+        self.target = target
+        self.epoch_jitter = epoch_jitter
+        self._surface: dict[AnglePair, tuple[np.ndarray, np.ndarray]] = {}
+
+    def draw(self, seed) -> Scenario:
+        """Scenario of one seed: uniform coating phases, then each radar's
+        pulse-clock jitter in [0, epoch_jitter), in that order."""
+        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+                or seed < 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        rng = np.random.default_rng(seed)
+        nirs = self.target.nirs
+        phases = rng.uniform(0.0, 2.0 * np.pi, self._coating_magnitude.size)
+        target = replace(self.target, nirs=NirsPanel(
+            self._coating_magnitude * np.exp(1j * phases), nirs.zeta))
+        radars = tuple(replace(r, pulse_epoch=float(
+            r.pulse_epoch + rng.uniform(0.0, self.epoch_jitter))) for r in self.radars)
+        scenario = Scenario(wavelength=self.wavelength, radars=radars, target=target,
+                            ref_gain=self.ref_gain, seed=int(seed))
+        object.__setattr__(scenario, "geometry", self)
+        return scenario
+
+    @cached_property
+    def _coating_magnitude(self) -> np.ndarray:
+        return np.sqrt(1.0 - np.asarray(self.target.nirs.zeta))
+
+    def surface(self, pair: AnglePair, keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Panel and coating blocks of the whole-surface response toward a direction.
+
+        Built by splitting the full surface response so the coating block
+        keeps its x-index offset phase relative to the panel block.  Kept
+        for later calls unless ``keep`` is false.
+        """
+        blocks = self._surface.get(pair)
+        if blocks is None:
+            target = self.target
+            full = upa_response(target.surface_geometry, pair, self.wavelength)
+            blocks = tuple(_read_only(b) for b in split_ts_response(
+                full, target.irs_geometry.nx, target.nirs_geometry.nx,
+                target.irs_geometry.ny))
+            if keep:
+                self._surface[pair] = blocks
+        return blocks
+
+    def stacked_blocks(self, angles, keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Panel and coating blocks toward each direction, one row per direction."""
+        blocks = [self.surface(pair, keep) for pair in angles]
+        return np.array([b[0] for b in blocks]), np.array([b[1] for b in blocks])
+
+    @cached_property
+    def true_angles(self) -> tuple[AnglePair, ...]:
+        """Arrival direction of every radar at the target surface."""
+        return tuple(angles_between(self.target.position, r.position, _TARGET_AXES)
+                     for r in self.radars)
+
+    @cached_property
+    def true_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Panel and coating blocks toward every radar, one row per radar."""
+        return tuple(_read_only(b) for b in self.stacked_blocks(self.true_angles))
+
+    @cached_property
+    def gains(self) -> np.ndarray:
+        """Complex beamforming gain rho_k * (a_k . w_k) of every radar toward the target."""
+        g = np.zeros(len(self.radars), dtype=complex)
+        for k, radar in enumerate(self.radars):
+            rho = path_gain(_distance(radar.position, self.target.position),
+                            self.ref_gain, self.wavelength)
+            a = upa_response(radar.geometry, angles_between(
+                radar.position, self.target.position, _RADAR_AXES), self.wavelength)
+            g[k] = rho.value * (a @ np.asarray(radar.beamformer))
+        return _read_only(g)
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """True link amplitudes sqrt(w_kj), flattened in link-row order."""
+        return _read_only(np.sqrt(_link_weights(self.gains, self.gains,
+                                                self.radars)).reshape(-1))
+
+    @cached_property
+    def true_link(self) -> LinkMatrix:
+        """True link matrix D, shared by every scenario drawn from this geometry."""
+        return _link_matrix(self.amplitudes, self.true_blocks[0])
+
+
+def _geometry(scenario: Scenario) -> ScenarioGeometry:
+    """The scenario's shared geometry, or a fresh one for a scenario built by hand."""
+    if scenario.geometry is not None:
+        return scenario.geometry
+    return ScenarioGeometry(scenario.wavelength, scenario.ref_gain, scenario.radars,
+                            scenario.target)
 
 
 def _check_amplitudes(theta: np.ndarray, scenario: Scenario) -> np.ndarray:

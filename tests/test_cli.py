@@ -119,3 +119,16 @@ class TestRun:
                        "--trials", "1", "--out", "/nonexistent/dir/out.csv")
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+    def test_min_elements_validation_needs_one_radar(self, tmp_path):
+        # The predicted count is a single-radar formula; a three-radar config
+        # is rejected before any work, and no CSV is written.
+        config_path = tmp_path / "multi.json"
+        multi_radar_config().save(config_path)
+        out = tmp_path / "x.csv"
+        proc = run_cli("run", "min-elements-validation", "--config", str(config_path),
+                       "--trials", "1", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == ("error: radars: min-elements-validation needs "
+                                       "exactly one radar, got 3")
+        assert not out.exists()

@@ -1,8 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from irstealth.cli import main
 from irstealth.config import (ConfigError, ScenarioConfig, build_scenario,
                               db_to_linear, dbm_to_watts, multi_radar_config,
                               single_radar_config, watts_to_db, with_seed)
@@ -132,6 +134,63 @@ class TestValidation:
         with pytest.raises(ConfigError) as err:
             build_scenario(bad)
         assert err.value.fieldpath == "radars[0].beam_azimuth_deg"
+
+
+def _with_field(doc: dict, fieldpath: str, value) -> dict:
+    """Copy of a config document with one field (``a``, ``target.a`` or
+    ``radars[i].a``) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    section, _, name = fieldpath.rpartition(".")
+    if not section:
+        doc[name] = value
+    elif section == "target":
+        doc["target"][name] = value
+    else:
+        doc["radars"][int(section[len("radars["):-1])][name] = value
+    return doc
+
+
+class TestMalformedFields:
+    """Wrongly typed or out-of-range fields fail at the boundary with a field path."""
+
+    @pytest.mark.parametrize("fieldpath, value", [
+        ("target.n1x", 4.5), ("target.n1x", "4"), ("target.n1x", True),
+        ("target.cssa_lx", 5.0), ("radars[0].mx", None), ("wavelength", "0.05"),
+        ("wavelength", True), ("radars[0].beam_azimuth_deg", "10"),
+        ("radars[1].position", [0.0, 0.0]), ("target.position", [0.0, "a", 1.0]),
+        ("target.spacing", 10 ** 400), ("alpha_db", 4000), ("alpha_db", -4000),
+        ("radars[0].tx_power_dbm", 4000), ("radars[0].tx_power_dbm", -4000),
+        ("radars[0].noise_dbm", 1e308), ("target.cssa_noise_dbm", 1e308),
+        ("seed", 1.5), ("seed", -1), ("seed", True)])
+    def test_rejected_with_field_path(self, tmp_path, capsys, fieldpath, value):
+        doc = _with_field(multi_radar_config(num_radars=2).to_dict(), fieldpath, value)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert err.value.fieldpath == fieldpath
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "power-vs-num-radars", "--config", str(path),
+                     "--trials", "1", "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {fieldpath}: ")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_negative_seed_override_names_the_seed(self, tmp_path, capsys):
+        assert main(["run", "power-vs-aoa-error", "--trials", "1", "--seed", "-1",
+                     "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err.startswith("error: seed: ")
+
+    @pytest.mark.parametrize("seed", [1.5, True, "2"])
+    def test_seed_override_must_be_an_integer(self, seed):
+        with pytest.raises(ConfigError) as err:
+            with_seed(single_radar_config(), seed)
+        assert err.value.fieldpath == "seed"
+        assert with_seed(single_radar_config(), np.uint32(7)).seed == 7
+
+    def test_quiet_levels_are_accepted(self):
+        # Noise levels may underflow to zero watts; a silent array is valid.
+        doc = _with_field(single_radar_config().to_dict(), "radars[0].noise_dbm", -4000)
+        doc["target"]["cssa_noise_dbm"] = -4000
+        ScenarioConfig.from_dict(doc)
 
 
 class TestBuildScenario:

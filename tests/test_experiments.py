@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irstealth import experiments
+from irstealth import experiments, power_model
 from irstealth.arrays import AnglePair
 from irstealth.config import build_scenario, multi_radar_config, single_radar_config
 from irstealth.experiments import (ExperimentResult, ExperimentRow, emit_csv,
@@ -227,6 +227,50 @@ class TestRunExperiment:
                          if r.sweep == d and r.solver == "no-irs"])
                 for d in result.sweep_values]
         assert all(a >= b for a, b in zip(dark, dark[1:]))
+
+
+class TestGeometryReuse:
+    """A preset builds each sweep point's geometry once, not once per trial."""
+
+    @staticmethod
+    def _surface_calls(monkeypatch, preset, config, trials):
+        calls = []
+        build = power_model.upa_response
+
+        def counting(geom, pair, wavelength):
+            if geom.nx == config.target.n1x + config.target.n2x:
+                calls.append(pair)
+            return build(geom, pair, wavelength)
+
+        monkeypatch.setattr(power_model, "upa_response", counting)
+        run_experiment(preset, config, trials)
+        return calls
+
+    @pytest.mark.parametrize("trials", [1, 4])
+    def test_surface_response_once_per_point_and_direction(self, monkeypatch, trials):
+        config = multi_radar_config(num_radars=3, n1x=4)
+        calls = self._surface_calls(monkeypatch, "power-vs-num-radars", config, trials)
+        # Sweep points of 1, 2 and 3 radars, one true direction per radar.
+        assert len(calls) == 1 + 2 + 3
+
+    def test_steering_errors_reuse_perturbed_directions(self, monkeypatch):
+        config = multi_radar_config(num_radars=3, n1x=4)
+        calls = self._surface_calls(monkeypatch, "power-vs-aoa-error", config, 6)
+        # One geometry for the whole sweep: no direction is built twice, and
+        # each radar has its true direction plus at most two signs per error.
+        assert len(set(calls)) == len(calls)
+        assert len(calls) <= 3 + 3 * 2 * 3
+
+    @pytest.mark.parametrize("preset, builds", [("power-vs-aoa-error", 1),
+                                                ("power-vs-num-radars", 3),
+                                                ("estimation-pipeline", 1)])
+    def test_one_geometry_per_distinct_point(self, monkeypatch, preset, builds):
+        count = []
+        build = experiments.build_geometry
+        monkeypatch.setattr(experiments, "build_geometry",
+                            lambda cfg: count.append(cfg) or build(cfg))
+        run_experiment(preset, multi_radar_config(num_radars=3, n1x=4), 2)
+        assert len(count) == builds
 
 
 class TestLargePanel:

@@ -21,7 +21,7 @@ from irstealth.optimizers import (ConvergenceError, InfeasibleError,
                                   mmse_delta_search, random_phase,
                                   reverse_alignment, single_link, solve_pgd,
                                   _barrier_newton, _codebook_objectives,
-                                  _ridge_designs, _svd)
+                                  _ridge_designs)
 from irstealth.power_model import (NirsPanel, QcqpInstance, angles_at_target,
                                    beamforming_gains, cascaded_vectors,
                                    link_factor, link_weights, sum_power)
@@ -519,7 +519,7 @@ class TestFactorOracles:
         inst = random_multi_instance(rng, n1x=int(rng.integers(1, 9)), ny=2,
                                      k=int(rng.integers(1, 4)))
         lam_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
-        assert float(_svd(inst)[1][0]) ** 2 == pytest.approx(lam_top, rel=1e-12)
+        assert float(inst.link.svd[1][0]) ** 2 == pytest.approx(lam_top, rel=1e-12)
 
     def test_single_link_recovers_closed_form_inputs(self, single_scenario):
         u, c = single_link(link_factor(single_scenario))

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
 from irstealth.channel import los_channel, path_gain
-from irstealth.config import build_scenario, single_radar_config
-from irstealth.optimizers import solve_pgd
+from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
+                              single_radar_config, with_seed)
+from irstealth.experiments import inject_aoa_error
+from irstealth.optimizers import dft_codebook_design, mmse_delta_search, solve_pgd
 from irstealth.power_model import (IrsPanel, NirsPanel, angles_at_radar,
                                    angles_at_target, beamforming_gains,
                                    chirp_waveform, link_factor, link_weights,
@@ -223,3 +225,81 @@ class TestValidation:
         aod = angles_at_radar(multi_scenario, 1)
         assert aod.azimuth == pytest.approx(-aoa.azimuth, abs=1e-12)
         assert aod.elevation == pytest.approx(-aoa.elevation, abs=1e-12)
+
+
+def _factor(scenario, case):
+    """The link factor of one of the three documented cases."""
+    truth = [angles_at_target(scenario, k) for k in range(scenario.num_radars)]
+    if case == "true":
+        return link_factor(scenario)
+    if case == "steering":
+        return link_factor(scenario, [inject_aoa_error(a, 1.0, scenario.seed + k)
+                                      for k, a in enumerate(truth)])
+    angles = [AnglePair(a.azimuth + 1e-3 * (k + 1), a.elevation) for k, a in
+              enumerate(truth)]
+    return link_factor(scenario, angles, np.linspace(1.0, 2.0, len(angles)))
+
+
+class TestSharedGeometry:
+    @pytest.mark.parametrize("case", ["true", "steering", "sensed"])
+    def test_reused_geometry_gives_bitwise_fresh_factor(self, case):
+        config = multi_radar_config(n1x=5)
+        shared = build_geometry(config)
+        for seed in (3, 17, 3, 40, 17):
+            reused = _factor(shared.draw(seed), case)
+            fresh_scenario = build_scenario(with_seed(config, seed))
+            for fresh in (_factor(fresh_scenario, case),
+                          _factor(dataclasses.replace(fresh_scenario), case)):
+                assert np.array_equal(reused.d_mat, fresh.d_mat)
+                assert np.array_equal(reused.r_vec, fresh.r_vec)
+            # The cached decompositions give the same designs as fresh ones.
+            assert np.array_equal(solve_pgd(reused).theta, solve_pgd(fresh).theta)
+            assert np.array_equal(mmse_delta_search(reused)[1].theta,
+                                  mmse_delta_search(fresh)[1].theta)
+            assert np.array_equal(dft_codebook_design(reused).theta,
+                                  dft_codebook_design(fresh).theta)
+
+    def test_true_factors_share_one_link_matrix(self):
+        geometry = build_geometry(multi_radar_config(n1x=5))
+        a, b = (link_factor(geometry.draw(seed)) for seed in (1, 2))
+        assert a.link is b.link is geometry.true_link
+        assert not np.array_equal(a.r_vec, b.r_vec)
+
+    def test_draw_keeps_the_seed_stream(self):
+        # Coating phases first, then one clock jitter per radar, so a seed
+        # maps to the same scenario however it is built.
+        config = multi_radar_config(n1x=5)
+        geometry = build_geometry(config)
+        for seed in (0, 9, 2 ** 32 - 1):
+            drawn = geometry.draw(seed)
+            built = build_scenario(with_seed(config, seed))
+            rng = np.random.default_rng(seed)
+            phi = np.sqrt(1.0 - 0.8) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 200))
+            epochs = [radar_distance(built, k) / 299792458.0 + rng.uniform(0.0, 2e-6)
+                      for k in range(3)]
+            for scenario in (drawn, built):
+                assert scenario.seed == seed
+                assert np.array_equal(scenario.target.nirs.phi, phi)
+                assert [r.pulse_epoch for r in scenario.radars] == epochs
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
+    def test_draw_rejects_bad_seed(self, seed):
+        with pytest.raises(ValueError):
+            build_geometry(single_radar_config()).draw(seed)
+
+    def test_replaced_scenario_drops_geometry(self, multi_scenario):
+        assert multi_scenario.geometry is not None
+        assert dataclasses.replace(multi_scenario).geometry is None
+
+    def test_shared_arrays_are_read_only(self):
+        geometry = build_geometry(multi_radar_config(n1x=5))
+        factor = link_factor(geometry.draw(1))
+        link = geometry.true_link
+        link_factor(geometry.draw(1), list(geometry.true_angles))
+        shared = [link.array, *link.svd, link.adjoint, link.fft,
+                  geometry.amplitudes, geometry.gains, *geometry.true_blocks,
+                  *geometry.surface(geometry.true_angles[1]),
+                  factor.d_mat, factor.r_vec]
+        for array in shared:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 1.0
