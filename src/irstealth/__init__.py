@@ -1,12 +1,11 @@
 """IRS-aided electromagnetic stealth: channels, power model, reflection designs."""
 
-from .arrays import (AnglePair, ArrayGeometry, ArrayKind, cascaded_response,
-                     cssa_response, split_ts_response, steer_1d, upa_response)
-from .channel import LosChannel, PathGain, los_channel, path_gain
+from .arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response,
+                     split_ts_response, steer_1d, upa_response)
 from .config import (ConfigError, RadarConfig, ScenarioConfig, TargetConfig,
                      build_geometry, build_scenario, multi_radar_config,
                      single_radar_config)
-from .estimation import (AoaEstimate, EstimationError, GainEstimate, SnapshotSet,
+from .estimation import (AoaEstimate, EstimationError, SnapshotSet,
                          collect_snapshots, estimate_parameters, gain_estimate,
                          ls_recover, music_aoa, steering_matrix)
 from .experiments import (ExperimentResult, ExperimentRow, emit_csv,
@@ -16,9 +15,9 @@ from .optimizers import (ConvergenceError, InfeasibleError, ReflectionSolution,
                          lagrange_semiclosed, min_irs_elements,
                          mmse_delta_search, random_phase, reverse_alignment,
                          single_link, solve_pgd)
-from .power_model import (GainSet, IrsPanel, LinkMatrix, NirsPanel, QcqpInstance,
-                          RadarNode, Scenario, ScenarioGeometry, Target,
-                          beamforming_gains, chirp_waveform, link_factor,
-                          matched_beamformer, radar_power, sum_power)
+from .power_model import (LinkMatrix, NirsPanel, QcqpInstance, RadarNode, Scenario,
+                          ScenarioGeometry, Target, beamforming_gains,
+                          chirp_waveform, link_factor, matched_beamformer,
+                          path_gain, radar_powers, sum_power)
 
 __version__ = "0.1.0"

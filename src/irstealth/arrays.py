@@ -140,17 +140,3 @@ def _centered_arm(phase_diff: float, n: int) -> np.ndarray:
     # around zero, so the center entry is exactly 1.
     offsets = np.arange(n) - (n - 1) / 2
     return np.exp(-1j * np.pi * offsets * phase_diff)
-
-
-def cascaded_response(a_k: np.ndarray, a_j: np.ndarray) -> np.ndarray:
-    """Cascaded (incoming x outgoing) array response of a reflecting surface.
-
-    Returns the vector u with u^H = a_k^T * a_j^T elementwise, i.e. the
-    conjugated Hadamard product.  Unit-modulus inputs give unit-modulus
-    output; the mono-static case doubles every entry phase.
-    """
-    a_k = np.asarray(a_k)
-    a_j = np.asarray(a_j)
-    if a_k.shape != a_j.shape:
-        raise ValueError(f"response lengths differ: {a_k.shape} vs {a_j.shape}")
-    return np.conj(a_k * a_j)

@@ -78,7 +78,7 @@ def _cmd_solve(args) -> int:
     config = _load_config(args.config, args.seed)
     scenario = build_scenario(config)
     n1 = scenario.target.irs_geometry.num_elements
-    beta = scenario.target.irs.beta_max
+    beta = scenario.target.beta_max
     factor = link_factor(scenario)
     solution = None
     if args.solver == "pgd":

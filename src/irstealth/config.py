@@ -18,9 +18,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .arrays import AnglePair, ArrayGeometry, ArrayKind
-from .power_model import (IrsPanel, NirsPanel, RadarNode, Scenario,
-                          ScenarioGeometry, Target, angles_between,
-                          matched_beamformer, _RADAR_AXES, _TARGET_AXES)
+from .power_model import (NirsPanel, RadarNode, Scenario, ScenarioGeometry, Target,
+                          angles_between, matched_beamformer, _RADAR_AXES,
+                          _TARGET_AXES)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -230,13 +230,12 @@ def build_geometry(config: ScenarioConfig) -> ScenarioGeometry:
 
     zeta = np.full(tgt.n2x * tgt.n2y, float(tgt.zeta))
     nirs = NirsPanel(np.sqrt(1.0 - zeta).astype(complex), zeta)
-    irs = IrsPanel(np.zeros(tgt.n1x * tgt.n1y, dtype=complex), tgt.beta_max)
     target = Target(position=tuple(float(p) for p in tgt.position),
                     irs_geometry=ArrayGeometry(ArrayKind.UPA, tgt.n1x, tgt.n1y,
                                                tgt.spacing),
                     nirs_geometry=ArrayGeometry(ArrayKind.UPA, tgt.n2x, tgt.n2y,
                                                 tgt.spacing),
-                    irs=irs, nirs=nirs,
+                    beta_max=tgt.beta_max, nirs=nirs,
                     cssa_geometry=ArrayGeometry(ArrayKind.CSSA, tgt.cssa_lx,
                                                 tgt.cssa_ly, tgt.spacing),
                     cssa_noise=dbm_to_watts(tgt.cssa_noise_dbm))

@@ -68,14 +68,6 @@ class AoaEstimate:
     grid_step: float
 
 
-@dataclass(frozen=True, eq=False)
-class GainEstimate:
-    """Power-scaled squared beamforming gains; receive equals transmit by reciprocity."""
-
-    g2_tx: np.ndarray
-    g2_rx: np.ndarray
-
-
 def collect_snapshots(scenario: Scenario, n_snapshots: int, seed) -> SnapshotSet:
     """Sample the sensing array uniformly over the common pulse window.
 
@@ -98,7 +90,7 @@ def collect_snapshots(scenario: Scenario, n_snapshots: int, seed) -> SnapshotSet
                                        scenario.wavelength)
                          for k in range(scenario.num_radars)], axis=1)
     gains = beamforming_gains(scenario)
-    signals = np.stack([gains.g_tx[k] * chirp_waveform(times, radars[k])
+    signals = np.stack([gains[k] * chirp_waveform(times, radars[k])
                         for k in range(scenario.num_radars)])
     samples = steering @ signals
     if target.cssa_noise > 0:
@@ -353,31 +345,31 @@ def ls_recover(snapshots: SnapshotSet, a_matrix: np.ndarray) -> np.ndarray:
     return recovered
 
 
-def gain_estimate(recovered: np.ndarray, pri: float, pulse: float) -> GainEstimate:
-    """Squared-gain estimates from the mean pulse power of recovered signals.
+def gain_estimate(recovered: np.ndarray, pri: float, pulse: float) -> np.ndarray:
+    """Power-scaled squared gains from the mean pulse power of recovered signals.
 
     Averages |s_k(t)|^2 over the sampled pulse window and rescales by
     pulse/pri, matching the per-interval signal energy; without noise this
     equals the transmit power times the squared beamforming gain exactly.
-    Receive gains copy the transmit gains by channel reciprocity.
+    By reciprocity one estimate per radar serves both link directions.
     """
     if not 0 < pulse < pri:
         raise ValueError(f"need 0 < pulse < pri, got {pulse} / {pri}")
     recovered = np.atleast_2d(np.asarray(recovered))
-    g2 = pulse / pri * np.mean(np.abs(recovered) ** 2, axis=1)
-    return GainEstimate(g2_tx=g2, g2_rx=g2.copy())
+    return pulse / pri * np.mean(np.abs(recovered) ** 2, axis=1)
 
 
 def estimate_parameters(scenario: Scenario, n_snapshots: int = 64, seed=0,
                         grid_step: float = np.deg2rad(1.0)
-                        ) -> tuple[AoaEstimate, GainEstimate]:
-    """Full sensing pass: snapshots, arrival angles, then gain estimates.
+                        ) -> tuple[AoaEstimate, np.ndarray]:
+    """Full sensing pass: snapshots, arrival angles, then squared-gain estimates.
 
-    The gain ordering follows the returned angle ordering, so the pair can
-    be fed directly to the estimate-based reflection designs.  The gain
-    scaling reads the first radar's interval and pulse, and the estimates
-    carry one transmit power for all radars, so every radar must share
-    ``tx_power``, ``pri`` and ``pulse``; a scenario that does not is
+    The estimates (:func:`gain_estimate`) follow the returned angle
+    ordering, so the pair can be fed directly to
+    :func:`~irstealth.power_model.link_factor` as ``angles`` and ``g2``.
+    The gain scaling reads the first radar's interval and pulse, and the
+    estimates carry one transmit power for all radars, so every radar must
+    share ``tx_power``, ``pri`` and ``pulse``; a scenario that does not is
     rejected with a :class:`~irstealth.config.ConfigError` naming the first
     differing ``radars[i].<field>``.
     """

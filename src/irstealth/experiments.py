@@ -87,7 +87,7 @@ def solver_powers(scenario, trial_seed: int, design=None) -> dict[str, float]:
     truth = link_factor(scenario)
     design = truth if design is None else design
     n1 = scenario.target.irs_geometry.num_elements
-    beta = scenario.target.irs.beta_max
+    beta = scenario.target.beta_max
     thetas = {"pgd": solve_pgd(design).theta}
     if scenario.num_radars == 1:
         thetas["reverse-alignment"] = reverse_alignment(*single_link(design),
@@ -229,8 +229,7 @@ def _preset_min_elements(config, trials, realizations: int = 20):
         for trial, seed in enumerate(seeds):
             scenario = geometry.draw(int(seed))
             truth = link_factor(scenario)
-            sol = reverse_alignment(*single_link(truth),
-                                    scenario.target.irs.beta_max)
+            sol = reverse_alignment(*single_link(truth), scenario.target.beta_max)
             watts = truth.objective(sol.theta)
             rows.append(ExperimentRow(float(value), "reverse-alignment", trial,
                                       int(seed), float(watts), watts_to_db(watts)))
@@ -244,10 +243,10 @@ def _preset_estimation(config, trials):
     for value, geometry in _geometries(sweep, lambda value: config):
         for trial, seed in enumerate(seeds):
             scenario = geometry.draw(int(seed))
-            aoa, gains2 = estimate_parameters(scenario, n_snapshots=int(value),
-                                              seed=int(seed) + 0xA0A)
+            aoa, g2 = estimate_parameters(scenario, n_snapshots=int(value),
+                                          seed=int(seed) + 0xA0A)
             truth = link_factor(scenario)
-            estimated = link_factor(scenario, aoa.angles, gains2.g2_tx)
+            estimated = link_factor(scenario, aoa.angles, g2)
             with _trial_point(value, trial, int(seed)):
                 power_est = truth.objective(solve_pgd(estimated).theta)
                 power_true = truth.objective(solve_pgd(truth).theta)

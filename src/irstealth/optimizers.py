@@ -61,7 +61,6 @@ class ReflectionSolution:
     solver: str
     iterations: int = 0
     kkt_residual: float | None = None
-    multipliers: np.ndarray | None = None
     termination: str | None = None
 
 
@@ -520,31 +519,21 @@ def single_link(instance: QcqpInstance) -> tuple[np.ndarray, complex]:
     return row.conj() / amp, complex(instance.r_vec[0] / amp)
 
 
-def mmse_delta_search(instance: QcqpInstance, grid: np.ndarray | None = None
-                      ) -> tuple[float, ReflectionSolution]:
+def mmse_delta_search(instance: QcqpInstance) -> tuple[float, ReflectionSolution]:
     """Smallest-residual amplitude-feasible ridge solution of D theta = -r.
 
-    Evaluates the candidate regularization values in increasing order and
-    keeps the feasible design with the smallest ||D theta + r||^2 (ties go
-    to the smaller regularization).  All candidates of a grid come from one
-    SVD of the factor.  A caller-provided fully infeasible grid raises
-    :class:`InfeasibleError`; the default grid widens itself upward until a
-    feasible design appears (large regularization shrinks the design to
-    zero, which is always feasible).  The solution's ``iterations`` counts
-    the candidates tried.
+    Evaluates the regularization values of the link matrix's ridge grid
+    (:attr:`~irstealth.power_model.LinkMatrix.ridge_grid`) in increasing
+    order and keeps the feasible design with the smallest ||D theta + r||^2
+    (ties go to the smaller regularization).  All candidates come from one
+    SVD of the factor.  When none is feasible the grid widens upward, since
+    large regularization shrinks the design to zero, which is always
+    feasible.  The solution's ``iterations`` counts the candidates tried.
     """
-    lam_top = max(float(instance.link.svd[1][0]) ** 2, 1e-300)
-    auto = grid is None
-    if auto:
-        grid = np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or np.any(grid < 0):
-        raise ValueError("grid must be nonempty with nonnegative entries")
-
     beta = instance.beta_max
+    deltas = instance.link.ridge_grid
     tried = 0
     for _ in range(6):
-        deltas = np.sort(grid)
         tried += deltas.size
         thetas, residuals = _ridge_designs(instance, deltas)
         feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
@@ -552,9 +541,7 @@ def mmse_delta_search(instance: QcqpInstance, grid: np.ndarray | None = None
             best = int(np.argmin(np.where(feasible, residuals, np.inf)))
             return float(deltas[best]), ReflectionSolution(
                 thetas[:, best].copy(), float(residuals[best]), "mmse", tried)
-        if not auto:
-            raise InfeasibleError("no grid candidate satisfies the amplitude cap")
-        grid = np.geomspace(grid[-1] * 10.0, grid[-1] * 1e5, 16)
+        deltas = np.geomspace(deltas[-1] * 10.0, deltas[-1] * 1e5, 16)
     raise InfeasibleError("no feasible regularization found while widening")
 
 
@@ -601,7 +588,7 @@ def min_irs_elements(zeta_bar: float, n2: int, beta_max: float,
         raise ValueError(f"coating element count must be nonnegative, got {n2}")
     if realizations < 1:
         raise ValueError(f"need at least one realization, got {realizations}")
-    if beta_max <= 0:
-        raise ValueError(f"beta_max must be positive, got {beta_max}")
+    if not 0 < beta_max <= 1:
+        raise ValueError(f"beta_max must be in (0, 1], got {beta_max}")
     harmonic = sum(1.0 / i for i in range(1, realizations + 1))
     return math.ceil(math.sqrt((1.0 - zeta_bar) * n2 * harmonic / beta_max ** 2))

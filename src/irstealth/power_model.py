@@ -1,4 +1,4 @@
-"""Radar waveforms, beamforming gains, and the received-power objective.
+"""Radar waveforms, path and beamforming gains, and the received-power objective.
 
 The scenario couples K mono-static radars with one target whose surface
 stacks a tunable reflecting panel (amplitude-capped complex coefficients)
@@ -28,9 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import (AnglePair, ArrayGeometry, ArrayKind, cascaded_response,
-                     split_ts_response, upa_response)
-from .channel import path_gain
+from .arrays import (AnglePair, ArrayGeometry, ArrayKind, split_ts_response,
+                     upa_response)
 
 # Per-node (x-axis, y-axis, normal) triads in world coordinates.
 _TARGET_AXES = (np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0]),
@@ -69,20 +68,6 @@ class RadarNode:
 
 
 @dataclass(frozen=True, eq=False)
-class IrsPanel:
-    """Tunable reflection coefficients with a common amplitude cap."""
-
-    theta: np.ndarray
-    beta_max: float
-
-    def __post_init__(self):
-        if not 0 < self.beta_max <= 1:
-            raise ValueError(f"beta_max must be in (0, 1], got {self.beta_max}")
-        if np.max(np.abs(self.theta), initial=0.0) > self.beta_max + 1e-9:
-            raise ValueError("reflection amplitudes exceed beta_max")
-
-
-@dataclass(frozen=True, eq=False)
 class NirsPanel:
     """Fixed coating coefficients; |phi_n| = sqrt(1 - zeta_n) per element."""
 
@@ -102,12 +87,15 @@ class NirsPanel:
 
 @dataclass(frozen=True, eq=False)
 class Target:
-    """Target surface: tunable panel and coating side by side, plus sensing array."""
+    """Target surface: tunable panel and coating side by side, plus sensing array.
+
+    ``beta_max`` caps the reflection amplitude of every panel element.
+    """
 
     position: tuple[float, float, float]
     irs_geometry: ArrayGeometry
     nirs_geometry: ArrayGeometry
-    irs: IrsPanel
+    beta_max: float
     nirs: NirsPanel
     cssa_geometry: ArrayGeometry
     cssa_noise: float
@@ -117,8 +105,8 @@ class Target:
             raise ValueError("panel and coating must share the y-grid")
         if self.irs_geometry.spacing != self.nirs_geometry.spacing:
             raise ValueError("panel and coating must share the element spacing")
-        if np.asarray(self.irs.theta).size != self.irs_geometry.num_elements:
-            raise ValueError("theta length does not match the panel grid")
+        if not 0 < self.beta_max <= 1:
+            raise ValueError(f"beta_max must be in (0, 1], got {self.beta_max}")
         if np.asarray(self.nirs.phi).size != self.nirs_geometry.num_elements:
             raise ValueError("phi length does not match the coating grid")
         if self.cssa_geometry.kind is not ArrayKind.CSSA:
@@ -162,19 +150,6 @@ class Scenario:
         return len(self.radars)
 
 
-@dataclass(frozen=True, eq=False)
-class GainSet:
-    """Per-radar complex beamforming gains and per-pair coating reflection gains.
-
-    ``g_tx[k] == g_rx[k]`` by channel reciprocity; ``c_nirs[k, j]`` is the
-    fixed-coating reflection gain of the link radar j -> target -> radar k.
-    """
-
-    g_tx: np.ndarray
-    g_rx: np.ndarray
-    c_nirs: np.ndarray
-
-
 def angles_between(pos_from, pos_to, axes) -> AnglePair:
     """Azimuth/elevation of ``pos_to`` seen from an array at ``pos_from``.
 
@@ -196,24 +171,24 @@ def angles_at_target(scenario: Scenario, k: int) -> AnglePair:
     return _geometry(scenario).true_angles[k]
 
 
-def angles_at_radar(scenario: Scenario, k: int) -> AnglePair:
-    """Departure direction toward the target at radar k."""
-    return angles_between(scenario.radars[k].position, scenario.target.position,
-                          _RADAR_AXES)
-
-
-def radar_distance(scenario: Scenario, k: int) -> float:
-    return _distance(scenario.radars[k].position, scenario.target.position)
-
-
 def _distance(pos_a, pos_b) -> float:
     return float(np.linalg.norm(np.asarray(pos_a, dtype=float)
                                 - np.asarray(pos_b, dtype=float)))
 
 
-def target_side_responses(scenario: Scenario, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Panel and coating blocks of the whole-surface response toward radar k."""
-    return _geometry(scenario).surface(angles_at_target(scenario, k))
+def path_gain(distance: float, alpha: float, wavelength: float) -> complex:
+    """Free-space path gain sqrt(alpha)/distance * exp(-2j*pi*distance/wavelength).
+
+    ``alpha`` is the linear power gain at 1 m.
+    """
+    if distance <= 0:
+        raise ValueError(f"distance must be positive, got {distance}")
+    if alpha <= 0:
+        raise ValueError(f"reference gain must be positive, got {alpha}")
+    if wavelength <= 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    return complex(np.sqrt(alpha) / distance
+                   * np.exp(-2j * np.pi * distance / wavelength))
 
 
 def chirp_waveform(t, radar: RadarNode):
@@ -247,41 +222,12 @@ def _coating_gains(coating: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return (coating * phi) @ coating.T
 
 
-def beamforming_gains(scenario: Scenario) -> GainSet:
-    """Complex transmit/receive gains per radar and coating gains per radar pair."""
-    geometry = _geometry(scenario)
-    g = geometry.gains
-    c = _coating_gains(geometry.true_blocks[1], np.asarray(scenario.target.nirs.phi))
-    return GainSet(g_tx=g, g_rx=g.copy(), c_nirs=c)
+def beamforming_gains(scenario: Scenario) -> np.ndarray:
+    """Complex beamforming gain g_k of every radar toward the target, read-only.
 
-
-def cascaded_vectors(scenario: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """Cascaded responses u[k, j] (panel) and u_nirs[k, j] (coating) per link."""
-    k_r = scenario.num_radars
-    responses = [target_side_responses(scenario, k) for k in range(k_r)]
-    n1 = scenario.target.irs_geometry.num_elements
-    n2 = scenario.target.nirs_geometry.num_elements
-    u = np.zeros((k_r, k_r, n1), dtype=complex)
-    u_nirs = np.zeros((k_r, k_r, n2), dtype=complex)
-    for k in range(k_r):
-        for j in range(k_r):
-            u[k, j] = cascaded_response(responses[k][0], responses[j][0])
-            u_nirs[k, j] = cascaded_response(responses[k][1], responses[j][1])
-    return u, u_nirs
-
-
-def link_weights(scenario: Scenario, gains: GainSet | None = None) -> np.ndarray:
-    """Nonnegative weights P_j * |g_rx[k]|^2 * |g_tx[j]|^2 of every echo/cross link."""
-    if gains is None:
-        g_rx = g_tx = _geometry(scenario).gains
-    else:
-        g_rx, g_tx = gains.g_rx, gains.g_tx
-    return _link_weights(g_rx, g_tx, scenario.radars)
-
-
-def _link_weights(g_rx: np.ndarray, g_tx: np.ndarray, radars) -> np.ndarray:
-    powers = np.array([r.tx_power for r in radars])
-    return np.abs(g_rx[:, None]) ** 2 * (powers * np.abs(g_tx) ** 2)[None, :]
+    By reciprocity one gain serves both directions of a radar's link.
+    """
+    return _geometry(scenario).gains
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -296,7 +242,7 @@ class LinkMatrix:
 
     Factors that share one link matrix (the true factor of every trial drawn
     from one :class:`ScenarioGeometry`) share its thin SVD, its contiguous
-    adjoint and its row FFTs.  All of them are read-only.
+    adjoint, its row FFTs and its ridge grid.  All of them are read-only.
     """
 
     def __init__(self, d_mat):
@@ -322,6 +268,13 @@ class LinkMatrix:
     def fft(self) -> np.ndarray:
         """FFT of every row of D."""
         return _read_only(np.fft.fft(self.array, axis=1))
+
+    @cached_property
+    def ridge_grid(self) -> np.ndarray:
+        """Default ridge regularizations, ascending: 40 log-spaced multiples of
+        sigma_1^2 from 1e-12 to 1e4."""
+        lam_top = max(float(self.svd[1][0]) ** 2, 1e-300)
+        return _read_only(np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40))
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,8 +334,8 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
     inputs select one of three documented cases:
 
     * neither ``angles`` nor ``g2``: the true scenario, with weights
-      w_kj = P_j |g_rx_k|^2 |g_tx_j|^2, so the objective at any feasible
-      theta equals :func:`sum_power` in watts;
+      w_kj = P_j |g_k|^2 |g_j|^2 from the :func:`beamforming_gains` g, so
+      the objective at any feasible theta equals :func:`sum_power` in watts;
     * ``angles`` alone, one per radar in radar order: a steering error.  The
       panel rows follow the given (perturbed) angles, while the coating
       gains and link weights keep their true, offline-calibrated values;
@@ -421,7 +374,7 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
         amp = np.sqrt(g2[:, None] * g2[None, :]).reshape(-1)
         link = _link_matrix(amp, panel)
     return QcqpInstance(link, amp * _coating_gains(coating, phi).reshape(-1),
-                        scenario.target.irs.beta_max)
+                        scenario.target.beta_max)
 
 
 class ScenarioGeometry:
@@ -511,14 +464,15 @@ class ScenarioGeometry:
                             self.ref_gain, self.wavelength)
             a = upa_response(radar.geometry, angles_between(
                 radar.position, self.target.position, _RADAR_AXES), self.wavelength)
-            g[k] = rho.value * (a @ np.asarray(radar.beamformer))
+            g[k] = rho * (a @ np.asarray(radar.beamformer))
         return _read_only(g)
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
-        """True link amplitudes sqrt(w_kj), flattened in link-row order."""
-        return _read_only(np.sqrt(_link_weights(self.gains, self.gains,
-                                                self.radars)).reshape(-1))
+        """True link amplitudes sqrt(P_j |g_k|^2 |g_j|^2), flattened in link-row order."""
+        powers = np.array([r.tx_power for r in self.radars])
+        g2 = np.abs(self.gains) ** 2
+        return _read_only(np.sqrt(g2[:, None] * (powers * g2)[None, :]).reshape(-1))
 
     @cached_property
     def true_link(self) -> LinkMatrix:
@@ -536,26 +490,23 @@ def _geometry(scenario: Scenario) -> ScenarioGeometry:
 
 def _check_amplitudes(theta: np.ndarray, scenario: Scenario) -> np.ndarray:
     theta = np.asarray(theta)
-    if np.max(np.abs(theta), initial=0.0) > scenario.target.irs.beta_max + 1e-9:
+    if np.max(np.abs(theta), initial=0.0) > scenario.target.beta_max + 1e-9:
         raise ValueError("reflection amplitudes exceed beta_max")
     return theta
 
 
-def radar_power(k: int, theta: np.ndarray, scenario: Scenario) -> float:
-    """Received signal power at radar k over one PRI, in watts.
+def radar_powers(theta: np.ndarray, scenario: Scenario) -> np.ndarray:
+    """Received signal power of every radar over one PRI, in watts.
 
-    Sums P_j |g_rx_k|^2 |g_tx_j|^2 |u_kj^H theta + c_kj|^2 over the probing
-    radars j, i.e. the link-factor rows (k, 0..K-1); with a common transmit
-    power this is P times the per-radar stealth objective.
+    Entry k sums the squared link-factor residuals of rows (k, 0..K-1), the
+    echoes of every probing radar j at radar k; with a common transmit power
+    this is P times radar k's stealth objective.  The entries add up to
+    :func:`sum_power`.
     """
-    k_r = scenario.num_radars
-    if not 0 <= k < k_r:
-        raise ValueError(f"radar index {k} out of range for {k_r} radars")
-    theta = _check_amplitudes(theta, scenario)
     factor = link_factor(scenario)
-    rows = slice(k * k_r, (k + 1) * k_r)
-    residual = factor.d_mat[rows] @ theta + factor.r_vec[rows]
-    return float(np.real(np.vdot(residual, residual)))
+    residual = factor.d_mat @ _check_amplitudes(theta, scenario) + factor.r_vec
+    power = residual.real ** 2 + residual.imag ** 2
+    return power.reshape(scenario.num_radars, -1).sum(axis=1)
 
 
 def sum_power(theta: np.ndarray, scenario: Scenario) -> float:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
-from irstealth.power_model import QcqpInstance
+from irstealth.power_model import QcqpInstance, angles_between
+
+# (x-axis, y-axis, normal) of the target's and every radar's array in world
+# coordinates: the x-axes point down and up, the normals along world +y.
+TARGET_AXES = (np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0]),
+               np.array([0.0, 1.0, 0.0]))
+RADAR_AXES = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]),
+              np.array([0.0, 1.0, 0.0]))
 
 
 def unit_phases(rng, n):
@@ -54,6 +61,55 @@ def random_multi_instance(rng, n1x=4, ny=2, k=3, beta=1.0):
             rows.append(amp * responses[i] * responses[j])
             rhs.append(amp * gains[i, j])
     return QcqpInstance(np.array(rows), np.array(rhs), beta)
+
+
+def link_oracle(scenario):
+    """Link-by-link terms of the received-power objective (test oracle).
+
+    Built from the array responses toward each node, the free-space path
+    gain sqrt(alpha)/d * exp(-2j*pi*d/lambda) and the radars' beamformers
+    and transmit powers alone.  Returns the gains g[k] = rho_k (a_k . w_k),
+    the link weights w[k, j] = P_j |g[k]|^2 |g[j]|^2 and the cascaded panel
+    and coating responses u[k, j] = conj(a_k * a_j), u_nirs[k, j] =
+    conj(b_k * b_j) of the link radar j -> target -> radar k, where a and b
+    are the panel and coating parts of the surface response toward a radar.
+    """
+    target, lam = scenario.target, scenario.wavelength
+    n1 = target.irs_geometry.num_elements
+    gains, panel, coating = [], [], []
+    for radar in scenario.radars:
+        distance = np.linalg.norm(np.subtract(radar.position, target.position))
+        rho = (np.sqrt(scenario.ref_gain) / distance
+               * np.exp(-2j * np.pi * distance / lam))
+        a_radar = upa_response(radar.geometry, angles_between(
+            radar.position, target.position, RADAR_AXES), lam)
+        gains.append(rho * (a_radar @ radar.beamformer))
+        surface = upa_response(target.surface_geometry, angles_between(
+            target.position, radar.position, TARGET_AXES), lam)
+        panel.append(surface[:n1])
+        coating.append(surface[n1:])
+    k_r = scenario.num_radars
+    weights = np.empty((k_r, k_r))
+    u = np.empty((k_r, k_r, n1), dtype=complex)
+    u_nirs = np.empty((k_r, k_r, coating[0].size), dtype=complex)
+    for k in range(k_r):
+        for j in range(k_r):
+            weights[k, j] = (scenario.radars[j].tx_power
+                             * abs(gains[k]) ** 2 * abs(gains[j]) ** 2)
+            u[k, j] = np.conj(panel[k] * panel[j])
+            u_nirs[k, j] = np.conj(coating[k] * coating[j])
+    return np.array(gains), weights, u, u_nirs
+
+
+def oracle_radar_powers(scenario, theta):
+    """Received power of every radar, summed link by link over the probing
+    radars: sum_j w[k, j] |u[k, j]^H theta + u_nirs[k, j]^H phi|^2."""
+    _, weights, u, u_nirs = link_oracle(scenario)
+    phi = scenario.target.nirs.phi
+    k_r = scenario.num_radars
+    return np.array([sum(weights[k, j] * abs(np.vdot(u[k, j], theta)
+                                             + np.vdot(u_nirs[k, j], phi)) ** 2
+                         for j in range(k_r)) for k in range(k_r)])
 
 
 def polar_grid(beta, amp_step, phase_step):

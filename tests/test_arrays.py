@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irstealth.arrays import (AnglePair, ArrayGeometry, ArrayKind,
-                              cascaded_response, cssa_response,
+from irstealth.arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response,
                               split_ts_response, steer_1d, upa_response)
 
 WAVELENGTH = 0.05
@@ -183,32 +182,3 @@ class TestCssaResponse:
     def test_unit_modulus(self, angles):
         vec = cssa_response(self.GEOM, angles, WAVELENGTH)
         np.testing.assert_allclose(np.abs(vec), 1.0, atol=1e-12)
-
-
-class TestCascadedResponse:
-    def test_identity_factor(self):
-        rng = np.random.default_rng(0)
-        a = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-        np.testing.assert_allclose(cascaded_response(a, np.ones(6)), np.conj(a))
-
-    def test_all_ones(self):
-        np.testing.assert_array_equal(cascaded_response(np.ones(4), np.ones(4)),
-                                      np.ones(4))
-
-    def test_monostatic_doubles_phase(self):
-        geom = ArrayGeometry(ArrayKind.UPA, 4, 2, 0.0125)
-        a = upa_response(geom, AnglePair(0.5, 0.1), WAVELENGTH)
-        cascade = cascaded_response(a, a)
-        np.testing.assert_allclose(cascade, np.exp(-2j * np.angle(a)), atol=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            cascaded_response(np.ones(3), np.ones(4))
-
-    @given(angles_st, angles_st)
-    @settings(max_examples=50)
-    def test_unit_modulus_preserved(self, ang_a, ang_b):
-        geom = ArrayGeometry(ArrayKind.UPA, 3, 3, 0.0125)
-        cascade = cascaded_response(upa_response(geom, ang_a, WAVELENGTH),
-                                    upa_response(geom, ang_b, WAVELENGTH))
-        np.testing.assert_allclose(np.abs(cascade), 1.0, atol=1e-12)

@@ -1,10 +1,11 @@
+"""Free-space path gain of the line-of-sight radar-target channel."""
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
-from irstealth.channel import los_channel, path_gain
+from irstealth.power_model import path_gain
 
 WAVELENGTH = 0.05
 
@@ -12,15 +13,16 @@ WAVELENGTH = 0.05
 class TestPathGain:
     def test_reference_distance(self):
         gain = path_gain(1.0, 1e-3, WAVELENGTH)
-        assert abs(gain.value) == pytest.approx(0.03162277660168379, rel=1e-12)
+        assert isinstance(gain, complex)
+        assert abs(gain) == pytest.approx(0.03162277660168379, rel=1e-12)
 
     def test_hundred_meters(self):
         gain = path_gain(100.0, 1e-3, WAVELENGTH)
-        assert abs(gain.value) == pytest.approx(3.1622776601683794e-4, rel=1e-12)
+        assert abs(gain) == pytest.approx(3.1622776601683794e-4, rel=1e-12)
 
     def test_one_wavelength_phase_wraps(self):
         gain = path_gain(WAVELENGTH, 1e-3, WAVELENGTH)
-        assert np.angle(gain.value) == pytest.approx(0.0, abs=1e-12)
+        assert np.angle(gain) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("distance,alpha", [(0.0, 1e-3), (-1.0, 1e-3),
                                                 (1.0, 0.0)])
@@ -31,53 +33,7 @@ class TestPathGain:
     @given(st.floats(0.1, 1e5), st.floats(1e-6, 1.0))
     def test_magnitude_and_phase_invariants(self, distance, alpha):
         gain = path_gain(distance, alpha, WAVELENGTH)
-        assert abs(gain.value) == pytest.approx(np.sqrt(alpha) / distance, rel=1e-12)
+        assert abs(gain) == pytest.approx(np.sqrt(alpha) / distance, rel=1e-12)
         expected_phase = -2 * np.pi * distance / WAVELENGTH
-        assert np.angle(gain.value) == pytest.approx(
+        assert np.angle(gain) == pytest.approx(
             np.angle(np.exp(1j * expected_phase)), abs=1e-6)
-
-
-class TestLosChannel:
-    GAIN = path_gain(120.0, 1e-3, WAVELENGTH)
-
-    def test_shape(self):
-        mat = los_channel(np.ones(2), np.ones(3), self.GAIN).matrix
-        assert mat.shape == (2, 3)
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(1)
-        rx = np.exp(1j * rng.uniform(0, 2 * np.pi, 5))
-        tx = np.exp(1j * rng.uniform(0, 2 * np.pi, 7))
-        singulars = np.linalg.svd(los_channel(rx, tx, self.GAIN).matrix,
-                                  compute_uv=False)
-        assert singulars[1] <= 1e-10 * singulars[0]
-
-    def test_entry_magnitudes(self):
-        rng = np.random.default_rng(2)
-        rx = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        tx = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-        mat = los_channel(rx, tx, self.GAIN).matrix
-        np.testing.assert_allclose(np.abs(mat), abs(self.GAIN.value), rtol=1e-12)
-
-    def test_reciprocity_is_exact_transpose(self):
-        rng = np.random.default_rng(3)
-        rx = np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-        tx = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-        forward = los_channel(rx, tx, self.GAIN).matrix
-        reverse = los_channel(tx, rx, self.GAIN).matrix
-        np.testing.assert_array_equal(reverse, forward.T)
-
-    def test_surface_channel_stacks_block_channels(self):
-        geom = ArrayGeometry(ArrayKind.UPA, 6, 2, 0.0125)
-        radar_geom = ArrayGeometry(ArrayKind.UPA, 3, 3, 0.025)
-        angles = AnglePair(0.35, -0.1)
-        surface = upa_response(geom, angles, WAVELENGTH)
-        radar = upa_response(radar_geom, AnglePair(-0.2, 0.0), WAVELENGTH)
-        whole = los_channel(surface, radar, self.GAIN).matrix
-        head = los_channel(surface[:4], radar, self.GAIN).matrix
-        tail = los_channel(surface[4:], radar, self.GAIN).matrix
-        np.testing.assert_array_equal(np.vstack([head, tail]), whole)
-
-    def test_empty_response_rejected(self):
-        with pytest.raises(ValueError):
-            los_channel(np.ones(0), np.ones(3), self.GAIN)

@@ -22,6 +22,14 @@ class TestMinElements:
         assert proc.returncode == 1
         assert "error:" in proc.stderr
 
+    def test_rejects_amplitude_cap_outside_unit_interval(self):
+        for beta_max in ("inf", "2", "nan"):
+            proc = run_cli("min-elements", "--zeta-bar", "0.8", "--n2", "200",
+                           "--beta-max", beta_max)
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            assert "error: beta_max must be in (0, 1], got" in proc.stderr
+
 
 class TestSolve:
     def test_prints_design_and_objective(self, tmp_path):

@@ -7,24 +7,23 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (dense_terms, grid_search_min_1, grid_search_min_2,
-                      grid_search_min_2_literal, random_multi_instance,
-                      random_single_instance, single_link_instance, unit_phases)
+                      grid_search_min_2_literal, link_oracle, oracle_radar_powers,
+                      random_multi_instance, random_single_instance,
+                      single_link_instance, unit_phases)
 from irstealth.arrays import AnglePair
 from irstealth.config import (build_scenario, multi_radar_config, single_radar_config,
                               with_seed)
 from irstealth.estimation import estimate_parameters
 from irstealth.experiments import inject_aoa_error, trial_seeds
-from irstealth.optimizers import (ConvergenceError, InfeasibleError,
-                                  ReflectionSolution, dft_codebook_design,
-                                  dual_value, kkt_certificate,
+from irstealth.optimizers import (ConvergenceError, ReflectionSolution,
+                                  dft_codebook_design, dual_value, kkt_certificate,
                                   lagrange_semiclosed, min_irs_elements,
                                   mmse_delta_search, random_phase,
                                   reverse_alignment, single_link, solve_pgd,
                                   _barrier_newton, _codebook_objectives,
                                   _ridge_designs)
 from irstealth.power_model import (NirsPanel, QcqpInstance, angles_at_target,
-                                   beamforming_gains, cascaded_vectors,
-                                   link_factor, link_weights, sum_power)
+                                   link_factor, sum_power)
 
 
 def scalar_instance():
@@ -35,14 +34,7 @@ def scalar_instance():
 
 def link_sum_oracle(scenario, theta):
     """Sum over links of w_kj |u_kj^H theta + c_kj|^2, link by link."""
-    gains = beamforming_gains(scenario)
-    u, _ = cascaded_vectors(scenario)
-    w = link_weights(scenario, gains)
-    total = 0.0
-    for k in range(scenario.num_radars):
-        for j in range(scenario.num_radars):
-            total += w[k, j] * abs(np.vdot(u[k, j], theta) + gains.c_nirs[k, j]) ** 2
-    return total
+    return float(np.sum(oracle_radar_powers(scenario, theta)))
 
 
 class TestBuildInstance:
@@ -68,17 +60,9 @@ class TestBuildInstance:
 
     def test_constant_term_oracle(self, multi_scenario):
         # Recompute the constant by looping the links explicitly.
-        gains = beamforming_gains(multi_scenario)
-        _, nirs_vectors = cascaded_vectors(multi_scenario)
-        phi = multi_scenario.target.nirs.phi
-        expected = 0.0
-        for k in range(3):
-            for j in range(3):
-                c_kj = np.vdot(nirs_vectors[k, j], phi)
-                expected += multi_scenario.radars[j].tx_power \
-                    * abs(gains.g_rx[k]) ** 2 * abs(gains.g_tx[j]) ** 2 \
-                    * abs(c_kj) ** 2
         inst = link_factor(multi_scenario)
+        dark = np.zeros(inst.n_elements, dtype=complex)
+        expected = link_sum_oracle(multi_scenario, dark)
         assert dense_terms(inst)[2] == pytest.approx(expected, rel=1e-9)
 
     def test_objective_matches_sum_power(self, multi_scenario):
@@ -308,17 +292,13 @@ class TestReverseAlignment:
 class TestMmse:
     def test_min_norm_cancels_single_radar(self, single_scenario):
         theta = _ridge_designs(link_factor(single_scenario), [0.0])[0][:, 0]
-        gains = beamforming_gains(single_scenario)
-        u = cascaded_vectors(single_scenario)[0][0, 0]
-        assert abs(np.vdot(u, theta) + gains.c_nirs[0, 0]) <= 1e-10
+        _, _, u, u_nirs = link_oracle(single_scenario)
+        c = np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi)
+        assert abs(np.vdot(u[0, 0], theta) + c) <= 1e-10
 
     def test_heavy_regularization_goes_dark(self, multi_scenario):
         theta = _ridge_designs(link_factor(multi_scenario), [1e12])[0]
         assert np.max(np.abs(theta)) < 1e-9
-
-    def test_negative_regularization_rejected(self, multi_scenario):
-        with pytest.raises(ValueError):
-            mmse_delta_search(link_factor(multi_scenario), grid=np.array([-1.0]))
 
     def test_residual_monotone_in_regularization(self, multi_scenario):
         inst = link_factor(multi_scenario)
@@ -339,14 +319,6 @@ class TestMmse:
         # at the bottom of the feasible part of the default grid.
         gram_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
         assert delta <= 1e-11 * gram_top
-
-    def test_delta_search_reports_infeasible_grid(self):
-        config = multi_radar_config(n1x=2)
-        config = dataclasses.replace(
-            config, target=dataclasses.replace(config.target, beta_max=0.05))
-        scenario = build_scenario(config)
-        with pytest.raises(InfeasibleError):
-            mmse_delta_search(link_factor(scenario), grid=np.array([0.0]))
 
     def test_delta_search_widens_default_grid(self):
         config = multi_radar_config(n1x=2)
@@ -429,7 +401,13 @@ class TestMinIrsElements:
                                         dict(zeta_bar=0.5, n2=10, beta_max=0.0,
                                              realizations=1),
                                         dict(zeta_bar=0.5, n2=10, beta_max=1.0,
-                                             realizations=0)])
+                                             realizations=0),
+                                        dict(zeta_bar=0.5, n2=10, beta_max=1.5,
+                                             realizations=1),
+                                        dict(zeta_bar=0.5, n2=10, beta_max=np.inf,
+                                             realizations=1),
+                                        dict(zeta_bar=0.5, n2=10, beta_max=np.nan,
+                                             realizations=1)])
     def test_invalid_inputs(self, kwargs):
         with pytest.raises(ValueError):
             min_irs_elements(**kwargs)
@@ -439,7 +417,7 @@ class TestCoatingGainStatistics:
     def test_variance_and_distribution(self, single_scenario):
         # The coating gain across random phase draws behaves like a complex
         # Gaussian whose squared magnitude is exponential.
-        nirs_vector = cascaded_vectors(single_scenario)[1][0, 0]
+        nirs_vector = link_oracle(single_scenario)[3][0, 0]
         n2 = nirs_vector.size
         zeta = 0.8
         rng = np.random.default_rng(123)
@@ -523,10 +501,10 @@ class TestFactorOracles:
 
     def test_single_link_recovers_closed_form_inputs(self, single_scenario):
         u, c = single_link(link_factor(single_scenario))
-        gains = beamforming_gains(single_scenario)
-        np.testing.assert_allclose(u, cascaded_vectors(single_scenario)[0][0, 0],
-                                   rtol=1e-12)
-        assert c == pytest.approx(gains.c_nirs[0, 0], rel=1e-12)
+        _, _, u_oracle, u_nirs = link_oracle(single_scenario)
+        np.testing.assert_allclose(u, u_oracle[0, 0], rtol=1e-12)
+        assert c == pytest.approx(np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi),
+                                  rel=1e-12)
 
 
 def dense_barrier(inst, gap):
@@ -612,8 +590,8 @@ class TestNewtonFinish:
         # gradient alone exhausts its 100 000 iterations on this design.
         seed = int(trial_seeds(2, 1)[0])
         scenario = build_scenario(with_seed(multi_radar_config(), seed))
-        aoa, gains = estimate_parameters(scenario, n_snapshots=16, seed=seed + 0xA0A)
-        design = link_factor(scenario, aoa.angles, gains.g2_tx)
+        aoa, g2 = estimate_parameters(scenario, n_snapshots=16, seed=seed + 0xA0A)
+        design = link_factor(scenario, aoa.angles, g2)
         sol = solve_pgd(design)
         assert sol.termination == "newton"
         assert np.max(np.abs(sol.theta)) <= design.beta_max

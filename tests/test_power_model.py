@@ -5,23 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import RADAR_AXES, oracle_radar_powers
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
-from irstealth.channel import los_channel, path_gain
 from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
                               single_radar_config, with_seed)
 from irstealth.experiments import inject_aoa_error
 from irstealth.optimizers import dft_codebook_design, mmse_delta_search, solve_pgd
-from irstealth.power_model import (IrsPanel, NirsPanel, angles_at_radar,
-                                   angles_at_target, beamforming_gains,
-                                   chirp_waveform, link_factor, link_weights,
-                                   matched_beamformer, radar_distance,
-                                   radar_power, sum_power,
-                                   target_side_responses)
+from irstealth.power_model import (NirsPanel, angles_at_target, angles_between,
+                                   beamforming_gains, chirp_waveform, link_factor,
+                                   matched_beamformer, path_gain, radar_powers,
+                                   sum_power)
 
 
 @pytest.fixture(scope="module")
 def radar(single_scenario):
     return single_scenario.radars[0]
+
+
+def radar_distance(scenario, k):
+    return float(np.linalg.norm(np.subtract(scenario.radars[k].position,
+                                            scenario.target.position)))
 
 
 class TestChirpWaveform:
@@ -63,8 +66,7 @@ class TestMatchedBeamformer:
         rho = path_gain(radar_distance(single_scenario, 0),
                         single_scenario.ref_gain, single_scenario.wavelength)
         m = single_scenario.radars[0].geometry.num_elements
-        assert abs(gains.g_tx[0]) == pytest.approx(abs(rho.value) * np.sqrt(m),
-                                                   rel=1e-12)
+        assert abs(gains[0]) == pytest.approx(abs(rho) * np.sqrt(m), rel=1e-12)
 
     def test_mispointed_beam_loses_gain(self, single_scenario):
         radar = single_scenario.radars[0]
@@ -76,49 +78,56 @@ class TestMatchedBeamformer:
         rho = path_gain(radar_distance(scenario, 0), scenario.ref_gain,
                         scenario.wavelength)
         m = radar.geometry.num_elements
-        assert abs(gains.g_tx[0]) < 0.1 * abs(rho.value) * np.sqrt(m)
+        assert abs(gains[0]) < 0.1 * abs(rho) * np.sqrt(m)
 
 
 class TestBeamformingGains:
-    def test_reciprocity(self, multi_scenario):
-        gains = beamforming_gains(multi_scenario)
-        np.testing.assert_array_equal(gains.g_tx, gains.g_rx)
-
-    def test_full_absorption_kills_coating_gains(self, single_scenario):
-        target = single_scenario.target
-        n2 = target.nirs_geometry.num_elements
-        absorbing = NirsPanel(np.zeros(n2, dtype=complex), np.ones(n2))
-        scenario = dataclasses.replace(
-            single_scenario, target=dataclasses.replace(target, nirs=absorbing))
-        gains = beamforming_gains(scenario)
-        np.testing.assert_array_equal(gains.c_nirs, 0.0)
+    def test_reciprocity(self):
+        # Link (k, j) and link (j, k) cross the same two paths, so their
+        # factor rows and coating terms agree.
+        for num_radars, seed in ((3, 1), (5, 2), (5, 9)):
+            scenario = build_scenario(multi_radar_config(num_radars=num_radars,
+                                                         seed=seed))
+            factor = link_factor(scenario)
+            d_mat = factor.d_mat.reshape(num_radars, num_radars, -1)
+            r_vec = factor.r_vec.reshape(num_radars, num_radars)
+            assert np.max(np.abs(d_mat - d_mat.transpose(1, 0, 2))) \
+                <= 1e-12 * np.max(np.abs(d_mat))
+            assert np.max(np.abs(r_vec - r_vec.T)) <= 1e-12 * np.max(np.abs(r_vec))
 
 
 class TestRadarPower:
     def test_dark_panel_single_radar(self, single_scenario):
-        gains = beamforming_gains(single_scenario)
-        weight = link_weights(single_scenario, gains)[0, 0]
-        expected = weight * abs(gains.c_nirs[0, 0]) ** 2
         n1 = single_scenario.target.irs_geometry.num_elements
-        got = radar_power(0, np.zeros(n1, dtype=complex), single_scenario)
+        dark = np.zeros(n1, dtype=complex)
+        expected = oracle_radar_powers(single_scenario, dark)[0]
+        got = radar_powers(dark, single_scenario)[0]
         assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_matches_link_oracle(self, multi_scenario):
+        rng = np.random.default_rng(17)
+        theta = _random_feasible(rng, multi_scenario.target.irs_geometry.num_elements)
+        np.testing.assert_allclose(radar_powers(theta, multi_scenario),
+                                   oracle_radar_powers(multi_scenario, theta),
+                                   rtol=1e-9)
 
     def test_optimized_panel_cancels(self, single_scenario):
         solution = solve_pgd(link_factor(single_scenario))
-        baseline = radar_power(0, np.zeros_like(solution.theta), single_scenario)
-        assert radar_power(0, solution.theta, single_scenario) <= 1e-10 * baseline
+        baseline = radar_powers(np.zeros_like(solution.theta), single_scenario)[0]
+        assert radar_powers(solution.theta, single_scenario)[0] <= 1e-10 * baseline
 
     def test_matches_time_domain_signal(self, single_scenario):
-        # Independent route: compose the received echo from channel matrices
-        # and the pulse waveform, then average its power over one interval.
+        # Independent route: compose the received echo from rank-one
+        # line-of-sight channel matrices and the pulse waveform, then average
+        # its power over one interval.
         scn = single_scenario
         radar = scn.radars[0]
         rho = path_gain(radar_distance(scn, 0), scn.ref_gain, scn.wavelength)
-        a_radar = upa_response(radar.geometry, angles_at_radar(scn, 0),
-                               scn.wavelength)
+        a_radar = upa_response(radar.geometry, angles_between(
+            radar.position, scn.target.position, RADAR_AXES), scn.wavelength)
         a_surface = upa_response(scn.target.surface_geometry,
                                  angles_at_target(scn, 0), scn.wavelength)
-        inbound = los_channel(a_surface, a_radar, rho).matrix
+        inbound = rho * np.outer(a_surface, a_radar)
         outbound = inbound.T
         rng = np.random.default_rng(7)
         n1 = scn.target.irs_geometry.num_elements
@@ -130,12 +139,13 @@ class TestRadarPower:
         t = radar.pulse_epoch + (np.arange(n) + 0.5) * radar.pri / n
         y = gain_chain * chirp_waveform(t, radar)
         assert np.mean(np.abs(y) ** 2) == pytest.approx(
-            radar_power(0, theta, scn), rel=1e-9)
+            radar_powers(theta, scn)[0], rel=1e-9)
 
-    def test_amplitude_cap_enforced(self, single_scenario):
-        n1 = single_scenario.target.irs_geometry.num_elements
+    def test_amplitude_cap_enforced(self, multi_scenario):
+        n1 = multi_scenario.target.irs_geometry.num_elements
+        radar_powers(np.ones(n1, dtype=complex), multi_scenario)
         with pytest.raises(ValueError):
-            radar_power(0, 1.5 * np.ones(n1, dtype=complex), single_scenario)
+            radar_powers(1.5 * np.ones(n1, dtype=complex), multi_scenario)
 
 
 class TestSumPower:
@@ -143,14 +153,14 @@ class TestSumPower:
         n1 = single_scenario.target.irs_geometry.num_elements
         theta = 0.3 * np.ones(n1, dtype=complex)
         assert sum_power(theta, single_scenario) == pytest.approx(
-            radar_power(0, theta, single_scenario), rel=1e-12)
+            radar_powers(theta, single_scenario)[0], rel=1e-12)
 
     def test_sum_dominates_subsets(self, multi_scenario):
         n1 = multi_scenario.target.irs_geometry.num_elements
         theta = np.zeros(n1, dtype=complex)
         total = sum_power(theta, multi_scenario)
-        parts = [radar_power(k, theta, multi_scenario)
-                 for k in range(multi_scenario.num_radars)]
+        parts = radar_powers(theta, multi_scenario)
+        assert parts.shape == (multi_scenario.num_radars,)
         assert total == pytest.approx(sum(parts), rel=1e-12)
         for k in range(3):
             assert total >= parts[k] + parts[(k + 1) % 3]
@@ -161,17 +171,24 @@ class TestSumPower:
         rng = np.random.default_rng(11)
         n1 = scn.target.irs_geometry.num_elements
         theta = 0.9 * np.exp(1j * rng.uniform(0, 2 * np.pi, n1))
-        gains = beamforming_gains(scn)
-        expected = 0.0
-        for k in range(scn.num_radars):
-            for j in range(scn.num_radars):
-                a_k = target_side_responses(scn, k)
-                a_j = target_side_responses(scn, j)
-                reflect = np.conj(a_k[0] * a_j[0]) @ np.conj(theta) \
-                    + np.conj(a_k[1] * a_j[1]) @ np.conj(scn.target.nirs.phi)
-                expected += scn.radars[j].tx_power * abs(gains.g_rx[k]) ** 2 \
-                    * abs(gains.g_tx[j]) ** 2 * abs(reflect) ** 2
+        expected = float(np.sum(oracle_radar_powers(scn, theta)))
         assert sum_power(theta, scn) == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("num_radars", [3, 5])
+    def test_radar_permutation(self, num_radars):
+        # Reversing the radars of a config reverses the per-radar powers and
+        # leaves their sum: the coating phases are drawn before the radars'
+        # clock jitter, so both orders see the same coating.
+        config = multi_radar_config(num_radars=num_radars, seed=4)
+        scenario = build_scenario(config)
+        reverse = build_scenario(dataclasses.replace(config,
+                                                     radars=config.radars[::-1]))
+        rng = np.random.default_rng(19)
+        theta = _random_feasible(rng, scenario.target.irs_geometry.num_elements)
+        assert sum_power(theta, reverse) == pytest.approx(sum_power(theta, scenario),
+                                                          rel=1e-12)
+        np.testing.assert_allclose(radar_powers(theta, reverse),
+                                   radar_powers(theta, scenario)[::-1], rtol=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=20, deadline=None)
@@ -210,9 +227,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             dataclasses.replace(radar, pulse=radar.pri)
 
-    def test_panel_amplitude_cap(self):
-        with pytest.raises(ValueError):
-            IrsPanel(np.array([1.2 + 0j]), 1.0)
+    def test_panel_amplitude_cap(self, single_scenario):
+        for beta_max in (0.0, -0.5, 1.2, np.inf, np.nan):
+            with pytest.raises(ValueError, match="beta_max must be in"):
+                dataclasses.replace(single_scenario.target, beta_max=beta_max)
 
     def test_coating_magnitude_consistency(self):
         with pytest.raises(ValueError):
@@ -222,7 +240,8 @@ class TestValidation:
         # Both ends share the world +y array normal and opposed x-axes, so
         # the departure angles mirror the arrival angles.
         aoa = angles_at_target(multi_scenario, 1)
-        aod = angles_at_radar(multi_scenario, 1)
+        aod = angles_between(multi_scenario.radars[1].position,
+                             multi_scenario.target.position, RADAR_AXES)
         assert aod.azimuth == pytest.approx(-aoa.azimuth, abs=1e-12)
         assert aod.elevation == pytest.approx(-aoa.elevation, abs=1e-12)
 
