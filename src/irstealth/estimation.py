@@ -10,10 +10,10 @@ invariant to a uniform gain rescaling.
 Elevation is searched over [0, pi/2) only: a planar array cannot tell the
 sign of the elevation, so the nonnegative representative is reported.  The
 coarse scan reuses one cached steering grid per array, wavelength and step
-and projects it in one matrix product; each peak is then refined to the
-argmax of a 100-times finer lattice, found by branch and bound on a bound
-of how fast the spectrum can change.  The gain scaling assumes
-one transmit power, interval and pulse for all radars, which
+and projects it onto the signal subspace in one matrix product; each peak
+is then refined to the argmax of a 100-times finer lattice, found by branch
+and bound on a bound of how fast the spectrum can change.  The gain scaling
+assumes one transmit power, interval and pulse for all radars, which
 :func:`estimate_parameters` enforces.
 """
 
@@ -141,11 +141,14 @@ def _coarse_grid(geometry: ArrayGeometry, wavelength: float, grid_step: float):
     return azimuths, elevations, steering
 
 
-def _noise_subspace(snapshots: SnapshotSet, k_sources: int) -> np.ndarray:
+def _subspaces(snapshots: SnapshotSet, k_sources: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signal and noise bases E_s, E_n: the sample covariance's eigenvectors of
+    the ``k_sources`` largest and of the remaining eigenvalues."""
     z = snapshots.samples
     cov = z @ z.conj().T / z.shape[1]
     _, vectors = np.linalg.eigh(cov)
-    return vectors[:, : z.shape[0] - k_sources]
+    split = z.shape[0] - k_sources
+    return vectors[:, split:], vectors[:, :split]
 
 
 def _spectrum(noise_basis: np.ndarray, steering: np.ndarray) -> np.ndarray:
@@ -186,11 +189,12 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
     The sample covariance is eigen-decomposed, the noise subspace spans the
     smallest eigenvectors, and the pseudo-spectrum is scanned on a coarse
     angle grid of the given step (its steering vectors are cached per
-    array, wavelength and step; the scan is one matrix product).  Peaks
-    closer than two grid steps merge into the larger one.  Each kept peak
-    is refined to the argmax of a local lattice one hundred times finer
-    (found by branch and bound, :func:`_refine_peak`), polished by quadratic
-    interpolation and snapped back to that lattice.
+    array, wavelength and step; the scan is one matrix product with the K
+    signal eigenvectors).  Peaks closer than two grid steps merge into the
+    larger one.  Each kept peak is refined to the argmax of a local lattice
+    one hundred times finer (found by branch and bound,
+    :func:`_refine_peak`), polished by quadratic interpolation and snapped
+    back to that lattice.
     """
     n_elem = snapshots.geometry.num_elements
     if k_sources >= n_elem:
@@ -204,8 +208,14 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
 
     azimuths, elevations, steering = _coarse_grid(snapshots.geometry,
                                                   snapshots.wavelength, grid_step)
-    noise_basis = _noise_subspace(snapshots, k_sources)
-    spectrum = _spectrum(noise_basis, steering).reshape(azimuths.size, elevations.size)
+    signal_basis, noise_basis = _subspaces(snapshots, k_sources)
+    # Steering entries have unit modulus, so ||E_n^H a||^2 = L - ||E_s^H a||^2:
+    # K projections per angle instead of L - K.  The difference is kept
+    # positive, so an exact null stays the largest value.
+    projections = signal_basis.conj().T @ steering
+    noise = steering.shape[0] - np.sum(projections.real ** 2 + projections.imag ** 2, axis=0)
+    spectrum = (1.0 / np.maximum(noise, np.finfo(float).tiny)).reshape(azimuths.size,
+                                                                      elevations.size)
 
     kept: list[tuple[int, int]] = []
     for ij in _local_peaks(spectrum):

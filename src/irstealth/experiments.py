@@ -102,7 +102,7 @@ def solver_powers(scenario, trial_seed: int, design=None) -> dict[str, float]:
 
 @contextmanager
 def _trial_point(value, trial: int, seed: int):
-    """Name the (sweep, trial, seed) point of a solve that ran out of iterations."""
+    """Name the (sweep, trial, seed) point of a solve that ran out of steps."""
     try:
         yield
     except ConvergenceError as exc:

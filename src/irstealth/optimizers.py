@@ -6,19 +6,19 @@ link factor (D, r) (:class:`~irstealth.power_model.QcqpInstance`, built by
 :func:`~irstealth.power_model.link_factor`): one row per radar link, K^2
 rows for K radars.  The expanded form theta^H U theta + 2 Re(v^H theta) + c
 has U = D^H D, v = D^H r and c = ||r||^2, but no design forms the N1 x N1
-matrix U.  One thin SVD of D (O(K^4 N1)) gives the exact step-size bound
-lambda_max(U) = sigma_1^2, the minimum-norm stationary point and every ridge
-candidate; each projected-gradient iteration or ridge candidate then costs
-O(K^2 N1), a duality-gap check O(K^4 N1 + K^6), and the codebook one N1-point
-FFT per link row, instead of the O(N1^3) of the expanded form.  The SVD,
-the adjoint and the FFTs are computed once per
+matrix U.  One thin SVD of D (O(K^4 N1)) gives lambda_max(U) = sigma_1^2,
+the minimum-norm stationary point and every ridge candidate; each ridge
+candidate then costs O(K^2 N1), each Newton step of the certified solve
+O(K^4 N1) (a 2 K^2 real system, one unknown per link-row multiplier), and
+the codebook one N1-point FFT per link row, instead of the O(N1^3) of the
+expanded form.  The SVD, the adjoint and the FFTs are computed once per
 :class:`~irstealth.power_model.LinkMatrix`, so every design on one factor,
 and every trial's true factor at one sweep point, shares them.
 Five designs are provided:
 
-* accelerated projected gradient (global optimum of the QCQP), with a
-  log-barrier Newton finish for solves that cannot certify within their
-  iteration budget (O(K^4 N1) per Newton step, still no N1 x N1 array),
+* the certified global optimum of the QCQP (``pgd``): the minimum-norm
+  point when it is feasible, otherwise a semismooth Newton ascent on the
+  dual of the regularized problem, stopped by a duality-gap certificate,
 * the semi-closed multiplier form theta = -(U + diag(lam))^{-1} v with a
   KKT certificate and dual value for optimality checking,
 * reverse alignment, a closed form for the single-radar case,
@@ -41,7 +41,7 @@ from .power_model import QcqpInstance
 
 
 class ConvergenceError(RuntimeError):
-    """Iteration budget exhausted; ``best`` holds the best iterate found."""
+    """Newton-step allowance exhausted; ``best`` holds the last iterate."""
 
     def __init__(self, message, best):
         super().__init__(message)
@@ -60,17 +60,20 @@ class ReflectionSolution:
     objective: float
     solver: str
     iterations: int = 0
-    kkt_residual: float | None = None
     termination: str | None = None
 
 
 def _project(theta: np.ndarray, beta: float) -> np.ndarray:
+    """Radial projection onto |theta_n| <= beta that never lands outside."""
     mag = np.abs(theta)
     over = mag > beta
     if not np.any(over):
         return theta
     out = theta.copy()
     out[over] *= beta / mag[over]
+    # Rounding can leave a rescaled element an ulp outside the cap.
+    while np.any(over := np.abs(out) > beta):
+        out[over] *= 1.0 - 2.0 ** -52
     return out
 
 
@@ -98,46 +101,29 @@ def _ridge_designs(instance: QcqpInstance, deltas) -> tuple[np.ndarray, np.ndarr
     return -(qh.conj().T @ (gain * coords[:, None])), residuals
 
 
-# Stalled-solve hand-off: the first gap check that may hand over, how far
-# the barrier parameter grows per centering, and the Newton-step allowance.
-_HANDOFF_FROM = 1024
-_BARRIER_GROWTH = 10.0
-_NEWTON_STEPS = 300
+_NEWTON_STEPS = 300  # Newton-step allowance of a ``pgd`` solve
 
 
-def solve_pgd(instance: QcqpInstance, tol: float = 1e-10,
-              max_iter: int = 100_000) -> ReflectionSolution:
-    """Globally solve the amplitude-constrained QCQP by projected gradient.
+def solve_pgd(instance: QcqpInstance, tol: float = 1e-10) -> ReflectionSolution:
+    """Globally solve the amplitude-constrained QCQP with a certificate.
 
-    Runs Nesterov-accelerated projected gradient with restart on objective
-    increase, step 1/lambda_max (exact, from the factor's top singular
-    value) and per-element amplitude clamping, and stops once the
-    projected-gradient norm falls below ``tol`` relative to the gradient
-    scale (or once the recovered duality gap certifies the same relative
-    accuracy); by convexity the returned point is the global optimum within
-    tolerance.  When the minimum-norm stationary point is already feasible
-    it is returned directly.  Each iteration tracks the link residual
-    D theta + r, so objectives carry no expanded-form cancellation, and
-    costs two products with D.
-
-    Every 128 iterations the duality gap is checked.  From iteration 1024
-    on, log(gap / threshold) is extrapolated linearly from the first check;
-    if the projected certifying iteration lies beyond ``max_iter``, the
-    solve is handed once to a log-barrier Newton finish
-    (:func:`_barrier_newton`).  Its design is taken only if it passes the
-    same duality-gap test and if, measured against its certified lower
-    bound, the objective of projected gradient itself still projects past
-    the budget: the recovered multipliers can hold the gap on a plateau
-    while the objective converges, and on a flat set of optima the barrier
-    lands on a different point than projected gradient would.  Otherwise
-    projected gradient resumes with its budget unchanged, certifying
-    against the better of its own dual value and the Newton bound, and
-    falls back to the Newton design only if the budget runs out.
-    ``termination`` records the exit taken (``min-norm``, ``gradient``,
-    ``gap`` or ``newton``) and ``iterations`` counts projected-gradient
-    iterations plus Newton steps.  Raises :class:`ConvergenceError`
-    carrying the best iterate if the iteration budget runs out without a
-    certified design.
+    When the minimum-norm stationary point is feasible it is returned
+    (``termination`` ``min-norm``).  Otherwise semismooth Newton steps
+    (:func:`_dual_newton_step`) ascend the dual of the regularized problem
+    min ||D theta + r||^2 + eps ||theta||^2 over |theta_n| <= beta, with one
+    complex multiplier mu per link row and the primal point
+    theta(mu) = -clip_beta(w / 2 eps), w = D^H mu.  The regularization eps
+    starts at lambda_max(U) and shrinks 100-fold, down to
+    2.5e-3 tol s / (N1 beta^2) with s the objective scale, whenever the
+    regularized problem's own duality gap falls below 0.1 eps N1 beta^2;
+    along this path a flat set of optima resolves toward its minimum-norm
+    point.  At each such point the elements inside the cap are solved again
+    exactly (:func:`_polish`), and the solve stops (``newton``) once the
+    objective f is within tol (f + 1e-2 s) of a certified lower bound: the
+    split dual Re(mu^H r) - |mu|^2 / 4 - beta sum |w_n| or the Frank-Wolfe
+    bound f - 2 sum(beta |g_n| + Re(conj(g_n) theta_n)), g = D^H (D theta + r).
+    ``iterations`` counts Newton steps.  Raises :class:`ConvergenceError`
+    carrying the last iterate if the step allowance runs out.
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -166,211 +152,117 @@ def solve_pgd(instance: QcqpInstance, tol: float = 1e-10,
         return ReflectionSolution(theta_u, instance.objective(theta_u), "pgd", 0,
                                   termination="min-norm")
 
-    step = 1.0 / lam_max
-    theta = np.zeros(n, dtype=complex)
-    grad = v_vec
-    # The gradient is affine in theta, so the momentum point's gradient is
-    # the same combination of the last two iterates' gradients.
-    moment, grad_moment = theta, grad
-    t_acc = 1.0
-    f_cur = f_zero
-    best_theta, best_f = theta, f_cur
-    first_check = None  # (iteration, objective, threshold, gap level)
-    newton = None  # (design, dual lower bound) once the finish has certified
-    newton_steps = -1  # -1 until the Newton finish has been tried
-    for it in range(1, max_iter + 1):
-        candidate = _project(moment - step * grad_moment, beta)
-        residual = d_mat @ candidate + r_vec
-        f_new = float(np.real(np.vdot(residual, residual)))
-        if f_new > f_cur:
-            # Momentum overshoot: restart from the last monotone iterate.
-            t_acc = 1.0
-            candidate = _project(theta - step * grad, beta)
-            residual = d_mat @ candidate + r_vec
-            f_new = float(np.real(np.vdot(residual, residual)))
-        grad_cand = d_adj @ residual
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_acc * t_acc))
-        mix = (t_acc - 1.0) / t_next
-        moment = candidate + mix * (candidate - theta)
-        grad_moment = grad_cand + mix * (grad_cand - grad)
-        theta, grad, f_cur, t_acc = candidate, grad_cand, f_new, t_next
-        if f_cur < best_f:
-            best_theta, best_f = theta, f_cur
-        spent = it + max(newton_steps, 0)
-        pg = (theta - _project(theta - step * grad, beta)) / step
-        if np.linalg.norm(pg) <= tol * grad_scale:
-            return ReflectionSolution(theta, f_cur, "pgd", spent,
-                                      termination="gradient")
-        if it % 128 == 0:
-            # Duality-gap certificate: cheap safety net for boundary optima
-            # on which the gradient criterion converges slowly.
-            lower = dual_value(instance, _multipliers_from(grad, theta, beta))
-            if newton is not None:
-                lower = max(lower, newton[1])
-            threshold = tol * (abs(f_cur) + 1e-2 * obj_scale)
-            if f_cur - lower <= threshold:
-                return ReflectionSolution(theta, f_cur, "pgd", spent,
-                                          termination="gap")
-            level = math.log((f_cur - lower) / threshold)
-            if first_check is None:
-                first_check = (it, f_cur, threshold, level)
-            elif (newton_steps < 0 and it >= _HANDOFF_FROM
-                  and _stalls(first_check[0], first_check[3], it, level, max_iter)):
-                finish, bound, newton_steps = _barrier_newton(instance, theta,
-                                                              obj_scale, tol)
-                if finish is None:
-                    continue
-                spent = it + newton_steps
-                if f_cur - bound <= threshold:
-                    return ReflectionSolution(theta, f_cur, "pgd", spent,
-                                              termination="gap")
-                # The recovered multipliers can hold the gap on a plateau
-                # while the objective still converges; against the
-                # certified bound the objective's own progress decides.
-                it0, f0, threshold0, _ = first_check
-                if _stalls(it0, math.log((f0 - bound) / threshold0), it,
-                           math.log((f_cur - bound) / threshold), max_iter):
-                    return ReflectionSolution(finish, instance.objective(finish), "pgd",
-                                              spent, termination="newton")
-                newton = (finish, bound)
-    if newton is not None:
-        return ReflectionSolution(newton[0], instance.objective(newton[0]), "pgd",
-                                  max_iter + newton_steps, termination="newton")
-    best = ReflectionSolution(best_theta, best_f, "pgd",
-                              max_iter + max(newton_steps, 0))
-    raise ConvergenceError(f"no convergence within {max_iter} iterations", best)
-
-
-def _stalls(it0: int, level0: float, it: int, level: float, max_iter: int) -> bool:
-    """Whether a log(gap / threshold) going from ``level0`` at iteration
-    ``it0`` to ``level`` at ``it``, extrapolated linearly, reaches zero only
-    after ``max_iter``."""
-    slope = (level - level0) / (it - it0)
-    return slope >= 0 or it - level / slope > max_iter
-
-
-def _barrier_newton(instance: QcqpInstance, theta: np.ndarray, obj_scale: float,
-                    tol: float) -> tuple[np.ndarray | None, float, int]:
-    """Log-barrier Newton finish of the QCQP from a projected-gradient iterate.
-
-    In the scaled variable z = theta / beta it minimizes
-    t ||G z + r'||^2 - sum log(1 - |z_n|^2), with G = beta D / sqrt(s),
-    r' = r / sqrt(s) and s = ``obj_scale``, over the real 2 N1-dimensional
-    form, centering by Newton steps with a backtracking line search and
-    growing t tenfold per centering (Boyd & Vandenberghe, Convex
-    Optimization, 11.3).  The barrier Hessian is block diagonal with one
-    2 x 2 block per element, inverted in closed form, and the Newton system
-    is solved by the Woodbury identity in 2 K^2 real dimensions through one
-    SVD of the whitened link matrix J = sqrt(t) A B^(-1/2) (A is the real
-    form of G, B the barrier Hessian): O(K^4 N1) per step and no N1 x N1
-    array.  After each centering the barrier multipliers
-    lambda_n = s / (t (beta^2 - |theta_n|^2)) are checked with
-    :func:`dual_value` under the projected-gradient gap test, with those
-    below 1e-6 of the largest set to zero.  Returns the
-    certified design and its dual lower bound on the optimum, or
-    (None, -inf) when no certificate was reached within the step allowance,
-    together with the Newton steps taken.
-    """
-    beta = instance.beta_max
-    g_mat = instance.d_mat * (beta / math.sqrt(obj_scale))
-    r_hat = instance.r_vec / math.sqrt(obj_scale)
-    # Strictly feasible start: pull saturated elements slightly inside.
-    z = _project(theta / beta, 1.0 - 1e-3)
-    slack = 1.0 - np.abs(z) ** 2
-    grad_f = g_mat.conj().T @ (g_mat @ z + r_hat)
-    # Barrier weight that best balances the two gradients at the start.
-    fit = -float(np.real(np.vdot(grad_f, z / slack))) / max(
-        float(np.real(np.vdot(grad_f, grad_f))), 1e-300)
-    t = max(fit, 1.0)
+    box = n * beta ** 2
+    eps_min = 2.5e-3 * tol * obj_scale / box
+    eps = max(lam_max, eps_min)
+    mu = np.zeros(d_mat.shape[0], dtype=complex)
+    w = np.zeros(n, dtype=complex)
     steps = 0
-    with np.errstate(divide="raise", over="raise", invalid="raise"):
-        try:
-            while steps < _NEWTON_STEPS:
-                while steps < _NEWTON_STEPS:
-                    steps += 1
-                    res = g_mat @ z + r_hat
-                    delta, decrement = _newton_step(g_mat, res, z, slack, t)
-                    if decrement <= 2e-9:
-                        break
-                    alpha, shrink = _line_search(g_mat, res, z, slack, delta,
-                                                 decrement, t)
-                    if alpha == 0.0:
-                        break
-                    z = z + alpha * delta
-                    # Updated from the step, the slack keeps its relative
-                    # accuracy where 1 - |z|^2 would cancel.
-                    slack = slack * (1.0 - shrink)
-                theta = _project(beta * z, beta)
-                f_val = instance.objective(theta)
-                lam = obj_scale / (t * beta ** 2 * slack)
-                # Multipliers far below the largest (elements well inside
-                # the cap) are dropped: any nonnegative vector gives a valid
-                # dual value, each drop costs at most its share s / t of the
-                # barrier gap, and the whitening in dual_value loses about
-                # sqrt(max / min) of relative accuracy across multipliers.
-                lam[lam < 1e-6 * lam.max()] = 0.0
-                lower = dual_value(instance, lam)
-                if f_val - lower <= tol * (abs(f_val) + 1e-2 * obj_scale):
-                    return theta, lower, steps
-                t *= _BARRIER_GROWTH
-        except (FloatingPointError, np.linalg.LinAlgError):
-            pass
-    return None, -math.inf, steps
+    while True:
+        z = w / (-2.0 * eps)
+        theta = _project(z, beta)
+        residual = d_mat @ theta + r_vec
+        f_val = float(np.real(np.vdot(residual, residual)))
+        base = float(np.real(np.vdot(mu, r_vec))) - 0.25 * float(np.real(np.vdot(mu, mu)))
+        lower = base - beta * float(np.sum(np.abs(w)))
+        certified = f_val - lower <= tol * (f_val + 1e-2 * obj_scale)
+        gap = (f_val + eps * float(np.real(np.vdot(theta, theta)))
+               - base - _dual_penalty(z, eps, beta))
+        if certified or gap <= 0.1 * eps * box:
+            polished = _polish(d_mat, r_vec, theta, np.abs(z) > beta, beta)
+            res_pol = d_mat @ polished + r_vec
+            f_pol = float(np.real(np.vdot(res_pol, res_pol)))
+            grad = d_adj @ res_pol
+            frank_wolfe = f_pol - 2.0 * float(np.sum(beta * np.abs(grad)
+                                                     + np.real(np.conj(grad) * polished)))
+            if f_pol - max(lower, frank_wolfe) <= tol * (f_pol + 1e-2 * obj_scale):
+                return ReflectionSolution(polished, f_pol, "pgd", steps,
+                                          termination="newton")
+            if certified:
+                return ReflectionSolution(theta, f_val, "pgd", steps, termination="newton")
+            if eps > eps_min:
+                eps = max(eps / 100.0, eps_min)
+                continue
+        if steps == _NEWTON_STEPS:
+            raise ConvergenceError(f"no certificate within {steps} Newton steps",
+                                   ReflectionSolution(theta, f_val, "pgd", steps))
+        steps += 1
+        mu, w = _dual_newton_step(instance, mu, w, z, residual, eps)
 
 
-def _newton_step(g_mat, res, z, slack, t) -> tuple[np.ndarray, float]:
-    """Newton direction and squared decrement of t ||G z + r'||^2 - sum log(slack).
-
-    Per element the halved barrier Hessian B is I/c + 2 x x^T / c^2 in the
-    real pair x = (Re z_n, Im z_n), c = 1 - |x|^2 (the slack): in the frame
-    of z_n / |z_n| and its normal it is diagonal, so B^(-1/2) scales the
-    radial coordinate by c / sqrt(1 + |x|^2) and the tangential one by
-    sqrt(c).  With A the real form of G and J = sqrt(t) A B^(-1/2)
-    (2 K^2 real rows), the Newton system (B + t A^T A) delta = -grad becomes
-    (I + J^T J) y = -B^(-1/2) grad, delta = B^(-1/2) y.  One thin SVD
-    J = P S V^T solves it as y = -(g - V V^T g) - V (V^T g / (1 + S^2)),
-    whose rounding is relative to the whitened gradient g itself, not to
-    the barrier terms that cancel in it.
-    """
-    n = z.size
+def _dual_penalty(z: np.ndarray, eps: float, beta: float) -> float:
+    """Sum over elements of min_{|t| <= beta} eps |t - z|^2 - eps |z|^2, the
+    element terms of the regularized dual at the unclipped point z = -w / 2 eps."""
     mag = np.abs(z)
-    unit = np.where(mag > 0, z / np.where(mag > 0, mag, 1.0), 1.0)
-    radial = slack / np.sqrt(1.0 + mag ** 2)
-    tangential = np.sqrt(slack)
-    whitened = math.sqrt(t) * np.concatenate(
-        [g_mat * (unit * radial), g_mat * (1j * unit * tangential)], axis=1)
-    _, sig, vh = np.linalg.svd(np.concatenate([whitened.real, whitened.imag]),
-                               full_matrices=False)
-    grad = np.conj(unit) * (t * (g_mat.conj().T @ res) + z / slack)
-    g_hat = np.concatenate([radial * grad.real, tangential * grad.imag])
-    coef = vh @ g_hat
-    y = -(g_hat - vh.T @ coef) - vh.T @ (coef / (1.0 + sig ** 2))
-    delta = unit * (radial * y[:n] + 1j * (tangential * y[n:]))
-    return delta, -2.0 * float(g_hat @ y)
+    return eps * float(np.sum(np.where(mag > beta, beta * (beta - 2.0 * mag), -mag ** 2)))
 
 
-def _line_search(g_mat, res, z, slack, delta, decrement, t) -> tuple[float, np.ndarray]:
-    """Backtracking step length with sufficient decrease, or 0 if none is found,
-    with the relative slack loss of each element.
+def _dual_newton_step(instance: QcqpInstance, mu, w, z, residual,
+                      eps) -> tuple[np.ndarray, np.ndarray]:
+    """One damped semismooth Newton ascent step on the regularized dual.
 
-    The barrier objective's change is evaluated from the step itself (the
-    residual and slack increments), so it carries no cancellation against
-    the objective's size.
+    The dual gradient is D theta + r - mu / 2 and the negated dual Hessian
+    I / 2 + D J D^H, where J is I / 2 eps on elements inside the cap and
+    beta / |w_n| times the tangential projector on saturated ones: a
+    2 K^2 x 2 K^2 real system, never singular whatever the rank of D, built
+    in O(K^4 N1).  The step backtracks on the dual value (Armijo).  Returns
+    the new multipliers and w = D^H mu, or the old ones when no ascent is
+    found (the dual is then as good as rounding allows).
     """
-    moved = g_mat @ delta
-    lin = 2.0 * float(np.real(np.vdot(res, moved)))
-    quad = float(np.real(np.vdot(moved, moved)))
-    radial = 2.0 * np.real(np.conj(z) * delta)
-    sq = np.abs(delta) ** 2
+    d_mat, r_vec, beta = instance.d_mat, instance.r_vec, instance.beta_max
+    m = mu.size
+    mag = np.abs(z)
+    sat = mag > beta
+    # Generalized Jacobian J of -theta(w): the Newton matrix maps mu to
+    # mu / 2 + A mu + B conj(mu), with A = D diag(a) D^H, B = D diag(b) D^T.
+    half = np.where(sat, beta / (2.0 * np.maximum(mag, beta)), 1.0)
+    swap = np.where(sat, -half * (z / np.maximum(mag, beta)) ** 2, 0.0)
+    a = (d_mat * (half / (2.0 * eps))) @ instance.link.adjoint
+    b = (d_mat * (swap / (2.0 * eps))) @ d_mat.T
+    hess = np.block([[a.real + b.real, b.imag - a.imag],
+                     [a.imag + b.imag, a.real - b.real]])
+    hess[np.diag_indices(2 * m)] += 0.5
+    grad = residual - 0.5 * mu
+    grad_real = np.concatenate([grad.real, grad.imag])
+    step_real = np.linalg.solve(hess, grad_real)
+    step = step_real[:m] + 1j * step_real[m:]
+    slope = float(grad_real @ step_real)
+    step_w = instance.link.adjoint @ step
+
+    def dual(alpha):
+        mu_a = mu + alpha * step
+        return (float(np.real(np.vdot(mu_a, r_vec)))
+                - 0.25 * float(np.real(np.vdot(mu_a, mu_a)))
+                + _dual_penalty((w + alpha * step_w) / (-2.0 * eps), eps, beta))
+
+    current = dual(0.0)
     alpha = 1.0
-    while alpha > 1e-12:
-        shrink = (alpha * radial + alpha * alpha * sq) / slack
-        if np.all(shrink < 1.0):
-            change = t * (alpha * lin + alpha * alpha * quad) - float(np.sum(np.log1p(-shrink)))
-            if change <= -0.25 * alpha * decrement:
-                return alpha, shrink
+    while alpha >= 2.0 ** -30:
+        if dual(alpha) >= current + 1e-4 * alpha * slope:
+            return mu + alpha * step, w + alpha * step_w
         alpha *= 0.5
-    return 0.0, sq
+    return mu, w
+
+
+def _polish(d_mat, r_vec, theta, saturated, beta) -> np.ndarray:
+    """Re-solve the elements inside the cap exactly, the saturated ones fixed.
+
+    The free elements take the minimum-norm least-squares fit of
+    -(D_S theta_S + r); any that leaves the cap is clipped and joins the
+    saturated set, and the fit is repeated.
+    """
+    theta = theta.copy()
+    saturated = saturated.copy()
+    while not np.all(saturated):
+        free = np.flatnonzero(~saturated)
+        target = -(d_mat[:, saturated] @ theta[saturated] + r_vec)
+        fit = np.linalg.lstsq(d_mat[:, free], target, rcond=None)[0]
+        theta[free] = _project(fit, beta)
+        over = np.abs(fit) > beta
+        if not np.any(over):
+            break
+        saturated[free[over]] = True
+    return theta
 
 
 def _checked_multipliers(instance: QcqpInstance, multipliers) -> np.ndarray:
@@ -431,15 +323,6 @@ def lagrange_semiclosed(instance: QcqpInstance, multipliers: np.ndarray) -> np.n
     return x
 
 
-def _multipliers_from(grad: np.ndarray, theta: np.ndarray, beta: float) -> np.ndarray:
-    lam = np.zeros(theta.size)
-    active = np.abs(theta) >= beta * (1.0 - 1e-7)
-    if np.any(active):
-        ratio = -np.real(grad[active] * np.conj(theta[active])) / np.abs(theta[active]) ** 2
-        lam[active] = np.maximum(ratio, 0.0)
-    return lam
-
-
 def kkt_certificate(instance: QcqpInstance,
                     solution: ReflectionSolution) -> tuple[np.ndarray, float]:
     """Recover nonnegative multipliers and the KKT residual of a solution.
@@ -452,7 +335,11 @@ def kkt_certificate(instance: QcqpInstance,
     theta = np.asarray(solution.theta)
     beta = instance.beta_max
     grad = instance.d_mat.conj().T @ (instance.d_mat @ theta + instance.r_vec)
-    lam = _multipliers_from(grad, theta, beta)
+    lam = np.zeros(theta.size)
+    active = np.abs(theta) >= beta * (1.0 - 1e-7)
+    if np.any(active):
+        ratio = -np.real(grad[active] * np.conj(theta[active])) / np.abs(theta[active]) ** 2
+        lam[active] = np.maximum(ratio, 0.0)
     stationarity = np.linalg.norm(grad + lam * theta)
     slack = np.linalg.norm(lam * (np.abs(theta) ** 2 - beta ** 2))
     return lam, float(stationarity + slack)

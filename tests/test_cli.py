@@ -54,7 +54,7 @@ class TestSolve:
         proc = run_cli("solve", "--config", str(path), "--solver", "pgd")
         assert proc.returncode == 0
         report = dict(line.split(": ") for line in proc.stdout.splitlines()[1:6])
-        assert report["termination"] in ("min-norm", "gradient", "gap", "newton")
+        assert report["termination"] in ("min-norm", "newton")
         assert int(report["iterations"]) >= 0
         assert float(report["kkt_residual"]) >= 0
         objective = float(report["objective_watts"])

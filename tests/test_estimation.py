@@ -12,7 +12,7 @@ from irstealth.estimation import (EstimationError, SnapshotSet,
                                   collect_snapshots, estimate_parameters,
                                   gain_estimate, ls_recover, music_aoa,
                                   steering_matrix, _block_radius, _grid_spectrum,
-                                  _local_peaks, _noise_subspace, _refine_peak,
+                                  _local_peaks, _refine_peak, _subspaces,
                                   _steering, _steering_grid)
 from irstealth.optimizers import dft_codebook_design, mmse_delta_search, solve_pgd
 from irstealth.power_model import (angles_at_target, beamforming_gains,
@@ -114,7 +114,7 @@ class TestMusicAoa:
 
     def test_noise_subspace_orthogonal_to_steering(self, clean_multi):
         snaps = collect_snapshots(clean_multi, 64, seed=2)
-        basis = _noise_subspace(snaps, 3)
+        basis = _subspaces(snaps, 3)[1]
         truth = steering_matrix(snaps, [angles_at_target(clean_multi, k)
                                         for k in range(3)])
         assert np.linalg.norm(basis.conj().T @ truth) <= 1e-8
@@ -125,8 +125,8 @@ class TestMusicAoa:
                               snaps.noise_power, snaps.geometry, snaps.wavelength)
         az = np.deg2rad(np.arange(-60, 61, 5, dtype=float))
         el = np.deg2rad(np.arange(0, 31, 5, dtype=float))
-        spec_a = _grid_spectrum(_noise_subspace(snaps, 3), snaps, az, el)
-        spec_b = _grid_spectrum(_noise_subspace(doubled, 3), doubled, az, el)
+        spec_a = _grid_spectrum(_subspaces(snaps, 3)[1], snaps, az, el)
+        spec_b = _grid_spectrum(_subspaces(doubled, 3)[1], doubled, az, el)
         np.testing.assert_allclose(spec_b, spec_a, rtol=1e-9)
 
 
@@ -297,7 +297,7 @@ def exhaustive_refine(noise_basis, snapshots, az0, el0, coarse, fine):
 
 def check_peaks(config, num_radars, n_snapshots, seed):
     snapshots = collect_snapshots(build_scenario(config), n_snapshots, seed)
-    noise_basis = _noise_subspace(snapshots, num_radars)
+    noise_basis = _subspaces(snapshots, num_radars)[1]
     aoa = music_aoa(snapshots, num_radars, GRID)
     for i, j in _local_peaks(aoa.spectrum)[:num_radars]:
         args = (noise_basis, snapshots, aoa.azimuth_grid[i], aoa.elevation_grid[j],
