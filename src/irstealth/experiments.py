@@ -7,6 +7,15 @@ the config seed, so a given (config, trials) pair produces a byte-identical
 CSV every run.  Designs may be computed from perturbed or estimated
 parameters (the imperfect-information presets), but powers are always
 evaluated on the true scenario.
+
+The trials of a sweep point run as one batch: they share the point's true
+link matrix and differ only in their coating terms, so the coating terms
+form one K^2 x T matrix, every design works on its columns, and all true
+powers come from one product of the link matrix with the stacked designs.
+Steering-error trials are grouped by their perturbed directions (at most
+2^K sign patterns per error value), and each group shares one perturbed
+link matrix.  The sensing preset keeps one trial at a time, since every
+trial runs its own angle estimation.
 """
 
 from __future__ import annotations
@@ -23,10 +32,10 @@ from .arrays import AnglePair
 from .config import (ConfigError, ScenarioConfig, build_geometry, validate_config,
                      watts_to_db, with_seed)
 from .estimation import estimate_parameters
-from .optimizers import (ConvergenceError, dft_codebook_design, min_irs_elements,
-                         mmse_delta_search, random_phase, reverse_alignment,
-                         single_link, solve_pgd)
-from .power_model import angles_at_target, link_factor
+from .optimizers import (ConvergenceError, alignment_designs, codebook_designs,
+                         min_irs_elements, mmse_designs, pgd_designs, random_phase,
+                         solve_pgd)
+from .power_model import LinkMatrix, link_factor
 
 PRESET_NAMES = ("power-vs-distance", "power-vs-elements", "power-vs-angle",
                 "power-vs-aoa-error", "power-vs-num-radars",
@@ -66,8 +75,15 @@ def inject_aoa_error(truth: AnglePair, error_deg: float, seed) -> AnglePair:
         raise ValueError(f"error magnitude must be nonnegative, got {error_deg}")
     if error_deg == 0:
         return truth
-    rng = np.random.default_rng(seed)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
+    return _steered(truth, error_deg, _error_sign(seed))
+
+
+def _error_sign(seed) -> float:
+    """Sign of the steering error drawn from ``seed``, whatever its magnitude."""
+    return 1.0 if np.random.default_rng(seed).random() < 0.5 else -1.0
+
+
+def _steered(truth: AnglePair, error_deg: float, sign: float) -> AnglePair:
     half = np.pi / 2
     eps = 1e-9
     azimuth = float(np.clip(truth.azimuth + sign * np.deg2rad(error_deg),
@@ -82,32 +98,64 @@ def solver_powers(scenario, trial_seed: int, design=None) -> dict[str, float]:
     closed-form and codebook designs see (built from perturbed or estimated
     parameters by :func:`~irstealth.power_model.link_factor`); by default
     they see the true one.  Baselines never look at it.  Every power is
-    evaluated on the true factor, built once.
+    evaluated on the true factor, built once.  The one-trial case of a
+    sweep point's batch.
     """
     truth = link_factor(scenario)
     design = truth if design is None else design
-    n1 = scenario.target.irs_geometry.num_elements
-    beta = scenario.target.beta_max
-    thetas = {"pgd": solve_pgd(design).theta}
-    if scenario.num_radars == 1:
-        thetas["reverse-alignment"] = reverse_alignment(*single_link(design),
-                                                        beta).theta
+    powers = _batch_powers(truth.link, truth.r_vec[:, None], [trial_seed],
+                           truth.beta_max, design.link, design.r_vec[:, None])
+    return {name: float(watts[0]) for name, watts in powers.items()}
+
+
+def _batch_powers(truth: LinkMatrix, r_mat, seeds, beta: float,
+                  design: LinkMatrix, design_r) -> dict[str, np.ndarray]:
+    """Sum received power of every applicable design, one entry per trial.
+
+    Trial t has the true coating terms ``r_mat[:, t]`` and the random-phase
+    seed ``seeds[t]``; the designs see ``design`` with ``design_r[:, t]``.
+    """
+    n1 = truth.array.shape[1]
+    solutions = {"pgd": pgd_designs(design, design_r, beta)}
+    if truth.array.shape[0] == 1:
+        solutions["reverse-alignment"] = alignment_designs(design, design_r, beta)
     else:
-        thetas["mmse"] = mmse_delta_search(design)[1].theta
-    thetas["dft-codebook"] = dft_codebook_design(design).theta
-    thetas["random-phase"] = random_phase(n1, beta, int(trial_seed) + 0x5EED)
-    thetas["no-irs"] = np.zeros(n1, dtype=complex)
-    return {name: truth.objective(theta) for name, theta in thetas.items()}
+        solutions["mmse"] = [sol for _, sol in mmse_designs(design, design_r, beta)]
+    solutions["dft-codebook"] = codebook_designs(design, design_r, beta)
+    thetas = {name: np.column_stack([sol.theta for sol in sols])
+              for name, sols in solutions.items()}
+    thetas["random-phase"] = np.column_stack([random_phase(n1, beta, int(seed) + 0x5EED)
+                                              for seed in seeds])
+    thetas["no-irs"] = np.zeros((n1, len(seeds)), dtype=complex)
+    return _true_powers(truth, r_mat, thetas)
+
+
+def _alignment_powers(truth: LinkMatrix, r_mat, seeds, beta: float,
+                      design: LinkMatrix, design_r) -> dict[str, np.ndarray]:
+    """Power of the reverse-alignment design alone, one entry per trial."""
+    solutions = alignment_designs(design, design_r, beta)
+    return _true_powers(truth, r_mat, {"reverse-alignment": np.column_stack(
+        [sol.theta for sol in solutions])})
+
+
+def _true_powers(truth: LinkMatrix, r_mat, thetas: dict) -> dict[str, np.ndarray]:
+    """||D theta + r_t||^2 of every design column, from one product: D times
+    the designs stacked side by side, plus the coating terms repeated."""
+    trials = r_mat.shape[1]
+    residual = truth.array @ np.hstack(list(thetas.values())) + np.tile(r_mat, len(thetas))
+    power = np.sum(residual.real ** 2 + residual.imag ** 2, axis=0)
+    return {name: power[i * trials:(i + 1) * trials] for i, name in enumerate(thetas)}
 
 
 @contextmanager
-def _trial_point(value, trial: int, seed: int):
-    """Name the (sweep, trial, seed) point of a solve that ran out of steps."""
+def _trial_point(value, trials, seeds):
+    """Name the (sweep, trial, seed) point of a solve that ran out of steps;
+    ``trials`` and ``seeds`` give the trial of each batch column."""
     try:
         yield
     except ConvergenceError as exc:
-        raise ConvergenceError(f"{exc} at sweep {value:g}, trial {trial}, seed {seed}",
-                               exc.best) from exc
+        raise ConvergenceError(f"{exc} at sweep {value:g}, trial {trials[exc.column]}, "
+                               f"seed {seeds[exc.column]}", exc.best) from exc
 
 
 def _geometries(sweep_values, config_for):
@@ -125,18 +173,30 @@ def _geometries(sweep_values, config_for):
         yield value, geometry
 
 
-def _sweep_rows(config, trials, sweep_values, config_for, design_for=None):
+def _sweep_rows(config, trials, sweep_values, config_for, groups_for=None,
+                powers_for=_batch_powers):
+    """Rows of every sweep point, its trials run as one batch per design group.
+
+    ``groups_for(geometry, value)`` gives (design link matrix, trial
+    indices) pairs; by default all trials design on the true link matrix.
+    ``powers_for`` maps a group to its solvers' powers (:func:`_batch_powers`).
+    """
     rows = []
     seeds = trial_seeds(config.seed, trials)
     for value, geometry in _geometries(sweep_values, config_for):
-        for trial, seed in enumerate(seeds):
-            scenario = geometry.draw(int(seed))
-            design = design_for(scenario, value, int(seed)) if design_for else None
-            with _trial_point(value, trial, int(seed)):
-                powers = solver_powers(scenario, int(seed), design)
-            for solver, watts in sorted(powers.items()):
-                rows.append(ExperimentRow(float(value), solver, trial, int(seed),
-                                          float(watts), watts_to_db(watts)))
+        truth = geometry.true_link
+        r_mat = geometry.coating_terms(seeds)
+        groups = (groups_for(geometry, value) if groups_for
+                  else [(truth, np.arange(trials))])
+        for design, members in groups:
+            r_group, seed_group = r_mat[:, members], seeds[members]
+            with _trial_point(value, members, seed_group):
+                powers = powers_for(truth, r_group, seed_group,
+                                    geometry.target.beta_max, design, r_group)
+            for solver, watts in powers.items():
+                for trial, seed, power in zip(members, seed_group, watts.tolist()):
+                    rows.append(ExperimentRow(float(value), solver, int(trial), int(seed),
+                                              power, watts_to_db(power)))
     return rows
 
 
@@ -188,15 +248,24 @@ def _preset_angle(config, trials):
 
 def _preset_aoa_error(config, trials):
     sweep = (0.0, 0.5, 1.0, 2.0)
+    # Radar k of a trial errs with the sign drawn from seed + k, whatever the
+    # error's magnitude (as in inject_aoa_error).
+    signs = [tuple(_error_sign(int(seed) + k) for k in range(len(config.radars)))
+             for seed in trial_seeds(config.seed, trials)]
 
-    def design_for(scenario, value, seed):
-        angles = [inject_aoa_error(angles_at_target(scenario, k), value, seed + k)
-                  for k in range(scenario.num_radars)]
+    def groups_for(geometry, value):
         # Steering error: perturbed panel rows, true coating gains and weights.
-        return link_factor(scenario, angles)
+        groups = {}
+        for trial, pattern in enumerate(signs):
+            angles = (geometry.true_angles if value == 0 else
+                      tuple(_steered(a, value, sign)
+                            for a, sign in zip(geometry.true_angles, pattern)))
+            groups.setdefault(angles, []).append(trial)
+        return [(geometry.link_matrix(angles), np.array(members))
+                for angles, members in groups.items()]
 
     return "aoa_error_deg", sweep, _sweep_rows(config, trials, sweep,
-                                               lambda value: config, design_for)
+                                               lambda value: config, groups_for)
 
 
 def _preset_num_radars(config, trials):
@@ -223,17 +292,9 @@ def _preset_min_elements(config, trials, realizations: int = 20):
                                  realizations)
     n1x_pred = max(1, math.ceil(predicted / n1y))
     sweep = tuple(n1x * n1y for n1x in range(max(1, n1x_pred - 2), n1x_pred + 2))
-    rows = []
-    seeds = trial_seeds(config.seed, trials)
-    for value, geometry in _geometries(sweep, lambda value: _with_elements(config, value)):
-        for trial, seed in enumerate(seeds):
-            scenario = geometry.draw(int(seed))
-            truth = link_factor(scenario)
-            sol = reverse_alignment(*single_link(truth), scenario.target.beta_max)
-            watts = truth.objective(sol.theta)
-            rows.append(ExperimentRow(float(value), "reverse-alignment", trial,
-                                      int(seed), float(watts), watts_to_db(watts)))
-    return "num_elements", sweep, rows
+    return "num_elements", sweep, _sweep_rows(
+        config, trials, sweep, lambda value: _with_elements(config, value),
+        powers_for=_alignment_powers)
 
 
 def _preset_estimation(config, trials):
@@ -247,7 +308,7 @@ def _preset_estimation(config, trials):
                                           seed=int(seed) + 0xA0A)
             truth = link_factor(scenario)
             estimated = link_factor(scenario, aoa.angles, g2)
-            with _trial_point(value, trial, int(seed)):
+            with _trial_point(value, [trial], [int(seed)]):
                 power_est = truth.objective(solve_pgd(estimated).theta)
                 power_true = truth.objective(solve_pgd(truth).theta)
             for solver, watts in (("pgd-estimated", power_est),

@@ -13,7 +13,11 @@ O(K^4 N1) (a 2 K^2 real system, one unknown per link-row multiplier), and
 the codebook one N1-point FFT per link row, instead of the O(N1^3) of the
 expanded form.  The SVD, the adjoint and the FFTs are computed once per
 :class:`~irstealth.power_model.LinkMatrix`, so every design on one factor,
-and every trial's true factor at one sweep point, shares them.
+and every trial's true factor at one sweep point, shares them.  Each design
+also runs on many coating-term columns r at once (``pgd_designs``,
+``mmse_designs``, ``codebook_designs``, ``alignment_designs``), one problem
+per column on a shared link matrix, which is how a sweep point's trials run
+as one batch; the single-instance functions are their one-column case.
 Five designs are provided:
 
 * the certified global optimum of the QCQP (``pgd``): the minimum-norm
@@ -37,15 +41,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .power_model import QcqpInstance
+from .power_model import LinkMatrix, QcqpInstance
 
 
 class ConvergenceError(RuntimeError):
-    """Newton-step allowance exhausted; ``best`` holds the last iterate."""
+    """Newton-step allowance exhausted; ``best`` holds the last iterate.
 
-    def __init__(self, message, best):
+    ``column`` is the coating-term column whose solve ran out (0 for a
+    single instance).
+    """
+
+    def __init__(self, message, best, column: int = 0):
         super().__init__(message)
         self.best = best
+        self.column = column
 
 
 class InfeasibleError(RuntimeError):
@@ -77,81 +86,114 @@ def _project(theta: np.ndarray, beta: float) -> np.ndarray:
     return out
 
 
-def _ridge_designs(instance: QcqpInstance, deltas) -> tuple[np.ndarray, np.ndarray]:
-    """Ridge designs -(U + delta I)^{-1} v and their residuals ||D theta + r||^2.
+def _column_chunks(columns: int, per_column: int) -> list[slice]:
+    """Slices of at most 4096 // per_column columns (one at least), so that a
+    stack of ``per_column`` elements a column stays near 2^12 elements."""
+    step = max(1, 4096 // per_column)
+    return [slice(start, start + step) for start in range(0, columns, step)]
 
-    With D = P diag(sigma) Q^H the design for each regularization is
-    -Q diag(sigma / (sigma^2 + delta)) P^H r, one column per candidate, and
-    its residual is ||r - P P^H r||^2 + sum_i (delta / (sigma_i^2 + delta))^2
-    |(P^H r)_i|^2, which carries no cancellation and grows with delta.
-    ``delta = 0`` gives the minimum-norm least-squares point, with the
-    singular-value cutoff of numpy's ``lstsq``.
+
+def _ridge_designs(link: LinkMatrix, r_mat: np.ndarray,
+                   deltas) -> tuple[np.ndarray, np.ndarray]:
+    """Ridge designs -(U + delta I)^{-1} D^H r and their residuals ||D theta + r||^2,
+    ``thetas[:, i, t]`` and ``residuals[i, t]`` for ``deltas[i]`` and column t of r.
+
+    With D = P diag(sigma) Q^H the design is
+    -Q diag(sigma / (sigma^2 + delta)) P^H r, and its residual is
+    ||r - P P^H r||^2 + sum_i (delta / (sigma_i^2 + delta))^2 |(P^H r)_i|^2,
+    which carries no cancellation and grows with delta, also in rounding,
+    since every operation on delta is monotone.  ``delta = 0`` gives
+    the minimum-norm least-squares point, with the singular-value cutoff of
+    numpy's ``lstsq``.
     """
-    p, sig, qh = instance.link.svd
+    p, sig, qh = link.svd
     deltas = np.asarray(deltas, dtype=float)
-    cutoff = np.finfo(float).eps * max(instance.d_mat.shape) * sig[0]
+    cutoff = np.finfo(float).eps * max(link.array.shape) * sig[0]
     denom = sig[:, None] ** 2 + deltas[None, :]
     live = (sig[:, None] > cutoff) | (deltas[None, :] > 0)
     gain = np.divide(sig[:, None], denom, out=np.zeros_like(denom), where=live)
     kept = np.divide(deltas[None, :], denom, out=np.ones_like(denom), where=live)
-    coords = p.conj().T @ instance.r_vec
-    outside = instance.r_vec - p @ coords
-    residuals = (float(np.real(np.vdot(outside, outside)))
-                 + np.sum((kept * np.abs(coords)[:, None]) ** 2, axis=0))
-    return -(qh.conj().T @ (gain * coords[:, None])), residuals
+    coords = p.conj().T @ r_mat
+    outside = r_mat - p @ coords
+    residuals = (np.sum(outside.real ** 2 + outside.imag ** 2, axis=0)
+                 + np.sum((kept[:, :, None] * np.abs(coords)[:, None, :]) ** 2, axis=0))
+    scaled = -gain[:, :, None] * coords[:, None, :]
+    thetas = qh.conj().T @ scaled.reshape(sig.size, -1)
+    return thetas.reshape(-1, deltas.size, r_mat.shape[1]), residuals
 
 
 _NEWTON_STEPS = 300  # Newton-step allowance of a ``pgd`` solve
 
 
 def solve_pgd(instance: QcqpInstance, tol: float = 1e-10) -> ReflectionSolution:
-    """Globally solve the amplitude-constrained QCQP with a certificate.
+    """Globally solve the amplitude-constrained QCQP with a certificate: the
+    one-column case of :func:`pgd_designs`."""
+    return pgd_designs(instance.link, instance.r_vec[:, None], instance.beta_max, tol)[0]
 
-    When the minimum-norm stationary point is feasible it is returned
-    (``termination`` ``min-norm``).  Otherwise semismooth Newton steps
-    (:func:`_dual_newton_step`) ascend the dual of the regularized problem
-    min ||D theta + r||^2 + eps ||theta||^2 over |theta_n| <= beta, with one
-    complex multiplier mu per link row and the primal point
-    theta(mu) = -clip_beta(w / 2 eps), w = D^H mu.  The regularization eps
-    starts at lambda_max(U) and shrinks 100-fold, down to
+
+def pgd_designs(link: LinkMatrix, r_mat: np.ndarray, beta: float,
+                tol: float = 1e-10) -> list[ReflectionSolution]:
+    """Certified optimum of ||D theta + r||^2 over |theta_n| <= beta, one per column r.
+
+    Where a column's minimum-norm stationary point is feasible it is the
+    answer (``termination`` ``min-norm``); one product gives those points
+    for all columns.  Every other column is solved alone
+    (:func:`_newton_solve`, ``termination`` ``newton``).
+    """
+    if tol <= 0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    r_mat = np.asarray(r_mat, dtype=complex)
+    d_mat, d_adj = link.array, link.adjoint
+    n = d_mat.shape[1]
+
+    lam_max = float(link.svd[1][0]) ** 2
+    v_norms = np.linalg.norm(d_adj @ r_mat, axis=0)
+
+    # Unconstrained stationary points: optimal wherever they are feasible.
+    theta_u = _ridge_designs(link, r_mat, [0.0])[0][:, 0, :]
+    stationary = (np.linalg.norm(d_adj @ (d_mat @ theta_u + r_mat), axis=0)
+                  <= 1e-10 * (lam_max * beta * math.sqrt(n) + v_norms))
+    inside = np.max(np.abs(theta_u), axis=0) <= beta * (1.0 + 1e-12)
+    theta_u = _project(theta_u, beta)
+    objectives = np.sum(np.abs(d_mat @ theta_u + r_mat) ** 2, axis=0)
+
+    solutions = []
+    for t in range(r_mat.shape[1]):
+        if stationary[t] and inside[t]:
+            solutions.append(ReflectionSolution(theta_u[:, t], float(objectives[t]),
+                                                "pgd", 0, termination="min-norm"))
+        else:
+            solutions.append(_newton_solve(QcqpInstance(link, r_mat[:, t], beta), tol,
+                                           lam_max, float(v_norms[t]), t))
+    return solutions
+
+
+def _newton_solve(instance: QcqpInstance, tol: float, lam_max: float,
+                  v_norm: float, column: int) -> ReflectionSolution:
+    """Certified solve of one column; ``column`` names it in a :class:`ConvergenceError`.
+
+    Semismooth Newton steps (:func:`_dual_newton_step`) ascend the dual of
+    the regularized problem min ||D theta + r||^2 + eps ||theta||^2 over
+    |theta_n| <= beta, with one complex multiplier mu per link row and the
+    primal point theta(mu) = -clip_beta(w / 2 eps), w = D^H mu.  The
+    regularization eps starts at lambda_max(U) and shrinks 100-fold, down to
     2.5e-3 tol s / (N1 beta^2) with s the objective scale, whenever the
     regularized problem's own duality gap falls below 0.1 eps N1 beta^2;
     along this path a flat set of optima resolves toward its minimum-norm
     point.  At each such point the elements inside the cap are solved again
-    exactly (:func:`_polish`), and the solve stops (``newton``) once the
-    objective f is within tol (f + 1e-2 s) of a certified lower bound: the
-    split dual Re(mu^H r) - |mu|^2 / 4 - beta sum |w_n| or the Frank-Wolfe
-    bound f - 2 sum(beta |g_n| + Re(conj(g_n) theta_n)), g = D^H (D theta + r).
+    exactly (:func:`_polish`), and the solve stops once the objective f is
+    within tol (f + 1e-2 s) of a certified lower bound: the split dual
+    Re(mu^H r) - |mu|^2 / 4 - beta sum |w_n| or the Frank-Wolfe bound
+    f - 2 sum(beta |g_n| + Re(conj(g_n) theta_n)), g = D^H (D theta + r).
     ``iterations`` counts Newton steps.  Raises :class:`ConvergenceError`
     carrying the last iterate if the step allowance runs out.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
     d_mat, r_vec = instance.d_mat, instance.r_vec
     d_adj = instance.link.adjoint
     beta = instance.beta_max
     n = instance.n_elements
-
-    v_vec = d_adj @ r_vec
-    if not np.any(v_vec):
-        theta = np.zeros(n, dtype=complex)
-        return ReflectionSolution(theta, instance.objective(theta), "pgd", 0,
-                                  termination="min-norm")
-
-    lam_max = float(instance.link.svd[1][0]) ** 2
-    v_norm = float(np.linalg.norm(v_vec))
-    f_zero = float(np.real(np.vdot(r_vec, r_vec)))
-    grad_scale = lam_max * beta * math.sqrt(n) + v_norm
-    obj_scale = lam_max * beta ** 2 * n + 2.0 * v_norm * beta * math.sqrt(n) + f_zero
-
-    # Unconstrained stationary point: optimal whenever it is feasible.
-    theta_u = _ridge_designs(instance, [0.0])[0][:, 0]
-    if (np.linalg.norm(d_adj @ (d_mat @ theta_u + r_vec)) <= 1e-10 * grad_scale
-            and np.max(np.abs(theta_u)) <= beta * (1.0 + 1e-12)):
-        theta_u = _project(theta_u, beta)
-        return ReflectionSolution(theta_u, instance.objective(theta_u), "pgd", 0,
-                                  termination="min-norm")
-
+    obj_scale = (lam_max * beta ** 2 * n + 2.0 * v_norm * beta * math.sqrt(n)
+                 + float(np.real(np.vdot(r_vec, r_vec))))
     box = n * beta ** 2
     eps_min = 2.5e-3 * tol * obj_scale / box
     eps = max(lam_max, eps_min)
@@ -185,7 +227,7 @@ def solve_pgd(instance: QcqpInstance, tol: float = 1e-10) -> ReflectionSolution:
                 continue
         if steps == _NEWTON_STEPS:
             raise ConvergenceError(f"no certificate within {steps} Newton steps",
-                                   ReflectionSolution(theta, f_val, "pgd", steps))
+                                   ReflectionSolution(theta, f_val, "pgd", steps), column)
         steps += 1
         mu, w = _dual_newton_step(instance, mu, w, z, residual, eps)
 
@@ -368,28 +410,40 @@ def reverse_alignment(u: np.ndarray, c_gain: complex, beta_max: float) -> Reflec
     floor(|c|/beta) elements saturate, one carries the remainder |c| mod beta
     and the rest stay dark, cancelling the gain exactly.
     """
+    return _aligned(u, np.array([c_gain], dtype=complex), beta_max)[0]
+
+
+def alignment_designs(link: LinkMatrix, r_mat: np.ndarray,
+                      beta: float) -> list[ReflectionSolution]:
+    """:func:`reverse_alignment` on a one-link matrix, one per column of r."""
+    return _aligned(*_one_link(link, np.asarray(r_mat)), beta)
+
+
+def _aligned(u, gains: np.ndarray, beta_max: float) -> list[ReflectionSolution]:
     u = np.asarray(u)
     if np.max(np.abs(np.abs(u) - 1.0), initial=0.0) > 1e-9:
         raise ValueError("cascaded response entries must have unit modulus")
     if not 0 < beta_max <= 1:
         raise ValueError(f"beta_max must be in (0, 1], got {beta_max}")
-    n = u.size
-    theta = np.zeros(n, dtype=complex)
-    mag = abs(c_gain)
-    if mag == 0:
-        return ReflectionSolution(theta, 0.0, "reverse-alignment", 0)
-    unit = c_gain / mag
-    needed = math.ceil(mag / beta_max)
-    if n < needed:
-        theta[:] = -beta_max * u * unit
-    else:
-        full = math.floor(mag / beta_max)
-        remainder = mag - full * beta_max
-        theta[:full] = -beta_max * u[:full] * unit
-        if full < n:
-            theta[full] = -remainder * u[full] * unit
-    objective = float(np.abs(np.vdot(u, theta) + c_gain) ** 2)
-    return ReflectionSolution(theta, objective, "reverse-alignment", 0)
+    mags = np.abs(gains)
+    units = np.divide(gains, mags, out=np.zeros_like(gains), where=mags > 0)
+    full = np.floor(mags / beta_max)
+    index = np.arange(u.size)[:, None]
+    amps = np.where(index < full, beta_max,
+                    np.where(index == full, mags - full * beta_max, 0.0))
+    amps[:, np.ceil(mags / beta_max) > u.size] = beta_max
+    thetas = -amps * u[:, None] * units
+    objectives = np.abs(u.conj() @ thetas + gains) ** 2
+    return [ReflectionSolution(thetas[:, t], float(objectives[t]), "reverse-alignment", 0)
+            for t in range(gains.size)]
+
+
+def _one_link(link: LinkMatrix, r) -> tuple[np.ndarray, np.ndarray]:
+    if link.array.shape[0] != 1:
+        raise ValueError(f"need a one-link factor, got {link.array.shape[0]} links")
+    row = link.array[0]
+    amp = float(np.abs(row[0]))
+    return row.conj() / amp, r[0] / amp
 
 
 def single_link(instance: QcqpInstance) -> tuple[np.ndarray, complex]:
@@ -399,57 +453,89 @@ def single_link(instance: QcqpInstance) -> tuple[np.ndarray, complex]:
     link amplitude a = |D[0, n]| for every n, so
     ``reverse_alignment(*single_link(instance), beta)`` designs against it.
     """
-    if instance.d_mat.shape[0] != 1:
-        raise ValueError(f"need a one-link factor, got {instance.d_mat.shape[0]} links")
-    row = instance.d_mat[0]
-    amp = float(np.abs(row[0]))
-    return row.conj() / amp, complex(instance.r_vec[0] / amp)
+    u, gain = _one_link(instance.link, instance.r_vec)
+    return u, complex(gain)
 
 
 def mmse_delta_search(instance: QcqpInstance) -> tuple[float, ReflectionSolution]:
-    """Smallest-residual amplitude-feasible ridge solution of D theta = -r.
+    """Smallest-residual amplitude-feasible ridge solution of D theta = -r: the
+    one-column case of :func:`mmse_designs`."""
+    return mmse_designs(instance.link, instance.r_vec[:, None], instance.beta_max)[0]
+
+
+def mmse_designs(link: LinkMatrix, r_mat: np.ndarray,
+                 beta: float) -> list[tuple[float, ReflectionSolution]]:
+    """Smallest-residual amplitude-feasible ridge solution of D theta = -r, and its
+    regularization, per column r.
 
     Evaluates the regularization values of the link matrix's ridge grid
     (:attr:`~irstealth.power_model.LinkMatrix.ridge_grid`) in increasing
     order and keeps the feasible design with the smallest ||D theta + r||^2
     (ties go to the smaller regularization).  All candidates come from one
-    SVD of the factor.  When none is feasible the grid widens upward, since
-    large regularization shrinks the design to zero, which is always
-    feasible.  The solution's ``iterations`` counts the candidates tried.
+    SVD of D.  The residual never falls as the regularization grows (also in
+    rounding, see :func:`_ridge_designs`), so a column feasible at the
+    smallest value is answered there, and only the other columns try the
+    rest of the grid.  For a column with no feasible candidate the grid
+    widens upward, since large regularization shrinks the design to zero,
+    which is always feasible.  A solution's ``iterations`` counts the
+    candidates tried.
     """
-    beta = instance.beta_max
-    deltas = instance.link.ridge_grid
+    r_mat = np.asarray(r_mat, dtype=complex)
+    found = {}
+    pending = np.arange(r_mat.shape[1])
+    deltas = link.ridge_grid[:1]
     tried = 0
-    for _ in range(6):
+    for attempt in range(7):  # the first grid value, the rest of the grid, five widenings
         tried += deltas.size
-        thetas, residuals = _ridge_designs(instance, deltas)
-        feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
-        if np.any(feasible):
-            best = int(np.argmin(np.where(feasible, residuals, np.inf)))
-            return float(deltas[best]), ReflectionSolution(
-                thetas[:, best].copy(), float(residuals[best]), "mmse", tried)
-        deltas = np.geomspace(deltas[-1] * 10.0, deltas[-1] * 1e5, 16)
+        for cols in _column_chunks(pending.size, link.array.shape[1] * deltas.size):
+            columns = pending[cols]
+            thetas, residuals = _ridge_designs(link, r_mat[:, columns], deltas)
+            feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
+            residuals = np.where(feasible, residuals, np.inf)
+            for i in np.flatnonzero(np.any(feasible, axis=0)):
+                best = int(np.argmin(residuals[:, i]))
+                found[int(columns[i])] = (float(deltas[best]), ReflectionSolution(
+                    thetas[:, best, i].copy(), float(residuals[best, i]), "mmse", tried))
+        pending = np.array([t for t in pending if t not in found], dtype=int)
+        if not pending.size:
+            return [found[t] for t in range(r_mat.shape[1])]
+        deltas = (link.ridge_grid[1:] if attempt == 0 else
+                  np.geomspace(deltas[-1] * 10.0, deltas[-1] * 1e5, 16))
     raise InfeasibleError("no feasible regularization found while widening")
 
 
-def _codebook_objectives(instance: QcqpInstance) -> np.ndarray:
-    """Objective of every DFT codeword; the link responses are one FFT per row of D
-    (computed once per link matrix)."""
-    links = instance.beta_max * instance.link.fft + instance.r_vec[:, None]
+def _codebook_objectives(link: LinkMatrix, r_mat: np.ndarray, beta: float) -> np.ndarray:
+    """Objective of every DFT codeword (rows) for every coating-term column;
+    the link responses are one FFT per row of D, computed once per link matrix."""
+    links = (beta * link.fft)[:, :, None] + r_mat[:, None, :]
     return np.sum(np.abs(links) ** 2, axis=0)
 
 
 def dft_codebook_design(instance: QcqpInstance) -> ReflectionSolution:
     """Best codeword of the DFT codebook at full reflection amplitude.
 
-    The codebook holds the columns of the square DFT matrix scaled to
-    modulus ``beta_max``; ties break toward the lowest column index.
+    The one-column case of :func:`codebook_designs`.
     """
-    n = instance.n_elements
-    objectives = _codebook_objectives(instance)
-    best = int(np.argmin(objectives))
-    theta = instance.beta_max * np.exp(-2j * np.pi * (np.arange(n) * best) / n)
-    return ReflectionSolution(theta, float(objectives[best]), "dft-codebook", n)
+    return codebook_designs(instance.link, instance.r_vec[:, None], instance.beta_max)[0]
+
+
+def codebook_designs(link: LinkMatrix, r_mat: np.ndarray,
+                     beta: float) -> list[ReflectionSolution]:
+    """Best codeword of the DFT codebook at full amplitude, per coating-term column.
+
+    The codebook holds the columns of the square DFT matrix scaled to
+    modulus ``beta``; ties break toward the lowest column index.
+    """
+    r_mat = np.asarray(r_mat, dtype=complex)
+    n = link.array.shape[1]
+    designs = []
+    for cols in _column_chunks(r_mat.shape[1], link.fft.size):
+        objectives = _codebook_objectives(link, r_mat[:, cols], beta)
+        best = np.argmin(objectives, axis=0)
+        thetas = beta * np.exp(-2j * np.pi * (np.arange(n)[:, None] * best) / n)
+        designs += [ReflectionSolution(thetas[:, t], float(objectives[b, t]),
+                                       "dft-codebook", n) for t, b in enumerate(best)]
+    return designs
 
 
 def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:

@@ -217,9 +217,11 @@ def matched_beamformer(radar_geometry: ArrayGeometry, target_angles: AnglePair,
     return np.conj(a) / np.sqrt(a.size)
 
 
-def _coating_gains(coating: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Coating reflection gains c[k, j] = sum_n b_k[n] b_j[n] phi[n] per link."""
-    return (coating * phi) @ coating.T
+def _coating_terms(amp: np.ndarray, coating: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Coating terms amp[(k, j)] * sum_n b_k[n] b_j[n] phi[n] of every link row,
+    one column per column of coating coefficients ``phis``."""
+    pairs = (coating[:, None, :] * coating[None, :, :]).reshape(amp.size, -1)
+    return amp[:, None] * (pairs @ phis)
 
 
 def beamforming_gains(scenario: Scenario) -> np.ndarray:
@@ -362,10 +364,7 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
                              f"for {k_r}")
         amp = geometry.amplitudes
         coating = geometry.true_blocks[1]
-        if angles is None or tuple(angles) == geometry.true_angles:
-            link = geometry.true_link
-        else:
-            link = _link_matrix(amp, geometry.stacked_blocks(angles)[0])
+        link = geometry.link_matrix(geometry.true_angles if angles is None else angles)
     else:
         g2 = np.asarray(g2, dtype=float)
         if angles is None or len(angles) != g2.size:
@@ -373,7 +372,7 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
         panel, coating = geometry.stacked_blocks(angles, keep=False)
         amp = np.sqrt(g2[:, None] * g2[None, :]).reshape(-1)
         link = _link_matrix(amp, panel)
-    return QcqpInstance(link, amp * _coating_gains(coating, phi).reshape(-1),
+    return QcqpInstance(link, _coating_terms(amp, coating, phi[:, None])[:, 0],
                         scenario.target.beta_max)
 
 
@@ -401,25 +400,50 @@ class ScenarioGeometry:
 
     def draw(self, seed) -> Scenario:
         """Scenario of one seed: uniform coating phases, then each radar's
-        pulse-clock jitter in [0, epoch_jitter), in that order."""
-        if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-                or seed < 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        rng = np.random.default_rng(seed)
-        nirs = self.target.nirs
-        phases = rng.uniform(0.0, 2.0 * np.pi, self._coating_magnitude.size)
-        target = replace(self.target, nirs=NirsPanel(
-            self._coating_magnitude * np.exp(1j * phases), nirs.zeta))
-        radars = tuple(replace(r, pulse_epoch=float(
+        pulse-clock jitter in [0, epoch_jitter), in that order.
+
+        The coating and radar nodes are copies of the geometry's, which were
+        validated when it was built, with only the phases and epochs changed,
+        so their checks are not run again (|phi_n| = sqrt(1 - zeta_n) by
+        construction).
+        """
+        rng = np.random.default_rng(_checked_seed(seed))
+        target = replace(self.target, nirs=_unchecked_replace(
+            self.target.nirs, phi=self._coating(rng)))
+        radars = tuple(_unchecked_replace(r, pulse_epoch=float(
             r.pulse_epoch + rng.uniform(0.0, self.epoch_jitter))) for r in self.radars)
         scenario = Scenario(wavelength=self.wavelength, radars=radars, target=target,
                             ref_gain=self.ref_gain, seed=int(seed))
         object.__setattr__(scenario, "geometry", self)
         return scenario
 
+    def coating_terms(self, seeds) -> np.ndarray:
+        """Coating terms r of the true link factor of every seed, one column each.
+
+        Column t holds ``link_factor(self.draw(seeds[t])).r_vec`` up to
+        rounding: each seed's phases are the first draws of its own stream,
+        as in :meth:`draw`, and the pulse epochs are not drawn.  The result
+        is a K^2 x T matrix that shares the true link matrix's row order.
+        """
+        phis = np.column_stack([self._coating(np.random.default_rng(_checked_seed(s)))
+                                for s in seeds])
+        return _coating_terms(self.amplitudes, self.true_blocks[1], phis)
+
+    def _coating(self, rng) -> np.ndarray:
+        """Coating coefficients with uniform phases, the next draws of ``rng``."""
+        magnitude = self._coating_magnitude
+        return magnitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, magnitude.size))
+
     @cached_property
     def _coating_magnitude(self) -> np.ndarray:
         return np.sqrt(1.0 - np.asarray(self.target.nirs.zeta))
+
+    def link_matrix(self, angles) -> LinkMatrix:
+        """Link matrix with true link amplitudes and panel rows toward ``angles``
+        (one per radar); the true angles give the shared :attr:`true_link`."""
+        if tuple(angles) == self.true_angles:
+            return self.true_link
+        return _link_matrix(self.amplitudes, self.stacked_blocks(angles)[0])
 
     def surface(self, pair: AnglePair, keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
         """Panel and coating blocks of the whole-surface response toward a direction.
@@ -478,6 +502,20 @@ class ScenarioGeometry:
     def true_link(self) -> LinkMatrix:
         """True link matrix D, shared by every scenario drawn from this geometry."""
         return _link_matrix(self.amplitudes, self.true_blocks[0])
+
+
+def _checked_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
+def _unchecked_replace(node, **changes):
+    """``dataclasses.replace`` for a validated frozen node whose changed fields
+    keep its invariants by construction: the copy skips ``__post_init__``."""
+    copy = object.__new__(type(node))
+    copy.__dict__.update(node.__dict__, **changes)
+    return copy
 
 
 def _geometry(scenario: Scenario) -> ScenarioGeometry:

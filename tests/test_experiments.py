@@ -9,11 +9,13 @@ from hypothesis import strategies as st
 
 from irstealth import experiments, power_model
 from irstealth.arrays import AnglePair
-from irstealth.config import build_scenario, multi_radar_config, single_radar_config
-from irstealth.experiments import (ExperimentResult, ExperimentRow, emit_csv,
-                                   inject_aoa_error, parse_csv,
+from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
+                              single_radar_config)
+from irstealth.experiments import (PRESET_NAMES, ExperimentResult, ExperimentRow,
+                                   emit_csv, inject_aoa_error, parse_csv,
                                    run_experiment, solver_powers, trial_seeds)
 from irstealth.optimizers import ConvergenceError
+from irstealth.power_model import angles_at_target, link_factor
 
 
 class TestInjectAoaError:
@@ -189,16 +191,19 @@ class TestRunExperiment:
         noirs = 1e-10  # generous absolute scale for a 100 m single-radar setup
         assert all(e <= t + 1e-3 * noirs for e, t in zip(est, true))
 
-    @pytest.mark.parametrize("preset", ["power-vs-num-radars", "estimation-pipeline"])
+    @pytest.mark.parametrize("preset", ["power-vs-num-radars", "power-vs-aoa-error",
+                                        "estimation-pipeline"])
     def test_convergence_failure_names_its_trial(self, monkeypatch, preset):
         def exhausted(instance, *args, **kwargs):
             raise ConvergenceError("no convergence within 7 iterations", None)
 
-        monkeypatch.setattr(experiments, "solve_pgd", exhausted)
+        # Sweeps solve a point's trials as one batch; sensing one trial at a time.
+        target = "solve_pgd" if preset == "estimation-pipeline" else "pgd_designs"
+        sweep = {"power-vs-num-radars": "1", "power-vs-aoa-error": "0"}.get(preset, "16")
+        monkeypatch.setattr(experiments, target, exhausted)
         with pytest.raises(ConvergenceError) as err:
             run_experiment(preset, single_radar_config(seed=3), 2)
         seed = int(trial_seeds(3, 2)[0])
-        sweep = "1" if preset == "power-vs-num-radars" else "16"
         assert str(err.value) == (f"no convergence within 7 iterations at sweep "
                                   f"{sweep}, trial 0, seed {seed}")
 
@@ -290,3 +295,130 @@ class TestLargePanel:
                                "no-irs"}
         assert powers["pgd"] <= 1e-6 * powers["no-irs"]
         assert powers["pgd"] <= powers["mmse"] * (1 + 1e-9) + 1e-9 * powers["no-irs"]
+
+
+# The batched presets on a one-radar N1 = 8 panel (the config of
+# tests/golden/radar1-n8.json) and a three-radar one.
+BATCH_CASES = ([(1, preset) for preset in PRESET_NAMES if preset != "estimation-pipeline"]
+               + [(3, preset) for preset in PRESET_NAMES
+                  if preset not in ("estimation-pipeline", "min-elements-validation")])
+BASELINES = ("no-irs", "random-phase")
+
+
+def _batch_config(num_radars):
+    if num_radars == 1:
+        return single_radar_config(n1x=4)
+    return multi_radar_config(num_radars=num_radars, n1x=4)
+
+
+def _coating_power(geometry, seed):
+    r_vec = link_factor(geometry.draw(seed)).r_vec
+    return float(np.real(np.vdot(r_vec, r_vec)))
+
+
+def _assert_rows_agree(got, want, p0):
+    """Design rows to 1e-9 of the trial's coating-only power p0, baselines to
+    1e-12 relative (the tolerances of the regression captures)."""
+    if got.solver in BASELINES:
+        assert got.power_watts == pytest.approx(want, rel=1e-12, abs=0.0), got
+    else:
+        assert abs(got.power_watts - want) <= 1e-9 * p0, got
+
+
+class TestTrialBatch:
+    """A sweep point's trials run as one batch, with the one-trial results.
+
+    Where the one-trial path runs out of Newton steps, the batch must stop
+    with the same error, naming the same point.
+    """
+
+    @staticmethod
+    def _run(preset, config, trials):
+        try:
+            return run_experiment(preset, config, trials).rows, None
+        except ConvergenceError as exc:
+            return (), str(exc)
+
+    @pytest.mark.parametrize("num_radars, preset", BATCH_CASES)
+    def test_rows_match_the_one_trial_path(self, monkeypatch, num_radars, preset):
+        points = {}
+        sweep_points = experiments._geometries
+
+        def recording(sweep_values, config_for):
+            for value, geometry in sweep_points(sweep_values, config_for):
+                points[float(value)] = geometry
+                yield value, geometry
+
+        monkeypatch.setattr(experiments, "_geometries", recording)
+        config = _batch_config(num_radars)
+        rows, failure = self._run(preset, config, 5)
+        got = {(r.sweep, r.trial, r.solver): r for r in rows}
+        for value, geometry in points.items():
+            failures = []
+            for trial, seed in enumerate(trial_seeds(config.seed, 5)):
+                scenario = geometry.draw(int(seed))
+                design = None
+                if preset == "power-vs-aoa-error":
+                    design = link_factor(scenario, [
+                        inject_aoa_error(angles_at_target(scenario, k), value, int(seed) + k)
+                        for k in range(scenario.num_radars)])
+                try:
+                    powers = solver_powers(scenario, int(seed), design)
+                except ConvergenceError as exc:
+                    failures.append(f"{exc} at sweep {value:g}, trial {trial}, seed {seed}")
+                    continue
+                if failure is not None:
+                    continue
+                for solver in (("reverse-alignment",) if preset == "min-elements-validation"
+                               else powers):
+                    _assert_rows_agree(got.pop((value, trial, solver)), powers[solver],
+                                       powers["no-irs"])
+            if failures:
+                # The batch stops at the first point with a failing trial.
+                assert failure in failures
+                return
+        assert failure is None and not got
+
+    @pytest.mark.parametrize("num_radars, preset", BATCH_CASES)
+    def test_rows_do_not_depend_on_batch_size(self, num_radars, preset):
+        config = _batch_config(num_radars)
+        geometry = build_geometry(config)
+        few, few_failure = self._run(preset, config, 3)
+        many, many_failure = self._run(preset, config, 7)
+        if few_failure is not None or many_failure is not None:
+            # A trial that fails does so in every batch that holds it, so the
+            # larger run stops where the smaller one does, unless one of its
+            # own trials fails first.
+            assert many_failure is not None
+            named = int(many_failure.split(", trial ")[1].split(",")[0])
+            assert many_failure == few_failure or named >= 3
+            return
+        many = {(r.sweep, r.solver, r.trial): r for r in many}
+        for row in few:
+            twin = many[(row.sweep, row.solver, row.trial)]
+            assert twin.seed == row.seed
+            _assert_rows_agree(twin, row.power_watts, _coating_power(geometry, row.seed))
+
+    def test_failure_in_a_steering_group_names_its_trial(self, monkeypatch):
+        config = multi_radar_config(num_radars=3, n1x=4, seed=5)
+        seeds = trial_seeds(5, 6)
+        truth = build_geometry(config).true_angles
+        patterns = [tuple(inject_aoa_error(a, 0.5, int(seed) + k)
+                          for k, a in enumerate(truth)) for seed in seeds]
+        group = [t for t, pattern in enumerate(patterns) if pattern == patterns[0]]
+        solve = experiments.pgd_designs
+        calls = []
+
+        def failing(link, r_mat, beta, *args):
+            # Call 1 is the unperturbed point; call 2 the first group at 0.5 degrees.
+            calls.append(r_mat.shape[1])
+            if len(calls) == 2:
+                raise ConvergenceError("no convergence", None, r_mat.shape[1] - 1)
+            return solve(link, r_mat, beta, *args)
+
+        monkeypatch.setattr(experiments, "pgd_designs", failing)
+        with pytest.raises(ConvergenceError) as err:
+            run_experiment("power-vs-aoa-error", config, 6)
+        assert calls == [6, len(group)]
+        assert str(err.value) == (f"no convergence at sweep 0.5, trial {group[-1]}, "
+                                  f"seed {seeds[group[-1]]}")

@@ -11,17 +11,18 @@ from conftest import (dense_terms, grid_search_min_1, grid_search_min_2,
                       random_multi_instance, random_single_instance,
                       single_link_instance, unit_phases)
 from irstealth.arrays import AnglePair
-from irstealth.config import (build_scenario, multi_radar_config, single_radar_config,
-                              with_seed)
+from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
+                              single_radar_config, with_seed)
 from irstealth.estimation import estimate_parameters
 from irstealth import optimizers
 from irstealth.experiments import inject_aoa_error, trial_seeds
 from irstealth.optimizers import (ConvergenceError, ReflectionSolution,
+                                  alignment_designs, codebook_designs,
                                   dft_codebook_design, dual_value, kkt_certificate,
                                   lagrange_semiclosed, min_irs_elements,
-                                  mmse_delta_search, random_phase,
-                                  reverse_alignment, single_link, solve_pgd,
-                                  _codebook_objectives, _ridge_designs)
+                                  mmse_delta_search, mmse_designs, pgd_designs,
+                                  random_phase, reverse_alignment, single_link,
+                                  solve_pgd, _codebook_objectives, _ridge_designs)
 from irstealth.power_model import (NirsPanel, QcqpInstance, angles_at_target,
                                    link_factor, sum_power)
 
@@ -294,25 +295,31 @@ class TestReverseAlignment:
 
 class TestMmse:
     def test_min_norm_cancels_single_radar(self, single_scenario):
-        theta = _ridge_designs(link_factor(single_scenario), [0.0])[0][:, 0]
+        inst = link_factor(single_scenario)
+        theta = _ridge_designs(inst.link, inst.r_vec[:, None], [0.0])[0][:, 0, 0]
         _, _, u, u_nirs = link_oracle(single_scenario)
         c = np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi)
         assert abs(np.vdot(u[0, 0], theta) + c) <= 1e-10
 
     def test_heavy_regularization_goes_dark(self, multi_scenario):
-        theta = _ridge_designs(link_factor(multi_scenario), [1e12])[0]
+        inst = link_factor(multi_scenario)
+        theta = _ridge_designs(inst.link, inst.r_vec[:, None], [1e12])[0]
         assert np.max(np.abs(theta)) < 1e-9
 
     def test_residual_monotone_in_regularization(self, multi_scenario):
         inst = link_factor(multi_scenario)
         gram_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
         deltas = np.geomspace(1e-10 * gram_top, 1e2 * gram_top, 13)
-        thetas, reported = _ridge_designs(inst, deltas)
-        residuals = [inst.objective(theta) for theta in thetas.T]
+        thetas, reported = _ridge_designs(inst.link, inst.r_vec[:, None], deltas)
+        reported = reported[:, 0]
+        residuals = [inst.objective(theta) for theta in thetas[:, :, 0].T]
         # The direct evaluation rounds at about eps * ||r||^2 * ||D theta + r||.
         np.testing.assert_allclose(reported, residuals, rtol=1e-9,
                                    atol=1e-18 * dense_terms(inst)[2])
         assert all(a <= b * (1 + 1e-9) for a, b in zip(residuals, residuals[1:]))
+        # The reported residuals never fall, not even in rounding: the delta
+        # search stops at the first feasible value on that account.
+        assert np.all(np.diff(reported) >= 0)
 
     def test_delta_search_picks_smallest_feasible_residual(self, multi_scenario):
         inst = link_factor(multi_scenario)
@@ -469,12 +476,14 @@ class TestFactorOracles:
         codebook = inst.beta_max * np.exp(-2j * np.pi * np.outer(idx, idx) / n)
         explicit = np.sum(np.abs(inst.d_mat @ codebook + inst.r_vec[:, None]) ** 2,
                           axis=0)
-        np.testing.assert_allclose(_codebook_objectives(inst), explicit, rtol=1e-9)
+        objectives = _codebook_objectives(inst.link, inst.r_vec[:, None],
+                                          inst.beta_max)[:, 0]
+        np.testing.assert_allclose(objectives, explicit, rtol=1e-9)
         sol = dft_codebook_design(inst)
         best = int(np.argmin(explicit))
         assert sol.objective <= explicit[best] * (1 + 1e-9)
-        np.testing.assert_allclose(sol.theta, codebook[:, int(np.argmin(
-            _codebook_objectives(inst)))], atol=1e-12)
+        np.testing.assert_allclose(sol.theta, codebook[:, int(np.argmin(objectives))],
+                                   atol=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -485,7 +494,9 @@ class TestFactorOracles:
         u_mat, v_vec, _ = dense_terms(inst)
         lam_top = float(np.linalg.eigvalsh(u_mat)[-1])
         deltas = lam_top * np.geomspace(1e-3, 1e2, 6)
-        thetas, residuals = _ridge_designs(inst, deltas)
+        thetas, residuals = _ridge_designs(inst.link, inst.r_vec[:, None], deltas)
+        thetas, residuals = thetas[:, :, 0], residuals[:, 0]
+        assert np.all(np.diff(residuals) >= 0)
         eye = np.eye(inst.n_elements)
         for col, delta in enumerate(deltas):
             dense = -np.linalg.solve(u_mat + delta * eye, v_vec)
@@ -508,6 +519,52 @@ class TestFactorOracles:
         np.testing.assert_allclose(u, u_oracle[0, 0], rtol=1e-12)
         assert c == pytest.approx(np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi),
                                   rel=1e-12)
+
+
+class TestColumnBatches:
+    """A batched design answers each coating-term column as the single-instance
+    design answers that column's factor."""
+
+    @staticmethod
+    def _columns(num_radars):
+        # N1 = 4 at a 0.05 cap; the scales mix min-norm exits with Newton
+        # solves and default ridge grids with widened ones, over 120 columns
+        # (several ridge and codebook chunks).
+        config = multi_radar_config(num_radars=num_radars, n1x=2)
+        config = dataclasses.replace(
+            config, target=dataclasses.replace(config.target, beta_max=0.05))
+        geometry = build_geometry(config)
+        r_mat = geometry.coating_terms(range(120)) * np.tile([1e-4, 1.0, 1e3, 1e8], 30)
+        return geometry.true_link, r_mat, 0.05
+
+    @staticmethod
+    def _assert_same(batch, single):
+        np.testing.assert_allclose(batch.theta, single.theta, rtol=0, atol=1e-12)
+        assert batch.objective == pytest.approx(single.objective, rel=1e-9, abs=1e-300)
+        assert (batch.solver, batch.iterations, batch.termination) == (
+            single.solver, single.iterations, single.termination)
+
+    def test_each_column_matches_its_single_instance(self):
+        link, r_mat, beta = self._columns(3)
+        singles = [QcqpInstance(link, r_vec, beta) for r_vec in r_mat.T]
+        pgd = pgd_designs(link, r_mat, beta)
+        assert {sol.termination for sol in pgd} == {"min-norm", "newton"}
+        mmse = mmse_designs(link, r_mat, beta)
+        assert {sol.iterations for _, sol in mmse} == {1, 40, 56, 72}
+        codebook = codebook_designs(link, r_mat, beta)
+        for t, inst in enumerate(singles):
+            self._assert_same(pgd[t], solve_pgd(inst))
+            delta, sol = mmse_delta_search(inst)
+            assert mmse[t][0] == delta
+            self._assert_same(mmse[t][1], sol)
+            self._assert_same(codebook[t], dft_codebook_design(inst))
+
+    def test_each_column_matches_reverse_alignment(self):
+        link, r_mat, beta = self._columns(1)
+        for t, sol in enumerate(alignment_designs(link, r_mat, beta)):
+            single = reverse_alignment(*single_link(QcqpInstance(link, r_mat[:, t], beta)),
+                                       beta)
+            self._assert_same(sol, single)
 
 
 def dense_barrier(inst, gap):

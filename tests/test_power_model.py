@@ -27,6 +27,38 @@ def radar_distance(scenario, k):
                                             scenario.target.position)))
 
 
+WAVELENGTH = 0.05
+
+
+class TestPathGain:
+    def test_reference_distance(self):
+        gain = path_gain(1.0, 1e-3, WAVELENGTH)
+        assert isinstance(gain, complex)
+        assert abs(gain) == pytest.approx(0.03162277660168379, rel=1e-12)
+
+    def test_hundred_meters(self):
+        gain = path_gain(100.0, 1e-3, WAVELENGTH)
+        assert abs(gain) == pytest.approx(3.1622776601683794e-4, rel=1e-12)
+
+    def test_one_wavelength_phase_wraps(self):
+        gain = path_gain(WAVELENGTH, 1e-3, WAVELENGTH)
+        assert np.angle(gain) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("distance,alpha", [(0.0, 1e-3), (-1.0, 1e-3),
+                                                (1.0, 0.0)])
+    def test_invalid_inputs(self, distance, alpha):
+        with pytest.raises(ValueError):
+            path_gain(distance, alpha, WAVELENGTH)
+
+    @given(st.floats(0.1, 1e5), st.floats(1e-6, 1.0))
+    def test_magnitude_and_phase_invariants(self, distance, alpha):
+        gain = path_gain(distance, alpha, WAVELENGTH)
+        assert abs(gain) == pytest.approx(np.sqrt(alpha) / distance, rel=1e-12)
+        expected_phase = -2 * np.pi * distance / WAVELENGTH
+        assert np.angle(gain) == pytest.approx(
+            np.angle(np.exp(1j * expected_phase)), abs=1e-6)
+
+
 class TestChirpWaveform:
     def test_pulse_start_amplitude(self, radar):
         # Normalized so the pulse power averaged over the whole interval
@@ -301,10 +333,23 @@ class TestSharedGeometry:
                 assert np.array_equal(scenario.target.nirs.phi, phi)
                 assert [r.pulse_epoch for r in scenario.radars] == epochs
 
+    def test_coating_terms_are_the_drawn_factors_coating_terms(self):
+        geometry = build_geometry(multi_radar_config(n1x=5))
+        seeds = [0, 9, 2 ** 32 - 1, 9]
+        r_mat = geometry.coating_terms(seeds)
+        assert r_mat.shape == (9, len(seeds))
+        for column, seed in zip(r_mat.T, seeds):
+            r_vec = link_factor(geometry.draw(seed)).r_vec
+            np.testing.assert_allclose(column, r_vec, rtol=0,
+                                       atol=1e-13 * np.max(np.abs(r_vec)))
+
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
     def test_draw_rejects_bad_seed(self, seed):
+        geometry = build_geometry(single_radar_config())
         with pytest.raises(ValueError):
-            build_geometry(single_radar_config()).draw(seed)
+            geometry.draw(seed)
+        with pytest.raises(ValueError):
+            geometry.coating_terms([1, seed])
 
     def test_replaced_scenario_drops_geometry(self, multi_scenario):
         assert multi_scenario.geometry is not None
