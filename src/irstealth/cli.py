@@ -9,15 +9,12 @@ import numpy as np
 
 from .config import (ConfigError, ScenarioConfig, build_scenario,
                      single_radar_config, with_seed)
-from .experiments import PRESET_NAMES, emit_csv, run_experiment
-from .optimizers import (ConvergenceError, InfeasibleError, ReflectionSolution,
-                         dft_codebook_design, dual_value, kkt_certificate,
-                         min_irs_elements, mmse_delta_search, random_phase,
-                         reverse_alignment, single_link, solve_pgd)
+from .experiments import PRESET_NAMES, _fmt, emit_csv, run_experiment
+from .optimizers import (SOLVERS, ConvergenceError, InfeasibleError, ReflectionSolution,
+                         dual_value, kkt_certificate, min_irs_elements)
 from .power_model import link_factor, sum_power
 
-SOLVER_NAMES = ("pgd", "reverse-alignment", "mmse", "dft-codebook", "random-phase",
-                "no-irs")
+SOLVER_NAMES = tuple(SOLVERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,37 +67,18 @@ def _cmd_min_elements(args) -> int:
     return 0
 
 
-def _fmt(x: float) -> str:
-    return np.format_float_scientific(x, unique=True)
-
-
 def _cmd_solve(args) -> int:
     config = _load_config(args.config, args.seed)
     scenario = build_scenario(config)
-    n1 = scenario.target.irs_geometry.num_elements
-    beta = scenario.target.beta_max
     factor = link_factor(scenario)
-    solution = None
-    if args.solver == "pgd":
-        solution = solve_pgd(factor)
-        theta = solution.theta
-    elif args.solver == "reverse-alignment":
-        if scenario.num_radars != 1:
-            raise ValueError("reverse-alignment applies to single-radar scenarios")
-        theta = reverse_alignment(*single_link(factor), beta).theta
-    elif args.solver == "mmse":
-        theta = mmse_delta_search(factor)[1].theta
-    elif args.solver == "dft-codebook":
-        theta = dft_codebook_design(factor).theta
-    elif args.solver == "random-phase":
-        theta = random_phase(n1, beta, config.seed + 0x5EED)
-    else:
-        theta = np.zeros(n1, dtype=complex)
+    solution = SOLVERS[args.solver](factor.link, factor.r_vec[:, None], factor.beta_max,
+                                    [config.seed])[0]
+    theta = solution.theta
     objective = sum_power(theta, scenario)
     lam, kkt = kkt_certificate(factor, ReflectionSolution(theta, objective, args.solver))
     print(f"solver: {args.solver}")
     print(f"objective_watts: {_fmt(objective)}")
-    if solution is not None:
+    if solution.termination is not None:
         print(f"termination: {solution.termination}")
         print(f"iterations: {solution.iterations}")
     print(f"kkt_residual: {_fmt(kkt)}")

@@ -19,8 +19,8 @@ import numpy as np
 
 from .arrays import AnglePair, ArrayGeometry, ArrayKind
 from .power_model import (NirsPanel, RadarNode, Scenario, ScenarioGeometry, Target,
-                          angles_between, matched_beamformer, _RADAR_AXES,
-                          _TARGET_AXES)
+                          angles_between, matched_beamformer, _distance,
+                          _RADAR_AXES, _TARGET_AXES)
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -248,8 +248,6 @@ def build_geometry(config: ScenarioConfig) -> ScenarioGeometry:
         else:
             aim = AnglePair(np.deg2rad(rc.beam_azimuth_deg), 0.0)
         beam = matched_beamformer(geom, aim, config.wavelength)
-        distance = float(np.linalg.norm(np.asarray(rc.position, dtype=float)
-                                        - np.asarray(tgt.position, dtype=float)))
         radars.append(RadarNode(geometry=geom,
                                 position=tuple(float(p) for p in rc.position),
                                 beamformer=beam,
@@ -257,7 +255,8 @@ def build_geometry(config: ScenarioConfig) -> ScenarioGeometry:
                                 pri=rc.pri, pulse=rc.pulse,
                                 bandwidth=rc.bandwidth,
                                 noise_power=dbm_to_watts(rc.noise_dbm),
-                                pulse_epoch=distance / SPEED_OF_LIGHT))
+                                pulse_epoch=_distance(rc.position, tgt.position)
+                                / SPEED_OF_LIGHT))
     return ScenarioGeometry(config.wavelength, db_to_linear(config.alpha_db),
                             tuple(radars), target, tgt.epoch_jitter)
 

@@ -12,10 +12,12 @@ The trials of a sweep point run as one batch: they share the point's true
 link matrix and differ only in their coating terms, so the coating terms
 form one K^2 x T matrix, every design works on its columns, and all true
 powers come from one product of the link matrix with the stacked designs.
-Steering-error trials are grouped by their perturbed directions (at most
-2^K sign patterns per error value), and each group shares one perturbed
-link matrix.  The sensing preset keeps one trial at a time, since every
-trial runs its own angle estimation.
+Each point's trials fall into design groups, every group running named
+entries of :data:`~irstealth.optimizers.SOLVERS` on its own design link
+matrix.  Steering-error trials are grouped by their perturbed directions (at
+most 2^K sign patterns per error value), each group sharing one perturbed
+link matrix; in the sensing preset each trial designs alone on its
+estimated link factor, and all trials together on the true link matrix.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,10 +35,8 @@ from .arrays import AnglePair
 from .config import (ConfigError, ScenarioConfig, build_geometry, validate_config,
                      watts_to_db, with_seed)
 from .estimation import estimate_parameters
-from .optimizers import (ConvergenceError, alignment_designs, codebook_designs,
-                         min_irs_elements, mmse_designs, pgd_designs, random_phase,
-                         solve_pgd)
-from .power_model import LinkMatrix, link_factor
+from .optimizers import SOLVERS, ConvergenceError, min_irs_elements
+from .power_model import LinkMatrix, _distance, link_factor
 
 PRESET_NAMES = ("power-vs-distance", "power-vs-elements", "power-vs-angle",
                 "power-vs-aoa-error", "power-vs-num-radars",
@@ -103,48 +104,44 @@ def solver_powers(scenario, trial_seed: int, design=None) -> dict[str, float]:
     """
     truth = link_factor(scenario)
     design = truth if design is None else design
-    powers = _batch_powers(truth.link, truth.r_vec[:, None], [trial_seed],
-                           truth.beta_max, design.link, design.r_vec[:, None])
+    powers = _batch_powers(truth.link, truth.r_vec[:, None], [trial_seed], truth.beta_max,
+                           _Group(None, design.link, design.r_vec[:, None], [0]))
     return {name: float(watts[0]) for name, watts in powers.items()}
 
 
+class _Group(NamedTuple):
+    """Trials ``members`` of a sweep point, designed on ``link`` with the
+    coating terms ``r_mat`` (one column per member).  ``solvers`` maps each
+    row name to its :data:`~irstealth.optimizers.SOLVERS` entry, or is None
+    for the sweep designs (:func:`_batch_powers`)."""
+
+    solvers: dict | None
+    link: LinkMatrix
+    r_mat: np.ndarray
+    members: np.ndarray
+
+
 def _batch_powers(truth: LinkMatrix, r_mat, seeds, beta: float,
-                  design: LinkMatrix, design_r) -> dict[str, np.ndarray]:
-    """Sum received power of every applicable design, one entry per trial.
+                  group: _Group) -> dict[str, np.ndarray]:
+    """Sum received power of every design of ``group``, one entry per trial.
 
     Trial t has the true coating terms ``r_mat[:, t]`` and the random-phase
-    seed ``seeds[t]``; the designs see ``design`` with ``design_r[:, t]``.
+    seed ``seeds[t]``.  The sweep designs are ``pgd`` and ``dft-codebook``,
+    ``reverse-alignment`` for one radar or ``mmse`` for more, and the two
+    baselines.  Every ||D theta + r_t||^2 comes from one product: D times the
+    designs stacked side by side, plus the coating terms repeated.
     """
-    n1 = truth.array.shape[1]
-    solutions = {"pgd": pgd_designs(design, design_r, beta)}
-    if truth.array.shape[0] == 1:
-        solutions["reverse-alignment"] = alignment_designs(design, design_r, beta)
-    else:
-        solutions["mmse"] = [sol for _, sol in mmse_designs(design, design_r, beta)]
-    solutions["dft-codebook"] = codebook_designs(design, design_r, beta)
-    thetas = {name: np.column_stack([sol.theta for sol in sols])
-              for name, sols in solutions.items()}
-    thetas["random-phase"] = np.column_stack([random_phase(n1, beta, int(seed) + 0x5EED)
-                                              for seed in seeds])
-    thetas["no-irs"] = np.zeros((n1, len(seeds)), dtype=complex)
-    return _true_powers(truth, r_mat, thetas)
-
-
-def _alignment_powers(truth: LinkMatrix, r_mat, seeds, beta: float,
-                      design: LinkMatrix, design_r) -> dict[str, np.ndarray]:
-    """Power of the reverse-alignment design alone, one entry per trial."""
-    solutions = alignment_designs(design, design_r, beta)
-    return _true_powers(truth, r_mat, {"reverse-alignment": np.column_stack(
-        [sol.theta for sol in solutions])})
-
-
-def _true_powers(truth: LinkMatrix, r_mat, thetas: dict) -> dict[str, np.ndarray]:
-    """||D theta + r_t||^2 of every design column, from one product: D times
-    the designs stacked side by side, plus the coating terms repeated."""
+    solvers = group.solvers
+    if solvers is None:
+        fitted = "reverse-alignment" if truth.array.shape[0] == 1 else "mmse"
+        solvers = {name: name for name in ("pgd", fitted, "dft-codebook",
+                                           "random-phase", "no-irs")}
+    thetas = [np.column_stack([sol.theta for sol in SOLVERS[solver](
+        group.link, group.r_mat, beta, seeds)]) for solver in solvers.values()]
     trials = r_mat.shape[1]
-    residual = truth.array @ np.hstack(list(thetas.values())) + np.tile(r_mat, len(thetas))
+    residual = truth.array @ np.hstack(thetas) + np.tile(r_mat, len(thetas))
     power = np.sum(residual.real ** 2 + residual.imag ** 2, axis=0)
-    return {name: power[i * trials:(i + 1) * trials] for i, name in enumerate(thetas)}
+    return {row: power[i * trials:(i + 1) * trials] for i, row in enumerate(solvers)}
 
 
 @contextmanager
@@ -173,26 +170,30 @@ def _geometries(sweep_values, config_for):
         yield value, geometry
 
 
-def _sweep_rows(config, trials, sweep_values, config_for, groups_for=None,
-                powers_for=_batch_powers):
+def _true_groups(solvers=None):
+    """``groups_for`` of one group of all trials on the true link matrix."""
+    return lambda geometry, value, r_mat: [
+        _Group(solvers, geometry.true_link, r_mat, np.arange(r_mat.shape[1]))]
+
+
+def _sweep_rows(config, trials, sweep_values, config_for, groups_for=_true_groups()):
     """Rows of every sweep point, its trials run as one batch per design group.
 
-    ``groups_for(geometry, value)`` gives (design link matrix, trial
-    indices) pairs; by default all trials design on the true link matrix.
-    ``powers_for`` maps a group to its solvers' powers (:func:`_batch_powers`).
+    ``groups_for(geometry, value, r_mat)`` gives the point's design groups
+    (:class:`_Group`), given the true coating terms of all its trials; by
+    default one group runs the sweep designs on the true link matrix.
     """
     rows = []
     seeds = trial_seeds(config.seed, trials)
     for value, geometry in _geometries(sweep_values, config_for):
         truth = geometry.true_link
         r_mat = geometry.coating_terms(seeds)
-        groups = (groups_for(geometry, value) if groups_for
-                  else [(truth, np.arange(trials))])
-        for design, members in groups:
-            r_group, seed_group = r_mat[:, members], seeds[members]
+        for group in groups_for(geometry, value, r_mat):
+            members = group.members
+            seed_group = seeds[members]
             with _trial_point(value, members, seed_group):
-                powers = powers_for(truth, r_group, seed_group,
-                                    geometry.target.beta_max, design, r_group)
+                powers = _batch_powers(truth, r_mat[:, members], seed_group,
+                                       geometry.target.beta_max, group)
             for solver, watts in powers.items():
                 for trial, seed, power in zip(members, seed_group, watts.tolist()):
                     rows.append(ExperimentRow(float(value), solver, int(trial), int(seed),
@@ -215,9 +216,7 @@ def _with_elements(config: ScenarioConfig, num_elements) -> ScenarioConfig:
 
 
 def _preset_distance(config, trials):
-    base = min(float(np.linalg.norm(np.asarray(r.position, dtype=float)
-                                    - np.asarray(config.target.position, dtype=float)))
-               for r in config.radars)
+    base = min(_distance(r.position, config.target.position) for r in config.radars)
     sweep = (60.0, 80.0, 100.0, 120.0, 140.0, 160.0, 180.0, 200.0)
 
     def config_for(value):
@@ -253,7 +252,7 @@ def _preset_aoa_error(config, trials):
     signs = [tuple(_error_sign(int(seed) + k) for k in range(len(config.radars)))
              for seed in trial_seeds(config.seed, trials)]
 
-    def groups_for(geometry, value):
+    def groups_for(geometry, value, r_mat):
         # Steering error: perturbed panel rows, true coating gains and weights.
         groups = {}
         for trial, pattern in enumerate(signs):
@@ -261,8 +260,8 @@ def _preset_aoa_error(config, trials):
                       tuple(_steered(a, value, sign)
                             for a, sign in zip(geometry.true_angles, pattern)))
             groups.setdefault(angles, []).append(trial)
-        return [(geometry.link_matrix(angles), np.array(members))
-                for angles, members in groups.items()]
+        return [_Group(None, geometry.link_matrix(angles), r_mat[:, members],
+                       np.array(members)) for angles, members in groups.items()]
 
     return "aoa_error_deg", sweep, _sweep_rows(config, trials, sweep,
                                                lambda value: config, groups_for)
@@ -294,28 +293,27 @@ def _preset_min_elements(config, trials, realizations: int = 20):
     sweep = tuple(n1x * n1y for n1x in range(max(1, n1x_pred - 2), n1x_pred + 2))
     return "num_elements", sweep, _sweep_rows(
         config, trials, sweep, lambda value: _with_elements(config, value),
-        powers_for=_alignment_powers)
+        _true_groups({"reverse-alignment": "reverse-alignment"}))
 
 
 def _preset_estimation(config, trials):
     sweep = (16.0, 32.0, 64.0)
-    rows = []
     seeds = trial_seeds(config.seed, trials)
-    for value, geometry in _geometries(sweep, lambda value: config):
+
+    def groups_for(geometry, value, r_mat):
+        # Each trial designs on its own sensed parameters, then all trials on
+        # the true link matrix.
         for trial, seed in enumerate(seeds):
             scenario = geometry.draw(int(seed))
             aoa, g2 = estimate_parameters(scenario, n_snapshots=int(value),
                                           seed=int(seed) + 0xA0A)
-            truth = link_factor(scenario)
             estimated = link_factor(scenario, aoa.angles, g2)
-            with _trial_point(value, [trial], [int(seed)]):
-                power_est = truth.objective(solve_pgd(estimated).theta)
-                power_true = truth.objective(solve_pgd(truth).theta)
-            for solver, watts in (("pgd-estimated", power_est),
-                                  ("pgd-true", power_true)):
-                rows.append(ExperimentRow(float(value), solver, trial, int(seed),
-                                          float(watts), watts_to_db(watts)))
-    return "num_snapshots", sweep, rows
+            yield _Group({"pgd-estimated": "pgd"}, estimated.link,
+                         estimated.r_vec[:, None], np.array([trial]))
+        yield from _true_groups({"pgd-true": "pgd"})(geometry, value, r_mat)
+
+    return "num_snapshots", sweep, _sweep_rows(config, trials, sweep,
+                                               lambda value: config, groups_for)
 
 
 _PRESETS = {

@@ -18,7 +18,8 @@ also runs on many coating-term columns r at once (``pgd_designs``,
 ``mmse_designs``, ``codebook_designs``, ``alignment_designs``), one problem
 per column on a shared link matrix, which is how a sweep point's trials run
 as one batch; the single-instance functions are their one-column case.
-Five designs are provided:
+:data:`SOLVERS` maps each solver name to its batched design, for the sweeps
+and ``irstealth solve`` alike.  Five designs are provided:
 
 * the certified global optimum of the QCQP (``pgd``): the minimum-norm
   point when it is feasible, otherwise a semismooth Newton ascent on the
@@ -440,7 +441,8 @@ def _aligned(u, gains: np.ndarray, beta_max: float) -> list[ReflectionSolution]:
 
 def _one_link(link: LinkMatrix, r) -> tuple[np.ndarray, np.ndarray]:
     if link.array.shape[0] != 1:
-        raise ValueError(f"need a one-link factor, got {link.array.shape[0]} links")
+        raise ValueError("reverse alignment applies to single-radar scenarios: need a "
+                         f"one-link factor, got {link.array.shape[0]} links")
     row = link.array[0]
     amp = float(np.abs(row[0]))
     return row.conj() / amp, r[0] / amp
@@ -544,6 +546,28 @@ def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:
         raise ValueError(f"need at least one element, got {n1}")
     rng = np.random.default_rng(seed)
     return beta_max * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n1))
+
+
+def _baseline(name: str, link: LinkMatrix, r_mat, thetas) -> list[ReflectionSolution]:
+    """Solutions of fixed design columns, with their objectives on ``link``."""
+    objectives = np.sum(np.abs(link.array @ thetas + r_mat) ** 2, axis=0)
+    return [ReflectionSolution(thetas[:, t], float(objectives[t]), name)
+            for t in range(thetas.shape[1])]
+
+
+# Every design by its solver name, batched on (link, r, beta, seeds): one
+# solution per column of r, with ``seeds[t]`` the trial seed of column t.
+SOLVERS = {
+    "pgd": lambda link, r, beta, seeds: pgd_designs(link, r, beta),
+    "reverse-alignment": lambda link, r, beta, seeds: alignment_designs(link, r, beta),
+    "mmse": lambda link, r, beta, seeds: [sol for _, sol in mmse_designs(link, r, beta)],
+    "dft-codebook": lambda link, r, beta, seeds: codebook_designs(link, r, beta),
+    "random-phase": lambda link, r, beta, seeds: _baseline(
+        "random-phase", link, r, np.column_stack([random_phase(
+            link.array.shape[1], beta, int(seed) + 0x5EED) for seed in seeds])),
+    "no-irs": lambda link, r, beta, seeds: _baseline(
+        "no-irs", link, r, np.zeros((link.array.shape[1], len(seeds)), dtype=complex)),
+}
 
 
 def min_irs_elements(zeta_bar: float, n2: int, beta_max: float,

@@ -1,8 +1,10 @@
 import subprocess
 import sys
 
-from irstealth.config import multi_radar_config, single_radar_config
-from irstealth.experiments import parse_csv
+import pytest
+
+from irstealth.config import build_scenario, multi_radar_config, single_radar_config
+from irstealth.experiments import parse_csv, solver_powers
 
 
 def run_cli(*args):
@@ -84,6 +86,26 @@ class TestSolve:
         proc = run_cli("solve", "--solver", "no-irs")
         assert proc.returncode == 0
         assert "theta[0] = +0.000000000000e+00+0.000000000000e+00j" in proc.stdout
+
+    @pytest.mark.parametrize("num_radars, solver", [
+        (1, "pgd"), (1, "reverse-alignment"), (1, "dft-codebook"), (1, "random-phase"),
+        (1, "no-irs"), (3, "pgd"), (3, "mmse"), (3, "dft-codebook"), (3, "random-phase"),
+        (3, "no-irs")])
+    def test_objective_matches_the_sweep_path(self, tmp_path, num_radars, solver):
+        # The sweeps and ``solve`` run one solver table; design rows agree to
+        # 1e-9 of the no-irs power, baselines to 1e-12 relative.
+        config = (single_radar_config(seed=4) if num_radars == 1
+                  else multi_radar_config(n1x=4, seed=4))
+        path = tmp_path / "config.json"
+        config.save(path)
+        proc = run_cli("solve", "--config", str(path), "--solver", solver)
+        assert proc.returncode == 0
+        objective = float(proc.stdout.splitlines()[1].split(": ")[1])
+        powers = solver_powers(build_scenario(config), config.seed)
+        if solver in ("random-phase", "no-irs"):
+            assert objective == pytest.approx(powers[solver], rel=1e-12, abs=0.0)
+        else:
+            assert abs(objective - powers[solver]) <= 1e-9 * powers["no-irs"]
 
     def test_missing_config_file(self):
         proc = run_cli("solve", "--config", "/nonexistent/config.json")

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irstealth import experiments, power_model
+from irstealth import experiments, optimizers, power_model
 from irstealth.arrays import AnglePair
 from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
                               single_radar_config)
 from irstealth.experiments import (PRESET_NAMES, ExperimentResult, ExperimentRow,
                                    emit_csv, inject_aoa_error, parse_csv,
                                    run_experiment, solver_powers, trial_seeds)
-from irstealth.optimizers import ConvergenceError
+from irstealth.estimation import estimate_parameters
+from irstealth.optimizers import ConvergenceError, solve_pgd
 from irstealth.power_model import angles_at_target, link_factor
 
 
@@ -197,10 +198,10 @@ class TestRunExperiment:
         def exhausted(instance, *args, **kwargs):
             raise ConvergenceError("no convergence within 7 iterations", None)
 
-        # Sweeps solve a point's trials as one batch; sensing one trial at a time.
-        target = "solve_pgd" if preset == "estimation-pipeline" else "pgd_designs"
+        # Every preset solves through the batched design; the sensing preset's
+        # first group is trial 0 on its estimated parameters.
         sweep = {"power-vs-num-radars": "1", "power-vs-aoa-error": "0"}.get(preset, "16")
-        monkeypatch.setattr(experiments, target, exhausted)
+        monkeypatch.setattr(optimizers, "pgd_designs", exhausted)
         with pytest.raises(ConvergenceError) as err:
             run_experiment(preset, single_radar_config(seed=3), 2)
         seed = int(trial_seeds(3, 2)[0])
@@ -299,9 +300,9 @@ class TestLargePanel:
 
 # The batched presets on a one-radar N1 = 8 panel (the config of
 # tests/golden/radar1-n8.json) and a three-radar one.
-BATCH_CASES = ([(1, preset) for preset in PRESET_NAMES if preset != "estimation-pipeline"]
+BATCH_CASES = ([(1, preset) for preset in PRESET_NAMES]
                + [(3, preset) for preset in PRESET_NAMES
-                  if preset not in ("estimation-pipeline", "min-elements-validation")])
+                  if preset != "min-elements-validation"])
 BASELINES = ("no-irs", "random-phase")
 
 
@@ -314,6 +315,27 @@ def _batch_config(num_radars):
 def _coating_power(geometry, seed):
     r_vec = link_factor(geometry.draw(seed)).r_vec
     return float(np.real(np.vdot(r_vec, r_vec)))
+
+
+def _one_trial_powers(preset, scenario, seed, value):
+    """Powers of one trial's rows by the one-trial path, and its coating-only
+    power."""
+    truth = link_factor(scenario)
+    if preset == "estimation-pipeline":
+        aoa, g2 = estimate_parameters(scenario, n_snapshots=int(value), seed=seed + 0xA0A)
+        estimated = link_factor(scenario, aoa.angles, g2)
+        return ({"pgd-estimated": truth.objective(solve_pgd(estimated).theta),
+                 "pgd-true": truth.objective(solve_pgd(truth).theta)},
+                truth.objective(np.zeros(truth.n_elements)))
+    design = None
+    if preset == "power-vs-aoa-error":
+        design = link_factor(scenario, [
+            inject_aoa_error(angles_at_target(scenario, k), value, seed + k)
+            for k in range(scenario.num_radars)])
+    powers = solver_powers(scenario, seed, design)
+    if preset == "min-elements-validation":
+        return {"reverse-alignment": powers["reverse-alignment"]}, powers["no-irs"]
+    return powers, powers["no-irs"]
 
 
 def _assert_rows_agree(got, want, p0):
@@ -356,23 +378,16 @@ class TestTrialBatch:
         for value, geometry in points.items():
             failures = []
             for trial, seed in enumerate(trial_seeds(config.seed, 5)):
-                scenario = geometry.draw(int(seed))
-                design = None
-                if preset == "power-vs-aoa-error":
-                    design = link_factor(scenario, [
-                        inject_aoa_error(angles_at_target(scenario, k), value, int(seed) + k)
-                        for k in range(scenario.num_radars)])
                 try:
-                    powers = solver_powers(scenario, int(seed), design)
+                    powers, p0 = _one_trial_powers(preset, geometry.draw(int(seed)),
+                                                   int(seed), value)
                 except ConvergenceError as exc:
                     failures.append(f"{exc} at sweep {value:g}, trial {trial}, seed {seed}")
                     continue
                 if failure is not None:
                     continue
-                for solver in (("reverse-alignment",) if preset == "min-elements-validation"
-                               else powers):
-                    _assert_rows_agree(got.pop((value, trial, solver)), powers[solver],
-                                       powers["no-irs"])
+                for solver, power in powers.items():
+                    _assert_rows_agree(got.pop((value, trial, solver)), power, p0)
             if failures:
                 # The batch stops at the first point with a failing trial.
                 assert failure in failures
@@ -406,7 +421,7 @@ class TestTrialBatch:
         patterns = [tuple(inject_aoa_error(a, 0.5, int(seed) + k)
                           for k, a in enumerate(truth)) for seed in seeds]
         group = [t for t, pattern in enumerate(patterns) if pattern == patterns[0]]
-        solve = experiments.pgd_designs
+        solve = optimizers.pgd_designs
         calls = []
 
         def failing(link, r_mat, beta, *args):
@@ -416,7 +431,7 @@ class TestTrialBatch:
                 raise ConvergenceError("no convergence", None, r_mat.shape[1] - 1)
             return solve(link, r_mat, beta, *args)
 
-        monkeypatch.setattr(experiments, "pgd_designs", failing)
+        monkeypatch.setattr(optimizers, "pgd_designs", failing)
         with pytest.raises(ConvergenceError) as err:
             run_experiment("power-vs-aoa-error", config, 6)
         assert calls == [6, len(group)]
