@@ -1,7 +1,7 @@
 """IRS-aided electromagnetic stealth: channels, power model, reflection designs."""
 
 from .arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response,
-                     split_ts_response, steer_1d, upa_response)
+                     cssa_responses, split_ts_response, steer_1d, upa_response)
 from .config import (ConfigError, RadarConfig, ScenarioConfig, TargetConfig,
                      build_geometry, build_scenario, multi_radar_config,
                      single_radar_config)

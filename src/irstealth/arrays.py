@@ -117,26 +117,31 @@ def split_ts_response(full: np.ndarray, n1x: int, n2x: int, ny: int) -> tuple[np
 
 
 def cssa_response(geom: ArrayGeometry, angles: AnglePair, wavelength: float) -> np.ndarray:
-    """Cross-shaped-array response with both arms referenced to the center.
+    """Cross-shaped-array response toward one direction: the one-angle case
+    of :func:`cssa_responses`."""
+    return cssa_responses(geom, angles.azimuth, angles.elevation, wavelength)
+
+
+def cssa_responses(geom: ArrayGeometry, azimuths, elevations, wavelength: float) -> np.ndarray:
+    """Cross-shaped-array responses at broadcast angle arrays, shape (L, *shape).
 
     Each arm is a 1D steering vector whose phase reference sits on the shared
-    central device, so the two arms agree there and the device appears once:
-    the x-arm first, then the y-arm with its central entry dropped.
+    central device (symmetric index offsets, so the center entry is exactly
+    1), so the two arms agree there and the device appears once: the x-arm
+    first, then the y-arm with its central entry dropped.
     """
     if geom.kind is not ArrayKind.CSSA:
         raise ValueError(f"cssa_response needs a CSSA geometry, got {geom.kind}")
     if wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    cx, cy = direction_cosines(angles)
+    ce = np.cos(elevations)
     scale = 2.0 * geom.spacing / wavelength
-    arm_x = _centered_arm(scale * cx, geom.nx)
-    arm_y = _centered_arm(scale * cy, geom.ny)
+    phase_x = scale * (ce * np.cos(azimuths))
+    phase_y = scale * (ce * np.sin(azimuths))
+    lead = (1,) * phase_x.ndim
+    off_x = (np.arange(geom.nx) - (geom.nx - 1) / 2).reshape((-1,) + lead)
+    off_y = (np.arange(geom.ny) - (geom.ny - 1) / 2).reshape((-1,) + lead)
+    arm_x = np.exp(-1j * np.pi * off_x * phase_x[None])
+    arm_y = np.exp(-1j * np.pi * off_y * phase_y[None])
     keep = np.arange(geom.ny) != (geom.ny - 1) // 2
-    return np.concatenate([arm_x, arm_y[keep]])
-
-
-def _centered_arm(phase_diff: float, n: int) -> np.ndarray:
-    # Phase reference at the central element: index offsets are symmetric
-    # around zero, so the center entry is exactly 1.
-    offsets = np.arange(n) - (n - 1) / 2
-    return np.exp(-1j * np.pi * offsets * phase_diff)
+    return np.concatenate([arm_x, arm_y[keep]], axis=0)

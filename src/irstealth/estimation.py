@@ -5,16 +5,18 @@ processing recovers each radar's arrival direction and a least-squares pass
 recovers the per-radar beamformed signals, whose mean pulse power estimates
 the squared beamforming gains up to the common transmit power.  That scale
 ambiguity is harmless downstream because the reflection designs are
-invariant to a uniform gain rescaling.
+invariant to a uniform gain rescaling.  Every steering vector comes from
+:func:`~irstealth.arrays.cssa_responses`.
 
 Elevation is searched over [0, pi/2) only: a planar array cannot tell the
 sign of the elevation, so the nonnegative representative is reported.  The
 coarse scan reuses one cached steering grid per array, wavelength and step
 and projects it onto the signal subspace in one matrix product; each peak
 is then refined to the argmax of a 100-times finer lattice, found by branch
-and bound on a bound of how fast the spectrum can change.  The gain scaling
-assumes one transmit power, interval and pulse for all radars, which
-:func:`estimate_parameters` enforces.
+and bound on a bound of how fast the spectrum can change, and that lattice
+point is the reported angle.  The gain scaling assumes one transmit power,
+interval and pulse for all radars, which :func:`estimate_parameters`
+enforces.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import AnglePair, ArrayGeometry, cssa_response
+from .arrays import AnglePair, ArrayGeometry, cssa_responses
 from .config import ConfigError
 from .power_model import (Scenario, angles_at_target, beamforming_gains,
                           chirp_waveform)
@@ -44,7 +46,6 @@ class SnapshotSet:
 
     samples: np.ndarray
     sample_times: np.ndarray
-    noise_power: float
     geometry: ArrayGeometry
     wavelength: float
 
@@ -65,7 +66,6 @@ class AoaEstimate:
     spectrum: np.ndarray
     azimuth_grid: np.ndarray
     elevation_grid: np.ndarray
-    grid_step: float
 
 
 def collect_snapshots(scenario: Scenario, n_snapshots: int, seed) -> SnapshotSet:
@@ -85,43 +85,23 @@ def collect_snapshots(scenario: Scenario, n_snapshots: int, seed) -> SnapshotSet
     times = t_lo + (t_hi - t_lo) * np.arange(n_snapshots) / n_snapshots
 
     target = scenario.target
-    steering = np.stack([cssa_response(target.cssa_geometry,
-                                       angles_at_target(scenario, k),
-                                       scenario.wavelength)
-                         for k in range(scenario.num_radars)], axis=1)
-    gains = beamforming_gains(scenario)
-    signals = np.stack([gains[k] * chirp_waveform(times, radars[k])
-                        for k in range(scenario.num_radars)])
+    arrivals = [angles_at_target(scenario, k) for k in range(scenario.num_radars)]
+    steering = _responses(target.cssa_geometry, scenario.wavelength, arrivals)
+    signals = np.stack([gain * chirp_waveform(times, radar)
+                        for gain, radar in zip(beamforming_gains(scenario), radars)])
     samples = steering @ signals
     if target.cssa_noise > 0:
         rng = np.random.default_rng(seed)
         shape = samples.shape
         noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         samples = samples + np.sqrt(target.cssa_noise / 2.0) * noise
-    return SnapshotSet(samples, times, target.cssa_noise,
-                       target.cssa_geometry, scenario.wavelength)
+    return SnapshotSet(samples, times, target.cssa_geometry, scenario.wavelength)
 
 
-def _steering(geometry: ArrayGeometry, wavelength: float,
-              azimuths: np.ndarray, elevations: np.ndarray) -> np.ndarray:
-    """Cross-array steering vectors at broadcast angle arrays, shape (L, *shape)."""
-    ce = np.cos(elevations)
-    cx = ce * np.cos(azimuths)
-    cy = ce * np.sin(azimuths)
-    scale = 2.0 * geometry.spacing / wavelength
-    lead = (1,) * cx.ndim
-    off_x = (np.arange(geometry.nx) - (geometry.nx - 1) / 2).reshape((-1,) + lead)
-    off_y = (np.arange(geometry.ny) - (geometry.ny - 1) / 2).reshape((-1,) + lead)
-    arm_x = np.exp(-1j * np.pi * off_x * (scale * cx)[None])
-    arm_y = np.exp(-1j * np.pi * off_y * (scale * cy)[None])
-    keep = np.arange(geometry.ny) != (geometry.ny - 1) // 2
-    return np.concatenate([arm_x, arm_y[keep]], axis=0)
-
-
-def _steering_grid(geometry: ArrayGeometry, wavelength: float,
-                   azimuths: np.ndarray, elevations: np.ndarray) -> np.ndarray:
-    """Cross-array steering vectors for a whole angle grid, shape (L, n_az, n_el)."""
-    return _steering(geometry, wavelength, azimuths[:, None], elevations[None, :])
+def _responses(geometry: ArrayGeometry, wavelength: float, angles) -> np.ndarray:
+    """Cross-array steering matrix with one column per angle pair."""
+    return cssa_responses(geometry, np.array([p.azimuth for p in angles]),
+                          np.array([p.elevation for p in angles]), wavelength)
 
 
 @functools.lru_cache(maxsize=8)
@@ -134,7 +114,7 @@ def _coarse_grid(geometry: ArrayGeometry, wavelength: float, grid_step: float):
     steps = int(np.floor((np.pi / 2 - 1e-9) / grid_step))
     azimuths = np.arange(-steps, steps + 1) * grid_step
     elevations = np.arange(0, steps + 1) * grid_step
-    steering = _steering_grid(geometry, wavelength, azimuths, elevations)
+    steering = cssa_responses(geometry, azimuths[:, None], elevations[None, :], wavelength)
     steering = steering.reshape(steering.shape[0], -1)
     for array in (azimuths, elevations, steering):
         array.setflags(write=False)
@@ -157,13 +137,6 @@ def _spectrum(noise_basis: np.ndarray, steering: np.ndarray) -> np.ndarray:
     projections = noise_basis.conj().T @ flat
     power = projections.real ** 2 + projections.imag ** 2
     return (1.0 / np.sum(power, axis=0)).reshape(steering.shape[1:])
-
-
-def _grid_spectrum(noise_basis: np.ndarray, snapshots: SnapshotSet,
-                   azimuths: np.ndarray, elevations: np.ndarray) -> np.ndarray:
-    """Pseudo-spectrum on the given angle grid, shape (n_az, n_el)."""
-    return _spectrum(noise_basis, _steering_grid(snapshots.geometry, snapshots.wavelength,
-                                                 azimuths, elevations))
 
 
 def _local_peaks(spectrum: np.ndarray) -> list[tuple[int, int]]:
@@ -193,8 +166,7 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
     signal eigenvectors).  Peaks closer than two grid steps merge into the
     larger one.  Each kept peak is refined to the argmax of a local lattice
     one hundred times finer (found by branch and bound,
-    :func:`_refine_peak`), polished by quadratic interpolation and snapped
-    back to that lattice.
+    :func:`_refine_peak`), and that lattice point is the estimate.
     """
     n_elem = snapshots.geometry.num_elements
     if k_sources >= n_elem:
@@ -235,8 +207,11 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
         az, el = _refine_peak(noise_basis, snapshots, azimuths[i], elevations[j],
                               grid_step, fine)
         angles.append(AnglePair(az, el))
-    return AoaEstimate(tuple(angles), spectrum, azimuths, elevations, grid_step)
+    return AoaEstimate(tuple(angles), spectrum, azimuths, elevations)
 
+
+# Coarse scan step of :func:`estimate_parameters`.
+_GRID_STEP = np.deg2rad(1.0)
 
 # Side, in lattice points, of the first boxes of the bounded refine (a
 # power of two: boxes are halved down to single points).
@@ -273,8 +248,7 @@ def _refine_peak(noise_basis, snapshots, az0, el0, coarse, fine):
     h over the box.  Square boxes tile the lattice; each round evaluates
     their centres, drops every box whose bound exceeds the smallest h found
     (it cannot hold the maximum) and splits the rest into four, down to
-    single points.  The argmax's lattice neighbours along each axis feed
-    the quadratic polish.
+    single points.
     """
     half = np.pi / 2
     az_lo = max(az0 - coarse, -half + fine)
@@ -287,8 +261,8 @@ def _refine_peak(noise_basis, snapshots, az0, el0, coarse, fine):
     local = np.full(size, -np.inf)
 
     def scan(ia, ie):
-        local[ia, ie] = _spectrum(noise_basis, _steering(snapshots.geometry, snapshots.wavelength,
-                                                         az_grid[ia], el_grid[ie]))
+        local[ia, ie] = _spectrum(noise_basis, cssa_responses(
+            snapshots.geometry, az_grid[ia], el_grid[ie], snapshots.wavelength))
 
     # A box of the given side starting at (sa, se) holds the lattice points
     # up to side - 1 further along each axis; its centre, clipped to the
@@ -314,30 +288,12 @@ def _refine_peak(noise_basis, snapshots, az0, el0, coarse, fine):
         sa, se = sa[inside], se[inside]
 
     i, j = np.unravel_index(int(np.argmax(local)), size)
-    for a, e in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-        if 0 <= a < size[0] and 0 <= e < size[1] and local[a, e] == -np.inf:
-            scan(a, e)
-    az = az_grid[i] + _parabolic_offset(local[:, j], i) * fine
-    el = el_grid[j] + _parabolic_offset(local[i, :], j) * fine
-    az = az_lo + round((az - az_lo) / fine) * fine
-    el = el_lo + round((el - el_lo) / fine) * fine
-    return float(np.clip(az, -half + fine, half - fine)), float(max(el, 0.0))
-
-
-def _parabolic_offset(values: np.ndarray, idx: int) -> float:
-    if idx == 0 or idx == values.size - 1:
-        return 0.0
-    left, mid, right = values[idx - 1], values[idx], values[idx + 1]
-    denom = 2.0 * (2.0 * mid - left - right)
-    if denom <= 0:
-        return 0.0
-    return float(np.clip((right - left) / denom, -0.5, 0.5))
+    return float(np.clip(az_grid[i], -half + fine, half - fine)), float(el_grid[j])
 
 
 def steering_matrix(snapshots: SnapshotSet, angles) -> np.ndarray:
     """Sensing-array steering matrix with one column per source direction."""
-    return np.stack([cssa_response(snapshots.geometry, pair, snapshots.wavelength)
-                     for pair in angles], axis=1)
+    return _responses(snapshots.geometry, snapshots.wavelength, angles)
 
 
 def ls_recover(snapshots: SnapshotSet, a_matrix: np.ndarray) -> np.ndarray:
@@ -346,12 +302,10 @@ def ls_recover(snapshots: SnapshotSet, a_matrix: np.ndarray) -> np.ndarray:
     Raises ``numpy.linalg.LinAlgError`` when the steering matrix is rank
     deficient (source directions too close to separate).
     """
-    a_matrix = np.asarray(a_matrix)
-    singulars = np.linalg.svd(a_matrix, compute_uv=False)
+    recovered, _, _, singulars = np.linalg.lstsq(a_matrix, snapshots.samples, rcond=None)
     if singulars[-1] <= 1e-10 * singulars[0]:
         raise np.linalg.LinAlgError("steering matrix is rank deficient; "
                                     "source directions too close")
-    recovered, *_ = np.linalg.lstsq(a_matrix, snapshots.samples, rcond=None)
     return recovered
 
 
@@ -369,8 +323,7 @@ def gain_estimate(recovered: np.ndarray, pri: float, pulse: float) -> np.ndarray
     return pulse / pri * np.mean(np.abs(recovered) ** 2, axis=1)
 
 
-def estimate_parameters(scenario: Scenario, n_snapshots: int = 64, seed=0,
-                        grid_step: float = np.deg2rad(1.0)
+def estimate_parameters(scenario: Scenario, n_snapshots: int = 64, seed=0
                         ) -> tuple[AoaEstimate, np.ndarray]:
     """Full sensing pass: snapshots, arrival angles, then squared-gain estimates.
 
@@ -390,7 +343,7 @@ def estimate_parameters(scenario: Scenario, n_snapshots: int = 64, seed=0,
                 raise ConfigError(f"radars[{i}].{name}", "sensing needs every radar "
                                   f"to share radars[0].{name}")
     snapshots = collect_snapshots(scenario, n_snapshots, seed)
-    aoa = music_aoa(snapshots, scenario.num_radars, grid_step)
+    aoa = music_aoa(snapshots, scenario.num_radars, _GRID_STEP)
     a_matrix = steering_matrix(snapshots, aoa.angles)
     recovered = ls_recover(snapshots, a_matrix)
     return aoa, gain_estimate(recovered, first.pri, first.pulse)

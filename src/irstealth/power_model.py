@@ -123,10 +123,10 @@ class Target:
 class Scenario:
     """Immutable world state: K radars, one target, one wavelength.
 
-    ``geometry`` is the shared seed-free half of a scenario drawn by
-    :meth:`ScenarioGeometry.draw`.  A scenario built by hand, or changed
-    with ``dataclasses.replace``, has none and builds its responses and
-    gains afresh on every call.
+    ``geometry`` is the scenario's seed-free half: the one it was drawn from
+    by :meth:`ScenarioGeometry.draw`, shared with every scenario drawn from
+    it, or else one built from the scenario's own fields on first use.  A
+    scenario changed with ``dataclasses.replace`` builds its own.
     """
 
     wavelength: float
@@ -134,8 +134,6 @@ class Scenario:
     target: Target
     ref_gain: float
     seed: int = 0
-    geometry: ScenarioGeometry | None = field(default=None, init=False,
-                                              repr=False, compare=False)
 
     def __post_init__(self):
         if self.wavelength <= 0:
@@ -148,6 +146,10 @@ class Scenario:
     @property
     def num_radars(self) -> int:
         return len(self.radars)
+
+    @cached_property
+    def geometry(self) -> ScenarioGeometry:
+        return ScenarioGeometry(self.wavelength, self.ref_gain, self.radars, self.target)
 
 
 def angles_between(pos_from, pos_to, axes) -> AnglePair:
@@ -168,7 +170,7 @@ def angles_between(pos_from, pos_to, axes) -> AnglePair:
 
 def angles_at_target(scenario: Scenario, k: int) -> AnglePair:
     """Arrival direction of radar k at the target surface."""
-    return _geometry(scenario).true_angles[k]
+    return scenario.geometry.true_angles[k]
 
 
 def _distance(pos_a, pos_b) -> float:
@@ -229,7 +231,7 @@ def beamforming_gains(scenario: Scenario) -> np.ndarray:
 
     By reciprocity one gain serves both directions of a radar's link.
     """
-    return _geometry(scenario).gains
+    return scenario.geometry.gains
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -356,7 +358,7 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
     built toward the same direction; sensed directions are not kept.
     """
     k_r = scenario.num_radars
-    geometry = _geometry(scenario)
+    geometry = scenario.geometry
     phi = np.asarray(scenario.target.nirs.phi)
     if g2 is None:
         if angles is not None and len(angles) != k_r:
@@ -414,7 +416,7 @@ class ScenarioGeometry:
             r.pulse_epoch + rng.uniform(0.0, self.epoch_jitter))) for r in self.radars)
         scenario = Scenario(wavelength=self.wavelength, radars=radars, target=target,
                             ref_gain=self.ref_gain, seed=int(seed))
-        object.__setattr__(scenario, "geometry", self)
+        scenario.__dict__["geometry"] = self
         return scenario
 
     def coating_terms(self, seeds) -> np.ndarray:
@@ -516,14 +518,6 @@ def _unchecked_replace(node, **changes):
     copy = object.__new__(type(node))
     copy.__dict__.update(node.__dict__, **changes)
     return copy
-
-
-def _geometry(scenario: Scenario) -> ScenarioGeometry:
-    """The scenario's shared geometry, or a fresh one for a scenario built by hand."""
-    if scenario.geometry is not None:
-        return scenario.geometry
-    return ScenarioGeometry(scenario.wavelength, scenario.ref_gain, scenario.radars,
-                            scenario.target)
 
 
 def _check_amplitudes(theta: np.ndarray, scenario: Scenario) -> np.ndarray:

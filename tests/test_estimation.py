@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind
+from irstealth.arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response,
+                              cssa_responses)
 from irstealth.config import (ConfigError, build_scenario, multi_radar_config,
                               single_radar_config)
 from irstealth.estimation import (EstimationError, SnapshotSet,
                                   collect_snapshots, estimate_parameters,
                                   gain_estimate, ls_recover, music_aoa,
-                                  steering_matrix, _block_radius, _grid_spectrum,
-                                  _local_peaks, _refine_peak, _subspaces,
-                                  _steering, _steering_grid)
+                                  steering_matrix, _block_radius, _local_peaks,
+                                  _refine_peak, _spectrum, _subspaces)
 from irstealth.optimizers import dft_codebook_design, mmse_delta_search, solve_pgd
 from irstealth.power_model import (angles_at_target, beamforming_gains,
                                    link_factor, sum_power)
@@ -122,12 +122,33 @@ class TestMusicAoa:
     def test_spectrum_invariant_to_sample_scaling(self, clean_multi):
         snaps = collect_snapshots(clean_multi, 64, seed=3)
         doubled = SnapshotSet(2.0 * snaps.samples, snaps.sample_times,
-                              snaps.noise_power, snaps.geometry, snaps.wavelength)
+                              snaps.geometry, snaps.wavelength)
         az = np.deg2rad(np.arange(-60, 61, 5, dtype=float))
         el = np.deg2rad(np.arange(0, 31, 5, dtype=float))
-        spec_a = _grid_spectrum(_subspaces(snaps, 3)[1], snaps, az, el)
-        spec_b = _grid_spectrum(_subspaces(doubled, 3)[1], doubled, az, el)
+        steering = cssa_responses(snaps.geometry, az[:, None], el[None, :], snaps.wavelength)
+        spec_a = _spectrum(_subspaces(snaps, 3)[1], steering)
+        spec_b = _spectrum(_subspaces(doubled, 3)[1], steering)
         np.testing.assert_allclose(spec_b, spec_a, rtol=1e-9)
+
+    def test_broadcast_responses_match_single_angle_response(self):
+        # The coarse grid, the refine boxes and the steering matrix all take
+        # their vectors from the broadcast response: each must be the
+        # single-angle response at the same angle, bit for bit.
+        geometry = ArrayGeometry(ArrayKind.CSSA, 5, 7, 0.0125)
+        rng = np.random.default_rng(5)
+        az = rng.uniform(-1.57, 1.57, 23)
+        el = rng.uniform(0.0, 1.57, 11)
+        grid = cssa_responses(geometry, az[:, None], el[None, :], 0.05)
+        assert grid.shape == (geometry.num_elements, az.size, el.size)
+        snaps = SnapshotSet(np.zeros((geometry.num_elements, 1)), np.zeros(1), geometry, 0.05)
+        pairs = [AnglePair(a, e) for a, e in zip(az, el)]
+        columns = steering_matrix(snaps, pairs)
+        for i, a in enumerate(az):
+            for j, e in enumerate(el):
+                single = cssa_response(geometry, AnglePair(a, e), 0.05)
+                assert np.array_equal(grid[:, i, j], single), (a, e)
+        for column, pair in zip(columns.T, pairs):
+            assert np.array_equal(column, cssa_response(geometry, pair, 0.05)), pair
 
 
 def _snapshot_signal_power(scenario):
@@ -208,7 +229,7 @@ class TestGainEstimate:
             noise = np.sqrt(sigma2 / 2) * (rng.standard_normal((9, 64))
                                            + 1j * rng.standard_normal((9, 64)))
             snaps = SnapshotSet(noise, np.linspace(0, pulse, 64, endpoint=False),
-                                sigma2, geometry, 0.05)
+                                geometry, 0.05)
             a_matrix = steering_matrix(snaps, angles)
             estimates.append(gain_estimate(ls_recover(snaps, a_matrix),
                                            pri, pulse))
@@ -270,29 +291,18 @@ class TestGainScaleInvariance:
 
 def exhaustive_refine(noise_basis, snapshots, az0, el0, coarse, fine):
     """Refine oracle: argmax over the whole fine lattice within one coarse
-    step of the peak, then the quadratic polish and the snap to the lattice."""
+    step of the peak, with the azimuth clipped into the admissible range."""
     half = np.pi / 2
     az_lo, az_hi = max(az0 - coarse, -half + fine), min(az0 + coarse, half - fine)
     el_lo, el_hi = max(el0 - coarse, 0.0), min(el0 + coarse, half - fine)
     az_grid = az_lo + fine * np.arange(int(round((az_hi - az_lo) / fine)) + 1)
     el_grid = el_lo + fine * np.arange(int(round((el_hi - el_lo) / fine)) + 1)
-    steering = _steering_grid(snapshots.geometry, snapshots.wavelength, az_grid, el_grid)
+    steering = cssa_responses(snapshots.geometry, az_grid[:, None], el_grid[None, :],
+                              snapshots.wavelength)
     local = 1.0 / np.sum(np.abs(np.einsum("lk,lae->kae", noise_basis.conj(),
                                           steering)) ** 2, axis=0)
     i, j = np.unravel_index(int(np.argmax(local)), local.shape)
-
-    def offset(values, idx):
-        if idx == 0 or idx == values.size - 1:
-            return 0.0
-        left, mid, right = values[idx - 1], values[idx], values[idx + 1]
-        denom = 2.0 * (2.0 * mid - left - right)
-        return 0.0 if denom <= 0 else float(np.clip((right - left) / denom, -0.5, 0.5))
-
-    az = az_grid[i] + offset(local[:, j], i) * fine
-    el = el_grid[j] + offset(local[i, :], j) * fine
-    az = az_lo + round((az - az_lo) / fine) * fine
-    el = el_lo + round((el - el_lo) / fine) * fine
-    return float(np.clip(az, -half + fine, half - fine)), float(max(el, 0.0))
+    return float(np.clip(az_grid[i], -half + fine, half - fine)), float(el_grid[j])
 
 
 def check_peaks(config, num_radars, n_snapshots, seed):
@@ -339,8 +349,8 @@ class TestBoundedRefine:
         # vector by at most the radius.
         geometry = ArrayGeometry(ArrayKind.CSSA, 2 * hx + 1, 2 * hy + 1, spacing)
         u, v = np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0])
-        moved = _steering(geometry, 1.0, az + u * d_az, el + v * d_el)
-        start = _steering(geometry, 1.0, np.array(az), np.array(el))
+        moved = cssa_responses(geometry, az + u * d_az, el + v * d_el, 1.0)
+        start = cssa_responses(geometry, az, el, 1.0)
         change = np.linalg.norm(moved - start[:, None, None], axis=0)
         radius = _block_radius(geometry, 1.0, az, el, d_az, d_el)
         assert change.max() <= radius * (1 + 1e-12) + 1e-12
