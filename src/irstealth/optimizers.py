@@ -6,14 +6,13 @@ link factor (D, r) (:class:`~irstealth.power_model.QcqpInstance`, built by
 :func:`~irstealth.power_model.link_factor`): one row per radar link, K^2
 rows for K radars.  The expanded form theta^H U theta + 2 Re(v^H theta) + c
 has U = D^H D, v = D^H r and c = ||r||^2, but no design forms the N1 x N1
-matrix U.  One thin SVD of D (O(K^4 N1)) gives lambda_max(U) = sigma_1^2,
-the minimum-norm stationary point and every ridge candidate; each ridge
-candidate then costs O(K^2 N1), each Newton step of the certified solve
-O(K^4 N1) (a 2 K^2 real system, one unknown per link-row multiplier), and
-the codebook one N1-point FFT per link row, instead of the O(N1^3) of the
-expanded form.  The SVD, the adjoint and the FFTs are computed once per
-:class:`~irstealth.power_model.LinkMatrix`, so every design on one factor,
-and every trial's true factor at one sweep point, shares them.  Each design
+matrix U.  ``pgd``, ``mmse`` and ``dft-codebook`` read only the reduced
+factor (B, r'): D's k significant singular directions plus one residual row
+(:attr:`~irstealth.power_model.LinkMatrix.reduced`, built once per link
+matrix from one O(K^4 N1) SVD; k is 5 of 9 for three radars, 11 of 25 for
+five).  The minimum-norm point and every ridge candidate then cost O(k N1),
+each Newton step of the certified solve O(k^2 N1) (a 2 (k + 1) real
+system), and the codebook one N1-point FFT per reduced row.  Each design
 also runs on many coating-term columns r at once (``pgd_designs``,
 ``mmse_designs``, ``codebook_designs``, ``alignment_designs``), one problem
 per column on a shared link matrix, which is how a sweep point's trials run
@@ -32,7 +31,8 @@ and ``irstealth solve`` alike.  Five designs are provided:
 
 All designs return amplitude-feasible vectors; objectives are reported on
 the same scale as :func:`irstealth.power_model.sum_power` (watts when the
-factor comes from a scenario).
+factor comes from a scenario), ``mmse``'s and ``dft-codebook``'s on the
+reduced factor and every other design's on D.
 """
 
 from __future__ import annotations
@@ -103,23 +103,20 @@ def _ridge_designs(link: LinkMatrix, r_mat: np.ndarray,
     -Q diag(sigma / (sigma^2 + delta)) P^H r, and its residual is
     ||r - P P^H r||^2 + sum_i (delta / (sigma_i^2 + delta))^2 |(P^H r)_i|^2,
     which carries no cancellation and grows with delta, also in rounding,
-    since every operation on delta is monotone.  ``delta = 0`` gives
-    the minimum-norm least-squares point, with the singular-value cutoff of
-    numpy's ``lstsq``.
+    since every operation on delta is monotone.  ``delta = 0`` gives the
+    minimum-norm least-squares point and needs every singular value
+    positive, as a reduced factor's are.
     """
     p, sig, qh = link.svd
     deltas = np.asarray(deltas, dtype=float)
-    cutoff = np.finfo(float).eps * max(link.array.shape) * sig[0]
     denom = sig[:, None] ** 2 + deltas[None, :]
-    live = (sig[:, None] > cutoff) | (deltas[None, :] > 0)
-    gain = np.divide(sig[:, None], denom, out=np.zeros_like(denom), where=live)
-    kept = np.divide(deltas[None, :], denom, out=np.ones_like(denom), where=live)
+    gain, kept = sig[:, None] / denom, deltas[None, :] / denom
     coords = p.conj().T @ r_mat
     outside = r_mat - p @ coords
     residuals = (np.sum(outside.real ** 2 + outside.imag ** 2, axis=0)
                  + np.sum((kept[:, :, None] * np.abs(coords)[:, None, :]) ** 2, axis=0))
     scaled = -gain[:, :, None] * coords[:, None, :]
-    thetas = qh.conj().T @ scaled.reshape(sig.size, -1)
+    thetas = qh.conj().T @ scaled.reshape(sig.size, deltas.size * r_mat.shape[1])
     return thetas.reshape(-1, deltas.size, r_mat.shape[1]), residuals
 
 
@@ -136,47 +133,40 @@ def pgd_designs(link: LinkMatrix, r_mat: np.ndarray, beta: float,
                 tol: float = 1e-10) -> list[ReflectionSolution]:
     """Certified optimum of ||D theta + r||^2 over |theta_n| <= beta, one per column r.
 
-    Where a column's minimum-norm stationary point is feasible it is the
-    answer (``termination`` ``min-norm``); one product gives those points
-    for all columns.  Every other column is solved alone
+    Solved on the reduced factor, whose full row rank makes a feasible
+    minimum-norm point optimal (``termination`` ``min-norm``); one product
+    gives those points for all columns.  Every other column is solved alone
     (:func:`_newton_solve`, ``termination`` ``newton``).
     """
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     r_mat = np.asarray(r_mat, dtype=complex)
-    d_mat, d_adj = link.array, link.adjoint
-    n = d_mat.shape[1]
-
-    lam_max = float(link.svd[1][0]) ** 2
-    v_norms = np.linalg.norm(d_adj @ r_mat, axis=0)
-
-    # Unconstrained stationary points: optimal wherever they are feasible.
-    theta_u = _ridge_designs(link, r_mat, [0.0])[0][:, 0, :]
-    stationary = (np.linalg.norm(d_adj @ (d_mat @ theta_u + r_mat), axis=0)
-                  <= 1e-10 * (lam_max * beta * math.sqrt(n) + v_norms))
+    r_red = link.reduce(r_mat)
+    theta_u = _ridge_designs(link.reduced, r_red, [0.0])[0][:, 0, :]
     inside = np.max(np.abs(theta_u), axis=0) <= beta * (1.0 + 1e-12)
     theta_u = _project(theta_u, beta)
-    objectives = np.sum(np.abs(d_mat @ theta_u + r_mat) ** 2, axis=0)
+    residuals = link.array @ theta_u + r_mat
 
     solutions = []
     for t in range(r_mat.shape[1]):
-        if stationary[t] and inside[t]:
-            solutions.append(ReflectionSolution(theta_u[:, t], float(objectives[t]),
-                                                "pgd", 0, termination="min-norm"))
+        if inside[t]:  # the objective as QcqpInstance.objective evaluates it
+            f_val = float(np.real(np.vdot(residuals[:, t], residuals[:, t])))
+            solutions.append(ReflectionSolution(theta_u[:, t], f_val, "pgd", 0,
+                                                termination="min-norm"))
         else:
-            solutions.append(_newton_solve(QcqpInstance(link, r_mat[:, t], beta), tol,
-                                           lam_max, float(v_norms[t]), t))
+            solutions.append(_newton_solve(QcqpInstance(link, r_mat[:, t], beta),
+                                           r_red[:, t], tol, t))
     return solutions
 
 
-def _newton_solve(instance: QcqpInstance, tol: float, lam_max: float,
-                  v_norm: float, column: int) -> ReflectionSolution:
-    """Certified solve of one column; ``column`` names it in a :class:`ConvergenceError`.
+def _newton_solve(instance: QcqpInstance, r_red: np.ndarray, tol: float,
+                  column: int) -> ReflectionSolution:
+    """Certified solve of one column on its reduced factor (B, ``r_red``).
 
     Semismooth Newton steps (:func:`_dual_newton_step`) ascend the dual of
-    the regularized problem min ||D theta + r||^2 + eps ||theta||^2 over
-    |theta_n| <= beta, with one complex multiplier mu per link row and the
-    primal point theta(mu) = -clip_beta(w / 2 eps), w = D^H mu.  The
+    the regularized problem min ||B theta + r'||^2 + eps ||theta||^2 over
+    |theta_n| <= beta, with one complex multiplier mu per reduced row and
+    the primal point theta(mu) = -clip_beta(w / 2 eps), w = B^H mu.  The
     regularization eps starts at lambda_max(U) and shrinks 100-fold, down to
     2.5e-3 tol s / (N1 beta^2) with s the objective scale, whenever the
     regularized problem's own duality gap falls below 0.1 eps N1 beta^2;
@@ -184,16 +174,17 @@ def _newton_solve(instance: QcqpInstance, tol: float, lam_max: float,
     point.  At each such point the elements inside the cap are solved again
     exactly (:func:`_polish`), and the solve stops once the objective f is
     within tol (f + 1e-2 s) of a certified lower bound: the split dual
-    Re(mu^H r) - |mu|^2 / 4 - beta sum |w_n| or the Frank-Wolfe bound
-    f - 2 sum(beta |g_n| + Re(conj(g_n) theta_n)), g = D^H (D theta + r).
-    ``iterations`` counts Newton steps.  Raises :class:`ConvergenceError`
-    carrying the last iterate if the step allowance runs out.
+    Re(mu^H r') - |mu|^2 / 4 - beta sum |w_n| or the Frank-Wolfe bound
+    f - 2 sum(beta |g_n| + Re(conj(g_n) theta_n)), g = B^H (B theta + r'),
+    which holds on D up to 1e-13 s.  ``iterations`` counts Newton steps; when
+    they run out, :class:`ConvergenceError` names ``column`` with the last iterate.
     """
-    d_mat, r_vec = instance.d_mat, instance.r_vec
-    d_adj = instance.link.adjoint
-    beta = instance.beta_max
+    reduced = QcqpInstance(instance.link.reduced, r_red, instance.beta_max)
+    d_mat, r_vec, beta = reduced.d_mat, reduced.r_vec, reduced.beta_max
     n = instance.n_elements
-    obj_scale = (lam_max * beta ** 2 * n + 2.0 * v_norm * beta * math.sqrt(n)
+    lam_max = float(reduced.link.svd[1][0]) ** 2
+    obj_scale = (lam_max * beta ** 2 * n
+                 + 2.0 * float(np.linalg.norm(d_mat.conj().T @ r_vec)) * beta * math.sqrt(n)
                  + float(np.real(np.vdot(r_vec, r_vec))))
     box = n * beta ** 2
     eps_min = 2.5e-3 * tol * obj_scale / box
@@ -215,22 +206,23 @@ def _newton_solve(instance: QcqpInstance, tol: float, lam_max: float,
             polished = _polish(d_mat, r_vec, theta, np.abs(z) > beta, beta)
             res_pol = d_mat @ polished + r_vec
             f_pol = float(np.real(np.vdot(res_pol, res_pol)))
-            grad = d_adj @ res_pol
+            grad = d_mat.conj().T @ res_pol
             frank_wolfe = f_pol - 2.0 * float(np.sum(beta * np.abs(grad)
                                                      + np.real(np.conj(grad) * polished)))
             if f_pol - max(lower, frank_wolfe) <= tol * (f_pol + 1e-2 * obj_scale):
-                return ReflectionSolution(polished, f_pol, "pgd", steps,
-                                          termination="newton")
+                theta, certified = polished, True
             if certified:
-                return ReflectionSolution(theta, f_val, "pgd", steps, termination="newton")
+                return ReflectionSolution(theta, instance.objective(theta), "pgd", steps,
+                                          termination="newton")
             if eps > eps_min:
                 eps = max(eps / 100.0, eps_min)
                 continue
         if steps == _NEWTON_STEPS:
             raise ConvergenceError(f"no certificate within {steps} Newton steps",
-                                   ReflectionSolution(theta, f_val, "pgd", steps), column)
+                                   ReflectionSolution(theta, instance.objective(theta),
+                                                      "pgd", steps), column)
         steps += 1
-        mu, w = _dual_newton_step(instance, mu, w, z, residual, eps)
+        mu, w = _dual_newton_step(reduced, mu, w, z, residual, eps)
 
 
 def _dual_penalty(z: np.ndarray, eps: float, beta: float) -> float:
@@ -244,13 +236,14 @@ def _dual_newton_step(instance: QcqpInstance, mu, w, z, residual,
                       eps) -> tuple[np.ndarray, np.ndarray]:
     """One damped semismooth Newton ascent step on the regularized dual.
 
-    The dual gradient is D theta + r - mu / 2 and the negated dual Hessian
-    I / 2 + D J D^H, where J is I / 2 eps on elements inside the cap and
-    beta / |w_n| times the tangential projector on saturated ones: a
-    2 K^2 x 2 K^2 real system, never singular whatever the rank of D, built
-    in O(K^4 N1).  The step backtracks on the dual value (Armijo).  Returns
-    the new multipliers and w = D^H mu, or the old ones when no ascent is
-    found (the dual is then as good as rounding allows).
+    On the reduced factor (B, r') of ``instance`` the dual gradient is
+    B theta + r' - mu / 2 and the negated dual Hessian I / 2 + B J B^H, with
+    J = I / 2 eps on elements inside the cap and beta / |w_n| times the
+    tangential projector on saturated ones: a 2 (k + 1) real system for
+    k + 1 rows, never singular, built in O(k^2 N1).  The step backtracks on
+    the dual value (Armijo).  Returns the new multipliers and w = B^H mu, or
+    the old ones when no ascent is found (the dual is then as good as
+    rounding allows).
     """
     d_mat, r_vec, beta = instance.d_mat, instance.r_vec, instance.beta_max
     m = mu.size
@@ -260,7 +253,7 @@ def _dual_newton_step(instance: QcqpInstance, mu, w, z, residual,
     # mu / 2 + A mu + B conj(mu), with A = D diag(a) D^H, B = D diag(b) D^T.
     half = np.where(sat, beta / (2.0 * np.maximum(mag, beta)), 1.0)
     swap = np.where(sat, -half * (z / np.maximum(mag, beta)) ** 2, 0.0)
-    a = (d_mat * (half / (2.0 * eps))) @ instance.link.adjoint
+    a = (d_mat * (half / (2.0 * eps))) @ d_mat.conj().T
     b = (d_mat * (swap / (2.0 * eps))) @ d_mat.T
     hess = np.block([[a.real + b.real, b.imag - a.imag],
                      [a.imag + b.imag, a.real - b.real]])
@@ -270,7 +263,7 @@ def _dual_newton_step(instance: QcqpInstance, mu, w, z, residual,
     step_real = np.linalg.solve(hess, grad_real)
     step = step_real[:m] + 1j * step_real[m:]
     slope = float(grad_real @ step_real)
-    step_w = instance.link.adjoint @ step
+    step_w = d_mat.conj().T @ step
 
     def dual(alpha):
         mu_a = mu + alpha * step
@@ -470,28 +463,29 @@ def mmse_designs(link: LinkMatrix, r_mat: np.ndarray,
     """Smallest-residual amplitude-feasible ridge solution of D theta = -r, and its
     regularization, per column r.
 
-    Evaluates the regularization values of the link matrix's ridge grid
+    Evaluates the regularization values of the ridge grid
     (:attr:`~irstealth.power_model.LinkMatrix.ridge_grid`) in increasing
-    order and keeps the feasible design with the smallest ||D theta + r||^2
-    (ties go to the smaller regularization).  All candidates come from one
-    SVD of D.  The residual never falls as the regularization grows (also in
-    rounding, see :func:`_ridge_designs`), so a column feasible at the
-    smallest value is answered there, and only the other columns try the
-    rest of the grid.  For a column with no feasible candidate the grid
-    widens upward, since large regularization shrinks the design to zero,
-    which is always feasible.  A solution's ``iterations`` counts the
-    candidates tried.
+    order and keeps the feasible design with the smallest residual on the
+    reduced factor (ties go to the smaller regularization).  All candidates
+    come from the reduced factor's known SVD.  The residual never falls as
+    the regularization grows (also in rounding, see :func:`_ridge_designs`),
+    so a column feasible at the smallest value is answered there, and only
+    the other columns try the rest of the grid.  For a column with no
+    feasible candidate the grid widens upward, since large regularization
+    shrinks the design to zero, which is always feasible.  A solution's
+    ``iterations`` counts the candidates tried.
     """
     r_mat = np.asarray(r_mat, dtype=complex)
+    reduced, r_red = link.reduced, link.reduce(r_mat)
     found = {}
     pending = np.arange(r_mat.shape[1])
-    deltas = link.ridge_grid[:1]
+    deltas = reduced.ridge_grid[:1]
     tried = 0
     for attempt in range(7):  # the first grid value, the rest of the grid, five widenings
         tried += deltas.size
-        for cols in _column_chunks(pending.size, link.array.shape[1] * deltas.size):
+        for cols in _column_chunks(pending.size, reduced.array.shape[1] * deltas.size):
             columns = pending[cols]
-            thetas, residuals = _ridge_designs(link, r_mat[:, columns], deltas)
+            thetas, residuals = _ridge_designs(reduced, r_red[:, columns], deltas)
             feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
             residuals = np.where(feasible, residuals, np.inf)
             for i in np.flatnonzero(np.any(feasible, axis=0)):
@@ -501,7 +495,7 @@ def mmse_designs(link: LinkMatrix, r_mat: np.ndarray,
         pending = np.array([t for t in pending if t not in found], dtype=int)
         if not pending.size:
             return [found[t] for t in range(r_mat.shape[1])]
-        deltas = (link.ridge_grid[1:] if attempt == 0 else
+        deltas = (reduced.ridge_grid[1:] if attempt == 0 else
                   np.geomspace(deltas[-1] * 10.0, deltas[-1] * 1e5, 16))
     raise InfeasibleError("no feasible regularization found while widening")
 
@@ -526,13 +520,15 @@ def codebook_designs(link: LinkMatrix, r_mat: np.ndarray,
     """Best codeword of the DFT codebook at full amplitude, per coating-term column.
 
     The codebook holds the columns of the square DFT matrix scaled to
-    modulus ``beta``; ties break toward the lowest column index.
+    modulus ``beta``; ties break toward the lowest column index.  Codewords
+    are compared on the reduced factor, one FFT per reduced row.
     """
     r_mat = np.asarray(r_mat, dtype=complex)
-    n = link.array.shape[1]
+    reduced, r_red = link.reduced, link.reduce(r_mat)
+    n = reduced.array.shape[1]
     designs = []
-    for cols in _column_chunks(r_mat.shape[1], link.fft.size):
-        objectives = _codebook_objectives(link, r_mat[:, cols], beta)
+    for cols in _column_chunks(r_mat.shape[1], reduced.fft.size):
+        objectives = _codebook_objectives(reduced, r_red[:, cols], beta)
         best = np.argmin(objectives, axis=0)
         thetas = beta * np.exp(-2j * np.pi * (np.arange(n)[:, None] * best) / n)
         designs += [ReflectionSolution(thetas[:, t], float(objectives[b, t]),

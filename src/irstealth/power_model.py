@@ -241,12 +241,15 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
+_DROPPED = 1e-13  # drop bound of LinkMatrix.reduced, a thousandth of pgd's default tol
+
+
 class LinkMatrix:
     """Read-only link matrix D with its decompositions, each computed on first use.
 
     Factors that share one link matrix (the true factor of every trial drawn
-    from one :class:`ScenarioGeometry`) share its thin SVD, its contiguous
-    adjoint, its row FFTs and its ridge grid.  All of them are read-only.
+    from one :class:`ScenarioGeometry`) share its thin SVD, :attr:`reduced`
+    factor, row FFTs and ridge grid.  All of them are read-only.
     """
 
     def __init__(self, d_mat):
@@ -264,9 +267,30 @@ class LinkMatrix:
                      for x in np.linalg.svd(self.array, full_matrices=False))
 
     @cached_property
-    def adjoint(self) -> np.ndarray:
-        """D^H, C-contiguous."""
-        return _read_only(np.ascontiguousarray(self.array.conj().T))
+    def reduced(self) -> LinkMatrix:
+        """Link matrix B: D's k kept singular rows sigma_i q_i^H, then one zero row.
+
+        Trailing directions are dropped while their sum of rho^2 + rho,
+        rho = sigma_i / sigma_1, stays at or below ``_DROPPED``; then, with
+        r' = :meth:`reduce` (r), ||B theta + r'||^2 is ||D theta + r||^2 to
+        ``_DROPPED`` (sigma_1^2 N1 beta^2 + 2 ||D^H r|| beta sqrt(N1) + ||r||^2)
+        over |theta_n| <= beta.  Its thin SVD ([I; 0], sigma_k, Q_k^H) is known.
+        """
+        _, sig, qh = self.svd
+        rho = sig / sig[0] if sig[0] > 0 else np.zeros_like(sig)
+        k = int(np.count_nonzero(np.cumsum((rho ** 2 + rho)[::-1])[::-1] > _DROPPED))
+        p = _read_only(np.eye(k + 1, k, dtype=complex))
+        reduced = LinkMatrix(p @ (sig[:k, None] * qh[:k]))
+        reduced.__dict__["svd"] = (p, sig[:k], qh[:k])
+        return reduced
+
+    def reduce(self, r) -> np.ndarray:
+        """Coating terms of :attr:`reduced` for coating terms r of D (a vector, or
+        one column each): P_k^H r, then ||r - P_k P_k^H r||."""
+        p = self.svd[0][:, :self.reduced.array.shape[0] - 1]
+        coords = p.conj().T @ r
+        outside = np.linalg.norm(r - p @ coords, axis=0, keepdims=True)
+        return np.concatenate([coords, outside])
 
     @cached_property
     def fft(self) -> np.ndarray:
@@ -277,7 +301,7 @@ class LinkMatrix:
     def ridge_grid(self) -> np.ndarray:
         """Default ridge regularizations, ascending: 40 log-spaced multiples of
         sigma_1^2 from 1e-12 to 1e4."""
-        lam_top = max(float(self.svd[1][0]) ** 2, 1e-300)
+        lam_top = max(float(np.max(self.svd[1], initial=0.0)) ** 2, 1e-300)
         return _read_only(np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40))
 
 

@@ -208,6 +208,19 @@ class TestRunExperiment:
         assert str(err.value) == (f"no convergence within 7 iterations at sweep "
                                   f"{sweep}, trial 0, seed {seed}")
 
+    def test_mispointed_angle_sweep_completes_at_its_optimum(self):
+        # At -30 degrees trial 3's link matrix has singular values from 3.2e-9
+        # down to 1e-40; the full-factor Newton solve ran out of steps there.
+        result = run_experiment("power-vs-angle",
+                                multi_radar_config(num_radars=3, n1x=4), 5)
+        trials = {}
+        for r in result.rows:
+            trials.setdefault((r.sweep, r.trial), {})[r.solver] = r.power_watts
+        assert len(trials) == 13 * 5
+        for powers in trials.values():
+            slack = 1e-9 * powers["no-irs"]
+            assert all(powers["pgd"] <= power + slack for power in powers.values())
+
     def test_num_radars_preset_sweeps_prefixes(self):
         result = run_experiment("power-vs-num-radars",
                                 multi_radar_config(num_radars=3, n1x=4), 1)

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from conftest import (dense_terms, grid_search_min_1, grid_search_min_2,
                       random_multi_instance, random_single_instance,
                       single_link_instance, unit_phases)
 from irstealth.arrays import AnglePair
-from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
-                              single_radar_config, with_seed)
+from irstealth.config import (ScenarioConfig, build_geometry, build_scenario,
+                              multi_radar_config, single_radar_config, with_seed)
 from irstealth.estimation import estimate_parameters
 from irstealth import optimizers
 from irstealth.experiments import inject_aoa_error, trial_seeds
@@ -512,6 +513,48 @@ class TestFactorOracles:
                                      k=int(rng.integers(1, 4)))
         lam_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
         assert float(inst.link.svd[1][0]) ** 2 == pytest.approx(lam_top, rel=1e-12)
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_reduced_factor_keeps_the_objective_over_the_box(self, seed):
+        rng = np.random.default_rng(seed)
+        # Random factors include K^2 > N1 (P not square); steering-error and
+        # true factors have parallel rows (k, j) and (j, k), so D is rank deficient.
+        factors = [random_multi_instance(rng, n1x=int(rng.integers(1, 9)), ny=2,
+                                         k=int(rng.integers(1, 4)),
+                                         beta=float(rng.uniform(0.2, 1.0))),
+                   steering_error_factor(2 + seed % 4, seed % 10_000,
+                                         float(rng.choice([0.5, 1.0, 2.0]))),
+                   link_factor(_random_multi_scenario(seed % 10_000))]
+        for inst in factors:
+            reduced = inst.link.reduced
+            k = reduced.array.shape[0] - 1
+            np.testing.assert_array_equal(reduced.array[k], 0.0)
+            r_red = inst.link.reduce(inst.r_vec)
+            u_mat, v_vec, c_const = dense_terms(inst)
+            n = inst.n_elements
+            for amps in (np.ones(n), rng.uniform(0, 1, n)):
+                theta = inst.beta_max * amps * unit_phases(rng, n)
+                dense = float(np.real(np.vdot(theta, u_mat @ theta))
+                              + 2.0 * np.real(np.vdot(v_vec, theta)) + c_const)
+                residual = reduced.array @ theta + r_red
+                bound = (1e-13 + 64 * np.finfo(float).eps) * objective_scale(inst)
+                assert abs(dense - float(np.real(np.vdot(residual, residual)))) <= bound
+
+    def test_zero_link_matrix_reduces_to_the_residual_row(self):
+        inst = QcqpInstance(np.zeros((4, 3)), np.array([1.0, 2.0, 0.0, 1j]), 0.5)
+        assert inst.link.reduced.array.shape == (1, 3)
+        for sol in (solve_pgd(inst), mmse_delta_search(inst)[1], dft_codebook_design(inst)):
+            assert np.max(np.abs(sol.theta)) <= 0.5
+            assert sol.objective == pytest.approx(6.0, rel=1e-15)
+
+    @pytest.mark.parametrize("config, rows", [("radar1-n8", 1), ("radars3-n50", 5),
+                                              ("radars5-n800", 11)])
+    def test_golden_configs_reduce_to_their_numerical_rank(self, config, rows):
+        golden = Path(__file__).parent / "golden" / f"{config}.json"
+        link = build_geometry(ScenarioConfig.load(golden)).true_link
+        # The kept rows, then the one residual row.
+        assert link.reduced.array.shape == (rows + 1, link.array.shape[1])
 
     def test_single_link_recovers_closed_form_inputs(self, single_scenario):
         u, c = single_link(link_factor(single_scenario))

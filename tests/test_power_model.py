@@ -360,7 +360,8 @@ class TestSharedGeometry:
         factor = link_factor(geometry.draw(1))
         link = geometry.true_link
         link_factor(geometry.draw(1), list(geometry.true_angles))
-        shared = [link.array, *link.svd, link.adjoint, link.fft,
+        shared = [link.array, *link.svd, link.reduced.array, *link.reduced.svd,
+                  link.reduced.fft,
                   geometry.amplitudes, geometry.gains, *geometry.true_blocks,
                   *geometry.surface(geometry.true_angles[1]),
                   factor.d_mat, factor.r_vec]
