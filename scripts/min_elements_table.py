@@ -14,10 +14,8 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from irstealth.arrays import upa_response
 from irstealth.config import build_scenario, single_radar_config
 from irstealth.optimizers import min_irs_elements, reverse_alignment
-from irstealth.power_model import angles_at_target
 
 
 def main():
@@ -30,12 +28,9 @@ def main():
     args = parser.parse_args()
 
     scenario = build_scenario(single_radar_config())
-    target = scenario.target
     # Coating block of the surface response toward the radar; the echo
     # crosses it twice.
-    surface = upa_response(target.surface_geometry, angles_at_target(scenario, 0),
-                           scenario.wavelength)
-    coating = surface[target.irs_geometry.num_elements:]
+    coating = scenario.geometry.true_blocks[1][0]
     nirs_vector = np.conj(coating * coating)[: args.n2]
     rng = np.random.default_rng(args.seed)
     amplitude = np.sqrt(1.0 - args.zeta_bar)

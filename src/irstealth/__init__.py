@@ -1,7 +1,7 @@
 """IRS-aided electromagnetic stealth: channels, power model, reflection designs."""
 
 from .arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response,
-                     cssa_responses, split_ts_response, steer_1d, upa_response)
+                     cssa_responses, upa_response, upa_responses)
 from .config import (ConfigError, RadarConfig, ScenarioConfig, TargetConfig,
                      build_geometry, build_scenario, multi_radar_config,
                      single_radar_config)

@@ -6,7 +6,8 @@ toward the array normal, both in the open interval (-pi/2, pi/2); the
 direction cosines along the array axes are cos(el)*cos(az) and
 cos(el)*sin(az).  Planar responses are Kronecker products of two 1D
 steering vectors (x-axis factor first), so elements are indexed row-major
-over (x, y).
+over (x, y).  :func:`upa_responses` and :func:`cssa_responses` broadcast
+over angle arrays; their one-angle cases take an :class:`AnglePair`.
 """
 
 from __future__ import annotations
@@ -66,54 +67,31 @@ class AnglePair:
                 raise ValueError(f"{name} must lie in (-pi/2, pi/2), got {v}")
 
 
-def direction_cosines(angles: AnglePair) -> tuple[float, float]:
-    """Direction cosines along the array x- and y-axes."""
-    ce = np.cos(angles.elevation)
-    return float(ce * np.cos(angles.azimuth)), float(ce * np.sin(angles.azimuth))
-
-
-def steer_1d(phase_diff: float, n: int) -> np.ndarray:
-    """Steering vector of an n-element uniform line.
-
-    Entry m equals exp(-j*pi*m*phase_diff) where ``phase_diff`` is the
-    phase difference between adjacent elements in units of pi.
-    """
-    if n < 1:
-        raise ValueError(f"steering vector needs at least one element, got n={n}")
-    return np.exp(-1j * np.pi * np.arange(n) * phase_diff)
-
-
 def upa_response(geom: ArrayGeometry, angles: AnglePair, wavelength: float) -> np.ndarray:
-    """Planar-array response: kron of the x- and y-axis steering vectors.
+    """Planar-array response toward one direction: the one-angle case of
+    :func:`upa_responses`."""
+    return upa_responses(geom, angles.azimuth, angles.elevation, wavelength)
 
-    The per-axis phase arguments are (2*spacing/wavelength) times the
-    direction cosines, so every entry has unit modulus.
+
+def upa_responses(geom: ArrayGeometry, azimuths, elevations, wavelength: float) -> np.ndarray:
+    """Planar-array responses at broadcast angle arrays, shape (N, *shape).
+
+    Axis entry m is exp(-j*pi*m*phase), with phase (2*spacing/wavelength)
+    times that axis's direction cosine; element (m, n) is x-entry m times
+    y-entry n, as in the Kronecker product of the two axis vectors.
     """
     if geom.kind is not ArrayKind.UPA:
         raise ValueError(f"upa_response needs a UPA geometry, got {geom.kind}")
     if wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    cx, cy = direction_cosines(angles)
+    ce = np.cos(elevations)
     scale = 2.0 * geom.spacing / wavelength
-    return np.kron(steer_1d(scale * cx, geom.nx), steer_1d(scale * cy, geom.ny))
-
-
-def split_ts_response(full: np.ndarray, n1x: int, n2x: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split a whole-surface response into its IRS and NIRS blocks.
-
-    The surface stacks an n1x-column block and an n2x-column block along x
-    with a shared y-grid, so the Kronecker-ordered response is exactly the
-    concatenation of the two block responses.  The first block matches the
-    sub-grid's own response; the second carries the x-index offset phase.
-    """
-    full = np.asarray(full)
-    if n1x < 0 or n2x < 0 or ny < 1:
-        raise ValueError(f"invalid block dimensions ({n1x}, {n2x}, {ny})")
-    if full.size != (n1x + n2x) * ny:
-        raise ValueError(f"response length {full.size} does not match "
-                         f"({n1x}+{n2x})x{ny} elements")
-    cut = n1x * ny
-    return full[:cut].copy(), full[cut:].copy()
+    phase_x = scale * (ce * np.cos(azimuths))
+    phase_y = scale * (ce * np.sin(azimuths))
+    lead = (1,) * phase_x.ndim
+    arm_x = np.exp(-1j * np.pi * np.arange(geom.nx).reshape((-1, 1) + lead) * phase_x)
+    arm_y = np.exp(-1j * np.pi * np.arange(geom.ny).reshape((1, -1) + lead) * phase_y)
+    return (arm_x * arm_y).reshape((geom.num_elements,) + phase_x.shape)
 
 
 def cssa_response(geom: ArrayGeometry, angles: AnglePair, wavelength: float) -> np.ndarray:

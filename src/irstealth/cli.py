@@ -10,8 +10,8 @@ import numpy as np
 from .config import (ConfigError, ScenarioConfig, build_scenario,
                      single_radar_config, with_seed)
 from .experiments import PRESET_NAMES, _fmt, emit_csv, run_experiment
-from .optimizers import (SOLVERS, ConvergenceError, InfeasibleError, ReflectionSolution,
-                         dual_value, kkt_certificate, min_irs_elements)
+from .optimizers import (SOLVERS, ConvergenceError, InfeasibleError, dual_value,
+                         kkt_certificate, min_irs_elements)
 from .power_model import link_factor, sum_power
 
 SOLVER_NAMES = tuple(SOLVERS)
@@ -45,6 +45,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _load_config(path, seed) -> ScenarioConfig:
     config = ScenarioConfig.load(path) if path else single_radar_config()
     if seed is not None:
@@ -75,7 +78,7 @@ def _cmd_solve(args) -> int:
                                     [config.seed])[0]
     theta = solution.theta
     objective = sum_power(theta, scenario)
-    lam, kkt = kkt_certificate(factor, ReflectionSolution(theta, objective, args.solver))
+    lam, kkt = kkt_certificate(factor, solution)
     print(f"solver: {args.solver}")
     print(f"objective_watts: {_fmt(objective)}")
     if solution.termination is not None:
@@ -89,7 +92,7 @@ def _cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handlers = {"run": _cmd_run, "min-elements": _cmd_min_elements,
                 "solve": _cmd_solve}
     try:

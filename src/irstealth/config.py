@@ -88,17 +88,15 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        try:
-            radars = tuple(RadarConfig(position=tuple(r["position"]),
-                                       **{k: v for k, v in r.items() if k != "position"})
-                           for r in data["radars"])
-            target = TargetConfig(position=tuple(data["target"]["position"]),
-                                  **{k: v for k, v in data["target"].items()
-                                     if k != "position"})
-            cfg = cls(wavelength=data["wavelength"], alpha_db=data["alpha_db"],
-                      seed=data["seed"], radars=radars, target=target)
-        except (KeyError, TypeError) as exc:
-            raise ConfigError(str(exc), "missing or malformed field") from exc
+        values = _section(cls, data, "", ("wavelength", "alpha_db", "seed",
+                                          "radars", "target"))
+        if not isinstance(values["radars"], (list, tuple)):
+            raise ConfigError("radars", f"must be a list, got {values['radars']!r}")
+        values["radars"] = tuple(RadarConfig(**_section(RadarConfig, r, f"radars[{i}]"))
+                                 for i, r in enumerate(values["radars"]))
+        values["target"] = TargetConfig(**_section(TargetConfig, values["target"],
+                                                   "target"))
+        cfg = cls(**values)
         validate_config(cfg)
         return cfg
 
@@ -111,6 +109,26 @@ class ScenarioConfig:
     def load(cls, path) -> "ScenarioConfig":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _section(kind, data, path: str, required=("position",)) -> dict:
+    """Field values of one config section from its JSON object at ``path``,
+    with a position list made a tuple; unknown and missing required fields
+    are rejected."""
+    if not isinstance(data, dict):
+        raise ConfigError(path or "config", f"must be an object, got {data!r}")
+    prefix = f"{path}." if path else ""
+    names = {item.name for item in fields(kind)}
+    for key in data:
+        if key not in names:
+            raise ConfigError(f"{prefix}{key}", "unknown field")
+    for key in required:
+        if key not in data:
+            raise ConfigError(f"{prefix}{key}", "missing required field")
+    values = dict(data)
+    if isinstance(values.get("position"), list):
+        values["position"] = tuple(values["position"])
+    return values
 
 
 def _check_types(prefix: str, section) -> None:

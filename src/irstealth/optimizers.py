@@ -138,7 +138,7 @@ def pgd_designs(link: LinkMatrix, r_mat: np.ndarray, beta: float,
     gives those points for all columns.  Every other column is solved alone
     (:func:`_newton_solve`, ``termination`` ``newton``).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     r_mat = np.asarray(r_mat, dtype=complex)
     r_red = link.reduce(r_mat)
@@ -540,6 +540,8 @@ def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:
     """Full-amplitude reflection with independent uniform phases."""
     if n1 < 1:
         raise ValueError(f"need at least one element, got {n1}")
+    if not 0 < beta_max <= 1:
+        raise ValueError(f"beta_max must be in (0, 1], got {beta_max}")
     rng = np.random.default_rng(seed)
     return beta_max * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n1))
 

@@ -28,8 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import (AnglePair, ArrayGeometry, ArrayKind, split_ts_response,
-                     upa_response)
+from .arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response, upa_responses
 
 # Per-node (x-axis, y-axis, normal) triads in world coordinates.
 _TARGET_AXES = (np.array([0.0, 0.0, -1.0]), np.array([1.0, 0.0, 0.0]),
@@ -378,8 +377,8 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
     Everything but the coating phases comes from the scenario's
     :class:`ScenarioGeometry`: on true data only r is computed, and the true
     factor of every scenario drawn from one geometry shares one
-    :class:`LinkMatrix`.  A steering error reuses the panel blocks already
-    built toward the same direction; sensed directions are not kept.
+    :class:`LinkMatrix`; a steering error or sensed angles build their
+    surface blocks with one :meth:`ScenarioGeometry.blocks` call.
     """
     k_r = scenario.num_radars
     geometry = scenario.geometry
@@ -395,7 +394,9 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
         g2 = np.asarray(g2, dtype=float)
         if angles is None or len(angles) != g2.size:
             raise ValueError("need one gain estimate per estimated angle")
-        panel, coating = geometry.stacked_blocks(angles, keep=False)
+        if not np.all(np.isfinite(g2)) or np.any(g2 < 0):
+            raise ValueError(f"gain estimates g2 must be finite and nonnegative, got {g2}")
+        panel, coating = geometry.blocks(angles)
         amp = np.sqrt(g2[:, None] * g2[None, :]).reshape(-1)
         link = _link_matrix(amp, panel)
     return QcqpInstance(link, _coating_terms(amp, coating, phi[:, None])[:, 0],
@@ -408,9 +409,8 @@ class ScenarioGeometry:
     Holds the wavelength, reference path gain, radar nodes (their pulse
     epochs are the bare propagation delays), the target (its coating at zero
     phase) and the pulse-clock jitter bound.  On first use, and then once,
-    it builds the panel and coating blocks of the surface response toward
-    each direction it is asked for, the radars' beamforming gains, the link
-    amplitudes and the true :class:`LinkMatrix`; every array it hands out is
+    it builds the surface blocks toward the radars, the radars' beamforming
+    gains, the link amplitudes and the true :class:`LinkMatrix`, all
     read-only.  Coating phases and pulse epochs are never read from it:
     :meth:`draw` adds them per seed.
     """
@@ -422,7 +422,6 @@ class ScenarioGeometry:
         self.radars = tuple(radars)
         self.target = target
         self.epoch_jitter = epoch_jitter
-        self._surface: dict[AnglePair, tuple[np.ndarray, np.ndarray]] = {}
 
     def draw(self, seed) -> Scenario:
         """Scenario of one seed: uniform coating phases, then each radar's
@@ -469,30 +468,17 @@ class ScenarioGeometry:
         (one per radar); the true angles give the shared :attr:`true_link`."""
         if tuple(angles) == self.true_angles:
             return self.true_link
-        return _link_matrix(self.amplitudes, self.stacked_blocks(angles)[0])
+        return _link_matrix(self.amplitudes, self.blocks(angles)[0])
 
-    def surface(self, pair: AnglePair, keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Panel and coating blocks of the whole-surface response toward a direction.
-
-        Built by splitting the full surface response so the coating block
-        keeps its x-index offset phase relative to the panel block.  Kept
-        for later calls unless ``keep`` is false.
-        """
-        blocks = self._surface.get(pair)
-        if blocks is None:
-            target = self.target
-            full = upa_response(target.surface_geometry, pair, self.wavelength)
-            blocks = tuple(_read_only(b) for b in split_ts_response(
-                full, target.irs_geometry.nx, target.nirs_geometry.nx,
-                target.irs_geometry.ny))
-            if keep:
-                self._surface[pair] = blocks
-        return blocks
-
-    def stacked_blocks(self, angles, keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """Panel and coating blocks toward each direction, one row per direction."""
-        blocks = [self.surface(pair, keep) for pair in angles]
-        return np.array([b[0] for b in blocks]), np.array([b[1] for b in blocks])
+    def blocks(self, angles) -> tuple[np.ndarray, np.ndarray]:
+        """Panel and coating blocks toward each direction, one C-contiguous row
+        each: the whole-surface response cut after the panel's N1 elements, so
+        the coating block keeps its x-index offset phase."""
+        target = self.target
+        full = upa_responses(target.surface_geometry, [a.azimuth for a in angles],
+                             [a.elevation for a in angles], self.wavelength)
+        cut = target.irs_geometry.num_elements
+        return full[:cut].T.copy(), full[cut:].T.copy()
 
     @cached_property
     def true_angles(self) -> tuple[AnglePair, ...]:
@@ -503,7 +489,7 @@ class ScenarioGeometry:
     @cached_property
     def true_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Panel and coating blocks toward every radar, one row per radar."""
-        return tuple(_read_only(b) for b in self.stacked_blocks(self.true_angles))
+        return tuple(_read_only(b) for b in self.blocks(self.true_angles))
 
     @cached_property
     def gains(self) -> np.ndarray:

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irstealth.arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response,
-                              split_ts_response, steer_1d, upa_response)
+                              upa_response, upa_responses)
+from irstealth.config import build_geometry, single_radar_config
 
 WAVELENGTH = 0.05
 QUARTER = ArrayGeometry(ArrayKind.UPA, 2, 2, WAVELENGTH / 4)
@@ -14,24 +17,33 @@ angles_st = st.builds(AnglePair,
                       st.floats(-1.5, 1.5))
 
 
+def line(n: int, spacing: float) -> ArrayGeometry:
+    """An n x 1 grid: its response is the x-axis 1D steering vector."""
+    return ArrayGeometry(ArrayKind.UPA, n, 1, spacing)
+
+
 class TestSteer1d:
     def test_zero_phase_gives_ones(self):
-        np.testing.assert_array_equal(steer_1d(0.0, 4), np.ones(4))
+        # At zero azimuth the y-axis direction cosine vanishes.
+        geom = ArrayGeometry(ArrayKind.UPA, 1, 4, WAVELENGTH / 4)
+        np.testing.assert_array_equal(upa_response(geom, AnglePair(0.0), WAVELENGTH),
+                                      np.ones(4))
 
     def test_half_turn(self):
-        np.testing.assert_allclose(steer_1d(1.0, 2), [1.0, -1.0], atol=1e-15)
+        got = upa_response(line(2, WAVELENGTH / 2), AnglePair(0.0), WAVELENGTH)
+        np.testing.assert_allclose(got, [1.0, -1.0], atol=1e-15)
 
     def test_quarter_turn(self):
-        np.testing.assert_allclose(steer_1d(0.5, 3), [1.0, -1.0j, -1.0],
-                                   atol=1e-15)
+        got = upa_response(line(3, WAVELENGTH / 4), AnglePair(0.0), WAVELENGTH)
+        np.testing.assert_allclose(got, [1.0, -1.0j, -1.0], atol=1e-15)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            steer_1d(0.3, 0)
+            line(0, WAVELENGTH / 4)
 
-    @given(st.floats(-4.0, 4.0), st.integers(1, 64))
-    def test_unit_modulus_and_leading_one(self, phi, n):
-        vec = steer_1d(phi, n)
+    @given(angles_st, st.floats(1e-3, 0.1), st.integers(1, 64))
+    def test_unit_modulus_and_leading_one(self, angles, spacing, n):
+        vec = upa_response(line(n, spacing), angles, WAVELENGTH)
         assert vec[0] == 1.0 + 0.0j
         np.testing.assert_allclose(np.abs(vec), 1.0, atol=1e-12)
 
@@ -55,8 +67,22 @@ class TestUpaResponse:
         scale = 2.0 * geom.spacing / WAVELENGTH
         cx = np.cos(angles.elevation) * np.cos(angles.azimuth)
         cy = np.cos(angles.elevation) * np.sin(angles.azimuth)
-        want = np.kron(steer_1d(scale * cx, 3), steer_1d(scale * cy, 4))
+        want = np.kron(np.exp(-1j * np.pi * np.arange(3) * (scale * cx)),
+                       np.exp(-1j * np.pi * np.arange(4) * (scale * cy)))
         np.testing.assert_array_equal(upa_response(geom, angles, WAVELENGTH), want)
+
+    @pytest.mark.parametrize("nx, ny", [(3, 4), (1, 1), (7, 2)])
+    def test_broadcast_matches_one_angle(self, nx, ny):
+        geom = ArrayGeometry(ArrayKind.UPA, nx, ny, 0.0125)
+        rng = np.random.default_rng(nx * ny)
+        azimuths = rng.uniform(-1.5, 1.5, (5, 3))
+        elevations = rng.uniform(-1.5, 1.5, (5, 3))
+        got = upa_responses(geom, azimuths, elevations, WAVELENGTH)
+        assert got.shape == (nx * ny, 5, 3)
+        for idx in np.ndindex(5, 3):
+            one = upa_response(geom, AnglePair(azimuths[idx], elevations[idx]),
+                               WAVELENGTH)
+            np.testing.assert_array_equal(got[(slice(None),) + idx], one)
 
     @given(angles_st)
     @settings(max_examples=50)
@@ -98,48 +124,52 @@ class TestGeometryAndAngles:
             AnglePair(azimuth, elevation)
 
 
+def surface_geometry(**target):
+    """Geometry of the single-radar setup with some target fields changed."""
+    config = single_radar_config()
+    return build_geometry(dataclasses.replace(
+        config, target=dataclasses.replace(config.target, **target)))
+
+
 class TestSplitTsResponse:
-    def test_no_second_block(self):
-        full = upa_response(ArrayGeometry(ArrayKind.UPA, 4, 2, 0.0125),
-                            AnglePair(0.4, 0.0), WAVELENGTH)
-        head, tail = split_ts_response(full, 4, 0, 2)
-        np.testing.assert_array_equal(head, full)
-        assert tail.size == 0
+    """ScenarioGeometry.blocks cuts the whole target-surface response into its
+    panel and coating blocks."""
+
+    GEOMETRY = surface_geometry()
+    SMALL = surface_geometry(n1x=3, n2x=4)
 
     def test_production_split_sizes(self):
-        geom = ArrayGeometry(ArrayKind.UPA, 104, 2, 0.0125)
-        full = upa_response(geom, AnglePair(-0.7, 0.2), WAVELENGTH)
-        head, tail = split_ts_response(full, 4, 100, 2)
-        assert head.size == 8 and tail.size == 200
+        pairs = [AnglePair(-0.7, 0.2), AnglePair(0.1, 0.0), AnglePair(0.4, -0.3)]
+        panel, coating = self.GEOMETRY.blocks(pairs)
+        assert panel.shape == (3, 8) and coating.shape == (3, 200)
+        assert panel.flags.c_contiguous and coating.flags.c_contiguous
+        for row, pair in enumerate(pairs):
+            one = self.GEOMETRY.blocks([pair])
+            np.testing.assert_array_equal(panel[row], one[0][0])
+            np.testing.assert_array_equal(coating[row], one[1][0])
 
     @given(angles_st)
     @settings(max_examples=50)
     def test_recompose_is_exact(self, angles):
-        geom = ArrayGeometry(ArrayKind.UPA, 3, 2, 0.0125)
-        full = upa_response(geom, angles, WAVELENGTH)
-        head, tail = split_ts_response(full, 1, 2, 2)
-        np.testing.assert_array_equal(np.concatenate([head, tail]), full)
+        panel, coating = self.SMALL.blocks([angles])
+        full = upa_response(self.SMALL.target.surface_geometry, angles, WAVELENGTH)
+        np.testing.assert_array_equal(np.concatenate([panel[0], coating[0]]), full)
 
     @given(angles_st)
     @settings(max_examples=50)
     def test_first_block_equals_subgrid_response(self, angles):
-        geom = ArrayGeometry(ArrayKind.UPA, 7, 2, 0.0125)
-        full = upa_response(geom, angles, WAVELENGTH)
-        head, tail = split_ts_response(full, 3, 4, 2)
-        sub = upa_response(ArrayGeometry(ArrayKind.UPA, 3, 2, 0.0125), angles,
-                           WAVELENGTH)
-        np.testing.assert_array_equal(head, sub)
-        # The second block is the sub-grid response shifted by the x-index
-        # offset phase of its first column.
+        target = self.SMALL.target
+        panel, coating = self.SMALL.blocks([angles])
+        np.testing.assert_array_equal(
+            panel[0], upa_response(target.irs_geometry, angles, WAVELENGTH))
+        # The coating block is the coating sub-grid response shifted by the
+        # x-index offset phase of its first column.
         cx = np.cos(angles.elevation) * np.cos(angles.azimuth)
-        offset = np.exp(-1j * np.pi * (2 * geom.spacing / WAVELENGTH) * cx * 3)
-        sub2 = upa_response(ArrayGeometry(ArrayKind.UPA, 4, 2, 0.0125), angles,
-                            WAVELENGTH)
-        np.testing.assert_allclose(tail, offset * sub2, atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            split_ts_response(np.ones(10), 2, 2, 2)
+        offset = np.exp(-1j * np.pi * (2 * target.irs_geometry.spacing / WAVELENGTH)
+                        * cx * 3)
+        np.testing.assert_allclose(
+            coating[0], offset * upa_response(target.nirs_geometry, angles, WAVELENGTH),
+            atol=1e-12)
 
 
 class TestCssaResponse:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -136,17 +137,23 @@ class TestValidation:
         assert err.value.fieldpath == "radars[0].beam_azimuth_deg"
 
 
+MISSING = object()
+
+
 def _with_field(doc: dict, fieldpath: str, value) -> dict:
-    """Copy of a config document with one field (``a``, ``target.a`` or
-    ``radars[i].a``) set to ``value``."""
+    """Copy of a config document with one field (``a``, ``target``,
+    ``target.a``, ``radars[i]`` or ``radars[i].a``) set to ``value``, or
+    removed if ``value`` is ``MISSING``."""
     doc = json.loads(json.dumps(doc))
-    section, _, name = fieldpath.rpartition(".")
-    if not section:
-        doc[name] = value
-    elif section == "target":
-        doc["target"][name] = value
+    *parents, name = [int(key) if key.isdigit() else key
+                      for key in re.findall(r"\w+", fieldpath)]
+    section = doc
+    for key in parents:
+        section = section[key]
+    if value is MISSING:
+        del section[name]
     else:
-        doc["radars"][int(section[len("radars["):-1])][name] = value
+        section[name] = value
     return doc
 
 
@@ -161,7 +168,9 @@ class TestMalformedFields:
         ("target.spacing", 10 ** 400), ("alpha_db", 4000), ("alpha_db", -4000),
         ("radars[0].tx_power_dbm", 4000), ("radars[0].tx_power_dbm", -4000),
         ("radars[0].noise_dbm", 1e308), ("target.cssa_noise_dbm", 1e308),
-        ("seed", 1.5), ("seed", -1), ("seed", True)])
+        ("seed", 1.5), ("seed", -1), ("seed", True),
+        ("radars[1].foo", 1.0), ("target", MISSING), ("radars[0]", 5),
+        ("target.position", 5), ("radars[1].position", MISSING), ("alpha_db", MISSING)])
     def test_rejected_with_field_path(self, tmp_path, capsys, fieldpath, value):
         doc = _with_field(multi_radar_config(num_radars=2).to_dict(), fieldpath, value)
         with pytest.raises(ConfigError) as err:

@@ -253,15 +253,16 @@ class TestGeometryReuse:
 
     @staticmethod
     def _surface_calls(monkeypatch, preset, config, trials):
+        """Directions of every whole-surface response call, one tuple a call."""
         calls = []
-        build = power_model.upa_response
+        build = power_model.upa_responses
 
-        def counting(geom, pair, wavelength):
+        def counting(geom, azimuths, elevations, wavelength):
             if geom.nx == config.target.n1x + config.target.n2x:
-                calls.append(pair)
-            return build(geom, pair, wavelength)
+                calls.append(tuple(zip(azimuths, elevations)))
+            return build(geom, azimuths, elevations, wavelength)
 
-        monkeypatch.setattr(power_model, "upa_response", counting)
+        monkeypatch.setattr(power_model, "upa_responses", counting)
         run_experiment(preset, config, trials)
         return calls
 
@@ -269,16 +270,19 @@ class TestGeometryReuse:
     def test_surface_response_once_per_point_and_direction(self, monkeypatch, trials):
         config = multi_radar_config(num_radars=3, n1x=4)
         calls = self._surface_calls(monkeypatch, "power-vs-num-radars", config, trials)
-        # Sweep points of 1, 2 and 3 radars, one true direction per radar.
-        assert len(calls) == 1 + 2 + 3
+        # One call per sweep point of 1, 2 and 3 radars, toward every radar.
+        assert [len(directions) for directions in calls] == [1, 2, 3]
 
     def test_steering_errors_reuse_perturbed_directions(self, monkeypatch):
         config = multi_radar_config(num_radars=3, n1x=4)
         calls = self._surface_calls(monkeypatch, "power-vs-aoa-error", config, 6)
-        # One geometry for the whole sweep: no direction is built twice, and
-        # each radar has its true direction plus at most two signs per error.
+        # The true directions once, then one call per distinct sign pattern
+        # at each of the three nonzero errors.
+        patterns = {tuple(experiments._error_sign(int(seed) + k) for k in range(3))
+                    for seed in trial_seeds(config.seed, 6)}
+        assert len(patterns) > 1
+        assert len(calls) == 1 + 3 * len(patterns)
         assert len(set(calls)) == len(calls)
-        assert len(calls) <= 3 + 3 * 2 * 3
 
     @pytest.mark.parametrize("preset, builds", [("power-vs-aoa-error", 1),
                                                 ("power-vs-num-radars", 3),

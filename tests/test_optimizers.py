@@ -104,6 +104,13 @@ class TestBuildInstance:
         with pytest.raises(ValueError):
             link_factor(multi_scenario, angles[:2])
 
+    @pytest.mark.parametrize("g2", [[-1.0, -1.0, -1.0], [1.0, -0.5, 1.0],
+                                    [1.0, np.nan, 1.0], [np.inf, 1.0, 1.0]])
+    def test_rejects_bad_gain_estimates(self, multi_scenario, g2):
+        angles = [angles_at_target(multi_scenario, k) for k in range(3)]
+        with pytest.raises(ValueError, match="g2"):
+            link_factor(multi_scenario, angles, np.array(g2))
+
 
 class TestSolvePgd:
     def test_scalar_clamp(self):
@@ -146,8 +153,9 @@ class TestSolvePgd:
         assert fast == pytest.approx(literal, rel=1e-12, abs=1e-12)
 
     def test_invalid_tolerance(self):
-        with pytest.raises(ValueError):
-            solve_pgd(scalar_instance(), tol=0.0)
+        for tol in (0.0, -1e-10, np.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                solve_pgd(scalar_instance(), tol=tol)
 
     def test_budget_exhaustion_carries_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(4)
@@ -376,6 +384,12 @@ class TestBaselines:
         np.testing.assert_allclose(np.abs(theta), 0.7, atol=1e-12)
         np.testing.assert_array_equal(theta, random_phase(16, 0.7, 42))
         assert not np.array_equal(theta, random_phase(16, 0.7, 43))
+
+    @pytest.mark.parametrize("n1, beta_max", [(0, 1.0), (4, 0.0), (4, 2.0),
+                                              (4, -0.5), (4, np.nan)])
+    def test_random_phase_invalid_inputs(self, n1, beta_max):
+        with pytest.raises(ValueError):
+            random_phase(n1, beta_max, 0)
 
     def test_random_phase_mean_vanishes(self):
         rng_draws = np.stack([random_phase(4, 1.0, seed)

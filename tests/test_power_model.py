@@ -363,7 +363,6 @@ class TestSharedGeometry:
         shared = [link.array, *link.svd, link.reduced.array, *link.reduced.svd,
                   link.reduced.fft,
                   geometry.amplitudes, geometry.gains, *geometry.true_blocks,
-                  *geometry.surface(geometry.true_angles[1]),
                   factor.d_mat, factor.r_vec]
         for array in shared:
             with pytest.raises(ValueError):
