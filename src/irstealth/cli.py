@@ -74,8 +74,7 @@ def _cmd_solve(args) -> int:
     config = _load_config(args.config, args.seed)
     scenario = build_scenario(config)
     factor = link_factor(scenario)
-    solution = SOLVERS[args.solver](factor.link, factor.r_vec[:, None], factor.beta_max,
-                                    [config.seed])[0]
+    solution = SOLVERS[args.solver](factor, [config.seed])[0]
     theta = solution.theta
     objective = sum_power(theta, scenario)
     lam, kkt = kkt_certificate(factor, solution)

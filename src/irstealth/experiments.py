@@ -9,15 +9,17 @@ parameters (the imperfect-information presets), but powers are always
 evaluated on the true scenario.
 
 The trials of a sweep point run as one batch: they share the point's true
-link matrix and differ only in their coating terms, so the coating terms
-form one K^2 x T matrix, every design works on its columns, and all true
-powers come from one product of the link matrix with the stacked designs.
-Each point's trials fall into design groups, every group running named
-entries of :data:`~irstealth.optimizers.SOLVERS` on its own design link
-matrix.  Steering-error trials are grouped by their perturbed directions (at
-most 2^K sign patterns per error value), each group sharing one perturbed
-link matrix; in the sensing preset each trial designs alone on its
-estimated link factor, and all trials together on the true link matrix.
+link matrix and differ only in their coating terms, so they form one
+batched :class:`~irstealth.power_model.QcqpInstance` (a K^2 x T coating-term
+matrix), every design works on its columns, and all true powers come from
+one product of the link matrix with the stacked designs.  Each point's
+trials fall into design groups, every group running named entries of
+:data:`~irstealth.optimizers.SOLVERS` on its own batched problem, reduced
+once for all of them.  Steering-error trials are grouped by their perturbed
+directions (at most 2^K sign patterns per error value), each group on one
+perturbed link matrix; in the sensing preset each trial designs alone on
+its estimated link factor, and all trials together on the true problem,
+once per preset.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .config import (ConfigError, ScenarioConfig, build_geometry, validate_confi
                      watts_to_db, with_seed)
 from .estimation import estimate_parameters
 from .optimizers import SOLVERS, ConvergenceError, min_irs_elements
-from .power_model import LinkMatrix, _distance, link_factor
+from .power_model import QcqpInstance, _distance, link_factor
 
 PRESET_NAMES = ("power-vs-distance", "power-vs-elements", "power-vs-angle",
                 "power-vs-aoa-error", "power-vs-num-radars",
@@ -103,29 +105,26 @@ def solver_powers(scenario, trial_seed: int, design=None) -> dict[str, float]:
     sweep point's batch.
     """
     truth = link_factor(scenario)
-    design = truth if design is None else design
-    powers = _batch_powers(truth.link, truth.r_vec[:, None], [trial_seed], truth.beta_max,
-                           _Group(None, design.link, design.r_vec[:, None], [0]))
+    powers = _batch_powers(truth, [trial_seed],
+                           _Group(None, truth if design is None else design, [0]))
     return {name: float(watts[0]) for name, watts in powers.items()}
 
 
 class _Group(NamedTuple):
-    """Trials ``members`` of a sweep point, designed on ``link`` with the
-    coating terms ``r_mat`` (one column per member).  ``solvers`` maps each
-    row name to its :data:`~irstealth.optimizers.SOLVERS` entry, or is None
-    for the sweep designs (:func:`_batch_powers`)."""
+    """Trials ``members`` of a sweep point, designed on ``problem`` (one column
+    of coating terms per member).  ``solvers`` maps each row name to its
+    :data:`~irstealth.optimizers.SOLVERS` entry, or is None for the sweep
+    designs (:func:`_batch_powers`)."""
 
     solvers: dict | None
-    link: LinkMatrix
-    r_mat: np.ndarray
+    problem: QcqpInstance
     members: np.ndarray
 
 
-def _batch_powers(truth: LinkMatrix, r_mat, seeds, beta: float,
-                  group: _Group) -> dict[str, np.ndarray]:
-    """Sum received power of every design of ``group``, one entry per trial.
+def _batch_powers(truth: QcqpInstance, seeds, group: _Group) -> dict[str, np.ndarray]:
+    """Sum received power of every design of ``group``, one entry per member.
 
-    Trial t has the true coating terms ``r_mat[:, t]`` and the random-phase
+    Member t has its true coating terms in ``truth`` and the random-phase
     seed ``seeds[t]``.  The sweep designs are ``pgd`` and ``dft-codebook``,
     ``reverse-alignment`` for one radar or ``mmse`` for more, and the two
     baselines.  Every ||D theta + r_t||^2 comes from one product: D times the
@@ -133,13 +132,14 @@ def _batch_powers(truth: LinkMatrix, r_mat, seeds, beta: float,
     """
     solvers = group.solvers
     if solvers is None:
-        fitted = "reverse-alignment" if truth.array.shape[0] == 1 else "mmse"
+        fitted = "reverse-alignment" if truth.d_mat.shape[0] == 1 else "mmse"
         solvers = {name: name for name in ("pgd", fitted, "dft-codebook",
                                            "random-phase", "no-irs")}
-    thetas = [np.column_stack([sol.theta for sol in SOLVERS[solver](
-        group.link, group.r_mat, beta, seeds)]) for solver in solvers.values()]
+    thetas = [np.column_stack([sol.theta for sol in SOLVERS[solver](group.problem, seeds)])
+              for solver in solvers.values()]
+    r_mat = truth.columns[:, group.members]
     trials = r_mat.shape[1]
-    residual = truth.array @ np.hstack(thetas) + np.tile(r_mat, len(thetas))
+    residual = truth.d_mat @ np.hstack(thetas) + np.tile(r_mat, len(thetas))
     power = np.sum(residual.real ** 2 + residual.imag ** 2, axis=0)
     return {row: power[i * trials:(i + 1) * trials] for i, row in enumerate(solvers)}
 
@@ -171,29 +171,29 @@ def _geometries(sweep_values, config_for):
 
 
 def _true_groups(solvers=None):
-    """``groups_for`` of one group of all trials on the true link matrix."""
-    return lambda geometry, value, r_mat: [
-        _Group(solvers, geometry.true_link, r_mat, np.arange(r_mat.shape[1]))]
+    """``groups_for`` of one group of all trials on the true problem."""
+    return lambda geometry, value, truth: [
+        _Group(solvers, truth, np.arange(truth.columns.shape[1]))]
 
 
 def _sweep_rows(config, trials, sweep_values, config_for, groups_for=_true_groups()):
     """Rows of every sweep point, its trials run as one batch per design group.
 
-    ``groups_for(geometry, value, r_mat)`` gives the point's design groups
-    (:class:`_Group`), given the true coating terms of all its trials; by
-    default one group runs the sweep designs on the true link matrix.
+    ``groups_for(geometry, value, truth)`` gives the point's design groups
+    (:class:`_Group`), given the true problem of all its trials, one
+    coating-term column each; by default one group runs the sweep designs
+    on the true problem.
     """
     rows = []
     seeds = trial_seeds(config.seed, trials)
     for value, geometry in _geometries(sweep_values, config_for):
-        truth = geometry.true_link
-        r_mat = geometry.coating_terms(seeds)
-        for group in groups_for(geometry, value, r_mat):
+        truth = QcqpInstance(geometry.true_link, geometry.coating_terms(seeds),
+                             geometry.target.beta_max)
+        for group in groups_for(geometry, value, truth):
             members = group.members
             seed_group = seeds[members]
             with _trial_point(value, members, seed_group):
-                powers = _batch_powers(truth, r_mat[:, members], seed_group,
-                                       geometry.target.beta_max, group)
+                powers = _batch_powers(truth, seed_group, group)
             for solver, watts in powers.items():
                 for trial, seed, power in zip(members, seed_group, watts.tolist()):
                     rows.append(ExperimentRow(float(value), solver, int(trial), int(seed),
@@ -252,7 +252,7 @@ def _preset_aoa_error(config, trials):
     signs = [tuple(_error_sign(int(seed) + k) for k in range(len(config.radars)))
              for seed in trial_seeds(config.seed, trials)]
 
-    def groups_for(geometry, value, r_mat):
+    def groups_for(geometry, value, truth):
         # Steering error: perturbed panel rows, true coating gains and weights.
         groups = {}
         for trial, pattern in enumerate(signs):
@@ -260,7 +260,8 @@ def _preset_aoa_error(config, trials):
                       tuple(_steered(a, value, sign)
                             for a, sign in zip(geometry.true_angles, pattern)))
             groups.setdefault(angles, []).append(trial)
-        return [_Group(None, geometry.link_matrix(angles), r_mat[:, members],
+        return [_Group(None, QcqpInstance(geometry.link_matrix(angles),
+                                          truth.columns[:, members], truth.beta_max),
                        np.array(members)) for angles, members in groups.items()]
 
     return "aoa_error_deg", sweep, _sweep_rows(config, trials, sweep,
@@ -300,20 +301,22 @@ def _preset_estimation(config, trials):
     sweep = (16.0, 32.0, 64.0)
     seeds = trial_seeds(config.seed, trials)
 
-    def groups_for(geometry, value, r_mat):
-        # Each trial designs on its own sensed parameters, then all trials on
-        # the true link matrix.
+    def groups_for(geometry, value, truth):
+        # Each trial designs on its own sensed parameters; all trials design
+        # on the true problem once, at the first snapshot count.
         for trial, seed in enumerate(seeds):
             scenario = geometry.draw(int(seed))
             aoa, g2 = estimate_parameters(scenario, n_snapshots=int(value),
                                           seed=int(seed) + 0xA0A)
-            estimated = link_factor(scenario, aoa.angles, g2)
-            yield _Group({"pgd-estimated": "pgd"}, estimated.link,
-                         estimated.r_vec[:, None], np.array([trial]))
-        yield from _true_groups({"pgd-true": "pgd"})(geometry, value, r_mat)
+            yield _Group({"pgd-estimated": "pgd"}, link_factor(scenario, aoa.angles, g2),
+                         np.array([trial]))
+        if value == sweep[0]:
+            yield from _true_groups({"pgd-true": "pgd"})(geometry, value, truth)
 
-    return "num_snapshots", sweep, _sweep_rows(config, trials, sweep,
-                                               lambda value: config, groups_for)
+    rows = _sweep_rows(config, trials, sweep, lambda value: config, groups_for)
+    rows += [replace(row, sweep=value) for value in sweep[1:]
+             for row in rows if row.solver == "pgd-true"]
+    return "num_snapshots", sweep, rows
 
 
 _PRESETS = {

@@ -7,16 +7,18 @@ link factor (D, r) (:class:`~irstealth.power_model.QcqpInstance`, built by
 rows for K radars.  The expanded form theta^H U theta + 2 Re(v^H theta) + c
 has U = D^H D, v = D^H r and c = ||r||^2, but no design forms the N1 x N1
 matrix U.  ``pgd``, ``mmse`` and ``dft-codebook`` read only the reduced
-factor (B, r'): D's k significant singular directions plus one residual row
+problem (B, r'): D's k significant singular directions plus one residual row
 (:attr:`~irstealth.power_model.LinkMatrix.reduced`, built once per link
 matrix from one O(K^4 N1) SVD; k is 5 of 9 for three radars, 11 of 25 for
 five).  The minimum-norm point and every ridge candidate then cost O(k N1),
 each Newton step of the certified solve O(k^2 N1) (a 2 (k + 1) real
 system), and the codebook one N1-point FFT per reduced row.  Each design
-also runs on many coating-term columns r at once (``pgd_designs``,
-``mmse_designs``, ``codebook_designs``, ``alignment_designs``), one problem
-per column on a shared link matrix, which is how a sweep point's trials run
-as one batch; the single-instance functions are their one-column case.
+runs on one instance whose coating terms may hold many columns r
+(``pgd_designs``, ``mmse_designs``, ``codebook_designs``,
+``alignment_designs``), one problem per column on a shared link matrix,
+which is how a sweep point's trials run as one batch; every design run on
+it reads its one reduced problem (``QcqpInstance.reduced``), and the
+single-instance functions are the one-column case.
 :data:`SOLVERS` maps each solver name to its batched design, for the sweeps
 and ``irstealth solve`` alike.  Five designs are provided:
 
@@ -126,11 +128,10 @@ _NEWTON_STEPS = 300  # Newton-step allowance of a ``pgd`` solve
 def solve_pgd(instance: QcqpInstance, tol: float = 1e-10) -> ReflectionSolution:
     """Globally solve the amplitude-constrained QCQP with a certificate: the
     one-column case of :func:`pgd_designs`."""
-    return pgd_designs(instance.link, instance.r_vec[:, None], instance.beta_max, tol)[0]
+    return pgd_designs(instance, tol)[0]
 
 
-def pgd_designs(link: LinkMatrix, r_mat: np.ndarray, beta: float,
-                tol: float = 1e-10) -> list[ReflectionSolution]:
+def pgd_designs(problem: QcqpInstance, tol: float = 1e-10) -> list[ReflectionSolution]:
     """Certified optimum of ||D theta + r||^2 over |theta_n| <= beta, one per column r.
 
     Solved on the reduced factor, whose full row rank makes a feasible
@@ -140,12 +141,11 @@ def pgd_designs(link: LinkMatrix, r_mat: np.ndarray, beta: float,
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    r_mat = np.asarray(r_mat, dtype=complex)
-    r_red = link.reduce(r_mat)
-    theta_u = _ridge_designs(link.reduced, r_red, [0.0])[0][:, 0, :]
+    r_mat, reduced, beta = problem.columns, problem.reduced, problem.beta_max
+    theta_u = _ridge_designs(reduced.link, reduced.columns, [0.0])[0][:, 0, :]
     inside = np.max(np.abs(theta_u), axis=0) <= beta * (1.0 + 1e-12)
     theta_u = _project(theta_u, beta)
-    residuals = link.array @ theta_u + r_mat
+    residuals = problem.d_mat @ theta_u + r_mat
 
     solutions = []
     for t in range(r_mat.shape[1]):
@@ -154,14 +154,12 @@ def pgd_designs(link: LinkMatrix, r_mat: np.ndarray, beta: float,
             solutions.append(ReflectionSolution(theta_u[:, t], f_val, "pgd", 0,
                                                 termination="min-norm"))
         else:
-            solutions.append(_newton_solve(QcqpInstance(link, r_mat[:, t], beta),
-                                           r_red[:, t], tol, t))
+            solutions.append(_newton_solve(problem, t, tol))
     return solutions
 
 
-def _newton_solve(instance: QcqpInstance, r_red: np.ndarray, tol: float,
-                  column: int) -> ReflectionSolution:
-    """Certified solve of one column on its reduced factor (B, ``r_red``).
+def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> ReflectionSolution:
+    """Certified solve of one column of ``problem`` on its reduced factor (B, r').
 
     Semismooth Newton steps (:func:`_dual_newton_step`) ascend the dual of
     the regularized problem min ||B theta + r'||^2 + eps ||theta||^2 over
@@ -179,9 +177,10 @@ def _newton_solve(instance: QcqpInstance, r_red: np.ndarray, tol: float,
     which holds on D up to 1e-13 s.  ``iterations`` counts Newton steps; when
     they run out, :class:`ConvergenceError` names ``column`` with the last iterate.
     """
-    reduced = QcqpInstance(instance.link.reduced, r_red, instance.beta_max)
-    d_mat, r_vec, beta = reduced.d_mat, reduced.r_vec, reduced.beta_max
-    n = instance.n_elements
+    instance = QcqpInstance(problem.link, problem.columns[:, column], problem.beta_max)
+    reduced = problem.reduced
+    d_mat, r_vec, beta = reduced.d_mat, reduced.columns[:, column], problem.beta_max
+    n = problem.n_elements
     lam_max = float(reduced.link.svd[1][0]) ** 2
     obj_scale = (lam_max * beta ** 2 * n
                  + 2.0 * float(np.linalg.norm(d_mat.conj().T @ r_vec)) * beta * math.sqrt(n)
@@ -222,7 +221,7 @@ def _newton_solve(instance: QcqpInstance, r_red: np.ndarray, tol: float,
                                    ReflectionSolution(theta, instance.objective(theta),
                                                       "pgd", steps), column)
         steps += 1
-        mu, w = _dual_newton_step(reduced, mu, w, z, residual, eps)
+        mu, w = _dual_newton_step(d_mat, r_vec, beta, mu, w, z, residual, eps)
 
 
 def _dual_penalty(z: np.ndarray, eps: float, beta: float) -> float:
@@ -232,11 +231,11 @@ def _dual_penalty(z: np.ndarray, eps: float, beta: float) -> float:
     return eps * float(np.sum(np.where(mag > beta, beta * (beta - 2.0 * mag), -mag ** 2)))
 
 
-def _dual_newton_step(instance: QcqpInstance, mu, w, z, residual,
+def _dual_newton_step(d_mat, r_vec, beta, mu, w, z, residual,
                       eps) -> tuple[np.ndarray, np.ndarray]:
     """One damped semismooth Newton ascent step on the regularized dual.
 
-    On the reduced factor (B, r') of ``instance`` the dual gradient is
+    On the reduced factor (B, r') = (``d_mat``, ``r_vec``) the dual gradient is
     B theta + r' - mu / 2 and the negated dual Hessian I / 2 + B J B^H, with
     J = I / 2 eps on elements inside the cap and beta / |w_n| times the
     tangential projector on saturated ones: a 2 (k + 1) real system for
@@ -245,7 +244,6 @@ def _dual_newton_step(instance: QcqpInstance, mu, w, z, residual,
     the old ones when no ascent is found (the dual is then as good as
     rounding allows).
     """
-    d_mat, r_vec, beta = instance.d_mat, instance.r_vec, instance.beta_max
     m = mu.size
     mag = np.abs(z)
     sat = mag > beta
@@ -407,10 +405,9 @@ def reverse_alignment(u: np.ndarray, c_gain: complex, beta_max: float) -> Reflec
     return _aligned(u, np.array([c_gain], dtype=complex), beta_max)[0]
 
 
-def alignment_designs(link: LinkMatrix, r_mat: np.ndarray,
-                      beta: float) -> list[ReflectionSolution]:
-    """:func:`reverse_alignment` on a one-link matrix, one per column of r."""
-    return _aligned(*_one_link(link, np.asarray(r_mat)), beta)
+def alignment_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
+    """:func:`reverse_alignment` on a one-link factor, one per column of r."""
+    return _aligned(*_one_link(problem.link, problem.columns), problem.beta_max)
 
 
 def _aligned(u, gains: np.ndarray, beta_max: float) -> list[ReflectionSolution]:
@@ -455,11 +452,10 @@ def single_link(instance: QcqpInstance) -> tuple[np.ndarray, complex]:
 def mmse_delta_search(instance: QcqpInstance) -> tuple[float, ReflectionSolution]:
     """Smallest-residual amplitude-feasible ridge solution of D theta = -r: the
     one-column case of :func:`mmse_designs`."""
-    return mmse_designs(instance.link, instance.r_vec[:, None], instance.beta_max)[0]
+    return mmse_designs(instance)[0]
 
 
-def mmse_designs(link: LinkMatrix, r_mat: np.ndarray,
-                 beta: float) -> list[tuple[float, ReflectionSolution]]:
+def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]]:
     """Smallest-residual amplitude-feasible ridge solution of D theta = -r, and its
     regularization, per column r.
 
@@ -475,10 +471,9 @@ def mmse_designs(link: LinkMatrix, r_mat: np.ndarray,
     shrinks the design to zero, which is always feasible.  A solution's
     ``iterations`` counts the candidates tried.
     """
-    r_mat = np.asarray(r_mat, dtype=complex)
-    reduced, r_red = link.reduced, link.reduce(r_mat)
+    reduced, r_red, beta = problem.reduced.link, problem.reduced.columns, problem.beta_max
     found = {}
-    pending = np.arange(r_mat.shape[1])
+    pending = np.arange(r_red.shape[1])
     deltas = reduced.ridge_grid[:1]
     tried = 0
     for attempt in range(7):  # the first grid value, the rest of the grid, five widenings
@@ -494,7 +489,7 @@ def mmse_designs(link: LinkMatrix, r_mat: np.ndarray,
                     thetas[:, best, i].copy(), float(residuals[best, i]), "mmse", tried))
         pending = np.array([t for t in pending if t not in found], dtype=int)
         if not pending.size:
-            return [found[t] for t in range(r_mat.shape[1])]
+            return [found[t] for t in range(r_red.shape[1])]
         deltas = (reduced.ridge_grid[1:] if attempt == 0 else
                   np.geomspace(deltas[-1] * 10.0, deltas[-1] * 1e5, 16))
     raise InfeasibleError("no feasible regularization found while widening")
@@ -512,22 +507,20 @@ def dft_codebook_design(instance: QcqpInstance) -> ReflectionSolution:
 
     The one-column case of :func:`codebook_designs`.
     """
-    return codebook_designs(instance.link, instance.r_vec[:, None], instance.beta_max)[0]
+    return codebook_designs(instance)[0]
 
 
-def codebook_designs(link: LinkMatrix, r_mat: np.ndarray,
-                     beta: float) -> list[ReflectionSolution]:
+def codebook_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
     """Best codeword of the DFT codebook at full amplitude, per coating-term column.
 
     The codebook holds the columns of the square DFT matrix scaled to
     modulus ``beta``; ties break toward the lowest column index.  Codewords
     are compared on the reduced factor, one FFT per reduced row.
     """
-    r_mat = np.asarray(r_mat, dtype=complex)
-    reduced, r_red = link.reduced, link.reduce(r_mat)
+    reduced, r_red, beta = problem.reduced.link, problem.reduced.columns, problem.beta_max
     n = reduced.array.shape[1]
     designs = []
-    for cols in _column_chunks(r_mat.shape[1], reduced.fft.size):
+    for cols in _column_chunks(r_red.shape[1], reduced.fft.size):
         objectives = _codebook_objectives(reduced, r_red[:, cols], beta)
         best = np.argmin(objectives, axis=0)
         thetas = beta * np.exp(-2j * np.pi * (np.arange(n)[:, None] * best) / n)
@@ -546,25 +539,25 @@ def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:
     return beta_max * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n1))
 
 
-def _baseline(name: str, link: LinkMatrix, r_mat, thetas) -> list[ReflectionSolution]:
-    """Solutions of fixed design columns, with their objectives on ``link``."""
-    objectives = np.sum(np.abs(link.array @ thetas + r_mat) ** 2, axis=0)
+def _baseline(name: str, problem: QcqpInstance, thetas) -> list[ReflectionSolution]:
+    """Solutions of fixed design columns, with their objectives on D."""
+    objectives = np.sum(np.abs(problem.d_mat @ thetas + problem.columns) ** 2, axis=0)
     return [ReflectionSolution(thetas[:, t], float(objectives[t]), name)
             for t in range(thetas.shape[1])]
 
 
-# Every design by its solver name, batched on (link, r, beta, seeds): one
-# solution per column of r, with ``seeds[t]`` the trial seed of column t.
+# Every design by its solver name, batched on (problem, seeds): one solution
+# per coating-term column, with ``seeds[t]`` the trial seed of column t.
 SOLVERS = {
-    "pgd": lambda link, r, beta, seeds: pgd_designs(link, r, beta),
-    "reverse-alignment": lambda link, r, beta, seeds: alignment_designs(link, r, beta),
-    "mmse": lambda link, r, beta, seeds: [sol for _, sol in mmse_designs(link, r, beta)],
-    "dft-codebook": lambda link, r, beta, seeds: codebook_designs(link, r, beta),
-    "random-phase": lambda link, r, beta, seeds: _baseline(
-        "random-phase", link, r, np.column_stack([random_phase(
-            link.array.shape[1], beta, int(seed) + 0x5EED) for seed in seeds])),
-    "no-irs": lambda link, r, beta, seeds: _baseline(
-        "no-irs", link, r, np.zeros((link.array.shape[1], len(seeds)), dtype=complex)),
+    "pgd": lambda problem, seeds: pgd_designs(problem),
+    "reverse-alignment": lambda problem, seeds: alignment_designs(problem),
+    "mmse": lambda problem, seeds: [sol for _, sol in mmse_designs(problem)],
+    "dft-codebook": lambda problem, seeds: codebook_designs(problem),
+    "random-phase": lambda problem, seeds: _baseline(
+        "random-phase", problem, np.column_stack([random_phase(
+            problem.n_elements, problem.beta_max, int(s) + 0x5EED) for s in seeds])),
+    "no-irs": lambda problem, seeds: _baseline(
+        "no-irs", problem, np.zeros((problem.n_elements, len(seeds)), dtype=complex)),
 }
 
 

@@ -270,10 +270,10 @@ class LinkMatrix:
         """Link matrix B: D's k kept singular rows sigma_i q_i^H, then one zero row.
 
         Trailing directions are dropped while their sum of rho^2 + rho,
-        rho = sigma_i / sigma_1, stays at or below ``_DROPPED``; then, with
-        r' = :meth:`reduce` (r), ||B theta + r'||^2 is ||D theta + r||^2 to
-        ``_DROPPED`` (sigma_1^2 N1 beta^2 + 2 ||D^H r|| beta sqrt(N1) + ||r||^2)
-        over |theta_n| <= beta.  Its thin SVD ([I; 0], sigma_k, Q_k^H) is known.
+        rho = sigma_i / sigma_1, stays at or below ``_DROPPED``; then
+        :attr:`QcqpInstance.reduced` keeps ||D theta + r||^2 to ``_DROPPED``
+        (sigma_1^2 N1 beta^2 + 2 ||D^H r|| beta sqrt(N1) + ||r||^2) over
+        |theta_n| <= beta.  Its thin SVD ([I; 0], sigma_k, Q_k^H) is known.
         """
         _, sig, qh = self.svd
         rho = sig / sig[0] if sig[0] > 0 else np.zeros_like(sig)
@@ -282,14 +282,6 @@ class LinkMatrix:
         reduced = LinkMatrix(p @ (sig[:k, None] * qh[:k]))
         reduced.__dict__["svd"] = (p, sig[:k], qh[:k])
         return reduced
-
-    def reduce(self, r) -> np.ndarray:
-        """Coating terms of :attr:`reduced` for coating terms r of D (a vector, or
-        one column each): P_k^H r, then ||r - P_k P_k^H r||."""
-        p = self.svd[0][:, :self.reduced.array.shape[0] - 1]
-        coords = p.conj().T @ r
-        outside = np.linalg.norm(r - p @ coords, axis=0, keepdims=True)
-        return np.concatenate([coords, outside])
 
     @cached_property
     def fft(self) -> np.ndarray:
@@ -309,13 +301,14 @@ class QcqpInstance:
     """Received-power objective ||D theta + r||^2 held as its stacked link factor.
 
     ``d_mat`` has one row per link and one column per panel element,
-    ``r_vec`` the matching coating terms.  The expanded quadratic form
-    theta^H U theta + 2 Re(v^H theta) + c has U = D^H D, v = D^H r and
-    c = ||r||^2, so it is positive semidefinite by construction and is never
-    formed.  ``beta_max`` caps every element's reflection amplitude.
-    ``d_mat`` may be given as a :class:`LinkMatrix`, whose decompositions are
-    then shared with every factor built on it; ``link`` holds it either way,
-    and ``d_mat`` and ``r_vec`` are read-only.
+    ``r_vec`` the matching coating terms: a vector, or an M x T matrix of T
+    problems on one link matrix.  The expanded form theta^H U theta +
+    2 Re(v^H theta) + c has U = D^H D, v = D^H r and c = ||r||^2, so it is
+    positive semidefinite by construction and is never formed.  ``beta_max``
+    caps every element's reflection amplitude.  ``d_mat`` may be given as a
+    :class:`LinkMatrix`, whose decompositions are then shared with every
+    factor built on it; ``link`` holds it either way, and ``d_mat`` and
+    ``r_vec`` are read-only.
     """
 
     d_mat: np.ndarray
@@ -326,7 +319,7 @@ class QcqpInstance:
     def __post_init__(self):
         link = self.d_mat if isinstance(self.d_mat, LinkMatrix) else LinkMatrix(self.d_mat)
         r = np.asarray(self.r_vec, dtype=complex)
-        if r.shape != (link.array.shape[0],):
+        if r.ndim not in (1, 2) or r.shape[0] != link.array.shape[0]:
             raise ValueError("coating terms do not match the link rows")
         if not np.all(np.isfinite(r)):
             raise ValueError("link factor must be finite")
@@ -340,7 +333,24 @@ class QcqpInstance:
     def n_elements(self) -> int:
         return self.d_mat.shape[1]
 
+    @property
+    def columns(self) -> np.ndarray:
+        """The coating terms as an M x T matrix, one column per problem."""
+        return self.r_vec.reshape(self.r_vec.shape[0], -1)
+
+    @cached_property
+    def reduced(self) -> QcqpInstance:
+        """The same problems on :attr:`LinkMatrix.reduced`, computed once: coating
+        terms P_k^H r, then ||r - P_k P_k^H r||, from one product over all columns."""
+        p = self.link.svd[0][:, :self.link.reduced.array.shape[0] - 1]
+        coords = p.conj().T @ self.columns
+        outside = np.linalg.norm(self.columns - p @ coords, axis=0, keepdims=True)
+        r_red = np.concatenate([coords, outside]).reshape(-1, *self.r_vec.shape[1:])
+        return QcqpInstance(self.link.reduced, r_red, self.beta_max)
+
     def objective(self, theta: np.ndarray) -> float:
+        if self.r_vec.ndim != 1:
+            raise ValueError("objective evaluates one problem, not a batch")
         residual = self.d_mat @ np.asarray(theta) + self.r_vec
         return float(np.real(np.vdot(residual, residual)))
 
@@ -425,17 +435,10 @@ class ScenarioGeometry:
 
     def draw(self, seed) -> Scenario:
         """Scenario of one seed: uniform coating phases, then each radar's
-        pulse-clock jitter in [0, epoch_jitter), in that order.
-
-        The coating and radar nodes are copies of the geometry's, which were
-        validated when it was built, with only the phases and epochs changed,
-        so their checks are not run again (|phi_n| = sqrt(1 - zeta_n) by
-        construction).
-        """
+        pulse-clock jitter in [0, epoch_jitter), in that order."""
         rng = np.random.default_rng(_checked_seed(seed))
-        target = replace(self.target, nirs=_unchecked_replace(
-            self.target.nirs, phi=self._coating(rng)))
-        radars = tuple(_unchecked_replace(r, pulse_epoch=float(
+        target = replace(self.target, nirs=replace(self.target.nirs, phi=self._coating(rng)))
+        radars = tuple(replace(r, pulse_epoch=float(
             r.pulse_epoch + rng.uniform(0.0, self.epoch_jitter))) for r in self.radars)
         scenario = Scenario(wavelength=self.wavelength, radars=radars, target=target,
                             ref_gain=self.ref_gain, seed=int(seed))
@@ -520,14 +523,6 @@ def _checked_seed(seed) -> int:
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
     return int(seed)
-
-
-def _unchecked_replace(node, **changes):
-    """``dataclasses.replace`` for a validated frozen node whose changed fields
-    keep its invariants by construction: the copy skips ``__post_init__``."""
-    copy = object.__new__(type(node))
-    copy.__dict__.update(node.__dict__, **changes)
-    return copy
 
 
 def _check_amplitudes(theta: np.ndarray, scenario: Scenario) -> np.ndarray:

@@ -1,6 +1,8 @@
+import functools
 import os
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,14 +11,14 @@ from hypothesis import strategies as st
 
 from irstealth import experiments, optimizers, power_model
 from irstealth.arrays import AnglePair
-from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
-                              single_radar_config)
+from irstealth.config import (ScenarioConfig, build_geometry, build_scenario,
+                              multi_radar_config, single_radar_config)
 from irstealth.experiments import (PRESET_NAMES, ExperimentResult, ExperimentRow,
                                    emit_csv, inject_aoa_error, parse_csv,
                                    run_experiment, solver_powers, trial_seeds)
 from irstealth.estimation import estimate_parameters
 from irstealth.optimizers import ConvergenceError, solve_pgd
-from irstealth.power_model import angles_at_target, link_factor
+from irstealth.power_model import QcqpInstance, angles_at_target, link_factor
 
 
 class TestInjectAoaError:
@@ -296,6 +298,58 @@ class TestGeometryReuse:
         assert len(count) == builds
 
 
+class TestReducedProblemReuse:
+    """Every design run on one batched problem shares its one reduced problem."""
+
+    @staticmethod
+    def _reductions(monkeypatch, preset, config, trials):
+        """Number of reduced problems the preset computes."""
+        count = []
+        reduce = QcqpInstance.reduced.func
+        counting = functools.cached_property(lambda problem: count.append(problem)
+                                             or reduce(problem))
+        counting.__set_name__(QcqpInstance, "reduced")
+        monkeypatch.setattr(QcqpInstance, "reduced", counting)
+        run_experiment(preset, config, trials)
+        return len(count)
+
+    def test_one_reduction_per_point(self, monkeypatch):
+        # pgd, mmse and dft-codebook read the reduction of each of the
+        # points of 1, 2 and 3 radars.
+        config = multi_radar_config(num_radars=3, n1x=4)
+        assert self._reductions(monkeypatch, "power-vs-num-radars", config, 4) == 3
+
+    def test_one_reduction_per_steering_group(self, monkeypatch):
+        config = multi_radar_config(num_radars=3, n1x=4)
+        patterns = {tuple(experiments._error_sign(int(seed) + k) for k in range(3))
+                    for seed in trial_seeds(config.seed, 6)}
+        # The unperturbed group, then one per distinct sign pattern at each of
+        # the three nonzero errors.
+        assert self._reductions(monkeypatch, "power-vs-aoa-error", config, 6) == (
+            1 + 3 * len(patterns))
+
+    def test_sensing_preset_designs_on_the_truth_once(self, monkeypatch):
+        config = ScenarioConfig.load(Path(__file__).parent / "golden" / "radar1-n8.json")
+        batches = []
+        solve = optimizers.pgd_designs
+
+        def counting(problem, *args):
+            batches.append(problem.columns.shape[1])
+            return solve(problem, *args)
+
+        monkeypatch.setattr(optimizers, "pgd_designs", counting)
+        rows = run_experiment("estimation-pipeline", config, 4).rows
+        # One estimated design per trial at each of three snapshot counts, and
+        # one true batch of all four trials.
+        assert sorted(batches) == [1] * 12 + [4]
+        true = {}
+        for row in rows:
+            if row.solver == "pgd-true":
+                true.setdefault(row.sweep, []).append((row.trial, row.seed, row.power_watts))
+        assert sorted(true) == [16.0, 32.0, 64.0]
+        assert true[16.0] == true[32.0] == true[64.0]
+
+
 class TestLargePanel:
     def test_ten_thousand_elements_stay_in_link_dimensions(self):
         # A dense N1 x N1 complex matrix alone would take 1.6 GB here; the
@@ -441,12 +495,12 @@ class TestTrialBatch:
         solve = optimizers.pgd_designs
         calls = []
 
-        def failing(link, r_mat, beta, *args):
+        def failing(problem, *args):
             # Call 1 is the unperturbed point; call 2 the first group at 0.5 degrees.
-            calls.append(r_mat.shape[1])
+            calls.append(problem.columns.shape[1])
             if len(calls) == 2:
-                raise ConvergenceError("no convergence", None, r_mat.shape[1] - 1)
-            return solve(link, r_mat, beta, *args)
+                raise ConvergenceError("no convergence", None, calls[-1] - 1)
+            return solve(problem, *args)
 
         monkeypatch.setattr(optimizers, "pgd_designs", failing)
         with pytest.raises(ConvergenceError) as err:

@@ -79,6 +79,10 @@ class TestBuildInstance:
     def test_rejects_mismatched_coating_terms(self):
         with pytest.raises(ValueError):
             QcqpInstance(np.ones((2, 3), dtype=complex), np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="link rows"):
+            QcqpInstance(np.ones((2, 3), dtype=complex), np.zeros((3, 4)), 1.0)
+        with pytest.raises(ValueError, match="link rows"):
+            QcqpInstance(np.ones((2, 3), dtype=complex), np.zeros((2, 4, 1)), 1.0)
 
     def test_rejects_non_finite_factor(self):
         with pytest.raises(ValueError):
@@ -544,7 +548,7 @@ class TestFactorOracles:
             reduced = inst.link.reduced
             k = reduced.array.shape[0] - 1
             np.testing.assert_array_equal(reduced.array[k], 0.0)
-            r_red = inst.link.reduce(inst.r_vec)
+            r_red = inst.reduced.r_vec
             u_mat, v_vec, c_const = dense_terms(inst)
             n = inst.n_elements
             for amps in (np.ones(n), rng.uniform(0, 1, n)):
@@ -586,13 +590,14 @@ class TestColumnBatches:
     def _columns(num_radars):
         # N1 = 4 at a 0.05 cap; the scales mix min-norm exits with Newton
         # solves and default ridge grids with widened ones, over 120 columns
-        # (several ridge and codebook chunks).
+        # (several ridge and codebook chunks), held as one batched problem.
         config = multi_radar_config(num_radars=num_radars, n1x=2)
         config = dataclasses.replace(
             config, target=dataclasses.replace(config.target, beta_max=0.05))
         geometry = build_geometry(config)
         r_mat = geometry.coating_terms(range(120)) * np.tile([1e-4, 1.0, 1e3, 1e8], 30)
-        return geometry.true_link, r_mat, 0.05
+        problem = QcqpInstance(geometry.true_link, r_mat, 0.05)
+        return problem, [QcqpInstance(problem.link, r_vec, 0.05) for r_vec in r_mat.T]
 
     @staticmethod
     def _assert_same(batch, single):
@@ -602,13 +607,12 @@ class TestColumnBatches:
             single.solver, single.iterations, single.termination)
 
     def test_each_column_matches_its_single_instance(self):
-        link, r_mat, beta = self._columns(3)
-        singles = [QcqpInstance(link, r_vec, beta) for r_vec in r_mat.T]
-        pgd = pgd_designs(link, r_mat, beta)
+        problem, singles = self._columns(3)
+        pgd = pgd_designs(problem)
         assert {sol.termination for sol in pgd} == {"min-norm", "newton"}
-        mmse = mmse_designs(link, r_mat, beta)
+        mmse = mmse_designs(problem)
         assert {sol.iterations for _, sol in mmse} == {1, 40, 56, 72}
-        codebook = codebook_designs(link, r_mat, beta)
+        codebook = codebook_designs(problem)
         for t, inst in enumerate(singles):
             self._assert_same(pgd[t], solve_pgd(inst))
             delta, sol = mmse_delta_search(inst)
@@ -617,11 +621,24 @@ class TestColumnBatches:
             self._assert_same(codebook[t], dft_codebook_design(inst))
 
     def test_each_column_matches_reverse_alignment(self):
-        link, r_mat, beta = self._columns(1)
-        for t, sol in enumerate(alignment_designs(link, r_mat, beta)):
-            single = reverse_alignment(*single_link(QcqpInstance(link, r_mat[:, t], beta)),
-                                       beta)
-            self._assert_same(sol, single)
+        problem, singles = self._columns(1)
+        for sol, inst in zip(alignment_designs(problem), singles):
+            self._assert_same(sol, reverse_alignment(*single_link(inst), inst.beta_max))
+
+    def test_reduced_problem_holds_each_columns_reduction(self):
+        problem, singles = self._columns(3)
+        assert problem.reduced is problem.reduced
+        assert problem.reduced.link is problem.link.reduced
+        assert problem.columns.shape == (9, 120)
+        for t, inst in enumerate(singles):
+            np.testing.assert_array_equal(inst.columns[:, 0], problem.columns[:, t])
+            np.testing.assert_allclose(inst.reduced.r_vec, problem.reduced.columns[:, t],
+                                       rtol=0, atol=1e-12 * np.linalg.norm(inst.r_vec))
+
+    def test_objective_rejects_a_batch(self):
+        problem, _ = self._columns(3)
+        with pytest.raises(ValueError, match="batch"):
+            problem.objective(np.zeros(problem.n_elements))
 
 
 def dense_barrier(inst, gap):
