@@ -9,14 +9,14 @@ invariant to a uniform gain rescaling.  Every steering vector comes from
 :func:`~irstealth.arrays.cssa_responses`.
 
 Elevation is searched over [0, pi/2) only: a planar array cannot tell the
-sign of the elevation, so the nonnegative representative is reported.  The
-coarse scan reuses one cached steering grid per array, wavelength and step
-and projects it onto the signal subspace in one matrix product; each peak
-is then refined to the argmax of a 100-times finer lattice, found by branch
-and bound on a bound of how fast the spectrum can change, and that lattice
-point is the reported angle.  The gain scaling assumes one transmit power,
-interval and pulse for all radars, which :func:`estimate_parameters`
-enforces.
+sign of the elevation, so the nonnegative representative is reported.  Each
+scenario's coarse scan projects one cached steering grid per array,
+wavelength and step onto its signal subspace in one matrix product; the
+peaks of a few scenarios are then refined in lockstep, each to the argmax
+of a 100-times finer lattice found by branch and bound on a bound of how
+fast the spectrum can change, and that point is the reported angle.  The
+gain scaling assumes one transmit power, interval and pulse for all
+radars, which :func:`sense` enforces.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import numpy as np
 
 from .arrays import AnglePair, ArrayGeometry, cssa_responses
 from .config import ConfigError
-from .power_model import (Scenario, angles_at_target, beamforming_gains,
-                          chirp_waveform)
+from .power_model import Scenario, chirp_waveform
 
 
 class EstimationError(RuntimeError):
@@ -69,33 +68,38 @@ class AoaEstimate:
 
 
 def collect_snapshots(scenario: Scenario, n_snapshots: int, seed) -> SnapshotSet:
-    """Sample the sensing array uniformly over the common pulse window.
+    """Sensing-array snapshots: the one-scenario case of :func:`_snapshot_sets`."""
+    return _snapshot_sets([scenario], n_snapshots, [seed])[0]
 
-    Each snapshot is the steering-matrix mix of the radars' beamformed
-    pulses plus white noise; the window is the overlap of all radars' pulse
-    intervals so every pulse is active at every sample.
-    """
+
+def _snapshot_sets(scenarios, n_snapshots: int, seeds) -> list[SnapshotSet]:
+    """Sample the sensing array uniformly over each scenario's common pulse
+    window (the overlap of its radars' pulses): the steering-matrix mix of
+    the beamformed pulses plus white noise, scenario t's from ``seeds[t]``.
+    The scenarios share one geometry, its steering matrix and its gains."""
     if n_snapshots < 1:
         raise ValueError(f"need at least one snapshot, got {n_snapshots}")
-    radars = scenario.radars
-    t_lo = max(r.pulse_epoch for r in radars)
-    t_hi = min(r.pulse_epoch + r.pulse for r in radars)
-    if t_hi <= t_lo:
-        raise ValueError("radar pulses do not overlap; no common sensing window")
-    times = t_lo + (t_hi - t_lo) * np.arange(n_snapshots) / n_snapshots
-
-    target = scenario.target
-    arrivals = [angles_at_target(scenario, k) for k in range(scenario.num_radars)]
-    steering = _responses(target.cssa_geometry, scenario.wavelength, arrivals)
-    signals = np.stack([gain * chirp_waveform(times, radar)
-                        for gain, radar in zip(beamforming_gains(scenario), radars)])
-    samples = steering @ signals
-    if target.cssa_noise > 0:
-        rng = np.random.default_rng(seed)
-        shape = samples.shape
-        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        samples = samples + np.sqrt(target.cssa_noise / 2.0) * noise
-    return SnapshotSet(samples, times, target.cssa_geometry, scenario.wavelength)
+    geometry, target = scenarios[0].geometry, scenarios[0].target
+    if any(scenario.geometry is not geometry for scenario in scenarios):
+        raise ValueError("a sensing batch needs scenarios drawn from one geometry")
+    steering = _responses(target.cssa_geometry, geometry.wavelength, geometry.true_angles)
+    sets = []
+    for scenario, seed in zip(scenarios, seeds, strict=True):
+        radars = scenario.radars
+        t_lo = max(r.pulse_epoch for r in radars)
+        t_hi = min(r.pulse_epoch + r.pulse for r in radars)
+        if t_hi <= t_lo:
+            raise ValueError("radar pulses do not overlap; no common sensing window")
+        times = t_lo + (t_hi - t_lo) * np.arange(n_snapshots) / n_snapshots
+        signals = np.stack([gain * chirp_waveform(times, radar)
+                            for gain, radar in zip(geometry.gains, radars)])
+        samples = steering @ signals
+        if target.cssa_noise > 0:
+            rng = np.random.default_rng(seed)
+            noise = rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
+            samples = samples + np.sqrt(target.cssa_noise / 2.0) * noise
+        sets.append(SnapshotSet(samples, times, target.cssa_geometry, geometry.wavelength))
+    return sets
 
 
 def _responses(geometry: ArrayGeometry, wavelength: float, angles) -> np.ndarray:
@@ -151,9 +155,9 @@ def _local_peaks(spectrum: np.ndarray) -> list[tuple[int, int]]:
             neighbor = padded[1 + di: 1 + di + spectrum.shape[0],
                               1 + dj: 1 + dj + spectrum.shape[1]]
             is_peak &= center >= neighbor
-    coords = np.argwhere(is_peak)
-    coords = sorted(coords, key=lambda ij: -spectrum[ij[0], ij[1]])
-    return [tuple(ij) for ij in coords]
+    # Largest first; a stable sort keeps equal peaks in row-major order.
+    order = np.argsort(-spectrum[is_peak], kind="stable")
+    return [tuple(ij) for ij in np.argwhere(is_peak)[order]]
 
 
 def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEstimate:
@@ -166,29 +170,41 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
     signal eigenvectors).  Peaks closer than two grid steps merge into the
     larger one.  Each kept peak is refined to the argmax of a local lattice
     one hundred times finer (found by branch and bound,
-    :func:`_refine_peak`), and that lattice point is the estimate.
+    :func:`_refine_peaks`), and that lattice point is the estimate.
     """
-    n_elem = snapshots.geometry.num_elements
+    return _music([snapshots], k_sources, grid_step)[0]
+
+
+def _music(sets, k_sources: int, grid_step: float) -> list[AoaEstimate]:
+    """:func:`music_aoa` of snapshot sets from one array and wavelength: each
+    set is scanned alone, in order, and all their peaks are refined together."""
+    geometry, wavelength = sets[0].geometry, sets[0].wavelength
+    n_elem = geometry.num_elements
     if k_sources >= n_elem:
         raise ValueError(f"need fewer sources ({k_sources}) than sensors ({n_elem})")
     if k_sources < 1:
         raise ValueError("need at least one source")
-    if snapshots.samples.shape[1] < k_sources:
+    if min(s.samples.shape[1] for s in sets) < k_sources:
         raise ValueError("need at least as many snapshots as sources")
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
+    grid = _coarse_grid(geometry, wavelength, grid_step)
+    scans = [_scan(snapshots, k_sources, *grid) for snapshots in sets]
+    refined = iter(_refine_peaks(geometry, wavelength, [p for _, peaks in scans for p in peaks],
+                                 grid_step, grid_step / 100.0))
+    return [AoaEstimate(tuple(AnglePair(*next(refined)) for _ in peaks), spectrum, *grid[:2])
+            for spectrum, peaks in scans]
 
-    azimuths, elevations, steering = _coarse_grid(snapshots.geometry,
-                                                  snapshots.wavelength, grid_step)
+
+def _scan(snapshots: SnapshotSet, k_sources: int, azimuths, elevations, steering):
+    """Coarse spectrum of one set and its peaks as (E_n, azimuth, elevation)."""
     signal_basis, noise_basis = _subspaces(snapshots, k_sources)
     # Steering entries have unit modulus, so ||E_n^H a||^2 = L - ||E_s^H a||^2:
     # K projections per angle instead of L - K.  The difference is kept
     # positive, so an exact null stays the largest value.
     projections = signal_basis.conj().T @ steering
     noise = steering.shape[0] - np.sum(projections.real ** 2 + projections.imag ** 2, axis=0)
-    spectrum = (1.0 / np.maximum(noise, np.finfo(float).tiny)).reshape(azimuths.size,
-                                                                      elevations.size)
-
+    spectrum = (1.0 / np.maximum(noise, np.finfo(float).tiny)).reshape(azimuths.size, -1)
     kept: list[tuple[int, int]] = []
     for ij in _local_peaks(spectrum):
         if any(abs(ij[0] - p[0]) < 2 and abs(ij[1] - p[1]) < 2 for p in kept):
@@ -197,25 +213,21 @@ def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEs
         if len(kept) == k_sources:
             break
     if len(kept) < k_sources:
-        found = tuple(AnglePair(float(azimuths[i]), float(elevations[j]))
-                      for i, j in kept)
+        found = tuple(AnglePair(float(azimuths[i]), float(elevations[j])) for i, j in kept)
         raise EstimationError(f"found {len(kept)} peaks, expected {k_sources}", found)
-
-    fine = grid_step / 100.0
-    angles = []
-    for i, j in kept:
-        az, el = _refine_peak(noise_basis, snapshots, azimuths[i], elevations[j],
-                              grid_step, fine)
-        angles.append(AnglePair(az, el))
-    return AoaEstimate(tuple(angles), spectrum, azimuths, elevations)
+    return spectrum, [(noise_basis, azimuths[i], elevations[j]) for i, j in kept]
 
 
-# Coarse scan step of :func:`estimate_parameters`.
+# Coarse scan step of :func:`sense`.
 _GRID_STEP = np.deg2rad(1.0)
 
 # Side, in lattice points, of the first boxes of the bounded refine (a
 # power of two: boxes are halved down to single points).
 _REFINE_BOX = 16
+
+# Most boxes per round of a lockstep refine, and scenarios :func:`sense` refines
+# together (each holds a 181 x 91 spectrum): more cost memory for little speed.
+_REFINE_BUDGET, _SENSE_TRIALS = 2048, 4
 
 
 def _block_radius(geometry, wavelength, az, el, d_az, d_el):
@@ -238,57 +250,67 @@ def _block_radius(geometry, wavelength, az, el, d_az, d_el):
                                    + np.sum(off_y ** 2) * dcy ** 2)
 
 
-def _refine_peak(noise_basis, snapshots, az0, el0, coarse, fine):
-    """Best point of the fine lattice within one coarse step of a peak.
+def _refine_peaks(geometry, wavelength, peaks, coarse, fine):
+    """Exhaustive argmax (ties to the lowest flat index) of the fine lattice
+    within one coarse step of each (E_n, azimuth, elevation) peak.
 
-    The result is the exhaustive lattice argmax, found by branch and bound
-    instead of a scan of the whole lattice.  The spectrum is 1 / h^2 with
-    h = ||E_n^H a||, and h moves by at most ||a' - a|| (E_n has orthonormal
-    columns), so the h at a box's centre less :func:`_block_radius` bounds
-    h over the box.  Square boxes tile the lattice; each round evaluates
-    their centres, drops every box whose bound exceeds the smallest h found
-    (it cannot hold the maximum) and splits the rest into four, down to
-    single points.
+    The spectrum is 1 / h^2 with h = ||E_n^H a||, and h moves by at most
+    ||a' - a|| (E_n has orthonormal columns), so the h at a box's centre
+    less :func:`_block_radius` bounds h over the box.  Square boxes tile
+    each lattice; each round evaluates their centres, drops every box whose
+    bound exceeds the smallest h its peak has found and splits the rest into
+    four, down to the single points that hold the argmax.  The peaks run in
+    lockstep, one response call per round for up to :data:`_REFINE_BUDGET`
+    boxes, but one projection per peak over its boxes, in a fixed order.
     """
     half = np.pi / 2
-    az_lo = max(az0 - coarse, -half + fine)
-    az_hi = min(az0 + coarse, half - fine)
-    el_lo = max(el0 - coarse, 0.0)
-    el_hi = min(el0 + coarse, half - fine)
-    az_grid = az_lo + fine * np.arange(int(round((az_hi - az_lo) / fine)) + 1)
-    el_grid = el_lo + fine * np.arange(int(round((el_hi - el_lo) / fine)) + 1)
-    size = (az_grid.size, el_grid.size)
-    local = np.full(size, -np.inf)
-
-    def scan(ia, ie):
-        local[ia, ie] = _spectrum(noise_basis, cssa_responses(
-            snapshots.geometry, az_grid[ia], el_grid[ie], snapshots.wavelength))
-
-    # A box of the given side starting at (sa, se) holds the lattice points
-    # up to side - 1 further along each axis; its centre, clipped to the
-    # lattice, lies within side // 2 of each of them.
-    side = _REFINE_BOX
-    sa, se = (grid.ravel() for grid in np.meshgrid(np.arange(0, size[0], side),
-                                                   np.arange(0, size[1], side),
-                                                   indexing="ij"))
-    while True:
-        ca, ce = np.minimum(sa + side // 2, size[0] - 1), np.minimum(se + side // 2, size[1] - 1)
-        scan(ca, ce)
-        if side == 1:
-            break
-        reach = side // 2 * fine
-        floor = 1.0 / np.sqrt(local[ca, ce]) - _block_radius(
-            snapshots.geometry, snapshots.wavelength, az_grid[ca], el_grid[ce], reach, reach)
-        # The margin covers rounding in the computed h (about 1e-15 * ||a||).
-        keep = floor <= 1.0 / np.sqrt(local.max()) + 1e-9
-        side //= 2
-        sa = (sa[keep, None] + np.array([0, 0, side, side])).ravel()
-        se = (se[keep, None] + np.array([0, side, 0, side])).ravel()
-        inside = (sa < size[0]) & (se < size[1])
-        sa, se = sa[inside], se[inside]
-
-    i, j = np.unravel_index(int(np.argmax(local)), size)
-    return float(np.clip(az_grid[i], -half + fine, half - fine)), float(el_grid[j])
+    az0, el0 = (np.array([peak[axis] for peak in peaks], dtype=float) for axis in (1, 2))
+    az_lo = np.maximum(az0 - coarse, -half + fine)
+    el_lo = np.maximum(el0 - coarse, 0.0)
+    size_az = np.rint((np.minimum(az0 + coarse, half - fine) - az_lo) / fine).astype(int) + 1
+    size_el = np.rint((np.minimum(el0 + coarse, half - fine) - el_lo) / fine).astype(int) + 1
+    # Box starts in the order of a row-major scan of each peak's lattice.
+    starts = np.arange(0, max(size_az.max(), size_el.max()), _REFINE_BOX)
+    sa, se = (np.tile(g.ravel(), len(peaks)) for g in np.meshgrid(starts, starts, indexing="ij"))
+    parts = [(np.repeat(np.arange(len(peaks)), starts.size ** 2), sa, se, _REFINE_BOX)]
+    best, result = np.full(len(peaks), -np.inf), [None] * len(peaks)
+    while parts:
+        owner, sa, se, side = parts.pop()
+        inside = (sa < size_az[owner]) & (se < size_el[owner])
+        owner, sa, se = owner[inside], sa[inside], se[inside]
+        if owner.size > _REFINE_BUDGET and owner[0] != owner[-1]:
+            cut = np.searchsorted(owner, (owner[0] + owner[-1] + 1) // 2)
+            parts += [(owner[cut:], sa[cut:], se[cut:], side),
+                      (owner[:cut], sa[:cut], se[:cut], side)]
+            continue
+        # A box of the given side starting at (sa, se) holds the lattice
+        # points up to side - 1 further along each axis; its centre, clipped
+        # to the lattice, lies within side // 2 of each of them.
+        ca = np.minimum(sa + side // 2, size_az[owner] - 1)
+        ce = np.minimum(se + side // 2, size_el[owner] - 1)
+        az, el = az_lo[owner] + fine * ca, el_lo[owner] + fine * ce
+        steering = cssa_responses(geometry, az, el, wavelength)
+        bounds = np.searchsorted(owner, np.arange(owner[0], owner[-1] + 2))
+        values = np.empty(owner.size)
+        for k, lo, hi in zip(range(owner[0], owner[-1] + 1), bounds[:-1], bounds[1:]):
+            values[lo:hi] = _spectrum(peaks[k][0], steering[:, lo:hi])
+            top = values[lo:hi].max()
+            best[k] = max(best[k], top)
+            if side == 1:  # the last round's argmax, ties to the lowest flat index
+                flat = (ca[lo:hi] * size_el[k] + ce[lo:hi])[values[lo:hi] == top]
+                i, j = divmod(int(flat.min()), size_el[k])
+                result[k] = (float(np.clip(az_lo[k] + fine * i, -half + fine, half - fine)),
+                             float(el_lo[k] + fine * j))
+        if side > 1:
+            floor = 1.0 / np.sqrt(values) - _block_radius(
+                geometry, wavelength, az, el, side // 2 * fine, side // 2 * fine)
+            # The margin covers rounding in the computed h (about 1e-15 * ||a||).
+            keep = floor <= 1.0 / np.sqrt(best[owner]) + 1e-9
+            side //= 2
+            parts.append((np.repeat(owner[keep], 4),
+                          (sa[keep, None] + np.array([0, 0, side, side])).ravel(),
+                          (se[keep, None] + np.array([0, side, 0, side])).ravel(), side))
+    return result
 
 
 def steering_matrix(snapshots: SnapshotSet, angles) -> np.ndarray:
@@ -325,25 +347,32 @@ def gain_estimate(recovered: np.ndarray, pri: float, pulse: float) -> np.ndarray
 
 def estimate_parameters(scenario: Scenario, n_snapshots: int = 64, seed=0
                         ) -> tuple[AoaEstimate, np.ndarray]:
-    """Full sensing pass: snapshots, arrival angles, then squared-gain estimates.
+    """Full sensing pass of one scenario: the one-scenario case of :func:`sense`."""
+    return next(sense([scenario], n_snapshots, [seed]))
 
-    The estimates (:func:`gain_estimate`) follow the returned angle
-    ordering, so the pair can be fed directly to
-    :func:`~irstealth.power_model.link_factor` as ``angles`` and ``g2``.
-    The gain scaling reads the first radar's interval and pulse, and the
-    estimates carry one transmit power for all radars, so every radar must
-    share ``tx_power``, ``pri`` and ``pulse``; a scenario that does not is
-    rejected with a :class:`~irstealth.config.ConfigError` naming the first
-    differing ``radars[i].<field>``.
+
+def sense(scenarios, n_snapshots: int, seeds):
+    """Yield the angle estimate and squared gains (:func:`gain_estimate`) of
+    scenarios drawn from one geometry, scenario t's noise from ``seeds[t]``.
+
+    Each pair can be fed to :func:`~irstealth.power_model.link_factor` as
+    ``angles`` and ``g2``.  The gains read the first radar's interval and
+    pulse and carry one transmit power, so radars that differ in
+    ``tx_power``, ``pri`` or ``pulse`` raise a :class:`ConfigError` naming
+    ``radars[i].<field>``.  :data:`_SENSE_TRIALS` scenarios at a time are
+    scanned in order (the first with too few peaks raises), their peaks
+    refined in lockstep and their angles steered in one call.
     """
-    first = scenario.radars[0]
-    for i, radar in enumerate(scenario.radars[1:], start=1):
+    first = scenarios[0].radars[0]
+    for i, radar in enumerate(scenarios[0].radars[1:], start=1):
         for name in ("tx_power", "pri", "pulse"):
             if getattr(radar, name) != getattr(first, name):
                 raise ConfigError(f"radars[{i}].{name}", "sensing needs every radar "
                                   f"to share radars[0].{name}")
-    snapshots = collect_snapshots(scenario, n_snapshots, seed)
-    aoa = music_aoa(snapshots, scenario.num_radars, _GRID_STEP)
-    a_matrix = steering_matrix(snapshots, aoa.angles)
-    recovered = ls_recover(snapshots, a_matrix)
-    return aoa, gain_estimate(recovered, first.pri, first.pulse)
+    sets, k = _snapshot_sets(scenarios, n_snapshots, seeds), scenarios[0].num_radars
+    for chunk in (sets[lo:lo + _SENSE_TRIALS] for lo in range(0, len(sets), _SENSE_TRIALS)):
+        estimates = _music(chunk, k, _GRID_STEP)
+        steering = steering_matrix(chunk[0], [pair for aoa in estimates for pair in aoa.angles])
+        for t, (snapshots, aoa) in enumerate(zip(chunk, estimates)):
+            recovered = ls_recover(snapshots, steering[:, t * k:(t + 1) * k])
+            yield aoa, gain_estimate(recovered, first.pri, first.pulse)

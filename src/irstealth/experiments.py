@@ -17,13 +17,14 @@ trials fall into design groups, every group running named entries of
 :data:`~irstealth.optimizers.SOLVERS` on its own batched problem, reduced
 once for all of them.  Steering-error trials are grouped by their perturbed
 directions (at most 2^K sign patterns per error value), each group on one
-perturbed link matrix; in the sensing preset each trial designs alone on
-its estimated link factor, and all trials together on the true problem,
-once per preset.
+perturbed link matrix; in the sensing preset all trials are sensed in one
+pass per snapshot count, each designs alone on its estimated link factor,
+and all design together on the true problem, once per preset.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -36,7 +37,7 @@ import numpy as np
 from .arrays import AnglePair
 from .config import (ConfigError, ScenarioConfig, build_geometry, validate_config,
                      watts_to_db, with_seed)
-from .estimation import estimate_parameters
+from .estimation import sense
 from .optimizers import SOLVERS, ConvergenceError, min_irs_elements
 from .power_model import QcqpInstance, _distance, link_factor
 
@@ -300,14 +301,14 @@ def _preset_min_elements(config, trials, realizations: int = 20):
 def _preset_estimation(config, trials):
     sweep = (16.0, 32.0, 64.0)
     seeds = trial_seeds(config.seed, trials)
+    draws = functools.cache(lambda geometry: [geometry.draw(int(seed)) for seed in seeds])
 
     def groups_for(geometry, value, truth):
-        # Each trial designs on its own sensed parameters; all trials design
-        # on the true problem once, at the first snapshot count.
-        for trial, seed in enumerate(seeds):
-            scenario = geometry.draw(int(seed))
-            aoa, g2 = estimate_parameters(scenario, n_snapshots=int(value),
-                                          seed=int(seed) + 0xA0A)
+        # Each trial designs on its own sensed parameters (one sensing pass),
+        # and all trials on the true problem once, at the first count.
+        scenarios = draws(geometry)
+        sensed = sense(scenarios, int(value), [int(seed) + 0xA0A for seed in seeds])
+        for trial, (scenario, (aoa, g2)) in enumerate(zip(scenarios, sensed)):
             yield _Group({"pgd-estimated": "pgd"}, link_factor(scenario, aoa.angles, g2),
                          np.array([trial]))
         if value == sweep[0]:

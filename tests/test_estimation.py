@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from irstealth.arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response,
                               cssa_responses)
-from irstealth.config import (ConfigError, build_scenario, multi_radar_config,
-                              single_radar_config)
+from irstealth.config import (ConfigError, build_geometry, build_scenario,
+                              multi_radar_config, single_radar_config)
 from irstealth.estimation import (EstimationError, SnapshotSet,
                                   collect_snapshots, estimate_parameters,
-                                  gain_estimate, ls_recover, music_aoa,
+                                  gain_estimate, ls_recover, music_aoa, sense,
                                   steering_matrix, _block_radius, _local_peaks,
-                                  _refine_peak, _spectrum, _subspaces)
+                                  _SENSE_TRIALS, _refine_peaks, _spectrum, _subspaces)
 from irstealth.optimizers import dft_codebook_design, mmse_delta_search, solve_pgd
 from irstealth.power_model import (angles_at_target, beamforming_gains,
                                    link_factor, sum_power)
@@ -262,6 +262,51 @@ class TestEndToEnd:
         assert diff <= 1e-6 * baseline
 
 
+class TestSense:
+    @pytest.mark.parametrize("num_radars", [1, 3, 5])
+    def test_batch_matches_each_scenario_alone(self, num_radars):
+        # Bit for bit at every snapshot count, over more scenarios than one
+        # chunk holds.  With three and five radars the first radar's peak sits
+        # at elevation 0, where its refine lattice is cut to half the rows of
+        # the others', so one batch holds lattices of different sizes.
+        config = (single_radar_config(seed=4) if num_radars == 1 else
+                  multi_radar_config(num_radars=num_radars, seed=4))
+        geometry = build_geometry(config)
+        scenarios = [geometry.draw(seed) for seed in range(10, 20)]
+        seeds = list(range(20, 30))
+        for n_snapshots in (16, 32, 64):
+            batch = list(sense(scenarios, n_snapshots, seeds))
+            elevations = [pair.elevation for aoa, _ in batch for pair in aoa.angles]
+            assert min(elevations) < GRID
+            assert num_radars == 1 or max(elevations) > GRID
+            for (aoa, g2), scenario, seed in zip(batch, scenarios, seeds, strict=True):
+                alone, g2_alone = estimate_parameters(scenario, n_snapshots, seed)
+                assert aoa.angles == alone.angles
+                assert np.array_equal(g2, g2_alone)
+
+    def test_first_failing_scenario_raises_what_it_raises_alone(self):
+        # Five radars at 16 snapshots: with noise seed 8 the scenario of seed 2
+        # resolves 2 of 5 peaks and with noise seed 2 it resolves 3; seeds 1
+        # and 3 resolve all five.
+        # The chunks before the failing one yield their pairs first.
+        geometry = build_geometry(multi_radar_config(num_radars=5))
+        ok, failing, later = geometry.draw(1), geometry.draw(2), geometry.draw(3)
+        with pytest.raises(EstimationError) as alone:
+            estimate_parameters(failing, 16, 8)
+        for before in (1, _SENSE_TRIALS + 1):
+            sensed = []
+            with pytest.raises(EstimationError) as batch:
+                sensed.extend(sense([ok] * before + [failing, later, failing], 16,
+                                    [8] * (before + 2) + [2]))
+            assert str(batch.value) == str(alone.value) == "found 2 peaks, expected 5"
+            assert batch.value.peaks == alone.value.peaks
+            assert len(sensed) == before // _SENSE_TRIALS * _SENSE_TRIALS
+
+    def test_rejects_scenarios_of_different_geometries(self, clean_single):
+        with pytest.raises(ValueError):
+            list(sense([clean_single, noiseless(clean_single)], 16, [0, 1]))
+
+
 class TestGainScaleInvariance:
     DESIGNS = {"mmse": lambda factor: mmse_delta_search(factor)[1],
                "dft-codebook": dft_codebook_design, "pgd": solve_pgd}
@@ -305,14 +350,23 @@ def exhaustive_refine(noise_basis, snapshots, az0, el0, coarse, fine):
     return float(np.clip(az_grid[i], -half + fine, half - fine)), float(el_grid[j])
 
 
-def check_peaks(config, num_radars, n_snapshots, seed):
-    snapshots = collect_snapshots(build_scenario(config), n_snapshots, seed)
-    noise_basis = _subspaces(snapshots, num_radars)[1]
-    aoa = music_aoa(snapshots, num_radars, GRID)
-    for i, j in _local_peaks(aoa.spectrum)[:num_radars]:
-        args = (noise_basis, snapshots, aoa.azimuth_grid[i], aoa.elevation_grid[j],
-                GRID, GRID / 100)
-        assert _refine_peak(*args) == exhaustive_refine(*args), (seed, num_radars, (i, j))
+def check_peaks(cases):
+    """Refine the leading peaks of every (config, radars, snapshots, seed) case
+    in one batch and check each against the exhaustive lattice argmax."""
+    peaks = []
+    for config, num_radars, n_snapshots, seed in cases:
+        snapshots = collect_snapshots(build_scenario(config), n_snapshots, seed)
+        noise_basis = _subspaces(snapshots, num_radars)[1]
+        aoa = music_aoa(snapshots, num_radars, GRID)
+        peaks += [(seed, num_radars, (i, j), (noise_basis, snapshots, aoa.azimuth_grid[i],
+                                              aoa.elevation_grid[j], GRID, GRID / 100))
+                  for i, j in _local_peaks(aoa.spectrum)[:num_radars]]
+    snapshots = peaks[0][3][1]
+    assert all(p[3][1].geometry == snapshots.geometry for p in peaks)
+    refined = _refine_peaks(snapshots.geometry, snapshots.wavelength,
+                            [(args[0], args[2], args[3]) for *_, args in peaks], GRID, GRID / 100)
+    for got, (seed, num_radars, ij, args) in zip(refined, peaks, strict=True):
+        assert got == exhaustive_refine(*args), (seed, num_radars, ij)
 
 
 class TestBoundedRefine:
@@ -320,15 +374,17 @@ class TestBoundedRefine:
     def test_matches_exhaustive_lattice(self, block):
         # 25 seeded scenarios per block with one to five radars (the
         # single-radar ones alternate with the default single-radar setup)
-        # at 16 and 64 snapshots: every refined peak lands on the exhaustive
-        # search's point.
+        # at 16 and 64 snapshots, all refined in one batch: every refined
+        # peak lands on the exhaustive search's point.
+        cases = []
         for seed in range(25 * block, 25 * block + 25):
             num_radars = 1 + seed % 5
             if num_radars == 1 and seed % 2:
                 config = single_radar_config(seed=seed)
             else:
                 config = multi_radar_config(num_radars=num_radars, seed=seed)
-            check_peaks(config, num_radars, 16 if seed % 10 < 5 else 64, seed)
+            cases.append((config, num_radars, 16 if seed % 10 < 5 else 64, seed))
+        check_peaks(cases)
 
     @pytest.mark.parametrize("seed", [114, 224, 259, 316, 364])
     def test_narrow_peaks(self, seed):
@@ -336,8 +392,8 @@ class TestBoundedRefine:
         # holds several local maxima along the peak's ridge: a search that
         # climbs from sampled lattice points stopped on another one here.
         num_radars = 1 + seed % 5
-        check_peaks(multi_radar_config(num_radars=num_radars, seed=seed), num_radars,
-                    16, seed)
+        check_peaks([(multi_radar_config(num_radars=num_radars, seed=seed), num_radars,
+                      16, seed)])
 
     @given(st.integers(1, 4), st.integers(1, 4), st.floats(0.2, 1.0),
            st.floats(-1.5, 1.5), st.floats(0.0, 1.5), st.floats(0.0, 0.05),

@@ -18,7 +18,8 @@ from irstealth.experiments import (PRESET_NAMES, ExperimentResult, ExperimentRow
                                    run_experiment, solver_powers, trial_seeds)
 from irstealth.estimation import estimate_parameters
 from irstealth.optimizers import ConvergenceError, solve_pgd
-from irstealth.power_model import QcqpInstance, angles_at_target, link_factor
+from irstealth.power_model import (QcqpInstance, ScenarioGeometry, angles_at_target,
+                                   link_factor)
 
 
 class TestInjectAoaError:
@@ -296,6 +297,15 @@ class TestGeometryReuse:
                             lambda cfg: count.append(cfg) or build(cfg))
         run_experiment(preset, multi_radar_config(num_radars=3, n1x=4), 2)
         assert len(count) == builds
+
+    def test_sensing_preset_draws_each_trial_once(self, monkeypatch):
+        draws = []
+        draw = ScenarioGeometry.draw
+        monkeypatch.setattr(ScenarioGeometry, "draw",
+                            lambda geometry, seed: draws.append(seed) or draw(geometry, seed))
+        config = single_radar_config(seed=5)
+        run_experiment("estimation-pipeline", config, 3)
+        assert draws == [int(seed) for seed in trial_seeds(config.seed, 3)]
 
 
 class TestReducedProblemReuse:
