@@ -15,7 +15,8 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from irstealth.config import build_scenario, single_radar_config
-from irstealth.optimizers import min_irs_elements, reverse_alignment
+from irstealth.optimizers import alignment_designs, min_irs_elements
+from irstealth.power_model import QcqpInstance
 
 
 def main():
@@ -43,9 +44,9 @@ def main():
     for realizations in (1, 2, 5, 10, 20, 50):
         n1 = min_irs_elements(args.zeta_bar, args.n2, args.beta_max,
                               realizations)
-        u = np.ones(max(n1, 1), dtype=complex)
-        cancelled = np.mean([reverse_alignment(u, c, args.beta_max).objective
-                             <= 1e-18 for c in gains])
+        # One link of unit amplitude and response over every draw's gain.
+        problem = QcqpInstance(np.ones((1, max(n1, 1))), gains[None, :], args.beta_max)
+        cancelled = np.mean([sol.objective <= 1e-18 for sol in alignment_designs(problem)])
         print(f"{realizations:12d}  {n1:12d}  {cancelled:15.3f}")
 
 

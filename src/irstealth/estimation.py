@@ -5,7 +5,10 @@ processing recovers each radar's arrival direction and a least-squares pass
 recovers the per-radar beamformed signals, whose mean pulse power estimates
 the squared beamforming gains up to the common transmit power.  That scale
 ambiguity is harmless downstream because the reflection designs are
-invariant to a uniform gain rescaling.  Every steering vector comes from
+invariant to a uniform gain rescaling.  Snapshot collection, MUSIC and
+:func:`sense` take a list of scenarios or snapshot sets and return one
+result each; a single scenario is the one-element case
+(``sense([scenario], n, [seed])[0]``).  Every steering vector comes from
 :func:`~irstealth.arrays.cssa_responses`.
 
 Elevation is searched over [0, pi/2) only: a planar array cannot tell the
@@ -28,7 +31,7 @@ import numpy as np
 
 from .arrays import AnglePair, ArrayGeometry, cssa_responses
 from .config import ConfigError
-from .power_model import Scenario, chirp_waveform
+from .power_model import chirp_waveform
 
 
 class EstimationError(RuntimeError):
@@ -57,22 +60,7 @@ class SnapshotSet:
             raise ValueError("need at least one snapshot")
 
 
-@dataclass(frozen=True, eq=False)
-class AoaEstimate:
-    """Detected arrival angles plus the sampled pseudo-spectrum they came from."""
-
-    angles: tuple[AnglePair, ...]
-    spectrum: np.ndarray
-    azimuth_grid: np.ndarray
-    elevation_grid: np.ndarray
-
-
-def collect_snapshots(scenario: Scenario, n_snapshots: int, seed) -> SnapshotSet:
-    """Sensing-array snapshots: the one-scenario case of :func:`_snapshot_sets`."""
-    return _snapshot_sets([scenario], n_snapshots, [seed])[0]
-
-
-def _snapshot_sets(scenarios, n_snapshots: int, seeds) -> list[SnapshotSet]:
+def collect_snapshots(scenarios, n_snapshots: int, seeds) -> list[SnapshotSet]:
     """Sample the sensing array uniformly over each scenario's common pulse
     window (the overlap of its radars' pulses): the steering-matrix mix of
     the beamformed pulses plus white noise, scenario t's from ``seeds[t]``.
@@ -82,7 +70,8 @@ def _snapshot_sets(scenarios, n_snapshots: int, seeds) -> list[SnapshotSet]:
     geometry, target = scenarios[0].geometry, scenarios[0].target
     if any(scenario.geometry is not geometry for scenario in scenarios):
         raise ValueError("a sensing batch needs scenarios drawn from one geometry")
-    steering = _responses(target.cssa_geometry, geometry.wavelength, geometry.true_angles)
+    steering = steering_matrix(target.cssa_geometry, geometry.wavelength,
+                               geometry.true_angles)
     sets = []
     for scenario, seed in zip(scenarios, seeds, strict=True):
         radars = scenario.radars
@@ -102,7 +91,7 @@ def _snapshot_sets(scenarios, n_snapshots: int, seeds) -> list[SnapshotSet]:
     return sets
 
 
-def _responses(geometry: ArrayGeometry, wavelength: float, angles) -> np.ndarray:
+def steering_matrix(geometry: ArrayGeometry, wavelength: float, angles) -> np.ndarray:
     """Cross-array steering matrix with one column per angle pair."""
     return cssa_responses(geometry, np.array([p.azimuth for p in angles]),
                           np.array([p.elevation for p in angles]), wavelength)
@@ -160,25 +149,23 @@ def _local_peaks(spectrum: np.ndarray) -> list[tuple[int, int]]:
     return [tuple(ij) for ij in np.argwhere(is_peak)[order]]
 
 
-def music_aoa(snapshots: SnapshotSet, k_sources: int, grid_step: float) -> AoaEstimate:
-    """Estimate source directions as the largest pseudo-spectrum peaks.
+def music_aoa(sets, k_sources: int, grid_step: float) -> list[tuple[AnglePair, ...]]:
+    """Source directions of each snapshot set as its largest pseudo-spectrum peaks.
 
-    The sample covariance is eigen-decomposed, the noise subspace spans the
-    smallest eigenvectors, and the pseudo-spectrum is scanned on a coarse
-    angle grid of the given step (its steering vectors are cached per
-    array, wavelength and step; the scan is one matrix product with the K
-    signal eigenvectors).  Peaks closer than two grid steps merge into the
-    larger one.  Each kept peak is refined to the argmax of a local lattice
-    one hundred times finer (found by branch and bound,
-    :func:`_refine_peaks`), and that lattice point is the estimate.
+    The sets share one array and wavelength.  Each set's sample covariance
+    is eigen-decomposed, the noise subspace spans the smallest
+    eigenvectors, and the pseudo-spectrum is scanned on a coarse angle grid
+    of the given step (its steering vectors are cached per array,
+    wavelength and step; the scan is one matrix product with the K signal
+    eigenvectors).  Peaks closer than two grid steps merge into the larger
+    one.  The sets are scanned alone, in order (the first with too few
+    peaks raises), and all their kept peaks are refined together, each to
+    the argmax of a local lattice one hundred times finer (found by branch
+    and bound, :func:`_refine_peaks`); that lattice point is the estimate.
     """
-    return _music([snapshots], k_sources, grid_step)[0]
-
-
-def _music(sets, k_sources: int, grid_step: float) -> list[AoaEstimate]:
-    """:func:`music_aoa` of snapshot sets from one array and wavelength: each
-    set is scanned alone, in order, and all their peaks are refined together."""
     geometry, wavelength = sets[0].geometry, sets[0].wavelength
+    if any((s.geometry, s.wavelength) != (geometry, wavelength) for s in sets):
+        raise ValueError("MUSIC needs snapshot sets of one array and wavelength")
     n_elem = geometry.num_elements
     if k_sources >= n_elem:
         raise ValueError(f"need fewer sources ({k_sources}) than sensors ({n_elem})")
@@ -189,15 +176,13 @@ def _music(sets, k_sources: int, grid_step: float) -> list[AoaEstimate]:
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
     grid = _coarse_grid(geometry, wavelength, grid_step)
-    scans = [_scan(snapshots, k_sources, *grid) for snapshots in sets]
-    refined = iter(_refine_peaks(geometry, wavelength, [p for _, peaks in scans for p in peaks],
-                                 grid_step, grid_step / 100.0))
-    return [AoaEstimate(tuple(AnglePair(*next(refined)) for _ in peaks), spectrum, *grid[:2])
-            for spectrum, peaks in scans]
+    peaks = [peak for snapshots in sets for peak in _scan(snapshots, k_sources, *grid)]
+    refined = iter(_refine_peaks(geometry, wavelength, peaks, grid_step, grid_step / 100.0))
+    return [tuple(AnglePair(*next(refined)) for _ in range(k_sources)) for _ in sets]
 
 
 def _scan(snapshots: SnapshotSet, k_sources: int, azimuths, elevations, steering):
-    """Coarse spectrum of one set and its peaks as (E_n, azimuth, elevation)."""
+    """Kept coarse-spectrum peaks of one set as (E_n, azimuth, elevation)."""
     signal_basis, noise_basis = _subspaces(snapshots, k_sources)
     # Steering entries have unit modulus, so ||E_n^H a||^2 = L - ||E_s^H a||^2:
     # K projections per angle instead of L - K.  The difference is kept
@@ -215,7 +200,7 @@ def _scan(snapshots: SnapshotSet, k_sources: int, azimuths, elevations, steering
     if len(kept) < k_sources:
         found = tuple(AnglePair(float(azimuths[i]), float(elevations[j])) for i, j in kept)
         raise EstimationError(f"found {len(kept)} peaks, expected {k_sources}", found)
-    return spectrum, [(noise_basis, azimuths[i], elevations[j]) for i, j in kept]
+    return [(noise_basis, azimuths[i], elevations[j]) for i, j in kept]
 
 
 # Coarse scan step of :func:`sense`.
@@ -226,7 +211,7 @@ _GRID_STEP = np.deg2rad(1.0)
 _REFINE_BOX = 16
 
 # Most boxes per round of a lockstep refine, and scenarios :func:`sense` refines
-# together (each holds a 181 x 91 spectrum): more cost memory for little speed.
+# together: more cost memory for little speed.
 _REFINE_BUDGET, _SENSE_TRIALS = 2048, 4
 
 
@@ -313,11 +298,6 @@ def _refine_peaks(geometry, wavelength, peaks, coarse, fine):
     return result
 
 
-def steering_matrix(snapshots: SnapshotSet, angles) -> np.ndarray:
-    """Sensing-array steering matrix with one column per source direction."""
-    return _responses(snapshots.geometry, snapshots.wavelength, angles)
-
-
 def ls_recover(snapshots: SnapshotSet, a_matrix: np.ndarray) -> np.ndarray:
     """Least-squares source signals (A^H A)^{-1} A^H z per snapshot.
 
@@ -345,15 +325,10 @@ def gain_estimate(recovered: np.ndarray, pri: float, pulse: float) -> np.ndarray
     return pulse / pri * np.mean(np.abs(recovered) ** 2, axis=1)
 
 
-def estimate_parameters(scenario: Scenario, n_snapshots: int = 64, seed=0
-                        ) -> tuple[AoaEstimate, np.ndarray]:
-    """Full sensing pass of one scenario: the one-scenario case of :func:`sense`."""
-    return next(sense([scenario], n_snapshots, [seed]))
-
-
-def sense(scenarios, n_snapshots: int, seeds):
-    """Yield the angle estimate and squared gains (:func:`gain_estimate`) of
-    scenarios drawn from one geometry, scenario t's noise from ``seeds[t]``.
+def sense(scenarios, n_snapshots: int,
+          seeds) -> list[tuple[tuple[AnglePair, ...], np.ndarray]]:
+    """Estimated angles and squared gains (:func:`gain_estimate`) of scenarios
+    drawn from one geometry, scenario t's noise from ``seeds[t]``.
 
     Each pair can be fed to :func:`~irstealth.power_model.link_factor` as
     ``angles`` and ``g2``.  The gains read the first radar's interval and
@@ -369,10 +344,13 @@ def sense(scenarios, n_snapshots: int, seeds):
             if getattr(radar, name) != getattr(first, name):
                 raise ConfigError(f"radars[{i}].{name}", "sensing needs every radar "
                                   f"to share radars[0].{name}")
-    sets, k = _snapshot_sets(scenarios, n_snapshots, seeds), scenarios[0].num_radars
+    sets, k = collect_snapshots(scenarios, n_snapshots, seeds), scenarios[0].num_radars
+    sensed = []
     for chunk in (sets[lo:lo + _SENSE_TRIALS] for lo in range(0, len(sets), _SENSE_TRIALS)):
-        estimates = _music(chunk, k, _GRID_STEP)
-        steering = steering_matrix(chunk[0], [pair for aoa in estimates for pair in aoa.angles])
-        for t, (snapshots, aoa) in enumerate(zip(chunk, estimates)):
+        estimates = music_aoa(chunk, k, _GRID_STEP)
+        steering = steering_matrix(chunk[0].geometry, chunk[0].wavelength,
+                                   [pair for angles in estimates for pair in angles])
+        for t, (snapshots, angles) in enumerate(zip(chunk, estimates)):
             recovered = ls_recover(snapshots, steering[:, t * k:(t + 1) * k])
-            yield aoa, gain_estimate(recovered, first.pri, first.pulse)
+            sensed.append((angles, gain_estimate(recovered, first.pri, first.pulse)))
+    return sensed

@@ -12,14 +12,16 @@ The trials of a sweep point run as one batch: they share the point's true
 link matrix and differ only in their coating terms, so they form one
 batched :class:`~irstealth.power_model.QcqpInstance` (a K^2 x T coating-term
 matrix), every design works on its columns, and all true powers come from
-one product of the link matrix with the stacked designs.  Each point's
-trials fall into design groups, every group running named entries of
-:data:`~irstealth.optimizers.SOLVERS` on its own batched problem, reduced
-once for all of them.  Steering-error trials are grouped by their perturbed
-directions (at most 2^K sign patterns per error value), each group on one
-perturbed link matrix; in the sensing preset all trials are sensed in one
-pass per snapshot count, each designs alone on its estimated link factor,
-and all design together on the true problem, once per preset.
+one product of the link matrix with the stacked designs; a single trial is
+a batch of one.  Each point's trials fall into design groups, every group
+running its solver table (CSV row name to
+:data:`~irstealth.optimizers.SOLVERS` entry; by default the sweep designs)
+on its own batched problem, reduced once for all of them.  Steering-error
+trials are grouped by their perturbed directions (at most 2^K sign patterns
+per error value), each group on one perturbed link matrix; in the sensing
+preset all trials are sensed in one pass per snapshot count, each designs
+alone on its estimated link factor, and all design together on the true
+problem, once per preset.
 """
 
 from __future__ import annotations
@@ -75,8 +77,8 @@ def inject_aoa_error(truth: AnglePair, error_deg: float, seed) -> AnglePair:
     Elevation is left unchanged; the result is clamped into the open
     admissible interval when the perturbation would leave it.
     """
-    if error_deg < 0:
-        raise ValueError(f"error magnitude must be nonnegative, got {error_deg}")
+    if not 0 <= error_deg < math.inf:
+        raise ValueError(f"error magnitude must be finite and nonnegative, got {error_deg}")
     if error_deg == 0:
         return truth
     return _steered(truth, error_deg, _error_sign(seed))
@@ -95,54 +97,37 @@ def _steered(truth: AnglePair, error_deg: float, sign: float) -> AnglePair:
     return AnglePair(azimuth, truth.elevation)
 
 
-def solver_powers(scenario, trial_seed: int, design=None) -> dict[str, float]:
-    """Sum received power of every applicable design on the true scenario.
-
-    ``design`` optionally gives the link factor the optimizing, ridge,
-    closed-form and codebook designs see (built from perturbed or estimated
-    parameters by :func:`~irstealth.power_model.link_factor`); by default
-    they see the true one.  Baselines never look at it.  Every power is
-    evaluated on the true factor, built once.  The one-trial case of a
-    sweep point's batch.
-    """
-    truth = link_factor(scenario)
-    powers = _batch_powers(truth, [trial_seed],
-                           _Group(None, truth if design is None else design, [0]))
-    return {name: float(watts[0]) for name, watts in powers.items()}
-
-
 class _Group(NamedTuple):
     """Trials ``members`` of a sweep point, designed on ``problem`` (one column
     of coating terms per member).  ``solvers`` maps each row name to its
-    :data:`~irstealth.optimizers.SOLVERS` entry, or is None for the sweep
-    designs (:func:`_batch_powers`)."""
+    :data:`~irstealth.optimizers.SOLVERS` entry."""
 
-    solvers: dict | None
+    solvers: dict
     problem: QcqpInstance
     members: np.ndarray
+
+
+def _sweep_solvers(truth: QcqpInstance) -> dict:
+    """The sweep designs: ``pgd`` and ``dft-codebook``, ``reverse-alignment``
+    for one radar or ``mmse`` for more, and the two baselines."""
+    fitted = "reverse-alignment" if truth.d_mat.shape[0] == 1 else "mmse"
+    return {name: name for name in ("pgd", fitted, "dft-codebook", "random-phase", "no-irs")}
 
 
 def _batch_powers(truth: QcqpInstance, seeds, group: _Group) -> dict[str, np.ndarray]:
     """Sum received power of every design of ``group``, one entry per member.
 
     Member t has its true coating terms in ``truth`` and the random-phase
-    seed ``seeds[t]``.  The sweep designs are ``pgd`` and ``dft-codebook``,
-    ``reverse-alignment`` for one radar or ``mmse`` for more, and the two
-    baselines.  Every ||D theta + r_t||^2 comes from one product: D times the
-    designs stacked side by side, plus the coating terms repeated.
+    seed ``seeds[t]``.  Every ||D theta + r_t||^2 comes from one product: D
+    times the designs stacked side by side, plus the coating terms repeated.
     """
-    solvers = group.solvers
-    if solvers is None:
-        fitted = "reverse-alignment" if truth.d_mat.shape[0] == 1 else "mmse"
-        solvers = {name: name for name in ("pgd", fitted, "dft-codebook",
-                                           "random-phase", "no-irs")}
     thetas = [np.column_stack([sol.theta for sol in SOLVERS[solver](group.problem, seeds)])
-              for solver in solvers.values()]
+              for solver in group.solvers.values()]
     r_mat = truth.columns[:, group.members]
     trials = r_mat.shape[1]
     residual = truth.d_mat @ np.hstack(thetas) + np.tile(r_mat, len(thetas))
     power = np.sum(residual.real ** 2 + residual.imag ** 2, axis=0)
-    return {row: power[i * trials:(i + 1) * trials] for i, row in enumerate(solvers)}
+    return {row: power[i * trials:(i + 1) * trials] for i, row in enumerate(group.solvers)}
 
 
 @contextmanager
@@ -172,9 +157,10 @@ def _geometries(sweep_values, config_for):
 
 
 def _true_groups(solvers=None):
-    """``groups_for`` of one group of all trials on the true problem."""
+    """``groups_for`` of one group of all trials on the true problem, running
+    ``solvers`` (by default the sweep designs)."""
     return lambda geometry, value, truth: [
-        _Group(solvers, truth, np.arange(truth.columns.shape[1]))]
+        _Group(solvers or _sweep_solvers(truth), truth, np.arange(truth.columns.shape[1]))]
 
 
 def _sweep_rows(config, trials, sweep_values, config_for, groups_for=_true_groups()):
@@ -261,8 +247,9 @@ def _preset_aoa_error(config, trials):
                       tuple(_steered(a, value, sign)
                             for a, sign in zip(geometry.true_angles, pattern)))
             groups.setdefault(angles, []).append(trial)
-        return [_Group(None, QcqpInstance(geometry.link_matrix(angles),
-                                          truth.columns[:, members], truth.beta_max),
+        solvers = _sweep_solvers(truth)
+        return [_Group(solvers, QcqpInstance(geometry.link_matrix(angles),
+                                             truth.columns[:, members], truth.beta_max),
                        np.array(members)) for angles, members in groups.items()]
 
     return "aoa_error_deg", sweep, _sweep_rows(config, trials, sweep,
@@ -308,8 +295,8 @@ def _preset_estimation(config, trials):
         # and all trials on the true problem once, at the first count.
         scenarios = draws(geometry)
         sensed = sense(scenarios, int(value), [int(seed) + 0xA0A for seed in seeds])
-        for trial, (scenario, (aoa, g2)) in enumerate(zip(scenarios, sensed)):
-            yield _Group({"pgd-estimated": "pgd"}, link_factor(scenario, aoa.angles, g2),
+        for trial, (scenario, (angles, g2)) in enumerate(zip(scenarios, sensed)):
+            yield _Group({"pgd-estimated": "pgd"}, link_factor(scenario, angles, g2),
                          np.array([trial]))
         if value == sweep[0]:
             yield from _true_groups({"pgd-true": "pgd"})(geometry, value, truth)

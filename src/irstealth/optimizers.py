@@ -12,15 +12,16 @@ problem (B, r'): D's k significant singular directions plus one residual row
 matrix from one O(K^4 N1) SVD; k is 5 of 9 for three radars, 11 of 25 for
 five).  The minimum-norm point and every ridge candidate then cost O(k N1),
 each Newton step of the certified solve O(k^2 N1) (a 2 (k + 1) real
-system), and the codebook one N1-point FFT per reduced row.  Each design
-runs on one instance whose coating terms may hold many columns r
+system), and the codebook one N1-point FFT per reduced row.  Every design
 (``pgd_designs``, ``mmse_designs``, ``codebook_designs``,
-``alignment_designs``), one problem per column on a shared link matrix,
-which is how a sweep point's trials run as one batch; every design run on
-it reads its one reduced problem (``QcqpInstance.reduced``), and the
-single-instance functions are the one-column case.
-:data:`SOLVERS` maps each solver name to its batched design, for the sweeps
-and ``irstealth solve`` alike.  Five designs are provided:
+``alignment_designs``) runs on one instance whose coating terms may hold
+many columns r, one problem per column on a shared link matrix, and returns
+one solution per column: a sweep point's trials run as one batch, and a
+single problem is the one-column case (``pgd_designs(problem)[0]``).  Every
+design run on an instance reads its one reduced problem
+(``QcqpInstance.reduced``).  :data:`SOLVERS` maps each solver name to its
+batched design, for the sweeps and ``irstealth solve`` alike.  Five designs
+are provided:
 
 * the certified global optimum of the QCQP (``pgd``): the minimum-norm
   point when it is feasible, otherwise a semismooth Newton ascent on the
@@ -50,8 +51,7 @@ from .power_model import LinkMatrix, QcqpInstance
 class ConvergenceError(RuntimeError):
     """Newton-step allowance exhausted; ``best`` holds the last iterate.
 
-    ``column`` is the coating-term column whose solve ran out (0 for a
-    single instance).
+    ``column`` is the coating-term column whose solve ran out.
     """
 
     def __init__(self, message, best, column: int = 0):
@@ -123,12 +123,6 @@ def _ridge_designs(link: LinkMatrix, r_mat: np.ndarray,
 
 
 _NEWTON_STEPS = 300  # Newton-step allowance of a ``pgd`` solve
-
-
-def solve_pgd(instance: QcqpInstance, tol: float = 1e-10) -> ReflectionSolution:
-    """Globally solve the amplitude-constrained QCQP with a certificate: the
-    one-column case of :func:`pgd_designs`."""
-    return pgd_designs(instance, tol)[0]
 
 
 def pgd_designs(problem: QcqpInstance, tol: float = 1e-10) -> list[ReflectionSolution]:
@@ -393,29 +387,25 @@ def dual_value(instance: QcqpInstance, multipliers: np.ndarray) -> float:
             - instance.beta_max ** 2 * float(np.sum(lam)))
 
 
-def reverse_alignment(u: np.ndarray, c_gain: complex, beta_max: float) -> ReflectionSolution:
-    """Closed-form single-radar design anti-phasing the coating gain.
-
-    Every used element points opposite to the coating reflection gain along
-    the cascaded response.  With too few elements all of them saturate at
-    ``beta_max`` and the residual objective is (|c| - N*beta)^2; otherwise
-    floor(|c|/beta) elements saturate, one carries the remainder |c| mod beta
-    and the rest stay dark, cancelling the gain exactly.
-    """
-    return _aligned(u, np.array([c_gain], dtype=complex), beta_max)[0]
-
-
 def alignment_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
-    """:func:`reverse_alignment` on a one-link factor, one per column of r."""
-    return _aligned(*_one_link(problem.link, problem.columns), problem.beta_max)
+    """Closed-form single-radar design anti-phasing the coating gain, per column r.
 
-
-def _aligned(u, gains: np.ndarray, beta_max: float) -> list[ReflectionSolution]:
-    u = np.asarray(u)
-    if np.max(np.abs(np.abs(u) - 1.0), initial=0.0) > 1e-9:
-        raise ValueError("cascaded response entries must have unit modulus")
-    if not 0 < beta_max <= 1:
-        raise ValueError(f"beta_max must be in (0, 1], got {beta_max}")
+    The one-link factor's row is a * u^H, with the link amplitude a > 0 and
+    the cascaded response u of unit-modulus entries, and its coating terms
+    are a * c.  Every used element points opposite to the coating gain c
+    along u.  With too few elements all of them saturate at ``beta_max``
+    and the residual objective is a^2 (|c| - N*beta)^2; otherwise
+    floor(|c|/beta) elements saturate, one carries the remainder |c| mod
+    beta and the rest stay dark, cancelling the gain exactly.
+    """
+    if problem.d_mat.shape[0] != 1:
+        raise ValueError("reverse alignment applies to single-radar scenarios: need a "
+                         f"one-link factor, got {problem.d_mat.shape[0]} links")
+    row, beta_max = problem.d_mat[0], problem.beta_max
+    amp = float(np.abs(row[0]))
+    if not amp > 0 or np.max(np.abs(np.abs(row) / amp - 1.0)) > 1e-9:
+        raise ValueError("reverse alignment needs a link row of nonzero constant modulus")
+    u, gains = row.conj() / amp, problem.columns[0] / amp
     mags = np.abs(gains)
     units = np.divide(gains, mags, out=np.zeros_like(gains), where=mags > 0)
     full = np.floor(mags / beta_max)
@@ -424,35 +414,9 @@ def _aligned(u, gains: np.ndarray, beta_max: float) -> list[ReflectionSolution]:
                     np.where(index == full, mags - full * beta_max, 0.0))
     amps[:, np.ceil(mags / beta_max) > u.size] = beta_max
     thetas = -amps * u[:, None] * units
-    objectives = np.abs(u.conj() @ thetas + gains) ** 2
+    objectives = np.abs(row @ thetas + problem.columns[0]) ** 2
     return [ReflectionSolution(thetas[:, t], float(objectives[t]), "reverse-alignment", 0)
             for t in range(gains.size)]
-
-
-def _one_link(link: LinkMatrix, r) -> tuple[np.ndarray, np.ndarray]:
-    if link.array.shape[0] != 1:
-        raise ValueError("reverse alignment applies to single-radar scenarios: need a "
-                         f"one-link factor, got {link.array.shape[0]} links")
-    row = link.array[0]
-    amp = float(np.abs(row[0]))
-    return row.conj() / amp, r[0] / amp
-
-
-def single_link(instance: QcqpInstance) -> tuple[np.ndarray, complex]:
-    """Cascaded response u and coating gain c of a one-link factor.
-
-    The factor's only row is a * u^H and its coating term a * c, with the
-    link amplitude a = |D[0, n]| for every n, so
-    ``reverse_alignment(*single_link(instance), beta)`` designs against it.
-    """
-    u, gain = _one_link(instance.link, instance.r_vec)
-    return u, complex(gain)
-
-
-def mmse_delta_search(instance: QcqpInstance) -> tuple[float, ReflectionSolution]:
-    """Smallest-residual amplitude-feasible ridge solution of D theta = -r: the
-    one-column case of :func:`mmse_designs`."""
-    return mmse_designs(instance)[0]
 
 
 def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]]:
@@ -500,14 +464,6 @@ def _codebook_objectives(link: LinkMatrix, r_mat: np.ndarray, beta: float) -> np
     the link responses are one FFT per row of D, computed once per link matrix."""
     links = (beta * link.fft)[:, :, None] + r_mat[:, None, :]
     return np.sum(np.abs(links) ** 2, axis=0)
-
-
-def dft_codebook_design(instance: QcqpInstance) -> ReflectionSolution:
-    """Best codeword of the DFT codebook at full reflection amplitude.
-
-    The one-column case of :func:`codebook_designs`.
-    """
-    return codebook_designs(instance)[0]
 
 
 def codebook_designs(problem: QcqpInstance) -> list[ReflectionSolution]:

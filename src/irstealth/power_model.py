@@ -167,11 +167,6 @@ def angles_between(pos_from, pos_to, axes) -> AnglePair:
     return AnglePair(float(np.arctan2(uy, ux)), float(elevation))
 
 
-def angles_at_target(scenario: Scenario, k: int) -> AnglePair:
-    """Arrival direction of radar k at the target surface."""
-    return scenario.geometry.true_angles[k]
-
-
 def _distance(pos_a, pos_b) -> float:
     return float(np.linalg.norm(np.asarray(pos_a, dtype=float)
                                 - np.asarray(pos_b, dtype=float)))
@@ -223,14 +218,6 @@ def _coating_terms(amp: np.ndarray, coating: np.ndarray, phis: np.ndarray) -> np
     one column per column of coating coefficients ``phis``."""
     pairs = (coating[:, None, :] * coating[None, :, :]).reshape(amp.size, -1)
     return amp[:, None] * (pairs @ phis)
-
-
-def beamforming_gains(scenario: Scenario) -> np.ndarray:
-    """Complex beamforming gain g_k of every radar toward the target, read-only.
-
-    By reciprocity one gain serves both directions of a radar's link.
-    """
-    return scenario.geometry.gains
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -321,6 +308,8 @@ class QcqpInstance:
         r = np.asarray(self.r_vec, dtype=complex)
         if r.ndim not in (1, 2) or r.shape[0] != link.array.shape[0]:
             raise ValueError("coating terms do not match the link rows")
+        if r.ndim == 2 and r.shape[1] == 0:
+            raise ValueError("coating terms need at least one column")
         if not np.all(np.isfinite(r)):
             raise ValueError("link factor must be finite")
         if not 0 < self.beta_max <= 1:
@@ -371,7 +360,7 @@ def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
     inputs select one of three documented cases:
 
     * neither ``angles`` nor ``g2``: the true scenario, with weights
-      w_kj = P_j |g_k|^2 |g_j|^2 from the :func:`beamforming_gains` g, so
+      w_kj = P_j |g_k|^2 |g_j|^2 from the :attr:`ScenarioGeometry.gains` g, so
       the objective at any feasible theta equals :func:`sum_power` in watts;
     * ``angles`` alone, one per radar in radar order: a steering error.  The
       panel rows follow the given (perturbed) angles, while the coating
@@ -496,7 +485,8 @@ class ScenarioGeometry:
 
     @cached_property
     def gains(self) -> np.ndarray:
-        """Complex beamforming gain rho_k * (a_k . w_k) of every radar toward the target."""
+        """Complex beamforming gain rho_k * (a_k . w_k) of every radar toward the
+        target; by reciprocity one gain serves both directions of a radar's link."""
         g = np.zeros(len(self.radars), dtype=complex)
         for k, radar in enumerate(self.radars):
             rho = path_gain(_distance(radar.position, self.target.position),
@@ -527,6 +517,12 @@ def _checked_seed(seed) -> int:
 
 def _check_amplitudes(theta: np.ndarray, scenario: Scenario) -> np.ndarray:
     theta = np.asarray(theta)
+    n1 = scenario.target.irs_geometry.num_elements
+    if theta.shape != (n1,):
+        raise ValueError(f"need one reflection coefficient per panel element ({n1}), "
+                         f"got shape {theta.shape}")
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("reflection coefficients must be finite")
     if np.max(np.abs(theta), initial=0.0) > scenario.target.beta_max + 1e-9:
         raise ValueError("reflection amplitudes exceed beta_max")
     return theta

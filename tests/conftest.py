@@ -18,7 +18,7 @@ def unit_phases(rng, n):
     return np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
 
 
-def single_link_instance(u, c, beta=1.0):
+def one_link_instance(u, c, beta=1.0):
     """Link factor of |u^H theta + c|^2: one row u^H, coating term c."""
     return QcqpInstance(np.conj(u)[None, :], np.array([c]), beta)
 
@@ -39,7 +39,7 @@ def random_single_instance(rng, n1=None, beta=1.0):
     n1 = int(n1 if n1 is not None else rng.integers(1, 33))
     u = unit_phases(rng, n1)
     c = rng.uniform(0.0, 2.0 * n1 * beta) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return single_link_instance(u, c, beta), u, c
+    return one_link_instance(u, c, beta), u, c
 
 
 def random_multi_instance(rng, n1x=4, ny=2, k=3, beta=1.0):

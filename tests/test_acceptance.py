@@ -11,18 +11,17 @@ import numpy as np
 from scipy import stats
 
 from conftest import (dense_terms, grid_search_min_1, grid_search_min_2,
-                      link_oracle, random_multi_instance, random_single_instance)
+                      link_oracle, one_link_instance, random_multi_instance,
+                      random_single_instance)
 from irstealth.config import (build_scenario, multi_radar_config,
                               single_radar_config, with_seed)
-from irstealth.estimation import estimate_parameters
+from irstealth.estimation import sense
 from irstealth.experiments import (emit_csv, inject_aoa_error, run_experiment,
-                                   solver_powers, trial_seeds)
-from irstealth.optimizers import (dft_codebook_design, dual_value,
-                                  kkt_certificate, min_irs_elements,
-                                  mmse_delta_search, random_phase,
-                                  reverse_alignment, solve_pgd)
-from irstealth.power_model import (angles_at_target, beamforming_gains,
-                                   link_factor, sum_power)
+                                   trial_seeds)
+from irstealth.optimizers import (SOLVERS, alignment_designs, codebook_designs,
+                                  dual_value, kkt_certificate, min_irs_elements,
+                                  mmse_designs, pgd_designs, random_phase)
+from irstealth.power_model import link_factor, sum_power
 
 
 def record(num, description, passed, detail=""):
@@ -37,9 +36,9 @@ def test_01_single_radar_optimality_equivalence():
     worst_rel = 0.0
     worst_zero = 0.0
     for _ in range(200):
-        inst, u, c = random_single_instance(rng)
-        closed = reverse_alignment(u, c, inst.beta_max).objective
-        iterative = solve_pgd(inst).objective
+        inst, _, c = random_single_instance(rng)
+        closed = alignment_designs(inst)[0].objective
+        iterative = pgd_designs(inst)[0].objective
         worst_rel = max(worst_rel,
                         abs(closed - iterative) / (1.0 + max(closed, iterative)))
         if inst.n_elements >= np.ceil(abs(c) / inst.beta_max):
@@ -62,7 +61,7 @@ def test_02_grid_search_oracle_equivalence():
                 inst, _, _ = random_single_instance(rng, n1=n1)
             else:
                 inst = random_multi_instance(rng, n1x=n1, ny=1, k=2)
-            sol = solve_pgd(inst)
+            sol = pgd_designs(inst)[0]
             grid = grid_search_min_1(inst) if n1 == 1 else grid_search_min_2(inst)
             u_mat, v_vec, _ = dense_terms(inst)
             eps = np.sqrt(n1) * np.hypot(0.005, inst.beta_max * 0.005)
@@ -87,7 +86,7 @@ def test_03_duality_gap():
         else:
             inst = random_multi_instance(rng, n1x=int(rng.integers(2, 9)),
                                          ny=2, k=int(rng.integers(2, 4)))
-        sol = solve_pgd(inst)
+        sol = pgd_designs(inst)[0]
         lam, _ = kkt_certificate(inst, sol)
         gap = abs(sol.objective - dual_value(inst, lam))
         worst = max(worst, gap / (1.0 + abs(sol.objective)))
@@ -107,7 +106,7 @@ def test_04_minimum_element_formula():
     for _ in range(draws):
         phi = np.sqrt(0.2) * np.exp(1j * rng.uniform(0, 2 * np.pi, n2))
         c = np.vdot(nirs_vector, phi)
-        if reverse_alignment(u, c, 1.0).objective <= 1e-18:
+        if alignment_designs(one_link_instance(u, c, 1.0))[0].objective <= 1e-18:
             zero += 1
     fraction = zero / draws
     record(4, "12 elements cancel the coating gain in >=95% of draws",
@@ -121,7 +120,7 @@ def test_05_multi_radar_stealth_threshold():
     worst = 0.0
     for seed in trial_seeds(config.seed, 3):
         scenario = build_scenario(with_seed(config, int(seed)))
-        theta = solve_pgd(link_factor(scenario)).theta
+        theta = pgd_designs(link_factor(scenario))[0].theta
         baseline = sum_power(np.zeros_like(theta), scenario)
         worst = max(worst, sum_power(theta, scenario) / baseline)
     elapsed = time.monotonic() - start
@@ -145,8 +144,8 @@ def test_06_mmse_near_optimality_across_distances():
         for seed in trial_seeds(config.seed, 2):
             scenario = build_scenario(with_seed(scaled, int(seed)))
             factor = link_factor(scenario)
-            pgd_theta = solve_pgd(factor).theta
-            mmse_theta = mmse_delta_search(factor)[1].theta
+            pgd_theta = pgd_designs(factor)[0].theta
+            mmse_theta = mmse_designs(factor)[0][1].theta
             pgd_power = sum_power(pgd_theta, scenario)
             mmse_power = sum_power(mmse_theta, scenario)
             baseline = sum_power(np.zeros_like(pgd_theta), scenario)
@@ -164,7 +163,7 @@ def test_07_baseline_ordering_and_ratios():
     dft_vals, random_vals = [], []
     for seed in trial_seeds(config.seed, 200):
         scenario = build_scenario(with_seed(config, int(seed)))
-        dft_vals.append(dft_codebook_design(link_factor(scenario)).objective)
+        dft_vals.append(codebook_designs(link_factor(scenario))[0].objective)
         random_vals.append(sum_power(random_phase(8, 1.0, int(seed) + 0x5EED),
                                      scenario))
     ratio = np.mean(dft_vals) / np.mean(random_vals)
@@ -190,14 +189,15 @@ def _aoa_error_curve(config, n_seeds=200):
     optimal_name = "reverse-alignment" if len(config.radars) == 1 else "pgd"
     for seed in trial_seeds(config.seed, n_seeds):
         scenario = build_scenario(with_seed(config, int(seed)))
+        truth = link_factor(scenario)
         for err in errors:
-            angles = [inject_aoa_error(angles_at_target(scenario, k), err,
+            angles = [inject_aoa_error(scenario.geometry.true_angles[k], err,
                                        int(seed) + k)
                       for k in range(scenario.num_radars)]
-            powers = solver_powers(scenario, int(seed),
-                                   link_factor(scenario, angles))
-            optimal[err].append(powers[optimal_name])
-            codebook[err].append(powers["dft-codebook"])
+            design = link_factor(scenario, angles)
+            for name, curve in ((optimal_name, optimal), ("dft-codebook", codebook)):
+                theta = SOLVERS[name](design, [int(seed)])[0].theta
+                curve[err].append(truth.objective(theta))
     means = [float(np.mean(optimal[e])) for e in errors]
     ratio = means[-1] / float(np.mean(codebook[2.0]))
     monotone = all(a <= b * (1 + 1e-9) for a, b in zip(means, means[1:]))
@@ -220,22 +220,22 @@ def test_09_estimation_pipeline():
     scenario = dataclasses.replace(
         scenario, target=dataclasses.replace(scenario.target, cssa_noise=0.0))
 
-    aoa, g2 = estimate_parameters(scenario, n_snapshots=64, seed=9)
-    truth = sorted(angles_at_target(scenario, k).azimuth for k in range(3))
-    got = sorted(a.azimuth for a in aoa.angles)
+    angles, g2 = sense([scenario], 64, [9])[0]
+    truth = sorted(scenario.geometry.true_angles[k].azimuth for k in range(3))
+    got = sorted(a.azimuth for a in angles)
     angle_err = max(abs(a - b) for a, b in zip(got, truth))
 
-    gains = beamforming_gains(scenario)
+    gains = scenario.geometry.gains
     expected = np.array([r.tx_power for r in scenario.radars]) \
         * np.abs(gains) ** 2
-    order = np.argsort([a.azimuth for a in aoa.angles])
-    truth_order = np.argsort([angles_at_target(scenario, k).azimuth
+    order = np.argsort([a.azimuth for a in angles])
+    truth_order = np.argsort([scenario.geometry.true_angles[k].azimuth
                               for k in range(3)])
     gain_err = np.max(np.abs(g2[order] - expected[truth_order])
                       / expected[truth_order])
 
-    est_theta = solve_pgd(link_factor(scenario, aoa.angles, g2)).theta
-    true_theta = solve_pgd(link_factor(scenario)).theta
+    est_theta = pgd_designs(link_factor(scenario, angles, g2))[0].theta
+    true_theta = pgd_designs(link_factor(scenario))[0].theta
     theta_err = float(np.max(np.abs(est_theta - true_theta)))
     baseline = sum_power(np.zeros_like(true_theta), scenario)
     power_err = abs(sum_power(est_theta, scenario)

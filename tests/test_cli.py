@@ -1,10 +1,13 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from irstealth.config import build_scenario, multi_radar_config, single_radar_config
-from irstealth.experiments import parse_csv, solver_powers
+from irstealth.experiments import parse_csv
+from irstealth.optimizers import SOLVERS
+from irstealth.power_model import link_factor
 
 
 def run_cli(*args):
@@ -101,11 +104,13 @@ class TestSolve:
         proc = run_cli("solve", "--config", str(path), "--solver", solver)
         assert proc.returncode == 0
         objective = float(proc.stdout.splitlines()[1].split(": ")[1])
-        powers = solver_powers(build_scenario(config), config.seed)
+        truth = link_factor(build_scenario(config))
+        power = truth.objective(SOLVERS[solver](truth, [config.seed])[0].theta)
+        no_irs = truth.objective(np.zeros(truth.n_elements))
         if solver in ("random-phase", "no-irs"):
-            assert objective == pytest.approx(powers[solver], rel=1e-12, abs=0.0)
+            assert objective == pytest.approx(power, rel=1e-12, abs=0.0)
         else:
-            assert abs(objective - powers[solver]) <= 1e-9 * powers["no-irs"]
+            assert abs(objective - power) <= 1e-9 * no_irs
 
     def test_missing_config_file(self):
         proc = run_cli("solve", "--config", "/nonexistent/config.json")

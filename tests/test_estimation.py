@@ -9,14 +9,13 @@ from irstealth.arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response
                               cssa_responses)
 from irstealth.config import (ConfigError, build_geometry, build_scenario,
                               multi_radar_config, single_radar_config)
-from irstealth.estimation import (EstimationError, SnapshotSet,
-                                  collect_snapshots, estimate_parameters,
+from irstealth.estimation import (EstimationError, SnapshotSet, collect_snapshots,
                                   gain_estimate, ls_recover, music_aoa, sense,
-                                  steering_matrix, _block_radius, _local_peaks,
-                                  _SENSE_TRIALS, _refine_peaks, _spectrum, _subspaces)
-from irstealth.optimizers import dft_codebook_design, mmse_delta_search, solve_pgd
-from irstealth.power_model import (angles_at_target, beamforming_gains,
-                                   link_factor, sum_power)
+                                  steering_matrix, _block_radius, _coarse_grid,
+                                  _refine_peaks, _scan, _SENSE_TRIALS, _spectrum,
+                                  _subspaces)
+from irstealth.optimizers import codebook_designs, mmse_designs, pgd_designs
+from irstealth.power_model import link_factor, sum_power
 
 GRID = np.deg2rad(1.0)
 
@@ -44,43 +43,42 @@ def clean_multi():
 
 class TestCollectSnapshots:
     def test_single_source_snapshots_stay_parallel(self, clean_single):
-        snaps = collect_snapshots(clean_single, 16, seed=0)
+        snaps = collect_snapshots([clean_single], 16, [0])[0]
         reference = snaps.samples[:, :1]
         projector = reference @ reference.conj().T / np.vdot(reference, reference)
         np.testing.assert_allclose(projector @ snaps.samples, snaps.samples,
                                    atol=1e-12)
 
     def test_noiseless_covariance_rank_equals_sources(self, clean_multi):
-        snaps = collect_snapshots(clean_multi, 32, seed=0)
+        snaps = collect_snapshots([clean_multi], 32, [0])[0]
         cov = snaps.samples @ snaps.samples.conj().T / 32
         eigvals = np.linalg.eigvalsh(cov)
         assert eigvals[-3] > 1e-10 * eigvals[-1]
         assert eigvals[-4] <= 1e-10 * eigvals[-1]
 
     def test_seeded_determinism(self, multi_scenario):
-        a = collect_snapshots(multi_scenario, 8, seed=99)
-        b = collect_snapshots(multi_scenario, 8, seed=99)
+        a = collect_snapshots([multi_scenario], 8, [99])[0]
+        b = collect_snapshots([multi_scenario], 8, [99])[0]
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_needs_snapshots(self, clean_single):
         with pytest.raises(ValueError):
-            collect_snapshots(clean_single, 0, seed=0)
+            collect_snapshots([clean_single], 0, [0])
 
 
 class TestMusicAoa:
     def test_single_source_on_grid_is_exact(self, clean_single):
-        snaps = collect_snapshots(clean_single, 16, seed=0)
-        estimate = music_aoa(snaps, 1, GRID)
-        truth = angles_at_target(clean_single, 0)
-        assert estimate.angles[0].azimuth == pytest.approx(truth.azimuth,
-                                                           abs=1e-12)
-        assert estimate.angles[0].elevation == pytest.approx(0.0, abs=1e-12)
+        snaps = collect_snapshots([clean_single], 16, [0])[0]
+        estimate = music_aoa([snaps], 1, GRID)[0]
+        truth = clean_single.geometry.true_angles[0]
+        assert estimate[0].azimuth == pytest.approx(truth.azimuth, abs=1e-12)
+        assert estimate[0].elevation == pytest.approx(0.0, abs=1e-12)
 
     def test_three_sources_recovered(self, clean_multi):
-        snaps = collect_snapshots(clean_multi, 64, seed=1)
-        estimate = music_aoa(snaps, 3, GRID)
-        got = sorted(a.azimuth for a in estimate.angles)
-        want = sorted(angles_at_target(clean_multi, k).azimuth for k in range(3))
+        snaps = collect_snapshots([clean_multi], 64, [1])[0]
+        estimate = music_aoa([snaps], 3, GRID)[0]
+        got = sorted(a.azimuth for a in estimate)
+        want = sorted(clean_multi.geometry.true_angles[k].azimuth for k in range(3))
         np.testing.assert_allclose(got, want, atol=1e-9)
 
     def test_noisy_accuracy_at_20db(self):
@@ -93,34 +91,41 @@ class TestMusicAoa:
             target = dataclasses.replace(scenario.target,
                                          cssa_noise=signal / 100.0)
             scenario = dataclasses.replace(scenario, target=target)
-            snaps = collect_snapshots(scenario, 64, seed=seed)
-            estimate = music_aoa(snaps, 1, GRID)
-            truth = angles_at_target(scenario, 0)
-            errors.append(abs(estimate.angles[0].azimuth - truth.azimuth))
+            snaps = collect_snapshots([scenario], 64, [seed])[0]
+            estimate = music_aoa([snaps], 1, GRID)[0]
+            truth = scenario.geometry.true_angles[0]
+            errors.append(abs(estimate[0].azimuth - truth.azimuth))
         assert np.quantile(errors, 0.95) <= np.deg2rad(0.5)
 
     def test_too_many_sources_rejected(self, clean_multi):
-        snaps = collect_snapshots(clean_multi, 16, seed=0)
+        snaps = collect_snapshots([clean_multi], 16, [0])[0]
         with pytest.raises(ValueError):
-            music_aoa(snaps, 9, GRID)
+            music_aoa([snaps], 9, GRID)
 
     def test_missing_peaks_reported(self, clean_single):
         # One dominant source scanned on a very coarse grid: neighboring
         # grid maxima merge into a single peak, fewer than requested.
-        snaps = collect_snapshots(clean_single, 32, seed=0)
+        snaps = collect_snapshots([clean_single], 32, [0])[0]
         with pytest.raises(EstimationError) as err:
-            music_aoa(snaps, 2, np.deg2rad(45.0))
+            music_aoa([snaps], 2, np.deg2rad(45.0))
         assert len(err.value.peaks) == 1
 
+    def test_rejects_sets_of_different_arrays(self, clean_single):
+        snaps = collect_snapshots([clean_single], 16, [0])[0]
+        other = SnapshotSet(snaps.samples, snaps.sample_times, snaps.geometry,
+                            2.0 * snaps.wavelength)
+        with pytest.raises(ValueError, match="one array and wavelength"):
+            music_aoa([snaps, other], 1, GRID)
+
     def test_noise_subspace_orthogonal_to_steering(self, clean_multi):
-        snaps = collect_snapshots(clean_multi, 64, seed=2)
+        snaps = collect_snapshots([clean_multi], 64, [2])[0]
         basis = _subspaces(snaps, 3)[1]
-        truth = steering_matrix(snaps, [angles_at_target(clean_multi, k)
-                                        for k in range(3)])
+        truth = steering_matrix(snaps.geometry, snaps.wavelength,
+                                clean_multi.geometry.true_angles)
         assert np.linalg.norm(basis.conj().T @ truth) <= 1e-8
 
     def test_spectrum_invariant_to_sample_scaling(self, clean_multi):
-        snaps = collect_snapshots(clean_multi, 64, seed=3)
+        snaps = collect_snapshots([clean_multi], 64, [3])[0]
         doubled = SnapshotSet(2.0 * snaps.samples, snaps.sample_times,
                               snaps.geometry, snaps.wavelength)
         az = np.deg2rad(np.arange(-60, 61, 5, dtype=float))
@@ -140,9 +145,8 @@ class TestMusicAoa:
         el = rng.uniform(0.0, 1.57, 11)
         grid = cssa_responses(geometry, az[:, None], el[None, :], 0.05)
         assert grid.shape == (geometry.num_elements, az.size, el.size)
-        snaps = SnapshotSet(np.zeros((geometry.num_elements, 1)), np.zeros(1), geometry, 0.05)
         pairs = [AnglePair(a, e) for a, e in zip(az, el)]
-        columns = steering_matrix(snaps, pairs)
+        columns = steering_matrix(geometry, 0.05, pairs)
         for i, a in enumerate(az):
             for j, e in enumerate(el):
                 single = cssa_response(geometry, AnglePair(a, e), 0.05)
@@ -152,18 +156,18 @@ class TestMusicAoa:
 
 
 def _snapshot_signal_power(scenario):
-    gains = beamforming_gains(scenario)
+    gains = scenario.geometry.gains
     radar = scenario.radars[0]
     return abs(gains[0]) ** 2 * radar.tx_power * radar.pri / radar.pulse
 
 
 class TestLsRecover:
     def test_noiseless_recovery_is_exact(self, clean_multi):
-        snaps = collect_snapshots(clean_multi, 32, seed=0)
-        truth_angles = [angles_at_target(clean_multi, k) for k in range(3)]
-        a_matrix = steering_matrix(snaps, truth_angles)
+        snaps = collect_snapshots([clean_multi], 32, [0])[0]
+        a_matrix = steering_matrix(snaps.geometry, snaps.wavelength,
+                                   clean_multi.geometry.true_angles)
         recovered = ls_recover(snaps, a_matrix)
-        gains = beamforming_gains(clean_multi)
+        gains = clean_multi.geometry.gains
         from irstealth.power_model import chirp_waveform
         expected = np.stack([gains[k]
                              * chirp_waveform(snaps.sample_times,
@@ -172,37 +176,38 @@ class TestLsRecover:
         np.testing.assert_allclose(recovered, expected, rtol=1e-10)
 
     def test_single_source_matched_filter_equivalence(self, clean_single):
-        snaps = collect_snapshots(clean_single, 16, seed=0)
-        a_matrix = steering_matrix(snaps, [angles_at_target(clean_single, 0)])
+        snaps = collect_snapshots([clean_single], 16, [0])[0]
+        a_matrix = steering_matrix(snaps.geometry, snaps.wavelength,
+                                   [clean_single.geometry.true_angles[0]])
         recovered = ls_recover(snaps, a_matrix)
         matched = a_matrix[:, 0].conj() @ snaps.samples / a_matrix.shape[0]
         np.testing.assert_allclose(recovered[0], matched, rtol=1e-10)
 
     def test_residual_orthogonal_to_steering(self, multi_scenario):
-        snaps = collect_snapshots(multi_scenario, 32, seed=5)
-        a_matrix = steering_matrix(snaps, [angles_at_target(multi_scenario, k)
-                                           for k in range(3)])
+        snaps = collect_snapshots([multi_scenario], 32, [5])[0]
+        a_matrix = steering_matrix(snaps.geometry, snaps.wavelength,
+                                   multi_scenario.geometry.true_angles)
         recovered = ls_recover(snaps, a_matrix)
         residual = snaps.samples - a_matrix @ recovered
         assert np.max(np.abs(a_matrix.conj().T @ residual)) <= 1e-9 * np.max(
             np.abs(snaps.samples))
 
     def test_rank_deficient_steering_rejected(self, clean_multi):
-        snaps = collect_snapshots(clean_multi, 16, seed=0)
-        pair = angles_at_target(clean_multi, 0)
+        snaps = collect_snapshots([clean_multi], 16, [0])[0]
+        pair = clean_multi.geometry.true_angles[0]
         with pytest.raises(np.linalg.LinAlgError):
-            ls_recover(snaps, steering_matrix(snaps, [pair, pair]))
+            ls_recover(snaps, steering_matrix(snaps.geometry, snaps.wavelength, [pair, pair]))
 
 
 class TestGainEstimate:
     def test_noiseless_equals_power_scaled_gain(self, clean_multi):
-        snaps = collect_snapshots(clean_multi, 64, seed=0)
-        a_matrix = steering_matrix(snaps, [angles_at_target(clean_multi, k)
-                                           for k in range(3)])
+        snaps = collect_snapshots([clean_multi], 64, [0])[0]
+        a_matrix = steering_matrix(snaps.geometry, snaps.wavelength,
+                                   clean_multi.geometry.true_angles)
         recovered = ls_recover(snaps, a_matrix)
         radar = clean_multi.radars[0]
         estimate = gain_estimate(recovered, radar.pri, radar.pulse)
-        gains = beamforming_gains(clean_multi)
+        gains = clean_multi.geometry.gains
         expected = np.array([r.tx_power for r in clean_multi.radars]) \
             * np.abs(gains) ** 2
         np.testing.assert_allclose(estimate, expected, rtol=1e-10)
@@ -230,10 +235,10 @@ class TestGainEstimate:
                                            + 1j * rng.standard_normal((9, 64)))
             snaps = SnapshotSet(noise, np.linspace(0, pulse, 64, endpoint=False),
                                 geometry, 0.05)
-            a_matrix = steering_matrix(snaps, angles)
+            a_matrix = steering_matrix(geometry, 0.05, angles)
             estimates.append(gain_estimate(ls_recover(snaps, a_matrix),
                                            pri, pulse))
-        a_matrix = steering_matrix(snaps, angles)
+        a_matrix = steering_matrix(geometry, 0.05, angles)
         gram_inv = np.linalg.inv(a_matrix.conj().T @ a_matrix)
         analytic = pulse / pri * sigma2 * np.real(np.diag(gram_inv))
         np.testing.assert_allclose(np.mean(estimates, axis=0), analytic,
@@ -245,16 +250,16 @@ class TestGainEstimate:
 
 
 def _pipeline_gains(scenario):
-    return estimate_parameters(scenario, n_snapshots=32, seed=4)[1]
+    return sense([scenario], 32, [4])[0][1]
 
 
 class TestEndToEnd:
     def test_estimated_parameters_reproduce_true_design(self, clean_multi):
-        aoa, g2 = estimate_parameters(clean_multi, n_snapshots=64, seed=6)
-        est_instance = link_factor(clean_multi, aoa.angles, g2)
+        angles, g2 = sense([clean_multi], 64, [6])[0]
+        est_instance = link_factor(clean_multi, angles, g2)
         true_instance = link_factor(clean_multi)
-        theta_est = solve_pgd(est_instance).theta
-        theta_true = solve_pgd(true_instance).theta
+        theta_est = pgd_designs(est_instance)[0].theta
+        theta_true = pgd_designs(true_instance)[0].theta
         np.testing.assert_allclose(theta_est, theta_true, atol=1e-6)
         baseline = sum_power(np.zeros_like(theta_true), clean_multi)
         diff = abs(sum_power(theta_est, clean_multi)
@@ -275,41 +280,39 @@ class TestSense:
         scenarios = [geometry.draw(seed) for seed in range(10, 20)]
         seeds = list(range(20, 30))
         for n_snapshots in (16, 32, 64):
-            batch = list(sense(scenarios, n_snapshots, seeds))
-            elevations = [pair.elevation for aoa, _ in batch for pair in aoa.angles]
+            batch = sense(scenarios, n_snapshots, seeds)
+            elevations = [pair.elevation for angles, _ in batch for pair in angles]
             assert min(elevations) < GRID
             assert num_radars == 1 or max(elevations) > GRID
-            for (aoa, g2), scenario, seed in zip(batch, scenarios, seeds, strict=True):
-                alone, g2_alone = estimate_parameters(scenario, n_snapshots, seed)
-                assert aoa.angles == alone.angles
+            for (angles, g2), scenario, seed in zip(batch, scenarios, seeds, strict=True):
+                alone, g2_alone = sense([scenario], n_snapshots, [seed])[0]
+                assert angles == alone
                 assert np.array_equal(g2, g2_alone)
 
     def test_first_failing_scenario_raises_what_it_raises_alone(self):
         # Five radars at 16 snapshots: with noise seed 8 the scenario of seed 2
         # resolves 2 of 5 peaks and with noise seed 2 it resolves 3; seeds 1
-        # and 3 resolve all five.
-        # The chunks before the failing one yield their pairs first.
+        # and 3 resolve all five.  The failing scenario sits in the first
+        # chunk, then in the second.
         geometry = build_geometry(multi_radar_config(num_radars=5))
         ok, failing, later = geometry.draw(1), geometry.draw(2), geometry.draw(3)
         with pytest.raises(EstimationError) as alone:
-            estimate_parameters(failing, 16, 8)
+            sense([failing], 16, [8])
         for before in (1, _SENSE_TRIALS + 1):
-            sensed = []
             with pytest.raises(EstimationError) as batch:
-                sensed.extend(sense([ok] * before + [failing, later, failing], 16,
-                                    [8] * (before + 2) + [2]))
+                sense([ok] * before + [failing, later, failing], 16, [8] * (before + 2) + [2])
             assert str(batch.value) == str(alone.value) == "found 2 peaks, expected 5"
             assert batch.value.peaks == alone.value.peaks
-            assert len(sensed) == before // _SENSE_TRIALS * _SENSE_TRIALS
 
     def test_rejects_scenarios_of_different_geometries(self, clean_single):
         with pytest.raises(ValueError):
-            list(sense([clean_single, noiseless(clean_single)], 16, [0, 1]))
+            sense([clean_single, noiseless(clean_single)], 16, [0, 1])
 
 
 class TestGainScaleInvariance:
-    DESIGNS = {"mmse": lambda factor: mmse_delta_search(factor)[1],
-               "dft-codebook": dft_codebook_design, "pgd": solve_pgd}
+    DESIGNS = {"mmse": lambda factor: mmse_designs(factor)[0][1],
+               "dft-codebook": lambda factor: codebook_designs(factor)[0],
+               "pgd": lambda factor: pgd_designs(factor)[0]}
 
     @pytest.mark.parametrize("num_radars", [1, 3, 5])
     def test_designs_ignore_uniform_gain_scale(self, num_radars):
@@ -322,14 +325,14 @@ class TestGainScaleInvariance:
             else:
                 config = multi_radar_config(num_radars=num_radars, seed=seed)
             scenario = build_scenario(config)
-            aoa, g2 = estimate_parameters(scenario, seed=seed)
+            angles, g2 = sense([scenario], 64, [seed])[0]
             truth = link_factor(scenario)
             dark = truth.objective(np.zeros(truth.n_elements))
             for name, design in self.DESIGNS.items():
-                sensed = link_factor(scenario, aoa.angles, g2)
+                sensed = link_factor(scenario, angles, g2)
                 base = truth.objective(design(sensed).theta)
                 for scale in (2.0 ** -20, 3.7, 2.0 ** 20):
-                    factor = link_factor(scenario, aoa.angles, scale * g2)
+                    factor = link_factor(scenario, angles, scale * g2)
                     power = truth.objective(design(factor).theta)
                     assert abs(power - base) <= 1e-9 * dark, (seed, name, scale)
 
@@ -351,22 +354,20 @@ def exhaustive_refine(noise_basis, snapshots, az0, el0, coarse, fine):
 
 
 def check_peaks(cases):
-    """Refine the leading peaks of every (config, radars, snapshots, seed) case
-    in one batch and check each against the exhaustive lattice argmax."""
+    """Refine the coarse-scan peaks of every (config, radars, snapshots, seed)
+    case in one batch and check each against the exhaustive lattice argmax."""
     peaks = []
     for config, num_radars, n_snapshots, seed in cases:
-        snapshots = collect_snapshots(build_scenario(config), n_snapshots, seed)
-        noise_basis = _subspaces(snapshots, num_radars)[1]
-        aoa = music_aoa(snapshots, num_radars, GRID)
-        peaks += [(seed, num_radars, (i, j), (noise_basis, snapshots, aoa.azimuth_grid[i],
-                                              aoa.elevation_grid[j], GRID, GRID / 100))
-                  for i, j in _local_peaks(aoa.spectrum)[:num_radars]]
-    snapshots = peaks[0][3][1]
-    assert all(p[3][1].geometry == snapshots.geometry for p in peaks)
+        snapshots = collect_snapshots([build_scenario(config)], n_snapshots, [seed])[0]
+        grid = _coarse_grid(snapshots.geometry, snapshots.wavelength, GRID)
+        peaks += [(seed, num_radars, (noise_basis, snapshots, az, el, GRID, GRID / 100))
+                  for noise_basis, az, el in _scan(snapshots, num_radars, *grid)]
+    snapshots = peaks[0][2][1]
+    assert all(p[2][1].geometry == snapshots.geometry for p in peaks)
     refined = _refine_peaks(snapshots.geometry, snapshots.wavelength,
                             [(args[0], args[2], args[3]) for *_, args in peaks], GRID, GRID / 100)
-    for got, (seed, num_radars, ij, args) in zip(refined, peaks, strict=True):
-        assert got == exhaustive_refine(*args), (seed, num_radars, ij)
+    for got, (seed, num_radars, args) in zip(refined, peaks, strict=True):
+        assert got == exhaustive_refine(*args), (seed, num_radars, args[2], args[3])
 
 
 class TestBoundedRefine:
@@ -422,5 +423,5 @@ class TestSensingAssumptions:
         radars[2] = dataclasses.replace(radars[2], **{field: value})
         scenario = build_scenario(dataclasses.replace(config, radars=tuple(radars)))
         with pytest.raises(ConfigError) as err:
-            estimate_parameters(scenario, n_snapshots=16, seed=0)
+            sense([scenario], 16, [0])
         assert err.value.fieldpath == f"radars[2].{name}"

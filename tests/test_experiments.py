@@ -15,11 +15,10 @@ from irstealth.config import (ScenarioConfig, build_geometry, build_scenario,
                               multi_radar_config, single_radar_config)
 from irstealth.experiments import (PRESET_NAMES, ExperimentResult, ExperimentRow,
                                    emit_csv, inject_aoa_error, parse_csv,
-                                   run_experiment, solver_powers, trial_seeds)
-from irstealth.estimation import estimate_parameters
-from irstealth.optimizers import ConvergenceError, solve_pgd
-from irstealth.power_model import (QcqpInstance, ScenarioGeometry, angles_at_target,
-                                   link_factor)
+                                   run_experiment, trial_seeds)
+from irstealth.estimation import sense
+from irstealth.optimizers import SOLVERS, ConvergenceError, pgd_designs
+from irstealth.power_model import QcqpInstance, ScenarioGeometry, link_factor
 
 
 class TestInjectAoaError:
@@ -48,8 +47,9 @@ class TestInjectAoaError:
             assert -np.pi / 2 < perturbed.azimuth < np.pi / 2
 
     def test_negative_error_rejected(self):
-        with pytest.raises(ValueError):
-            inject_aoa_error(AnglePair(0.0, 0.0), -1.0, 0)
+        for error_deg in (-1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="error magnitude"):
+                inject_aoa_error(AnglePair(0.0, 0.0), error_deg, 0)
 
     def test_deterministic(self):
         truth = AnglePair(0.1, 0.0)
@@ -368,13 +368,13 @@ class TestLargePanel:
         assert scenario.target.irs_geometry.num_elements == 10_000
         tracemalloc.start()
         try:
-            powers = solver_powers(scenario, 7)
+            truth = link_factor(scenario)
+            powers = {name: truth.objective(solve(truth, [7])[0].theta)
+                      for name, solve in SOLVERS.items() if name != "reverse-alignment"}
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 200e6
-        assert set(powers) == {"pgd", "mmse", "dft-codebook", "random-phase",
-                               "no-irs"}
         assert powers["pgd"] <= 1e-6 * powers["no-irs"]
         assert powers["pgd"] <= powers["mmse"] * (1 + 1e-9) + 1e-9 * powers["no-irs"]
 
@@ -402,21 +402,22 @@ def _one_trial_powers(preset, scenario, seed, value):
     """Powers of one trial's rows by the one-trial path, and its coating-only
     power."""
     truth = link_factor(scenario)
+    p0 = truth.objective(np.zeros(truth.n_elements))
     if preset == "estimation-pipeline":
-        aoa, g2 = estimate_parameters(scenario, n_snapshots=int(value), seed=seed + 0xA0A)
-        estimated = link_factor(scenario, aoa.angles, g2)
-        return ({"pgd-estimated": truth.objective(solve_pgd(estimated).theta),
-                 "pgd-true": truth.objective(solve_pgd(truth).theta)},
-                truth.objective(np.zeros(truth.n_elements)))
-    design = None
+        angles, g2 = sense([scenario], int(value), [seed + 0xA0A])[0]
+        estimated = link_factor(scenario, angles, g2)
+        return ({"pgd-estimated": truth.objective(pgd_designs(estimated)[0].theta),
+                 "pgd-true": truth.objective(pgd_designs(truth)[0].theta)}, p0)
+    design = truth
     if preset == "power-vs-aoa-error":
         design = link_factor(scenario, [
-            inject_aoa_error(angles_at_target(scenario, k), value, seed + k)
+            inject_aoa_error(scenario.geometry.true_angles[k], value, seed + k)
             for k in range(scenario.num_radars)])
-    powers = solver_powers(scenario, seed, design)
-    if preset == "min-elements-validation":
-        return {"reverse-alignment": powers["reverse-alignment"]}, powers["no-irs"]
-    return powers, powers["no-irs"]
+    fitted = "reverse-alignment" if scenario.num_radars == 1 else "mmse"
+    names = (("reverse-alignment",) if preset == "min-elements-validation" else
+             ("pgd", fitted, "dft-codebook", "random-phase", "no-irs"))
+    return {name: truth.objective(SOLVERS[name](design, [seed])[0].theta)
+            for name in names}, p0
 
 
 def _assert_rows_agree(got, want, p0):

@@ -6,9 +6,13 @@ says how to rewrite one.  Rows are matched on (sweep, solver, trial) with
 equal seeds.  A design row must agree to 1e-9 of its trial's ``no-irs``
 power P0 (taken from the capture, or computed from the trial's scenario for
 presets that write no ``no-irs`` row); the ``no-irs`` and ``random-phase``
-rows, which no design touches, to 1e-12 relative.
+rows, which no design touches, to 1e-12 relative.  The element-count table
+of ``scripts/min_elements_table.py --draws 200`` must match its capture byte
+for byte.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +23,7 @@ from irstealth.experiments import PRESET_NAMES, parse_csv, run_experiment
 from irstealth.power_model import link_factor
 
 GOLDEN = Path(__file__).parent / "golden"
+SCRIPT = Path(__file__).parents[1] / "scripts" / "min_elements_table.py"
 
 CASES = ([("radar1-n8", preset, 4) for preset in PRESET_NAMES]
          + [("radars3-n50", "power-vs-num-radars", 8),
@@ -57,3 +62,9 @@ def test_matches_capture(config, preset, trials):
             p0 = (no_irs.power_watts if no_irs is not None
                   else _no_irs_power(scenario_config, row.seed))
             assert abs(got[key].power_watts - row.power_watts) <= 1e-9 * p0, key
+
+
+def test_min_elements_table_matches_capture():
+    proc = subprocess.run([sys.executable, str(SCRIPT), "--draws", "200"],
+                          capture_output=True, check=True)
+    assert proc.stdout == (GOLDEN / "min-elements-table.draws200.txt").read_bytes()

@@ -8,24 +8,21 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from conftest import (dense_terms, grid_search_min_1, grid_search_min_2,
-                      grid_search_min_2_literal, link_oracle, oracle_radar_powers,
-                      random_multi_instance, random_single_instance,
-                      single_link_instance, unit_phases)
+                      grid_search_min_2_literal, link_oracle, one_link_instance,
+                      oracle_radar_powers, random_multi_instance,
+                      random_single_instance, unit_phases)
 from irstealth.arrays import AnglePair
 from irstealth.config import (ScenarioConfig, build_geometry, build_scenario,
                               multi_radar_config, single_radar_config, with_seed)
-from irstealth.estimation import estimate_parameters
+from irstealth.estimation import sense
 from irstealth import optimizers
 from irstealth.experiments import inject_aoa_error, trial_seeds
 from irstealth.optimizers import (ConvergenceError, ReflectionSolution,
-                                  alignment_designs, codebook_designs,
-                                  dft_codebook_design, dual_value, kkt_certificate,
-                                  lagrange_semiclosed, min_irs_elements,
-                                  mmse_delta_search, mmse_designs, pgd_designs,
-                                  random_phase, reverse_alignment, single_link,
-                                  solve_pgd, _codebook_objectives, _ridge_designs)
-from irstealth.power_model import (NirsPanel, QcqpInstance, angles_at_target,
-                                   link_factor, sum_power)
+                                  alignment_designs, codebook_designs, dual_value,
+                                  kkt_certificate, lagrange_semiclosed,
+                                  min_irs_elements, mmse_designs, pgd_designs,
+                                  random_phase, _codebook_objectives, _ridge_designs)
+from irstealth.power_model import NirsPanel, QcqpInstance, link_factor, sum_power
 
 
 def scalar_instance():
@@ -58,7 +55,7 @@ class TestBuildInstance:
         inst = link_factor(scenario)
         np.testing.assert_array_equal(inst.r_vec, 0.0)
         assert inst.objective(np.zeros(inst.n_elements)) == 0.0
-        np.testing.assert_array_equal(solve_pgd(inst).theta, 0.0)
+        np.testing.assert_array_equal(pgd_designs(inst)[0].theta, 0.0)
 
     def test_constant_term_oracle(self, multi_scenario):
         # Recompute the constant by looping the links explicitly.
@@ -84,6 +81,11 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match="link rows"):
             QcqpInstance(np.ones((2, 3), dtype=complex), np.zeros((2, 4, 1)), 1.0)
 
+    def test_rejects_coating_terms_without_columns(self):
+        # Every design once failed later, reshaping an empty batch.
+        with pytest.raises(ValueError, match="at least one column"):
+            QcqpInstance(np.ones((2, 3), dtype=complex), np.zeros((2, 0)), 1.0)
+
     def test_rejects_non_finite_factor(self):
         with pytest.raises(ValueError):
             QcqpInstance(np.array([[1.0, np.nan]]), np.zeros(1), 1.0)
@@ -91,7 +93,7 @@ class TestBuildInstance:
     def test_steering_error_keeps_true_coating_terms(self, multi_scenario):
         truth = link_factor(multi_scenario)
         angles = [AnglePair(a.azimuth + 0.01, a.elevation) for a in
-                  (angles_at_target(multi_scenario, k) for k in range(3))]
+                  (multi_scenario.geometry.true_angles[k] for k in range(3))]
         perturbed = link_factor(multi_scenario, angles)
         np.testing.assert_array_equal(perturbed.r_vec, truth.r_vec)
         scale = np.max(np.abs(truth.d_mat))
@@ -100,7 +102,7 @@ class TestBuildInstance:
                                    rtol=1e-12)
 
     def test_estimates_need_matching_angles(self, multi_scenario):
-        angles = [angles_at_target(multi_scenario, k) for k in range(3)]
+        angles = [multi_scenario.geometry.true_angles[k] for k in range(3)]
         with pytest.raises(ValueError):
             link_factor(multi_scenario, angles, np.ones(2))
         with pytest.raises(ValueError):
@@ -111,14 +113,14 @@ class TestBuildInstance:
     @pytest.mark.parametrize("g2", [[-1.0, -1.0, -1.0], [1.0, -0.5, 1.0],
                                     [1.0, np.nan, 1.0], [np.inf, 1.0, 1.0]])
     def test_rejects_bad_gain_estimates(self, multi_scenario, g2):
-        angles = [angles_at_target(multi_scenario, k) for k in range(3)]
+        angles = [multi_scenario.geometry.true_angles[k] for k in range(3)]
         with pytest.raises(ValueError, match="g2"):
             link_factor(multi_scenario, angles, np.array(g2))
 
 
 class TestSolvePgd:
     def test_scalar_clamp(self):
-        sol = solve_pgd(scalar_instance())
+        sol = pgd_designs(scalar_instance())[0]
         assert sol.theta[0] == pytest.approx(-1.0, abs=1e-9)
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
@@ -128,14 +130,14 @@ class TestSolvePgd:
             n1 = int(rng.integers(1, 24))
             u = unit_phases(rng, n1)
             c = rng.uniform(0, n1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            inst = single_link_instance(u, c)
-            assert solve_pgd(inst).objective <= 1e-10
+            inst = one_link_instance(u, c)
+            assert pgd_designs(inst)[0].objective <= 1e-10
 
     def test_matches_grid_oracle_one_element(self):
         rng = np.random.default_rng(1)
         for _ in range(3):
             inst, _, _ = random_single_instance(rng, n1=1)
-            sol = solve_pgd(inst)
+            sol = pgd_designs(inst)[0]
             grid = grid_search_min_1(inst)
             assert grid >= sol.objective - 1e-9 * (1 + abs(sol.objective))
             assert grid - sol.objective <= _grid_resolution_bound(inst, sol)
@@ -144,7 +146,7 @@ class TestSolvePgd:
         rng = np.random.default_rng(2)
         for _ in range(3):
             inst = random_multi_instance(rng, n1x=2, ny=1, k=2)
-            sol = solve_pgd(inst)
+            sol = pgd_designs(inst)[0]
             grid = grid_search_min_2(inst)
             assert grid >= sol.objective - 1e-9 * (1 + abs(sol.objective))
             assert grid - sol.objective <= _grid_resolution_bound(inst, sol)
@@ -159,14 +161,14 @@ class TestSolvePgd:
     def test_invalid_tolerance(self):
         for tol in (0.0, -1e-10, np.nan):
             with pytest.raises(ValueError, match="tolerance"):
-                solve_pgd(scalar_instance(), tol=tol)
+                pgd_designs(scalar_instance(), tol=tol)
 
     def test_budget_exhaustion_carries_best_iterate(self, monkeypatch):
         rng = np.random.default_rng(4)
         inst = random_multi_instance(rng, n1x=6, ny=2, k=3)
         monkeypatch.setattr(optimizers, "_NEWTON_STEPS", 3)
         with pytest.raises(ConvergenceError) as err:
-            solve_pgd(inst, tol=1e-16)
+            pgd_designs(inst, tol=1e-16)
         best = err.value.best
         assert isinstance(best, ReflectionSolution)
         assert best.iterations == 3
@@ -177,7 +179,7 @@ class TestSolvePgd:
         rng = np.random.default_rng(5)
         for _ in range(10):
             inst = random_multi_instance(rng, n1x=3, ny=2, k=2)
-            sol = solve_pgd(inst)
+            sol = pgd_designs(inst)[0]
             assert np.max(np.abs(sol.theta)) <= inst.beta_max + 1e-9
             assert sol.objective == pytest.approx(inst.objective(sol.theta),
                                                   rel=1e-9, abs=1e-12)
@@ -219,7 +221,7 @@ class TestLagrangeSemiclosed:
         inst, _, c = random_single_instance(rng, n1=6)
         while abs(c) <= 8.0:
             inst, _, c = random_single_instance(rng, n1=6)
-        sol = solve_pgd(inst, tol=1e-12)
+        sol = pgd_designs(inst, tol=1e-12)[0]
         lam, residual = kkt_certificate(inst, sol)
         assert residual <= 1e-6 * (1.0 + abs(c) ** 2)
         theta = lagrange_semiclosed(inst, lam)
@@ -241,21 +243,21 @@ class TestKktCertificate:
         rng = np.random.default_rng(10)
         u = unit_phases(rng, 8)
         c = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        inst = single_link_instance(u, c)
-        sol = solve_pgd(inst)
+        inst = one_link_instance(u, c)
+        sol = pgd_designs(inst)[0]
         lam, residual = kkt_certificate(inst, sol)
         np.testing.assert_array_equal(lam, 0.0)
         assert residual <= 1e-6
 
     def test_scalar_clamp_multiplier(self):
-        sol = solve_pgd(scalar_instance())
+        sol = pgd_designs(scalar_instance())[0]
         lam, residual = kkt_certificate(scalar_instance(), sol)
         assert lam[0] == pytest.approx(1.0, abs=1e-8)
         assert residual <= 1e-8
 
     def test_strong_duality_on_scalar_case(self):
         inst = scalar_instance()
-        sol = solve_pgd(inst)
+        sol = pgd_designs(inst)[0]
         lam, _ = kkt_certificate(inst, sol)
         assert dual_value(inst, lam) == pytest.approx(sol.objective, abs=1e-8)
 
@@ -263,7 +265,7 @@ class TestKktCertificate:
         rng = np.random.default_rng(11)
         for _ in range(10):
             inst = random_multi_instance(rng, n1x=4, ny=2, k=2)
-            sol = solve_pgd(inst)
+            sol = pgd_designs(inst)[0]
             lam, _ = kkt_certificate(inst, sol)
             gap = sol.objective - dual_value(inst, lam)
             assert abs(gap) <= 1e-6 * (1.0 + abs(sol.objective))
@@ -273,17 +275,17 @@ class TestReverseAlignment:
     def test_saturated_residual(self):
         rng = np.random.default_rng(12)
         u = unit_phases(rng, 2)
-        sol = reverse_alignment(u, 2.5 + 0.0j, 1.0)
+        sol = alignment_designs(one_link_instance(u, 2.5 + 0.0j, 1.0))[0]
         assert sol.objective == pytest.approx(0.25, rel=1e-12)
 
     def test_exact_cancellation(self):
         rng = np.random.default_rng(13)
         u = unit_phases(rng, 3)
-        sol = reverse_alignment(u, 2.5 * np.exp(0.7j), 1.0)
+        sol = alignment_designs(one_link_instance(u, 2.5 * np.exp(0.7j), 1.0))[0]
         assert sol.objective <= 1e-20
 
     def test_zero_gain_stays_dark(self):
-        sol = reverse_alignment(np.ones(4), 0.0, 1.0)
+        sol = alignment_designs(one_link_instance(np.ones(4), 0.0, 1.0))[0]
         np.testing.assert_array_equal(sol.theta, 0.0)
         assert sol.objective == 0.0
 
@@ -291,18 +293,32 @@ class TestReverseAlignment:
         rng = np.random.default_rng(14)
         for _ in range(50):
             inst, u, c = random_single_instance(rng)
-            got = reverse_alignment(u, c, inst.beta_max).objective
-            want = solve_pgd(inst).objective
+            got = alignment_designs(one_link_instance(u, c, inst.beta_max))[0].objective
+            want = pgd_designs(inst)[0].objective
             assert abs(got - want) <= 1e-8 * (1.0 + max(got, want))
 
     def test_rejects_non_unit_modulus(self):
-        with pytest.raises(ValueError):
-            reverse_alignment(np.array([0.5 + 0j]), 1.0, 1.0)
+        with pytest.raises(ValueError, match="constant modulus"):
+            alignment_designs(one_link_instance(np.array([1.0, 0.5 + 0j]), 1.0, 1.0))
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0], [0.0, 1.0]])
+    def test_rejects_zero_link_row(self, row):
+        # Before the division by the link amplitude, which would give NaN designs.
+        with pytest.raises(ValueError, match="nonzero constant modulus"):
+            alignment_designs(QcqpInstance(np.array([row]), np.array([1.0]), 1.0))
+
+    def test_objective_is_on_the_factor_scale(self):
+        rng = np.random.default_rng(16)
+        u = unit_phases(rng, 3)
+        inst = QcqpInstance(2.0 * np.conj(u)[None, :], np.array([2.0 * 4.5]), 1.0)
+        sol = alignment_designs(inst)[0]
+        assert sol.objective == pytest.approx(4.0 * 1.5 ** 2, rel=1e-12)
+        assert sol.objective == pytest.approx(inst.objective(sol.theta), rel=1e-12)
 
     def test_feasible_amplitudes(self):
         rng = np.random.default_rng(15)
         u = unit_phases(rng, 5)
-        sol = reverse_alignment(u, 3.7 * np.exp(1.9j), 0.8)
+        sol = alignment_designs(one_link_instance(u, 3.7 * np.exp(1.9j), 0.8))[0]
         assert np.max(np.abs(sol.theta)) <= 0.8 + 1e-12
 
 
@@ -336,7 +352,7 @@ class TestMmse:
 
     def test_delta_search_picks_smallest_feasible_residual(self, multi_scenario):
         inst = link_factor(multi_scenario)
-        delta, sol = mmse_delta_search(inst)
+        delta, sol = mmse_designs(inst)[0]
         assert np.max(np.abs(sol.theta)) <= 1.0 + 1e-9
         # Residuals grow with the regularization, so the chosen value sits
         # at the bottom of the feasible part of the default grid.
@@ -348,7 +364,7 @@ class TestMmse:
         config = dataclasses.replace(
             config, target=dataclasses.replace(config.target, beta_max=0.05))
         scenario = build_scenario(config)
-        _, sol = mmse_delta_search(link_factor(scenario))
+        _, sol = mmse_designs(link_factor(scenario))[0]
         assert np.max(np.abs(sol.theta)) <= 0.05 + 1e-12
 
     def test_stacked_residual_equals_objective(self, multi_scenario):
@@ -366,21 +382,21 @@ class TestBaselines:
         config = dataclasses.replace(
             config, target=dataclasses.replace(config.target, n1y=1, n2y=1))
         scenario = build_scenario(config)
-        sol = dft_codebook_design(link_factor(scenario))
+        sol = codebook_designs(link_factor(scenario))[0]
         np.testing.assert_allclose(sol.theta, [1.0 + 0.0j])
 
     def test_codebook_beats_random_on_average(self):
         dft_vals, random_vals = [], []
         for seed in range(100):
             scenario = build_scenario(single_radar_config(seed=seed))
-            dft_vals.append(dft_codebook_design(link_factor(scenario)).objective)
+            dft_vals.append(codebook_designs(link_factor(scenario))[0].objective)
             theta = random_phase(8, 1.0, seed + 50_000)
             random_vals.append(sum_power(theta, scenario))
         assert np.mean(dft_vals) <= np.mean(random_vals)
 
     def test_codebook_deterministic(self, multi_scenario):
-        a = dft_codebook_design(link_factor(multi_scenario))
-        b = dft_codebook_design(link_factor(multi_scenario))
+        a = codebook_designs(link_factor(multi_scenario))[0]
+        b = codebook_designs(link_factor(multi_scenario))[0]
         np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_random_phase_contract(self):
@@ -404,9 +420,9 @@ class TestBaselines:
         for seed in (3, 17):
             scenario = build_scenario(multi_radar_config(n1x=4, seed=seed))
             inst = link_factor(scenario)
-            pgd = solve_pgd(inst).objective
-            mmse = mmse_delta_search(inst)[1].objective
-            dft = dft_codebook_design(inst).objective
+            pgd = pgd_designs(inst)[0].objective
+            mmse = mmse_designs(inst)[0][1].objective
+            dft = codebook_designs(inst)[0].objective
             worst_random = max(sum_power(random_phase(8, 1.0, s + 0x5EED),
                                          scenario) for s in range(10))
             slack = 1e-9 * (1 + dft)
@@ -498,7 +514,7 @@ class TestFactorOracles:
         objectives = _codebook_objectives(inst.link, inst.r_vec[:, None],
                                           inst.beta_max)[:, 0]
         np.testing.assert_allclose(objectives, explicit, rtol=1e-9)
-        sol = dft_codebook_design(inst)
+        sol = codebook_designs(inst)[0]
         best = int(np.argmin(explicit))
         assert sol.objective <= explicit[best] * (1 + 1e-9)
         np.testing.assert_allclose(sol.theta, codebook[:, int(np.argmin(objectives))],
@@ -562,7 +578,7 @@ class TestFactorOracles:
     def test_zero_link_matrix_reduces_to_the_residual_row(self):
         inst = QcqpInstance(np.zeros((4, 3)), np.array([1.0, 2.0, 0.0, 1j]), 0.5)
         assert inst.link.reduced.array.shape == (1, 3)
-        for sol in (solve_pgd(inst), mmse_delta_search(inst)[1], dft_codebook_design(inst)):
+        for sol in (pgd_designs(inst)[0], mmse_designs(inst)[0][1], codebook_designs(inst)[0]):
             assert np.max(np.abs(sol.theta)) <= 0.5
             assert sol.objective == pytest.approx(6.0, rel=1e-15)
 
@@ -575,7 +591,10 @@ class TestFactorOracles:
         assert link.reduced.array.shape == (rows + 1, link.array.shape[1])
 
     def test_single_link_recovers_closed_form_inputs(self, single_scenario):
-        u, c = single_link(link_factor(single_scenario))
+        # The one-link factor's row is a * u^H and its coating term a * c.
+        inst = link_factor(single_scenario)
+        amp = abs(inst.d_mat[0, 0])
+        u, c = inst.d_mat[0].conj() / amp, inst.r_vec[0] / amp
         _, _, u_oracle, u_nirs = link_oracle(single_scenario)
         np.testing.assert_allclose(u, u_oracle[0, 0], rtol=1e-12)
         assert c == pytest.approx(np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi),
@@ -583,8 +602,8 @@ class TestFactorOracles:
 
 
 class TestColumnBatches:
-    """A batched design answers each coating-term column as the single-instance
-    design answers that column's factor."""
+    """A batched design answers each coating-term column as it answers that
+    column's one-column factor."""
 
     @staticmethod
     def _columns(num_radars):
@@ -614,16 +633,16 @@ class TestColumnBatches:
         assert {sol.iterations for _, sol in mmse} == {1, 40, 56, 72}
         codebook = codebook_designs(problem)
         for t, inst in enumerate(singles):
-            self._assert_same(pgd[t], solve_pgd(inst))
-            delta, sol = mmse_delta_search(inst)
+            self._assert_same(pgd[t], pgd_designs(inst)[0])
+            delta, sol = mmse_designs(inst)[0]
             assert mmse[t][0] == delta
             self._assert_same(mmse[t][1], sol)
-            self._assert_same(codebook[t], dft_codebook_design(inst))
+            self._assert_same(codebook[t], codebook_designs(inst)[0])
 
     def test_each_column_matches_reverse_alignment(self):
         problem, singles = self._columns(1)
         for sol, inst in zip(alignment_designs(problem), singles):
-            self._assert_same(sol, reverse_alignment(*single_link(inst), inst.beta_max))
+            self._assert_same(sol, alignment_designs(inst)[0])
 
     def test_reduced_problem_holds_each_columns_reduction(self):
         problem, singles = self._columns(3)
@@ -688,7 +707,7 @@ def dense_barrier(inst, gap):
 
 
 def objective_scale(inst):
-    """The objective scale of the ``solve_pgd`` gap test."""
+    """The objective scale of the ``pgd_designs`` gap test."""
     n, beta = inst.n_elements, inst.beta_max
     lam_max = float(np.linalg.norm(inst.d_mat, 2)) ** 2
     v_norm = float(np.linalg.norm(inst.d_mat.conj().T @ inst.r_vec))
@@ -711,7 +730,7 @@ def ill_conditioned_factor(rng, decades):
 
 def steering_error_factor(num_radars, seed, error_deg):
     scenario = build_scenario(with_seed(multi_radar_config(num_radars=num_radars), seed))
-    angles = [inject_aoa_error(angles_at_target(scenario, k), error_deg, seed + k)
+    angles = [inject_aoa_error(scenario.geometry.true_angles[k], error_deg, seed + k)
               for k in range(num_radars)]
     return link_factor(scenario, angles)
 
@@ -724,9 +743,9 @@ class TestNewtonFinish:
         # gradient alone exhausted 100 000 iterations on this design.
         seed = int(trial_seeds(2, 1)[0])
         scenario = build_scenario(with_seed(multi_radar_config(), seed))
-        aoa, g2 = estimate_parameters(scenario, n_snapshots=16, seed=seed + 0xA0A)
-        design = link_factor(scenario, aoa.angles, g2)
-        sol = solve_pgd(design)
+        angles, g2 = sense([scenario], 16, [seed + 0xA0A])[0]
+        design = link_factor(scenario, angles, g2)
+        sol = pgd_designs(design)[0]
         assert sol.termination == "newton"
         assert np.max(np.abs(sol.theta)) <= design.beta_max
         assert sol.objective == design.objective(sol.theta)
@@ -739,7 +758,7 @@ class TestNewtonFinish:
     @settings(max_examples=20, deadline=None)
     def test_matches_dense_barrier_on_ill_conditioned_factors(self, seed, decades):
         inst = ill_conditioned_factor(np.random.default_rng(seed), decades)
-        sol = solve_pgd(inst)
+        sol = pgd_designs(inst)[0]
         assert np.max(np.abs(sol.theta)) <= inst.beta_max
         assert sol.objective == inst.objective(sol.theta)
         threshold = 1e-10 * (sol.objective + 1e-2 * objective_scale(inst))

@@ -10,11 +10,10 @@ from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
 from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
                               single_radar_config, with_seed)
 from irstealth.experiments import inject_aoa_error
-from irstealth.optimizers import dft_codebook_design, mmse_delta_search, solve_pgd
-from irstealth.power_model import (NirsPanel, angles_at_target, angles_between,
-                                   beamforming_gains, chirp_waveform, link_factor,
-                                   matched_beamformer, path_gain, radar_powers,
-                                   sum_power)
+from irstealth.optimizers import codebook_designs, mmse_designs, pgd_designs
+from irstealth.power_model import (NirsPanel, angles_between, chirp_waveform,
+                                   link_factor, matched_beamformer, path_gain,
+                                   radar_powers, sum_power)
 
 
 @pytest.fixture(scope="module")
@@ -94,7 +93,7 @@ class TestMatchedBeamformer:
         assert np.linalg.norm(w) == pytest.approx(1.0, rel=1e-12)
 
     def test_matched_gain_magnitude(self, single_scenario):
-        gains = beamforming_gains(single_scenario)
+        gains = single_scenario.geometry.gains
         rho = path_gain(radar_distance(single_scenario, 0),
                         single_scenario.ref_gain, single_scenario.wavelength)
         m = single_scenario.radars[0].geometry.num_elements
@@ -106,7 +105,7 @@ class TestMatchedBeamformer:
                                    single_scenario.wavelength)
         mispointed = dataclasses.replace(radar, beamformer=wrong)
         scenario = dataclasses.replace(single_scenario, radars=(mispointed,))
-        gains = beamforming_gains(scenario)
+        gains = scenario.geometry.gains
         rho = path_gain(radar_distance(scenario, 0), scenario.ref_gain,
                         scenario.wavelength)
         m = radar.geometry.num_elements
@@ -144,7 +143,7 @@ class TestRadarPower:
                                    rtol=1e-9)
 
     def test_optimized_panel_cancels(self, single_scenario):
-        solution = solve_pgd(link_factor(single_scenario))
+        solution = pgd_designs(link_factor(single_scenario))[0]
         baseline = radar_powers(np.zeros_like(solution.theta), single_scenario)[0]
         assert radar_powers(solution.theta, single_scenario)[0] <= 1e-10 * baseline
 
@@ -158,7 +157,7 @@ class TestRadarPower:
         a_radar = upa_response(radar.geometry, angles_between(
             radar.position, scn.target.position, RADAR_AXES), scn.wavelength)
         a_surface = upa_response(scn.target.surface_geometry,
-                                 angles_at_target(scn, 0), scn.wavelength)
+                                 scn.geometry.true_angles[0], scn.wavelength)
         inbound = rho * np.outer(a_surface, a_radar)
         outbound = inbound.T
         rng = np.random.default_rng(7)
@@ -178,6 +177,25 @@ class TestRadarPower:
         radar_powers(np.ones(n1, dtype=complex), multi_scenario)
         with pytest.raises(ValueError):
             radar_powers(1.5 * np.ones(n1, dtype=complex), multi_scenario)
+
+    @pytest.mark.parametrize("power", [radar_powers, sum_power])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_wrong_length_rejected(self, multi_scenario, power, extra):
+        n1 = multi_scenario.target.irs_geometry.num_elements
+        with pytest.raises(ValueError, match="one reflection coefficient per panel element"):
+            power(np.zeros(n1 + extra, dtype=complex), multi_scenario)
+
+    @pytest.mark.parametrize("power", [radar_powers, sum_power])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_rejected(self, multi_scenario, power, bad):
+        # An all-NaN panel once came back as NaN watts.
+        n1 = multi_scenario.target.irs_geometry.num_elements
+        theta = np.zeros(n1, dtype=complex)
+        theta[n1 // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            power(theta, multi_scenario)
+        with pytest.raises(ValueError, match="finite"):
+            power(np.full(n1, bad, dtype=complex), multi_scenario)
 
 
 class TestSumPower:
@@ -271,7 +289,7 @@ class TestValidation:
     def test_reversed_angle_conventions_mirror(self, multi_scenario):
         # Both ends share the world +y array normal and opposed x-axes, so
         # the departure angles mirror the arrival angles.
-        aoa = angles_at_target(multi_scenario, 1)
+        aoa = multi_scenario.geometry.true_angles[1]
         aod = angles_between(multi_scenario.radars[1].position,
                              multi_scenario.target.position, RADAR_AXES)
         assert aod.azimuth == pytest.approx(-aoa.azimuth, abs=1e-12)
@@ -280,7 +298,7 @@ class TestValidation:
 
 def _factor(scenario, case):
     """The link factor of one of the three documented cases."""
-    truth = [angles_at_target(scenario, k) for k in range(scenario.num_radars)]
+    truth = [scenario.geometry.true_angles[k] for k in range(scenario.num_radars)]
     if case == "true":
         return link_factor(scenario)
     if case == "steering":
@@ -304,11 +322,11 @@ class TestSharedGeometry:
                 assert np.array_equal(reused.d_mat, fresh.d_mat)
                 assert np.array_equal(reused.r_vec, fresh.r_vec)
             # The cached decompositions give the same designs as fresh ones.
-            assert np.array_equal(solve_pgd(reused).theta, solve_pgd(fresh).theta)
-            assert np.array_equal(mmse_delta_search(reused)[1].theta,
-                                  mmse_delta_search(fresh)[1].theta)
-            assert np.array_equal(dft_codebook_design(reused).theta,
-                                  dft_codebook_design(fresh).theta)
+            assert np.array_equal(pgd_designs(reused)[0].theta, pgd_designs(fresh)[0].theta)
+            assert np.array_equal(mmse_designs(reused)[0][1].theta,
+                                  mmse_designs(fresh)[0][1].theta)
+            assert np.array_equal(codebook_designs(reused)[0].theta,
+                                  codebook_designs(fresh)[0].theta)
 
     def test_true_factors_share_one_link_matrix(self):
         geometry = build_geometry(multi_radar_config(n1x=5))
