@@ -7,7 +7,7 @@ direction cosines along the array axes are cos(el)*cos(az) and
 cos(el)*sin(az).  Planar responses are Kronecker products of two 1D
 steering vectors (x-axis factor first), so elements are indexed row-major
 over (x, y).  :func:`upa_responses` and :func:`cssa_responses` broadcast
-over angle arrays; their one-angle cases take an :class:`AnglePair`.
+over angle arrays; :func:`upa_response` is the one-angle case of the first.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ def upa_responses(geom: ArrayGeometry, azimuths, elevations, wavelength: float) 
     return (arm_x * arm_y).reshape((geom.num_elements,) + phase_x.shape)
 
 
-def cssa_response(geom: ArrayGeometry, angles: AnglePair, wavelength: float) -> np.ndarray:
-    """Cross-shaped-array response toward one direction: the one-angle case
-    of :func:`cssa_responses`."""
-    return cssa_responses(geom, angles.azimuth, angles.elevation, wavelength)
-
-
 def cssa_responses(geom: ArrayGeometry, azimuths, elevations, wavelength: float) -> np.ndarray:
     """Cross-shaped-array responses at broadcast angle arrays, shape (L, *shape).
 
@@ -109,7 +103,7 @@ def cssa_responses(geom: ArrayGeometry, azimuths, elevations, wavelength: float)
     first, then the y-arm with its central entry dropped.
     """
     if geom.kind is not ArrayKind.CSSA:
-        raise ValueError(f"cssa_response needs a CSSA geometry, got {geom.kind}")
+        raise ValueError(f"cssa_responses needs a CSSA geometry, got {geom.kind}")
     if wavelength <= 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
     ce = np.cos(elevations)

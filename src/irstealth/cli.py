@@ -9,10 +9,11 @@ import numpy as np
 
 from .config import (ConfigError, ScenarioConfig, build_scenario,
                      single_radar_config, with_seed)
+from .estimation import EstimationError
 from .experiments import PRESET_NAMES, _fmt, emit_csv, run_experiment
 from .optimizers import (SOLVERS, ConvergenceError, InfeasibleError, dual_value,
                          kkt_certificate, min_irs_elements)
-from .power_model import link_factor, sum_power
+from .power_model import link_factor
 
 SOLVER_NAMES = tuple(SOLVERS)
 
@@ -76,7 +77,7 @@ def _cmd_solve(args) -> int:
     factor = link_factor(scenario)
     solution = SOLVERS[args.solver](factor, [config.seed])[0]
     theta = solution.theta
-    objective = sum_power(theta, scenario)
+    objective = float(factor.objective(theta)[0])
     lam, kkt = kkt_certificate(factor, solution)
     print(f"solver: {args.solver}")
     print(f"objective_watts: {_fmt(objective)}")
@@ -84,7 +85,7 @@ def _cmd_solve(args) -> int:
         print(f"termination: {solution.termination}")
         print(f"iterations: {solution.iterations}")
     print(f"kkt_residual: {_fmt(kkt)}")
-    print(f"duality_gap_watts: {_fmt(factor.objective(theta) - dual_value(factor, lam))}")
+    print(f"duality_gap_watts: {_fmt(objective - dual_value(factor, lam))}")
     for n, value in enumerate(theta):
         print(f"theta[{n}] = {value.real:+.12e}{value.imag:+.12e}j")
     return 0
@@ -96,7 +97,7 @@ def main(argv=None) -> int:
                 "solve": _cmd_solve}
     try:
         return handlers[args.command](args)
-    except (ConfigError, ValueError, InfeasibleError, ConvergenceError,
+    except (ConfigError, ValueError, InfeasibleError, ConvergenceError, EstimationError,
             np.linalg.LinAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,19 +9,20 @@ parameters (the imperfect-information presets), but powers are always
 evaluated on the true scenario.
 
 The trials of a sweep point run as one batch: they share the point's true
-link matrix and differ only in their coating terms, so they form one
-batched :class:`~irstealth.power_model.QcqpInstance` (a K^2 x T coating-term
-matrix), every design works on its columns, and all true powers come from
-one product of the link matrix with the stacked designs; a single trial is
-a batch of one.  Each point's trials fall into design groups, every group
-running its solver table (CSV row name to
-:data:`~irstealth.optimizers.SOLVERS` entry; by default the sweep designs)
-on its own batched problem, reduced once for all of them.  Steering-error
-trials are grouped by their perturbed directions (at most 2^K sign patterns
-per error value), each group on one perturbed link matrix; in the sensing
-preset all trials are sensed in one pass per snapshot count, each designs
-alone on its estimated link factor, and all design together on the true
-problem, once per preset.
+link matrix and differ only in their coating coefficients, so one call of
+:meth:`~irstealth.power_model.ScenarioGeometry.factor` builds their true
+problem, one batched :class:`~irstealth.power_model.QcqpInstance` with a
+K^2 x T coating-term matrix; a single trial is a batch of one.  Each
+point's trials fall into design groups, every group running its solver
+table (CSV row name to :data:`~irstealth.optimizers.SOLVERS` entry; by
+default the sweep designs) on its own batched problem, reduced once for
+all of them, and all of a group's true powers come from one
+:meth:`~irstealth.power_model.QcqpInstance.objective` call.  Steering-error
+trials are grouped by their perturbed directions (at most 2^K sign
+patterns per error value), each group on one perturbed link matrix; in the
+sensing preset all trials are sensed in one pass per snapshot count, each
+designs alone on its estimated link factor, and all design together on
+the true problem, once per preset.
 """
 
 from __future__ import annotations
@@ -118,15 +119,16 @@ def _batch_powers(truth: QcqpInstance, seeds, group: _Group) -> dict[str, np.nda
     """Sum received power of every design of ``group``, one entry per member.
 
     Member t has its true coating terms in ``truth`` and the random-phase
-    seed ``seeds[t]``.  Every ||D theta + r_t||^2 comes from one product: D
-    times the designs stacked side by side, plus the coating terms repeated.
+    seed ``seeds[t]``.  Every ||D theta + r_t||^2 comes from one objective
+    call: the designs stacked side by side, on the true problem with the
+    members' coating terms repeated once per solver.
     """
     thetas = [np.column_stack([sol.theta for sol in SOLVERS[solver](group.problem, seeds)])
               for solver in group.solvers.values()]
-    r_mat = truth.columns[:, group.members]
-    trials = r_mat.shape[1]
-    residual = truth.d_mat @ np.hstack(thetas) + np.tile(r_mat, len(thetas))
-    power = np.sum(residual.real ** 2 + residual.imag ** 2, axis=0)
+    trials = group.members.size
+    stacked = QcqpInstance(truth.d_mat, np.tile(truth.columns[:, group.members], len(thetas)),
+                           truth.beta_max)
+    power = stacked.objective(np.hstack(thetas))
     return {row: power[i * trials:(i + 1) * trials] for i, row in enumerate(group.solvers)}
 
 
@@ -174,8 +176,7 @@ def _sweep_rows(config, trials, sweep_values, config_for, groups_for=_true_group
     rows = []
     seeds = trial_seeds(config.seed, trials)
     for value, geometry in _geometries(sweep_values, config_for):
-        truth = QcqpInstance(geometry.true_link, geometry.coating_terms(seeds),
-                             geometry.target.beta_max)
+        truth = geometry.factor(geometry.coatings(seeds))
         for group in groups_for(geometry, value, truth):
             members = group.members
             seed_group = seeds[members]

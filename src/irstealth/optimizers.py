@@ -1,41 +1,43 @@
 """Reflection designs that minimize the radars' (sum) received signal power.
 
 The common problem is a convex QCQP: minimize ||D theta + r||^2 over
-per-element amplitude caps |theta_n| <= beta.  The problem is held as its
-link factor (D, r) (:class:`~irstealth.power_model.QcqpInstance`, built by
-:func:`~irstealth.power_model.link_factor`): one row per radar link, K^2
-rows for K radars.  The expanded form theta^H U theta + 2 Re(v^H theta) + c
-has U = D^H D, v = D^H r and c = ||r||^2, but no design forms the N1 x N1
-matrix U.  ``pgd``, ``mmse`` and ``dft-codebook`` read only the reduced
-problem (B, r'): D's k significant singular directions plus one residual row
-(:attr:`~irstealth.power_model.LinkMatrix.reduced`, built once per link
-matrix from one O(K^4 N1) SVD; k is 5 of 9 for three radars, 11 of 25 for
-five).  The minimum-norm point and every ridge candidate then cost O(k N1),
-each Newton step of the certified solve O(k^2 N1) (a 2 (k + 1) real
-system), and the codebook one N1-point FFT per reduced row.  Every design
-(``pgd_designs``, ``mmse_designs``, ``codebook_designs``,
-``alignment_designs``) runs on one instance whose coating terms may hold
-many columns r, one problem per column on a shared link matrix, and returns
-one solution per column: a sweep point's trials run as one batch, and a
-single problem is the one-column case (``pgd_designs(problem)[0]``).  Every
-design run on an instance reads its one reduced problem
-(``QcqpInstance.reduced``).  :data:`SOLVERS` maps each solver name to its
-batched design, for the sweeps and ``irstealth solve`` alike.  Five designs
-are provided:
+per-element amplitude caps |theta_n| <= beta.  Every design reads one
+problem object, :class:`~irstealth.power_model.QcqpInstance` (built by
+:meth:`~irstealth.power_model.ScenarioGeometry.factor`): the link factor D,
+one row per radar link (K^2 rows for K radars), with an M x T matrix of
+coating terms r, one problem per column.  The expanded form
+theta^H U theta + 2 Re(v^H theta) + c has U = D^H D, v = D^H r and
+c = ||r||^2, but no design forms the N1 x N1 matrix U.  ``pgd``, ``mmse``
+and ``dft-codebook`` read only the instance's reduced problem (B, r'): D's
+k significant singular directions plus one residual row
+(:attr:`~irstealth.power_model.QcqpInstance.reduced`, built once per
+instance from one O(K^4 N1) SVD; k is 5 of 9 for three radars, 11 of 25
+for five).  The minimum-norm point and every ridge candidate then cost
+O(k N1), each Newton step of the certified solve O(k^2 N1) (a 2 (k + 1)
+real system), and the codebook one N1-point FFT per reduced row.  Every
+design (``pgd_designs``, ``mmse_designs``, ``codebook_designs``,
+``alignment_designs``) returns one solution per column: a sweep point's
+trials run as one batch, and a single problem is the one-column case
+(``pgd_designs(problem)[0]``).  Every objective a design reports comes
+from :meth:`~irstealth.power_model.QcqpInstance.objective`, except
+``mmse``'s and ``dft-codebook``'s, which are the values they chose by, on
+the reduced factor.  :data:`SOLVERS` maps each solver name to its batched
+design, for the sweeps and ``irstealth solve`` alike.  Five designs are
+provided:
 
 * the certified global optimum of the QCQP (``pgd``): the minimum-norm
   point when it is feasible, otherwise a semismooth Newton ascent on the
   dual of the regularized problem, stopped by a duality-gap certificate,
 * the semi-closed multiplier form theta = -(U + diag(lam))^{-1} v with a
-  KKT certificate and dual value for optimality checking,
+  KKT certificate and dual value for optimality checking, on a one-column
+  instance,
 * reverse alignment, a closed form for the single-radar case,
 * a regularized least-squares design that nulls the stacked link equations,
 * two baselines: a DFT codebook search and random phases.
 
 All designs return amplitude-feasible vectors; objectives are reported on
 the same scale as :func:`irstealth.power_model.sum_power` (watts when the
-factor comes from a scenario), ``mmse``'s and ``dft-codebook``'s on the
-reduced factor and every other design's on D.
+factor comes from a scenario).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .power_model import LinkMatrix, QcqpInstance
+from .power_model import QcqpInstance
 
 
 class ConvergenceError(RuntimeError):
@@ -96,7 +98,7 @@ def _column_chunks(columns: int, per_column: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, columns, step)]
 
 
-def _ridge_designs(link: LinkMatrix, r_mat: np.ndarray,
+def _ridge_designs(problem: QcqpInstance, r_mat: np.ndarray,
                    deltas) -> tuple[np.ndarray, np.ndarray]:
     """Ridge designs -(U + delta I)^{-1} D^H r and their residuals ||D theta + r||^2,
     ``thetas[:, i, t]`` and ``residuals[i, t]`` for ``deltas[i]`` and column t of r.
@@ -107,9 +109,10 @@ def _ridge_designs(link: LinkMatrix, r_mat: np.ndarray,
     which carries no cancellation and grows with delta, also in rounding,
     since every operation on delta is monotone.  ``delta = 0`` gives the
     minimum-norm least-squares point and needs every singular value
-    positive, as a reduced factor's are.
+    positive, as a reduced factor's are.  ``r_mat`` holds coating terms on
+    the link matrix of ``problem``, whose SVD is read.
     """
-    p, sig, qh = link.svd
+    p, sig, qh = problem.svd
     deltas = np.asarray(deltas, dtype=float)
     denom = sig[:, None] ** 2 + deltas[None, :]
     gain, kept = sig[:, None] / denom, deltas[None, :] / denom
@@ -135,21 +138,13 @@ def pgd_designs(problem: QcqpInstance, tol: float = 1e-10) -> list[ReflectionSol
     """
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    r_mat, reduced, beta = problem.columns, problem.reduced, problem.beta_max
-    theta_u = _ridge_designs(reduced.link, reduced.columns, [0.0])[0][:, 0, :]
+    reduced, beta = problem.reduced, problem.beta_max
+    theta_u = _ridge_designs(reduced, reduced.columns, [0.0])[0][:, 0, :]
     inside = np.max(np.abs(theta_u), axis=0) <= beta * (1.0 + 1e-12)
     theta_u = _project(theta_u, beta)
-    residuals = problem.d_mat @ theta_u + r_mat
-
-    solutions = []
-    for t in range(r_mat.shape[1]):
-        if inside[t]:  # the objective as QcqpInstance.objective evaluates it
-            f_val = float(np.real(np.vdot(residuals[:, t], residuals[:, t])))
-            solutions.append(ReflectionSolution(theta_u[:, t], f_val, "pgd", 0,
-                                                termination="min-norm"))
-        else:
-            solutions.append(_newton_solve(problem, t, tol))
-    return solutions
+    objectives = problem.objective(theta_u)
+    return [ReflectionSolution(theta_u[:, t], float(objectives[t]), "pgd", 0, "min-norm")
+            if inside[t] else _newton_solve(problem, t, tol) for t in range(inside.size)]
 
 
 def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> ReflectionSolution:
@@ -171,14 +166,13 @@ def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> ReflectionS
     which holds on D up to 1e-13 s.  ``iterations`` counts Newton steps; when
     they run out, :class:`ConvergenceError` names ``column`` with the last iterate.
     """
-    instance = QcqpInstance(problem.link, problem.columns[:, column], problem.beta_max)
     reduced = problem.reduced
-    d_mat, r_vec, beta = reduced.d_mat, reduced.columns[:, column], problem.beta_max
+    d_mat, r_col, beta = reduced.d_mat, reduced.columns[:, column], problem.beta_max
     n = problem.n_elements
-    lam_max = float(reduced.link.svd[1][0]) ** 2
+    lam_max = float(reduced.svd[1][0]) ** 2
     obj_scale = (lam_max * beta ** 2 * n
-                 + 2.0 * float(np.linalg.norm(d_mat.conj().T @ r_vec)) * beta * math.sqrt(n)
-                 + float(np.real(np.vdot(r_vec, r_vec))))
+                 + 2.0 * float(np.linalg.norm(d_mat.conj().T @ r_col)) * beta * math.sqrt(n)
+                 + float(np.real(np.vdot(r_col, r_col))))
     box = n * beta ** 2
     eps_min = 2.5e-3 * tol * obj_scale / box
     eps = max(lam_max, eps_min)
@@ -188,16 +182,16 @@ def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> ReflectionS
     while True:
         z = w / (-2.0 * eps)
         theta = _project(z, beta)
-        residual = d_mat @ theta + r_vec
+        residual = d_mat @ theta + r_col
         f_val = float(np.real(np.vdot(residual, residual)))
-        base = float(np.real(np.vdot(mu, r_vec))) - 0.25 * float(np.real(np.vdot(mu, mu)))
+        base = float(np.real(np.vdot(mu, r_col))) - 0.25 * float(np.real(np.vdot(mu, mu)))
         lower = base - beta * float(np.sum(np.abs(w)))
         certified = f_val - lower <= tol * (f_val + 1e-2 * obj_scale)
         gap = (f_val + eps * float(np.real(np.vdot(theta, theta)))
                - base - _dual_penalty(z, eps, beta))
         if certified or gap <= 0.1 * eps * box:
-            polished = _polish(d_mat, r_vec, theta, np.abs(z) > beta, beta)
-            res_pol = d_mat @ polished + r_vec
+            polished = _polish(d_mat, r_col, theta, np.abs(z) > beta, beta)
+            res_pol = d_mat @ polished + r_col
             f_pol = float(np.real(np.vdot(res_pol, res_pol)))
             grad = d_mat.conj().T @ res_pol
             frank_wolfe = f_pol - 2.0 * float(np.sum(beta * np.abs(grad)
@@ -205,17 +199,16 @@ def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> ReflectionS
             if f_pol - max(lower, frank_wolfe) <= tol * (f_pol + 1e-2 * obj_scale):
                 theta, certified = polished, True
             if certified:
-                return ReflectionSolution(theta, instance.objective(theta), "pgd", steps,
-                                          termination="newton")
+                return ReflectionSolution(theta, float(problem.objective(theta)[column]),
+                                          "pgd", steps, termination="newton")
             if eps > eps_min:
                 eps = max(eps / 100.0, eps_min)
                 continue
         if steps == _NEWTON_STEPS:
-            raise ConvergenceError(f"no certificate within {steps} Newton steps",
-                                   ReflectionSolution(theta, instance.objective(theta),
-                                                      "pgd", steps), column)
+            best = ReflectionSolution(theta, float(problem.objective(theta)[column]), "pgd", steps)
+            raise ConvergenceError(f"no certificate within {steps} Newton steps", best, column)
         steps += 1
-        mu, w = _dual_newton_step(d_mat, r_vec, beta, mu, w, z, residual, eps)
+        mu, w = _dual_newton_step(d_mat, r_col, beta, mu, w, z, residual, eps)
 
 
 def _dual_penalty(z: np.ndarray, eps: float, beta: float) -> float:
@@ -225,11 +218,11 @@ def _dual_penalty(z: np.ndarray, eps: float, beta: float) -> float:
     return eps * float(np.sum(np.where(mag > beta, beta * (beta - 2.0 * mag), -mag ** 2)))
 
 
-def _dual_newton_step(d_mat, r_vec, beta, mu, w, z, residual,
+def _dual_newton_step(d_mat, r_col, beta, mu, w, z, residual,
                       eps) -> tuple[np.ndarray, np.ndarray]:
     """One damped semismooth Newton ascent step on the regularized dual.
 
-    On the reduced factor (B, r') = (``d_mat``, ``r_vec``) the dual gradient is
+    On the reduced factor (B, r') = (``d_mat``, ``r_col``) the dual gradient is
     B theta + r' - mu / 2 and the negated dual Hessian I / 2 + B J B^H, with
     J = I / 2 eps on elements inside the cap and beta / |w_n| times the
     tangential projector on saturated ones: a 2 (k + 1) real system for
@@ -259,7 +252,7 @@ def _dual_newton_step(d_mat, r_vec, beta, mu, w, z, residual,
 
     def dual(alpha):
         mu_a = mu + alpha * step
-        return (float(np.real(np.vdot(mu_a, r_vec)))
+        return (float(np.real(np.vdot(mu_a, r_col)))
                 - 0.25 * float(np.real(np.vdot(mu_a, mu_a)))
                 + _dual_penalty((w + alpha * step_w) / (-2.0 * eps), eps, beta))
 
@@ -272,7 +265,7 @@ def _dual_newton_step(d_mat, r_vec, beta, mu, w, z, residual,
     return mu, w
 
 
-def _polish(d_mat, r_vec, theta, saturated, beta) -> np.ndarray:
+def _polish(d_mat, r_col, theta, saturated, beta) -> np.ndarray:
     """Re-solve the elements inside the cap exactly, the saturated ones fixed.
 
     The free elements take the minimum-norm least-squares fit of
@@ -283,7 +276,7 @@ def _polish(d_mat, r_vec, theta, saturated, beta) -> np.ndarray:
     saturated = saturated.copy()
     while not np.all(saturated):
         free = np.flatnonzero(~saturated)
-        target = -(d_mat[:, saturated] @ theta[saturated] + r_vec)
+        target = -(d_mat[:, saturated] @ theta[saturated] + r_col)
         fit = np.linalg.lstsq(d_mat[:, free], target, rcond=None)[0]
         theta[free] = _project(fit, beta)
         over = np.abs(fit) > beta
@@ -291,6 +284,14 @@ def _polish(d_mat, r_vec, theta, saturated, beta) -> np.ndarray:
             break
         saturated[free[over]] = True
     return theta
+
+
+def _one_column(instance: QcqpInstance) -> np.ndarray:
+    """The coating terms of an instance of one column, which certificates need."""
+    if instance.columns.shape[1] != 1:
+        raise ValueError("certificates check one problem, got "
+                         f"{instance.columns.shape[1]} coating-term columns")
+    return instance.columns[:, 0]
 
 
 def _checked_multipliers(instance: QcqpInstance, multipliers) -> np.ndarray:
@@ -312,7 +313,7 @@ def _lagrangian_minimizer(instance: QcqpInstance, lam: np.ndarray):
     Returns the minimizer, the whitened residual and the whitened free block
     W^(-1/2) D_F.
     """
-    d_mat = instance.d_mat
+    d_mat, r_col = instance.d_mat, _one_column(instance)
     active = lam > 0
     w_isqrt = np.eye(d_mat.shape[0], dtype=complex)
     if np.any(active):
@@ -320,7 +321,7 @@ def _lagrangian_minimizer(instance: QcqpInstance, lam: np.ndarray):
                                   full_matrices=False)
         w_isqrt += (p * (1.0 / np.sqrt(1.0 + sig ** 2) - 1.0)) @ p.conj().T
     free = w_isqrt @ d_mat[:, ~active]
-    residual = w_isqrt @ instance.r_vec
+    residual = w_isqrt @ r_col
     x = np.zeros(instance.n_elements, dtype=complex)
     if free.shape[1]:
         x_free = np.linalg.lstsq(free, -residual, rcond=None)[0]
@@ -337,7 +338,8 @@ def lagrange_semiclosed(instance: QcqpInstance, multipliers: np.ndarray) -> np.n
     the optimizer.  Computed in the factor without forming U; raises
     ``numpy.linalg.LinAlgError`` when the shifted matrix is singular, i.e.
     when the elements with zero multiplier leave a direction of U's null
-    space unpenalized.
+    space unpenalized.  The certificates (this, :func:`kkt_certificate` and
+    :func:`dual_value`) raise ``ValueError`` on an instance of several columns.
     """
     lam = _checked_multipliers(instance, multipliers)
     x, _, free = _lagrangian_minimizer(instance, lam)
@@ -360,9 +362,10 @@ def kkt_certificate(instance: QcqpInstance,
     adds the stationarity norm and the complementary-slackness norm, so a
     small value certifies global optimality of the convex program.
     """
+    r_col = _one_column(instance)
     theta = np.asarray(solution.theta)
     beta = instance.beta_max
-    grad = instance.d_mat.conj().T @ (instance.d_mat @ theta + instance.r_vec)
+    grad = instance.d_mat.conj().T @ (instance.d_mat @ theta + r_col)
     lam = np.zeros(theta.size)
     active = np.abs(theta) >= beta * (1.0 - 1e-7)
     if np.any(active):
@@ -414,7 +417,7 @@ def alignment_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
                     np.where(index == full, mags - full * beta_max, 0.0))
     amps[:, np.ceil(mags / beta_max) > u.size] = beta_max
     thetas = -amps * u[:, None] * units
-    objectives = np.abs(row @ thetas + problem.columns[0]) ** 2
+    objectives = problem.objective(thetas)
     return [ReflectionSolution(thetas[:, t], float(objectives[t]), "reverse-alignment", 0)
             for t in range(gains.size)]
 
@@ -424,7 +427,7 @@ def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]
     regularization, per column r.
 
     Evaluates the regularization values of the ridge grid
-    (:attr:`~irstealth.power_model.LinkMatrix.ridge_grid`) in increasing
+    (:attr:`~irstealth.power_model.QcqpInstance.ridge_grid`) in increasing
     order and keeps the feasible design with the smallest residual on the
     reduced factor (ties go to the smaller regularization).  All candidates
     come from the reduced factor's known SVD.  The residual never falls as
@@ -435,14 +438,15 @@ def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]
     shrinks the design to zero, which is always feasible.  A solution's
     ``iterations`` counts the candidates tried.
     """
-    reduced, r_red, beta = problem.reduced.link, problem.reduced.columns, problem.beta_max
+    reduced, beta = problem.reduced, problem.beta_max
+    r_red = reduced.columns
     found = {}
     pending = np.arange(r_red.shape[1])
     deltas = reduced.ridge_grid[:1]
     tried = 0
     for attempt in range(7):  # the first grid value, the rest of the grid, five widenings
         tried += deltas.size
-        for cols in _column_chunks(pending.size, reduced.array.shape[1] * deltas.size):
+        for cols in _column_chunks(pending.size, reduced.n_elements * deltas.size):
             columns = pending[cols]
             thetas, residuals = _ridge_designs(reduced, r_red[:, columns], deltas)
             feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
@@ -459,10 +463,11 @@ def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]
     raise InfeasibleError("no feasible regularization found while widening")
 
 
-def _codebook_objectives(link: LinkMatrix, r_mat: np.ndarray, beta: float) -> np.ndarray:
-    """Objective of every DFT codeword (rows) for every coating-term column;
-    the link responses are one FFT per row of D, computed once per link matrix."""
-    links = (beta * link.fft)[:, :, None] + r_mat[:, None, :]
+def _codebook_objectives(problem: QcqpInstance, r_mat: np.ndarray) -> np.ndarray:
+    """Objective of every DFT codeword (rows) for every column of coating terms
+    ``r_mat`` on the link matrix of ``problem``; the link responses are one FFT
+    per row of D, computed once per problem."""
+    links = (problem.beta_max * problem.fft)[:, :, None] + r_mat[:, None, :]
     return np.sum(np.abs(links) ** 2, axis=0)
 
 
@@ -473,11 +478,11 @@ def codebook_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
     modulus ``beta``; ties break toward the lowest column index.  Codewords
     are compared on the reduced factor, one FFT per reduced row.
     """
-    reduced, r_red, beta = problem.reduced.link, problem.reduced.columns, problem.beta_max
-    n = reduced.array.shape[1]
+    reduced, beta = problem.reduced, problem.beta_max
+    r_red, n = reduced.columns, reduced.n_elements
     designs = []
     for cols in _column_chunks(r_red.shape[1], reduced.fft.size):
-        objectives = _codebook_objectives(reduced, r_red[:, cols], beta)
+        objectives = _codebook_objectives(reduced, r_red[:, cols])
         best = np.argmin(objectives, axis=0)
         thetas = beta * np.exp(-2j * np.pi * (np.arange(n)[:, None] * best) / n)
         designs += [ReflectionSolution(thetas[:, t], float(objectives[b, t]),
@@ -497,7 +502,7 @@ def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:
 
 def _baseline(name: str, problem: QcqpInstance, thetas) -> list[ReflectionSolution]:
     """Solutions of fixed design columns, with their objectives on D."""
-    objectives = np.sum(np.abs(problem.d_mat @ thetas + problem.columns) ** 2, axis=0)
+    objectives = problem.objective(thetas)
     return [ReflectionSolution(thetas[:, t], float(objectives[t]), name)
             for t in range(thetas.shape[1])]
 

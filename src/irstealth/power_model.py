@@ -9,9 +9,9 @@ points down (world -z) and every radar's points up (world +z), all array
 y-axes lie along world +x and the normals along world +y, so node layouts
 inside the world x-z plane give zero elevation and in-plane azimuths.
 Powers are linear watts throughout.  The received-power objective is held as
-its stacked link factor (:class:`QcqpInstance`, built by
-:func:`link_factor`): K radars see the panel only through K^2 rank-one
-links.
+its stacked link factor, one problem object (:class:`QcqpInstance`, built by
+:meth:`ScenarioGeometry.factor`) that alone evaluates it: K radars see the
+panel only through K^2 rank-one links.
 
 A scenario splits into a seed-free :class:`ScenarioGeometry` (nodes,
 surface responses, radar gains, link amplitudes and the true link matrix,
@@ -23,7 +23,7 @@ geometry share everything it has built.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -213,11 +213,10 @@ def matched_beamformer(radar_geometry: ArrayGeometry, target_angles: AnglePair,
     return np.conj(a) / np.sqrt(a.size)
 
 
-def _coating_terms(amp: np.ndarray, coating: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Coating terms amp[(k, j)] * sum_n b_k[n] b_j[n] phi[n] of every link row,
-    one column per column of coating coefficients ``phis``."""
-    pairs = (coating[:, None, :] * coating[None, :, :]).reshape(amp.size, -1)
-    return amp[:, None] * (pairs @ phis)
+def _pairs(block: np.ndarray) -> np.ndarray:
+    """Row-wise Khatri-Rao product of a K-row block with itself: row (k, j) is
+    block[k] * block[j], K^2 rows in link-row order."""
+    return (block[:, None, :] * block[None, :, :]).reshape(block.shape[0] ** 2, -1)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -227,53 +226,82 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
-_DROPPED = 1e-13  # drop bound of LinkMatrix.reduced, a thousandth of pgd's default tol
+_DROPPED = 1e-13  # drop bound of QcqpInstance.reduced, a thousandth of pgd's default tol
 
 
-class LinkMatrix:
-    """Read-only link matrix D with its decompositions, each computed on first use.
+class QcqpInstance:
+    """Received-power objective ||D theta + r||^2 held as its stacked link factor.
 
-    Factors that share one link matrix (the true factor of every trial drawn
-    from one :class:`ScenarioGeometry`) share its thin SVD, :attr:`reduced`
-    factor, row FFTs and ridge grid.  All of them are read-only.
+    ``d_mat`` has one row per link and one column per panel element, and
+    ``columns`` the matching coating terms, an M x T matrix of T problems on
+    one link matrix (a vector given to the constructor becomes one column).
+    The expanded form theta^H U theta + 2 Re(v^H theta) + c has U = D^H D,
+    v = D^H r and c = ||r||^2, so it is positive semidefinite by
+    construction and is never formed.  ``beta_max`` caps every element's
+    reflection amplitude.  ``d_mat`` and ``columns`` are read-only, and so
+    are the thin SVD, :attr:`reduced` problem, row FFTs and ridge grid, each
+    computed on first use.
     """
 
-    def __init__(self, d_mat):
-        d = np.asarray(d_mat, dtype=complex)
+    def __init__(self, d_mat, columns, beta_max: float):
+        d, r = np.asarray(d_mat, dtype=complex), np.asarray(columns, dtype=complex)
+        r = r[:, None] if r.ndim == 1 else r
         if d.ndim != 2:
             raise ValueError(f"link matrix must be two-dimensional, got {d.shape}")
-        if not np.all(np.isfinite(d)):
+        if r.ndim != 2 or r.shape[0] != d.shape[0]:
+            raise ValueError("coating terms do not match the link rows")
+        if r.shape[1] == 0:
+            raise ValueError("coating terms need at least one column")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(r))):
             raise ValueError("link factor must be finite")
-        self.array = _read_only(d)
+        if not 0 < beta_max <= 1:
+            raise ValueError(f"beta_max must be in (0, 1], got {beta_max}")
+        self.d_mat, self.columns, self.beta_max = _read_only(d), _read_only(r), beta_max
+
+    @property
+    def n_elements(self) -> int:
+        return self.d_mat.shape[1]
+
+    def objective(self, thetas) -> np.ndarray:
+        """||D theta_t + r_t||^2 of every column t, the sum over link rows of
+        Re^2 + Im^2 of the residual; ``thetas`` holds one design per column
+        (N x T), or one design (a vector) for every column."""
+        residual = self.d_mat @ thetas
+        residual = residual.reshape(residual.shape[0], -1) + self.columns
+        return np.sum(residual.real ** 2 + residual.imag ** 2, axis=0)
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD (P, sigma, Q^H), sigma descending."""
-        return tuple(_read_only(x)
-                     for x in np.linalg.svd(self.array, full_matrices=False))
+        """Thin SVD (P, sigma, Q^H) of D, sigma descending."""
+        return tuple(_read_only(x) for x in np.linalg.svd(self.d_mat, full_matrices=False))
 
     @cached_property
-    def reduced(self) -> LinkMatrix:
-        """Link matrix B: D's k kept singular rows sigma_i q_i^H, then one zero row.
+    def reduced(self) -> QcqpInstance:
+        """The same problems on the link matrix B: D's k kept singular rows
+        sigma_i q_i^H, then one zero row, with coating terms P_k^H r and then
+        ||r - P_k P_k^H r||, from one product over all columns.
 
         Trailing directions are dropped while their sum of rho^2 + rho,
-        rho = sigma_i / sigma_1, stays at or below ``_DROPPED``; then
-        :attr:`QcqpInstance.reduced` keeps ||D theta + r||^2 to ``_DROPPED``
+        rho = sigma_i / sigma_1, stays at or below ``_DROPPED``; then the
+        reduced problem keeps ||D theta + r||^2 to ``_DROPPED``
         (sigma_1^2 N1 beta^2 + 2 ||D^H r|| beta sqrt(N1) + ||r||^2) over
         |theta_n| <= beta.  Its thin SVD ([I; 0], sigma_k, Q_k^H) is known.
         """
-        _, sig, qh = self.svd
+        p, sig, qh = self.svd
         rho = sig / sig[0] if sig[0] > 0 else np.zeros_like(sig)
         k = int(np.count_nonzero(np.cumsum((rho ** 2 + rho)[::-1])[::-1] > _DROPPED))
-        p = _read_only(np.eye(k + 1, k, dtype=complex))
-        reduced = LinkMatrix(p @ (sig[:k, None] * qh[:k]))
-        reduced.__dict__["svd"] = (p, sig[:k], qh[:k])
+        coords = p[:, :k].conj().T @ self.columns
+        outside = np.linalg.norm(self.columns - p[:, :k] @ coords, axis=0, keepdims=True)
+        eye = _read_only(np.eye(k + 1, k, dtype=complex))
+        reduced = QcqpInstance(eye @ (sig[:k, None] * qh[:k]),
+                               np.concatenate([coords, outside]), self.beta_max)
+        reduced.__dict__["svd"] = (eye, sig[:k], qh[:k])
         return reduced
 
     @cached_property
     def fft(self) -> np.ndarray:
         """FFT of every row of D."""
-        return _read_only(np.fft.fft(self.array, axis=1))
+        return _read_only(np.fft.fft(self.d_mat, axis=1))
 
     @cached_property
     def ridge_grid(self) -> np.ndarray:
@@ -283,123 +311,11 @@ class LinkMatrix:
         return _read_only(np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40))
 
 
-@dataclass(frozen=True, eq=False)
-class QcqpInstance:
-    """Received-power objective ||D theta + r||^2 held as its stacked link factor.
-
-    ``d_mat`` has one row per link and one column per panel element,
-    ``r_vec`` the matching coating terms: a vector, or an M x T matrix of T
-    problems on one link matrix.  The expanded form theta^H U theta +
-    2 Re(v^H theta) + c has U = D^H D, v = D^H r and c = ||r||^2, so it is
-    positive semidefinite by construction and is never formed.  ``beta_max``
-    caps every element's reflection amplitude.  ``d_mat`` may be given as a
-    :class:`LinkMatrix`, whose decompositions are then shared with every
-    factor built on it; ``link`` holds it either way, and ``d_mat`` and
-    ``r_vec`` are read-only.
-    """
-
-    d_mat: np.ndarray
-    r_vec: np.ndarray
-    beta_max: float
-    link: LinkMatrix = field(init=False, repr=False)
-
-    def __post_init__(self):
-        link = self.d_mat if isinstance(self.d_mat, LinkMatrix) else LinkMatrix(self.d_mat)
-        r = np.asarray(self.r_vec, dtype=complex)
-        if r.ndim not in (1, 2) or r.shape[0] != link.array.shape[0]:
-            raise ValueError("coating terms do not match the link rows")
-        if r.ndim == 2 and r.shape[1] == 0:
-            raise ValueError("coating terms need at least one column")
-        if not np.all(np.isfinite(r)):
-            raise ValueError("link factor must be finite")
-        if not 0 < self.beta_max <= 1:
-            raise ValueError(f"beta_max must be in (0, 1], got {self.beta_max}")
-        object.__setattr__(self, "link", link)
-        object.__setattr__(self, "d_mat", link.array)
-        object.__setattr__(self, "r_vec", _read_only(r))
-
-    @property
-    def n_elements(self) -> int:
-        return self.d_mat.shape[1]
-
-    @property
-    def columns(self) -> np.ndarray:
-        """The coating terms as an M x T matrix, one column per problem."""
-        return self.r_vec.reshape(self.r_vec.shape[0], -1)
-
-    @cached_property
-    def reduced(self) -> QcqpInstance:
-        """The same problems on :attr:`LinkMatrix.reduced`, computed once: coating
-        terms P_k^H r, then ||r - P_k P_k^H r||, from one product over all columns."""
-        p = self.link.svd[0][:, :self.link.reduced.array.shape[0] - 1]
-        coords = p.conj().T @ self.columns
-        outside = np.linalg.norm(self.columns - p @ coords, axis=0, keepdims=True)
-        r_red = np.concatenate([coords, outside]).reshape(-1, *self.r_vec.shape[1:])
-        return QcqpInstance(self.link.reduced, r_red, self.beta_max)
-
-    def objective(self, theta: np.ndarray) -> float:
-        if self.r_vec.ndim != 1:
-            raise ValueError("objective evaluates one problem, not a batch")
-        residual = self.d_mat @ np.asarray(theta) + self.r_vec
-        return float(np.real(np.vdot(residual, residual)))
-
-
-def _link_matrix(amp: np.ndarray, panel: np.ndarray) -> LinkMatrix:
-    """Rows amp[(k, j)] * a_k * a_j of the panel blocks a toward each radar."""
-    links = (panel[:, None, :] * panel[None, :, :]).reshape(amp.size, -1)
-    return LinkMatrix(amp[:, None] * links)
-
-
 def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
-    """Stacked link factor (D, r) of the sum-received-power objective.
-
-    Row (k, j) belongs to the link radar j -> target -> radar k.  It carries
-    the link amplitude sqrt(w_kj) times the panel response a_k * a_j, and the
-    same amplitude times the coating gain sum_n b_k[n] b_j[n] phi[n], where
-    a and b are the panel and coating blocks of the surface response.  The
-    inputs select one of three documented cases:
-
-    * neither ``angles`` nor ``g2``: the true scenario, with weights
-      w_kj = P_j |g_k|^2 |g_j|^2 from the :attr:`ScenarioGeometry.gains` g, so
-      the objective at any feasible theta equals :func:`sum_power` in watts;
-    * ``angles`` alone, one per radar in radar order: a steering error.  The
-      panel rows follow the given (perturbed) angles, while the coating
-      gains and link weights keep their true, offline-calibrated values;
-    * ``angles`` and ``g2``: sensed parameters.  ``angles`` are estimated
-      arrival directions in any order and ``g2`` the matching power-scaled
-      squared gains, so w_kj = g2_k g2_j; panel rows and coating gains both
-      follow the estimated angles, and the coating coefficients are the
-      target's own.  The uniform power scale of the estimates rescales the
-      objective without moving its minimizer.  Assumes a common transmit
-      power across radars.
-
-    Everything but the coating phases comes from the scenario's
-    :class:`ScenarioGeometry`: on true data only r is computed, and the true
-    factor of every scenario drawn from one geometry shares one
-    :class:`LinkMatrix`; a steering error or sensed angles build their
-    surface blocks with one :meth:`ScenarioGeometry.blocks` call.
-    """
-    k_r = scenario.num_radars
-    geometry = scenario.geometry
-    phi = np.asarray(scenario.target.nirs.phi)
-    if g2 is None:
-        if angles is not None and len(angles) != k_r:
-            raise ValueError(f"need one angle per radar, got {len(angles)} "
-                             f"for {k_r}")
-        amp = geometry.amplitudes
-        coating = geometry.true_blocks[1]
-        link = geometry.link_matrix(geometry.true_angles if angles is None else angles)
-    else:
-        g2 = np.asarray(g2, dtype=float)
-        if angles is None or len(angles) != g2.size:
-            raise ValueError("need one gain estimate per estimated angle")
-        if not np.all(np.isfinite(g2)) or np.any(g2 < 0):
-            raise ValueError(f"gain estimates g2 must be finite and nonnegative, got {g2}")
-        panel, coating = geometry.blocks(angles)
-        amp = np.sqrt(g2[:, None] * g2[None, :]).reshape(-1)
-        link = _link_matrix(amp, panel)
-    return QcqpInstance(link, _coating_terms(amp, coating, phi[:, None])[:, 0],
-                        scenario.target.beta_max)
+    """Link factor of one scenario, on its own coating coefficients: the
+    one-column :meth:`ScenarioGeometry.factor` of its geometry."""
+    return scenario.geometry.factor(np.asarray(scenario.target.nirs.phi)[:, None],
+                                    angles, g2)
 
 
 class ScenarioGeometry:
@@ -409,9 +325,10 @@ class ScenarioGeometry:
     epochs are the bare propagation delays), the target (its coating at zero
     phase) and the pulse-clock jitter bound.  On first use, and then once,
     it builds the surface blocks toward the radars, the radars' beamforming
-    gains, the link amplitudes and the true :class:`LinkMatrix`, all
-    read-only.  Coating phases and pulse epochs are never read from it:
-    :meth:`draw` adds them per seed.
+    gains, the link amplitudes and the true link matrix, all read-only.
+    :meth:`factor` builds the link factor of any coating coefficients from
+    them.  Coating phases and pulse epochs are never read from it:
+    :meth:`draw` and :meth:`coatings` draw them per seed.
     """
 
     def __init__(self, wavelength: float, ref_gain: float, radars: tuple[RadarNode, ...],
@@ -434,17 +351,12 @@ class ScenarioGeometry:
         scenario.__dict__["geometry"] = self
         return scenario
 
-    def coating_terms(self, seeds) -> np.ndarray:
-        """Coating terms r of the true link factor of every seed, one column each.
-
-        Column t holds ``link_factor(self.draw(seeds[t])).r_vec`` up to
-        rounding: each seed's phases are the first draws of its own stream,
-        as in :meth:`draw`, and the pulse epochs are not drawn.  The result
-        is a K^2 x T matrix that shares the true link matrix's row order.
-        """
-        phis = np.column_stack([self._coating(np.random.default_rng(_checked_seed(s)))
+    def coatings(self, seeds) -> np.ndarray:
+        """Coating coefficients of every seed, one column each: the phases
+        :meth:`draw` gives the seed's scenario (the first draws of its own
+        stream), without drawing pulse epochs."""
+        return np.column_stack([self._coating(np.random.default_rng(_checked_seed(s)))
                                 for s in seeds])
-        return _coating_terms(self.amplitudes, self.true_blocks[1], phis)
 
     def _coating(self, rng) -> np.ndarray:
         """Coating coefficients with uniform phases, the next draws of ``rng``."""
@@ -455,12 +367,61 @@ class ScenarioGeometry:
     def _coating_magnitude(self) -> np.ndarray:
         return np.sqrt(1.0 - np.asarray(self.target.nirs.zeta))
 
-    def link_matrix(self, angles) -> LinkMatrix:
-        """Link matrix with true link amplitudes and panel rows toward ``angles``
-        (one per radar); the true angles give the shared :attr:`true_link`."""
+    def factor(self, phis, angles=None, g2=None) -> QcqpInstance:
+        """Stacked link factor (D, r) of the sum-received-power objective, one
+        coating-term column per column of the N2 x T coating coefficients ``phis``.
+
+        Row (k, j) belongs to the link radar j -> target -> radar k.  It
+        carries the link amplitude sqrt(w_kj) times the panel response
+        a_k * a_j, and the same amplitude times the coating gain
+        sum_n b_k[n] b_j[n] phi[n], where a and b are the panel and coating
+        blocks of the surface response.  The inputs select one of three
+        documented cases:
+
+        * neither ``angles`` nor ``g2``: the true scenario, with weights
+          w_kj = P_j |g_k|^2 |g_j|^2 from the :attr:`gains` g, so the
+          objective at any feasible theta equals :func:`sum_power` in watts;
+        * ``angles`` alone, one per radar in radar order: a steering error.
+          The panel rows follow the given (perturbed) angles, while the
+          coating gains and link weights keep their true,
+          offline-calibrated values;
+        * ``angles`` and ``g2``: sensed parameters.  ``angles`` are estimated
+          arrival directions in any order and ``g2`` the matching
+          power-scaled squared gains, so w_kj = g2_k g2_j; panel rows and
+          coating gains both follow the estimated angles.  The uniform power
+          scale of the estimates rescales the objective without moving its
+          minimizer.  Assumes a common transmit power across radars.
+
+        True angles reuse the cached :attr:`true_link`; other angles build their
+        surface blocks with one :meth:`blocks` call.
+        """
+        n2 = self._coating_magnitude.size
+        if np.ndim(phis) != 2 or np.shape(phis)[0] != n2:
+            raise ValueError(f"need {n2} x T coating coefficients, got {np.shape(phis)}")
+        if g2 is None:
+            if angles is not None and len(angles) != len(self.radars):
+                raise ValueError(f"need one angle per radar, got {len(angles)} "
+                                 f"for {len(self.radars)}")
+            amp, coating = self.amplitudes, self.true_blocks[1]
+            d_mat = self.link_matrix(self.true_angles if angles is None else angles)
+        else:
+            g2 = np.asarray(g2, dtype=float)
+            if angles is None or len(angles) != g2.size:
+                raise ValueError("need one gain estimate per estimated angle")
+            if not np.all(np.isfinite(g2)) or np.any(g2 < 0):
+                raise ValueError(f"gain estimates g2 must be finite and nonnegative, got {g2}")
+            panel, coating = self.blocks(angles)
+            amp = np.sqrt(g2[:, None] * g2[None, :]).reshape(-1)
+            d_mat = amp[:, None] * _pairs(panel)
+        return QcqpInstance(d_mat, amp[:, None] * (_pairs(coating) @ phis),
+                            self.target.beta_max)
+
+    def link_matrix(self, angles) -> np.ndarray:
+        """Read-only link matrix with true link amplitudes and panel rows toward
+        ``angles`` (one per radar); the true angles give the cached :attr:`true_link`."""
         if tuple(angles) == self.true_angles:
             return self.true_link
-        return _link_matrix(self.amplitudes, self.blocks(angles)[0])
+        return _read_only(self.amplitudes[:, None] * _pairs(self.blocks(angles)[0]))
 
     def blocks(self, angles) -> tuple[np.ndarray, np.ndarray]:
         """Panel and coating blocks toward each direction, one C-contiguous row
@@ -504,9 +465,10 @@ class ScenarioGeometry:
         return _read_only(np.sqrt(g2[:, None] * (powers * g2)[None, :]).reshape(-1))
 
     @cached_property
-    def true_link(self) -> LinkMatrix:
-        """True link matrix D, shared by every scenario drawn from this geometry."""
-        return _link_matrix(self.amplitudes, self.true_blocks[0])
+    def true_link(self) -> np.ndarray:
+        """True link matrix D, read-only, shared by every scenario drawn from
+        this geometry."""
+        return _read_only(self.amplitudes[:, None] * _pairs(self.true_blocks[0]))
 
 
 def _checked_seed(seed) -> int:
@@ -536,12 +498,13 @@ def radar_powers(theta: np.ndarray, scenario: Scenario) -> np.ndarray:
     this is P times radar k's stealth objective.  The entries add up to
     :func:`sum_power`.
     """
-    factor = link_factor(scenario)
-    residual = factor.d_mat @ _check_amplitudes(theta, scenario) + factor.r_vec
-    power = residual.real ** 2 + residual.imag ** 2
-    return power.reshape(scenario.num_radars, -1).sum(axis=1)
+    factor, theta = link_factor(scenario), _check_amplitudes(theta, scenario)
+    blocks = zip(np.split(factor.d_mat, scenario.num_radars),
+                 np.split(factor.columns, scenario.num_radars))
+    return np.array([QcqpInstance(d, r, factor.beta_max).objective(theta)[0]
+                     for d, r in blocks])
 
 
 def sum_power(theta: np.ndarray, scenario: Scenario) -> float:
     """Sum of the received signal powers over all radars, in watts."""
-    return link_factor(scenario).objective(_check_amplitudes(theta, scenario))
+    return float(link_factor(scenario).objective(_check_amplitudes(theta, scenario))[0])

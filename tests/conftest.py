@@ -25,9 +25,8 @@ def one_link_instance(u, c, beta=1.0):
 
 def dense_terms(inst):
     """Expanded objective data U = D^H D, v = D^H r, c = ||r||^2 (test oracle)."""
-    d_mat, r_vec = np.asarray(inst.d_mat), np.asarray(inst.r_vec)
-    return (d_mat.conj().T @ d_mat, d_mat.conj().T @ r_vec,
-            float(np.real(np.vdot(r_vec, r_vec))))
+    d_mat, r = inst.d_mat, inst.columns[:, 0]
+    return (d_mat.conj().T @ d_mat, d_mat.conj().T @ r, float(np.real(np.vdot(r, r))))
 
 
 def random_single_instance(rng, n1=None, beta=1.0):

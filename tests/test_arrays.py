@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from irstealth.arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_response,
+from irstealth.arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_responses,
                               upa_response, upa_responses)
 from irstealth.config import build_geometry, single_radar_config
 
@@ -176,14 +176,14 @@ class TestCssaResponse:
     GEOM = ArrayGeometry(ArrayKind.CSSA, 5, 5, 0.0125)
 
     def test_element_count(self):
-        assert cssa_response(self.GEOM, AnglePair(0.2, 0.1), WAVELENGTH).size == 9
+        assert cssa_responses(self.GEOM, 0.2, 0.1, WAVELENGTH).size == 9
 
     @given(angles_st)
     @settings(max_examples=50)
     def test_arms_agree_at_shared_device(self, angles):
         # Both arms are phase-referenced to the shared central device, whose
         # entry survives in the x-arm block.
-        vec = cssa_response(self.GEOM, angles, WAVELENGTH)
+        vec = cssa_responses(self.GEOM, angles.azimuth, angles.elevation, WAVELENGTH)
         assert vec[(self.GEOM.nx - 1) // 2] == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(0.05, 1.5))
@@ -194,9 +194,8 @@ class TestCssaResponse:
         geom = ArrayGeometry(ArrayKind.CSSA, 5, 7, 0.0125)
         swapped_geom = ArrayGeometry(ArrayKind.CSSA, 7, 5, 0.0125)
         swapped_az = np.pi / 2 - azimuth
-        vec = cssa_response(geom, AnglePair(azimuth, 0.0), WAVELENGTH)
-        swapped = cssa_response(swapped_geom, AnglePair(swapped_az, 0.0),
-                                WAVELENGTH)
+        vec = cssa_responses(geom, azimuth, 0.0, WAVELENGTH)
+        swapped = cssa_responses(swapped_geom, swapped_az, 0.0, WAVELENGTH)
         x_arm, y_arm = vec[:5], vec[5:]
         x_arm_sw, y_arm_sw = swapped[:7], swapped[7:]
         np.testing.assert_allclose(x_arm_sw, np.insert(y_arm, 3, 1.0), atol=1e-12)
@@ -204,11 +203,10 @@ class TestCssaResponse:
 
     def test_rejects_upa_geometry(self):
         with pytest.raises(ValueError):
-            cssa_response(ArrayGeometry(ArrayKind.UPA, 5, 5, 0.0125),
-                          AnglePair(0.0, 0.0), WAVELENGTH)
+            cssa_responses(ArrayGeometry(ArrayKind.UPA, 5, 5, 0.0125), 0.0, 0.0, WAVELENGTH)
 
     @given(angles_st)
     @settings(max_examples=50)
     def test_unit_modulus(self, angles):
-        vec = cssa_response(self.GEOM, angles, WAVELENGTH)
+        vec = cssa_responses(self.GEOM, angles.azimuth, angles.elevation, WAVELENGTH)
         np.testing.assert_allclose(np.abs(vec), 1.0, atol=1e-12)

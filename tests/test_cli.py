@@ -105,8 +105,8 @@ class TestSolve:
         assert proc.returncode == 0
         objective = float(proc.stdout.splitlines()[1].split(": ")[1])
         truth = link_factor(build_scenario(config))
-        power = truth.objective(SOLVERS[solver](truth, [config.seed])[0].theta)
-        no_irs = truth.objective(np.zeros(truth.n_elements))
+        power = truth.objective(SOLVERS[solver](truth, [config.seed])[0].theta)[0]
+        no_irs = truth.objective(np.zeros(truth.n_elements))[0]
         if solver in ("random-phase", "no-irs"):
             assert objective == pytest.approx(power, rel=1e-12, abs=0.0)
         else:
@@ -166,4 +166,17 @@ class TestRun:
         assert proc.returncode == 1
         assert proc.stderr.strip() == ("error: radars: min-elements-validation needs "
                                        "exactly one radar, got 3")
+        assert not out.exists()
+
+    def test_sensing_failure_is_reported_without_traceback(self, tmp_path):
+        # Five-radar MUSIC finds only four peaks on a trial of this run; the
+        # sensing error ends the run like every other library error.
+        config_path = tmp_path / "m5.json"
+        multi_radar_config(num_radars=5, n1x=4).save(config_path)
+        out = tmp_path / "x.csv"
+        proc = run_cli("run", "estimation-pipeline", "--config", str(config_path),
+                       "--trials", "16", "--seed", "89", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == "error: found 4 peaks, expected 5"
+        assert "Traceback" not in proc.stderr
         assert not out.exists()

@@ -369,7 +369,7 @@ class TestLargePanel:
         tracemalloc.start()
         try:
             truth = link_factor(scenario)
-            powers = {name: truth.objective(solve(truth, [7])[0].theta)
+            powers = {name: truth.objective(solve(truth, [7])[0].theta)[0]
                       for name, solve in SOLVERS.items() if name != "reverse-alignment"}
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -394,20 +394,20 @@ def _batch_config(num_radars):
 
 
 def _coating_power(geometry, seed):
-    r_vec = link_factor(geometry.draw(seed)).r_vec
-    return float(np.real(np.vdot(r_vec, r_vec)))
+    r = link_factor(geometry.draw(seed)).columns[:, 0]
+    return float(np.real(np.vdot(r, r)))
 
 
 def _one_trial_powers(preset, scenario, seed, value):
     """Powers of one trial's rows by the one-trial path, and its coating-only
     power."""
     truth = link_factor(scenario)
-    p0 = truth.objective(np.zeros(truth.n_elements))
+    p0 = truth.objective(np.zeros(truth.n_elements))[0]
     if preset == "estimation-pipeline":
         angles, g2 = sense([scenario], int(value), [seed + 0xA0A])[0]
         estimated = link_factor(scenario, angles, g2)
-        return ({"pgd-estimated": truth.objective(pgd_designs(estimated)[0].theta),
-                 "pgd-true": truth.objective(pgd_designs(truth)[0].theta)}, p0)
+        return ({"pgd-estimated": truth.objective(pgd_designs(estimated)[0].theta)[0],
+                 "pgd-true": truth.objective(pgd_designs(truth)[0].theta)[0]}, p0)
     design = truth
     if preset == "power-vs-aoa-error":
         design = link_factor(scenario, [
@@ -416,7 +416,7 @@ def _one_trial_powers(preset, scenario, seed, value):
     fitted = "reverse-alignment" if scenario.num_radars == 1 else "mmse"
     names = (("reverse-alignment",) if preset == "min-elements-validation" else
              ("pgd", fitted, "dft-codebook", "random-phase", "no-irs"))
-    return {name: truth.objective(SOLVERS[name](design, [seed])[0].theta)
+    return {name: truth.objective(SOLVERS[name](design, [seed])[0].theta)[0]
             for name in names}, p0
 
 

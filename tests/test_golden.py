@@ -41,8 +41,8 @@ def _keyed(rows):
 def _no_irs_power(config, seed):
     """||r||^2 of the trial's true factor; the coating term does not depend on
     the sweep value of the presets without a ``no-irs`` row."""
-    r_vec = link_factor(build_geometry(config).draw(seed)).r_vec
-    return float(np.real(np.vdot(r_vec, r_vec)))
+    r = link_factor(build_geometry(config).draw(seed)).columns[:, 0]
+    return float(np.real(np.vdot(r, r)))
 
 
 @pytest.mark.parametrize("config,preset,trials", CASES)

@@ -53,8 +53,8 @@ class TestBuildInstance:
         scenario = dataclasses.replace(
             single_scenario, target=dataclasses.replace(target, nirs=absorbing))
         inst = link_factor(scenario)
-        np.testing.assert_array_equal(inst.r_vec, 0.0)
-        assert inst.objective(np.zeros(inst.n_elements)) == 0.0
+        np.testing.assert_array_equal(inst.columns, 0.0)
+        assert inst.objective(np.zeros(inst.n_elements))[0] == 0.0
         np.testing.assert_array_equal(pgd_designs(inst)[0].theta, 0.0)
 
     def test_constant_term_oracle(self, multi_scenario):
@@ -68,9 +68,9 @@ class TestBuildInstance:
         rng = np.random.default_rng(5)
         inst = link_factor(multi_scenario)
         theta = 0.8 * unit_phases(rng, inst.n_elements)
-        assert inst.objective(theta) == pytest.approx(
+        assert inst.objective(theta)[0] == pytest.approx(
             sum_power(theta, multi_scenario), rel=1e-9)
-        assert inst.objective(theta) == pytest.approx(
+        assert inst.objective(theta)[0] == pytest.approx(
             link_sum_oracle(multi_scenario, theta), rel=1e-9)
 
     def test_rejects_mismatched_coating_terms(self):
@@ -95,7 +95,7 @@ class TestBuildInstance:
         angles = [AnglePair(a.azimuth + 0.01, a.elevation) for a in
                   (multi_scenario.geometry.true_angles[k] for k in range(3))]
         perturbed = link_factor(multi_scenario, angles)
-        np.testing.assert_array_equal(perturbed.r_vec, truth.r_vec)
+        np.testing.assert_array_equal(perturbed.columns, truth.columns)
         scale = np.max(np.abs(truth.d_mat))
         assert np.max(np.abs(perturbed.d_mat - truth.d_mat)) > 1e-3 * scale
         np.testing.assert_allclose(np.abs(perturbed.d_mat), np.abs(truth.d_mat),
@@ -173,7 +173,7 @@ class TestSolvePgd:
         assert isinstance(best, ReflectionSolution)
         assert best.iterations == 3
         assert np.max(np.abs(best.theta)) <= inst.beta_max
-        assert best.objective == inst.objective(best.theta)
+        assert best.objective == inst.objective(best.theta)[0]
 
     def test_feasibility_of_returned_designs(self):
         rng = np.random.default_rng(5)
@@ -181,7 +181,7 @@ class TestSolvePgd:
             inst = random_multi_instance(rng, n1x=3, ny=2, k=2)
             sol = pgd_designs(inst)[0]
             assert np.max(np.abs(sol.theta)) <= inst.beta_max + 1e-9
-            assert sol.objective == pytest.approx(inst.objective(sol.theta),
+            assert sol.objective == pytest.approx(inst.objective(sol.theta)[0],
                                                   rel=1e-9, abs=1e-12)
 
 
@@ -209,7 +209,7 @@ class TestLagrangeSemiclosed:
         # extra rows sqrt(0.5) I add 0.5 I to U and leave v unchanged.
         n = base.n_elements
         inst = QcqpInstance(np.vstack([base.d_mat, np.sqrt(0.5) * np.eye(n)]),
-                            np.concatenate([base.r_vec, np.zeros(n)]), 1.0)
+                            np.concatenate([base.columns[:, 0], np.zeros(n)]), 1.0)
         u_mat, v_vec, _ = dense_terms(inst)
         theta = lagrange_semiclosed(inst, np.zeros(n))
         np.testing.assert_allclose(u_mat @ theta, -v_vec, atol=1e-10)
@@ -313,7 +313,7 @@ class TestReverseAlignment:
         inst = QcqpInstance(2.0 * np.conj(u)[None, :], np.array([2.0 * 4.5]), 1.0)
         sol = alignment_designs(inst)[0]
         assert sol.objective == pytest.approx(4.0 * 1.5 ** 2, rel=1e-12)
-        assert sol.objective == pytest.approx(inst.objective(sol.theta), rel=1e-12)
+        assert sol.objective == pytest.approx(inst.objective(sol.theta)[0], rel=1e-12)
 
     def test_feasible_amplitudes(self):
         rng = np.random.default_rng(15)
@@ -325,23 +325,23 @@ class TestReverseAlignment:
 class TestMmse:
     def test_min_norm_cancels_single_radar(self, single_scenario):
         inst = link_factor(single_scenario)
-        theta = _ridge_designs(inst.link, inst.r_vec[:, None], [0.0])[0][:, 0, 0]
+        theta = _ridge_designs(inst, inst.columns, [0.0])[0][:, 0, 0]
         _, _, u, u_nirs = link_oracle(single_scenario)
         c = np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi)
         assert abs(np.vdot(u[0, 0], theta) + c) <= 1e-10
 
     def test_heavy_regularization_goes_dark(self, multi_scenario):
         inst = link_factor(multi_scenario)
-        theta = _ridge_designs(inst.link, inst.r_vec[:, None], [1e12])[0]
+        theta = _ridge_designs(inst, inst.columns, [1e12])[0]
         assert np.max(np.abs(theta)) < 1e-9
 
     def test_residual_monotone_in_regularization(self, multi_scenario):
         inst = link_factor(multi_scenario)
         gram_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
         deltas = np.geomspace(1e-10 * gram_top, 1e2 * gram_top, 13)
-        thetas, reported = _ridge_designs(inst.link, inst.r_vec[:, None], deltas)
+        thetas, reported = _ridge_designs(inst, inst.columns, deltas)
         reported = reported[:, 0]
-        residuals = [inst.objective(theta) for theta in thetas[:, :, 0].T]
+        residuals = [inst.objective(theta)[0] for theta in thetas[:, :, 0].T]
         # The direct evaluation rounds at about eps * ||r||^2 * ||D theta + r||.
         np.testing.assert_allclose(reported, residuals, rtol=1e-9,
                                    atol=1e-18 * dense_terms(inst)[2])
@@ -371,7 +371,7 @@ class TestMmse:
         rng = np.random.default_rng(16)
         inst = link_factor(multi_scenario)
         theta = 0.6 * unit_phases(rng, inst.n_elements)
-        residual = float(np.linalg.norm(inst.d_mat @ theta + inst.r_vec) ** 2)
+        residual = float(np.linalg.norm(inst.d_mat @ theta + inst.columns[:, 0]) ** 2)
         assert residual == pytest.approx(link_sum_oracle(multi_scenario, theta),
                                          rel=1e-9)
 
@@ -495,8 +495,8 @@ class TestFactorOracles:
         theta = rng.uniform(0, 1, inst.n_elements) * unit_phases(rng, inst.n_elements)
         expanded = float(np.real(np.vdot(theta, u_mat @ theta))
                          + 2.0 * np.real(np.vdot(v_vec, theta)) + c_const)
-        assert inst.objective(theta) == pytest.approx(expanded, rel=1e-9)
-        assert inst.objective(theta) == pytest.approx(sum_power(theta, scenario),
+        assert inst.objective(theta)[0] == pytest.approx(expanded, rel=1e-9)
+        assert inst.objective(theta)[0] == pytest.approx(sum_power(theta, scenario),
                                                       rel=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -509,10 +509,8 @@ class TestFactorOracles:
         n = inst.n_elements
         idx = np.arange(n)
         codebook = inst.beta_max * np.exp(-2j * np.pi * np.outer(idx, idx) / n)
-        explicit = np.sum(np.abs(inst.d_mat @ codebook + inst.r_vec[:, None]) ** 2,
-                          axis=0)
-        objectives = _codebook_objectives(inst.link, inst.r_vec[:, None],
-                                          inst.beta_max)[:, 0]
+        explicit = np.sum(np.abs(inst.d_mat @ codebook + inst.columns) ** 2, axis=0)
+        objectives = _codebook_objectives(inst, inst.columns)[:, 0]
         np.testing.assert_allclose(objectives, explicit, rtol=1e-9)
         sol = codebook_designs(inst)[0]
         best = int(np.argmin(explicit))
@@ -529,7 +527,7 @@ class TestFactorOracles:
         u_mat, v_vec, _ = dense_terms(inst)
         lam_top = float(np.linalg.eigvalsh(u_mat)[-1])
         deltas = lam_top * np.geomspace(1e-3, 1e2, 6)
-        thetas, residuals = _ridge_designs(inst.link, inst.r_vec[:, None], deltas)
+        thetas, residuals = _ridge_designs(inst, inst.columns, deltas)
         thetas, residuals = thetas[:, :, 0], residuals[:, 0]
         assert np.all(np.diff(residuals) >= 0)
         eye = np.eye(inst.n_elements)
@@ -537,7 +535,7 @@ class TestFactorOracles:
             dense = -np.linalg.solve(u_mat + delta * eye, v_vec)
             np.testing.assert_allclose(thetas[:, col], dense, rtol=1e-9,
                                        atol=1e-12 * np.linalg.norm(dense))
-            assert residuals[col] == pytest.approx(inst.objective(dense), rel=1e-9)
+            assert residuals[col] == pytest.approx(inst.objective(dense)[0], rel=1e-9)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -546,7 +544,7 @@ class TestFactorOracles:
         inst = random_multi_instance(rng, n1x=int(rng.integers(1, 9)), ny=2,
                                      k=int(rng.integers(1, 4)))
         lam_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
-        assert float(inst.link.svd[1][0]) ** 2 == pytest.approx(lam_top, rel=1e-12)
+        assert float(inst.svd[1][0]) ** 2 == pytest.approx(lam_top, rel=1e-12)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -561,23 +559,23 @@ class TestFactorOracles:
                                          float(rng.choice([0.5, 1.0, 2.0]))),
                    link_factor(_random_multi_scenario(seed % 10_000))]
         for inst in factors:
-            reduced = inst.link.reduced
-            k = reduced.array.shape[0] - 1
-            np.testing.assert_array_equal(reduced.array[k], 0.0)
-            r_red = inst.reduced.r_vec
+            reduced = inst.reduced
+            k = reduced.d_mat.shape[0] - 1
+            np.testing.assert_array_equal(reduced.d_mat[k], 0.0)
+            r_red = reduced.columns[:, 0]
             u_mat, v_vec, c_const = dense_terms(inst)
             n = inst.n_elements
             for amps in (np.ones(n), rng.uniform(0, 1, n)):
                 theta = inst.beta_max * amps * unit_phases(rng, n)
                 dense = float(np.real(np.vdot(theta, u_mat @ theta))
                               + 2.0 * np.real(np.vdot(v_vec, theta)) + c_const)
-                residual = reduced.array @ theta + r_red
+                residual = reduced.d_mat @ theta + r_red
                 bound = (1e-13 + 64 * np.finfo(float).eps) * objective_scale(inst)
                 assert abs(dense - float(np.real(np.vdot(residual, residual)))) <= bound
 
     def test_zero_link_matrix_reduces_to_the_residual_row(self):
         inst = QcqpInstance(np.zeros((4, 3)), np.array([1.0, 2.0, 0.0, 1j]), 0.5)
-        assert inst.link.reduced.array.shape == (1, 3)
+        assert inst.reduced.d_mat.shape == (1, 3)
         for sol in (pgd_designs(inst)[0], mmse_designs(inst)[0][1], codebook_designs(inst)[0]):
             assert np.max(np.abs(sol.theta)) <= 0.5
             assert sol.objective == pytest.approx(6.0, rel=1e-15)
@@ -586,15 +584,15 @@ class TestFactorOracles:
                                               ("radars5-n800", 11)])
     def test_golden_configs_reduce_to_their_numerical_rank(self, config, rows):
         golden = Path(__file__).parent / "golden" / f"{config}.json"
-        link = build_geometry(ScenarioConfig.load(golden)).true_link
+        inst = link_factor(build_geometry(ScenarioConfig.load(golden)).draw(1))
         # The kept rows, then the one residual row.
-        assert link.reduced.array.shape == (rows + 1, link.array.shape[1])
+        assert inst.reduced.d_mat.shape == (rows + 1, inst.n_elements)
 
     def test_single_link_recovers_closed_form_inputs(self, single_scenario):
         # The one-link factor's row is a * u^H and its coating term a * c.
         inst = link_factor(single_scenario)
         amp = abs(inst.d_mat[0, 0])
-        u, c = inst.d_mat[0].conj() / amp, inst.r_vec[0] / amp
+        u, c = inst.d_mat[0].conj() / amp, inst.columns[0, 0] / amp
         _, _, u_oracle, u_nirs = link_oracle(single_scenario)
         np.testing.assert_allclose(u, u_oracle[0, 0], rtol=1e-12)
         assert c == pytest.approx(np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi),
@@ -614,9 +612,10 @@ class TestColumnBatches:
         config = dataclasses.replace(
             config, target=dataclasses.replace(config.target, beta_max=0.05))
         geometry = build_geometry(config)
-        r_mat = geometry.coating_terms(range(120)) * np.tile([1e-4, 1.0, 1e3, 1e8], 30)
+        r_mat = (geometry.factor(geometry.coatings(range(120))).columns
+                 * np.tile([1e-4, 1.0, 1e3, 1e8], 30))
         problem = QcqpInstance(geometry.true_link, r_mat, 0.05)
-        return problem, [QcqpInstance(problem.link, r_vec, 0.05) for r_vec in r_mat.T]
+        return problem, [QcqpInstance(problem.d_mat, r, 0.05) for r in r_mat.T]
 
     @staticmethod
     def _assert_same(batch, single):
@@ -647,17 +646,40 @@ class TestColumnBatches:
     def test_reduced_problem_holds_each_columns_reduction(self):
         problem, singles = self._columns(3)
         assert problem.reduced is problem.reduced
-        assert problem.reduced.link is problem.link.reduced
         assert problem.columns.shape == (9, 120)
         for t, inst in enumerate(singles):
             np.testing.assert_array_equal(inst.columns[:, 0], problem.columns[:, t])
-            np.testing.assert_allclose(inst.reduced.r_vec, problem.reduced.columns[:, t],
-                                       rtol=0, atol=1e-12 * np.linalg.norm(inst.r_vec))
+            np.testing.assert_allclose(inst.reduced.columns, problem.reduced.columns[:, t:t + 1],
+                                       rtol=0, atol=1e-12 * np.linalg.norm(inst.columns))
 
-    def test_objective_rejects_a_batch(self):
+    def test_objective_is_each_columns_squared_norm(self):
         problem, _ = self._columns(3)
-        with pytest.raises(ValueError, match="batch"):
-            problem.objective(np.zeros(problem.n_elements))
+        rng = np.random.default_rng(8)
+        d_mat, r_mat = problem.d_mat, problem.columns
+        n, t_count = problem.n_elements, r_mat.shape[1]
+        theta = 0.05 * unit_phases(rng, n)
+        thetas = 0.05 * rng.uniform(0, 1, (n, t_count)) * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, (n, t_count)))
+        # One design for every column, then one design per column.
+        for got, designs in ((problem.objective(theta), [theta] * t_count),
+                             (problem.objective(thetas), list(thetas.T))):
+            want = [np.linalg.norm(d_mat @ th + r) ** 2 for th, r in zip(designs, r_mat.T)]
+            assert got.shape == (t_count,)
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    @pytest.mark.parametrize("certificate", [
+        lambda problem, lam: lagrange_semiclosed(problem, lam),
+        lambda problem, lam: dual_value(problem, lam),
+        lambda problem, lam: kkt_certificate(problem, ReflectionSolution(
+            np.zeros(problem.n_elements), 0.0, "pgd"))])
+    def test_certificates_reject_a_batch(self, certificate):
+        # They check one problem; on several columns they once failed with a
+        # bare broadcasting error.
+        problem, singles = self._columns(3)
+        lam = np.ones(problem.n_elements)
+        with pytest.raises(ValueError, match="one problem, got 120 coating-term columns"):
+            certificate(problem, lam)
+        certificate(singles[0], lam)
 
 
 def dense_barrier(inst, gap):
@@ -667,7 +689,7 @@ def dense_barrier(inst, gap):
     steps with a backtracking line search, growing t tenfold, until the
     central-path bound N1 / t on the suboptimality falls below ``gap``.
     """
-    d, r, beta = inst.d_mat, inst.r_vec, inst.beta_max
+    d, r, beta = inst.d_mat, inst.columns[:, 0], inst.beta_max
     n = d.shape[1]
     a = np.block([[d.real, -d.imag], [d.imag, d.real]])
     b = np.concatenate([r.real, r.imag])
@@ -710,9 +732,10 @@ def objective_scale(inst):
     """The objective scale of the ``pgd_designs`` gap test."""
     n, beta = inst.n_elements, inst.beta_max
     lam_max = float(np.linalg.norm(inst.d_mat, 2)) ** 2
-    v_norm = float(np.linalg.norm(inst.d_mat.conj().T @ inst.r_vec))
+    r = inst.columns[:, 0]
+    v_norm = float(np.linalg.norm(inst.d_mat.conj().T @ r))
     return (lam_max * beta ** 2 * n + 2 * v_norm * beta * np.sqrt(n)
-            + float(np.real(np.vdot(inst.r_vec, inst.r_vec))))
+            + float(np.real(np.vdot(r, r))))
 
 
 def ill_conditioned_factor(rng, decades):
@@ -748,11 +771,11 @@ class TestNewtonFinish:
         sol = pgd_designs(design)[0]
         assert sol.termination == "newton"
         assert np.max(np.abs(sol.theta)) <= design.beta_max
-        assert sol.objective == design.objective(sol.theta)
+        assert sol.objective == design.objective(sol.theta)[0]
         threshold = 1e-10 * (sol.objective + 1e-2 * objective_scale(design))
         oracle = dense_barrier(design, 1e-2 * threshold)
-        assert sol.objective <= design.objective(oracle) + threshold
-        assert design.objective(oracle) <= sol.objective + 1e-2 * threshold
+        assert sol.objective <= design.objective(oracle)[0] + threshold
+        assert design.objective(oracle)[0] <= sol.objective + 1e-2 * threshold
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.0, 7.0))
     @settings(max_examples=20, deadline=None)
@@ -760,9 +783,9 @@ class TestNewtonFinish:
         inst = ill_conditioned_factor(np.random.default_rng(seed), decades)
         sol = pgd_designs(inst)[0]
         assert np.max(np.abs(sol.theta)) <= inst.beta_max
-        assert sol.objective == inst.objective(sol.theta)
+        assert sol.objective == inst.objective(sol.theta)[0]
         threshold = 1e-10 * (sol.objective + 1e-2 * objective_scale(inst))
-        f_dense = inst.objective(dense_barrier(inst, 1e-2 * threshold))
+        f_dense = inst.objective(dense_barrier(inst, 1e-2 * threshold))[0]
         # Both are certified: the solve within the threshold of the optimum,
         # the dense oracle within its central-path bound above it.
         assert sol.objective <= f_dense + threshold

@@ -121,10 +121,10 @@ class TestBeamformingGains:
                                                          seed=seed))
             factor = link_factor(scenario)
             d_mat = factor.d_mat.reshape(num_radars, num_radars, -1)
-            r_vec = factor.r_vec.reshape(num_radars, num_radars)
+            r_mat = factor.columns.reshape(num_radars, num_radars)
             assert np.max(np.abs(d_mat - d_mat.transpose(1, 0, 2))) \
                 <= 1e-12 * np.max(np.abs(d_mat))
-            assert np.max(np.abs(r_vec - r_vec.T)) <= 1e-12 * np.max(np.abs(r_vec))
+            assert np.max(np.abs(r_mat - r_mat.T)) <= 1e-12 * np.max(np.abs(r_mat))
 
 
 class TestRadarPower:
@@ -320,7 +320,7 @@ class TestSharedGeometry:
             for fresh in (_factor(fresh_scenario, case),
                           _factor(dataclasses.replace(fresh_scenario), case)):
                 assert np.array_equal(reused.d_mat, fresh.d_mat)
-                assert np.array_equal(reused.r_vec, fresh.r_vec)
+                assert np.array_equal(reused.columns, fresh.columns)
             # The cached decompositions give the same designs as fresh ones.
             assert np.array_equal(pgd_designs(reused)[0].theta, pgd_designs(fresh)[0].theta)
             assert np.array_equal(mmse_designs(reused)[0][1].theta,
@@ -331,8 +331,11 @@ class TestSharedGeometry:
     def test_true_factors_share_one_link_matrix(self):
         geometry = build_geometry(multi_radar_config(n1x=5))
         a, b = (link_factor(geometry.draw(seed)) for seed in (1, 2))
-        assert a.link is b.link is geometry.true_link
-        assert not np.array_equal(a.r_vec, b.r_vec)
+        # Each holds a read-only view of the geometry's one true link matrix;
+        # only the coating terms are its own.
+        assert np.shares_memory(a.d_mat, geometry.true_link)
+        assert np.shares_memory(b.d_mat, geometry.true_link)
+        assert not np.array_equal(a.columns, b.columns)
 
     def test_draw_keeps_the_seed_stream(self):
         # Coating phases first, then one clock jitter per radar, so a seed
@@ -354,12 +357,27 @@ class TestSharedGeometry:
     def test_coating_terms_are_the_drawn_factors_coating_terms(self):
         geometry = build_geometry(multi_radar_config(n1x=5))
         seeds = [0, 9, 2 ** 32 - 1, 9]
-        r_mat = geometry.coating_terms(seeds)
+        r_mat = geometry.factor(geometry.coatings(seeds)).columns
         assert r_mat.shape == (9, len(seeds))
         for column, seed in zip(r_mat.T, seeds):
-            r_vec = link_factor(geometry.draw(seed)).r_vec
-            np.testing.assert_allclose(column, r_vec, rtol=0,
-                                       atol=1e-13 * np.max(np.abs(r_vec)))
+            r = link_factor(geometry.draw(seed)).columns[:, 0]
+            np.testing.assert_allclose(column, r, rtol=0, atol=1e-13 * np.max(np.abs(r)))
+
+    def test_one_seed_factor_is_the_drawn_factor_bit_for_bit(self):
+        geometry = build_geometry(multi_radar_config(n1x=5))
+        for seed in (0, 9, 2 ** 32 - 1):
+            batch = geometry.factor(geometry.coatings([seed]))
+            drawn = link_factor(geometry.draw(seed))
+            assert np.array_equal(batch.d_mat, drawn.d_mat)
+            assert np.array_equal(batch.columns, drawn.columns)
+            assert batch.beta_max == drawn.beta_max
+
+    def test_factor_rejects_coatings_of_the_wrong_shape(self):
+        geometry = build_geometry(multi_radar_config(n1x=5))
+        phis = geometry.coatings([1, 2])
+        for bad in (phis[:, 0], phis[1:], phis[None]):
+            with pytest.raises(ValueError, match="coating coefficients"):
+                geometry.factor(bad)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "1"])
     def test_draw_rejects_bad_seed(self, seed):
@@ -367,7 +385,7 @@ class TestSharedGeometry:
         with pytest.raises(ValueError):
             geometry.draw(seed)
         with pytest.raises(ValueError):
-            geometry.coating_terms([1, seed])
+            geometry.coatings([1, seed])
 
     def test_replaced_scenario_drops_geometry(self, multi_scenario):
         assert multi_scenario.geometry is not None
@@ -376,12 +394,12 @@ class TestSharedGeometry:
     def test_shared_arrays_are_read_only(self):
         geometry = build_geometry(multi_radar_config(n1x=5))
         factor = link_factor(geometry.draw(1))
-        link = geometry.true_link
-        link_factor(geometry.draw(1), list(geometry.true_angles))
-        shared = [link.array, *link.svd, link.reduced.array, *link.reduced.svd,
-                  link.reduced.fft,
+        steered = [AnglePair(a.azimuth + 0.01, a.elevation) for a in geometry.true_angles]
+        shared = [geometry.true_link, geometry.link_matrix(steered), *factor.svd,
+                  factor.reduced.d_mat, factor.reduced.columns, *factor.reduced.svd,
+                  factor.reduced.fft, factor.reduced.ridge_grid,
                   geometry.amplitudes, geometry.gains, *geometry.true_blocks,
-                  factor.d_mat, factor.r_vec]
+                  factor.d_mat, factor.columns]
         for array in shared:
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 1.0
