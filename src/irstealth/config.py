@@ -205,8 +205,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("radars", "need at least one radar")
     for i, radar in enumerate(cfg.radars):
         path = f"radars[{i}]"
-        if radar.mx < 1 or radar.my < 1:
-            raise ConfigError(f"{path}.mx", "antenna counts must be positive")
+        for name in ("mx", "my"):
+            if getattr(radar, name) < 1:
+                raise ConfigError(f"{path}.{name}", "antenna counts must be positive")
         if radar.spacing <= 0:
             raise ConfigError(f"{path}.spacing", "spacing must be positive")
         if not 0 < radar.pulse < radar.pri:
@@ -229,8 +230,9 @@ def validate_config(cfg: ScenarioConfig) -> None:
         raise ConfigError("target.beta_max", "must be in (0, 1]")
     if not 0 <= tgt.zeta <= 1:
         raise ConfigError("target.zeta", "must be in [0, 1]")
-    if tgt.cssa_lx % 2 == 0 or tgt.cssa_ly % 2 == 0:
-        raise ConfigError("target.cssa_lx", "sensing-array arms must be odd")
+    for name in ("cssa_lx", "cssa_ly"):
+        if getattr(tgt, name) % 2 == 0:
+            raise ConfigError(f"target.{name}", "sensing-array arms must be odd")
     if tgt.epoch_jitter < 0:
         raise ConfigError("target.epoch_jitter", "must be nonnegative")
 

@@ -12,41 +12,37 @@ The trials of a sweep point run as one batch: they share the point's true
 link matrix and differ only in their coating coefficients, so one call of
 :meth:`~irstealth.power_model.ScenarioGeometry.factor` builds their true
 problem, one batched :class:`~irstealth.power_model.QcqpInstance` with a
-K^2 x T coating-term matrix; a single trial is a batch of one.  Each
-point's trials fall into design groups, every group running its solver
-table (CSV row name to :data:`~irstealth.optimizers.SOLVERS` entry; by
-default the sweep designs) on its own batched problem, reduced once for
-all of them, and all of a group's true powers come from one
-:meth:`~irstealth.power_model.QcqpInstance.objective` call.  Steering-error
-trials are grouped by their perturbed directions (at most 2^K sign
-patterns per error value), each group on one perturbed link matrix; in the
-sensing preset all trials are sensed in one pass per snapshot count, each
-designs alone on its estimated link factor, and all design together on
-the true problem, once per preset.
+K^2 x T coating-term matrix; a single trial is a batch of one.  A design
+group is some of a point's trials running a solver table (CSV row name to
+:data:`~irstealth.optimizers.SOLVERS` entry) on one batched problem,
+reduced once for all of them; all of a group's true powers come from one
+:meth:`~irstealth.power_model.QcqpInstance.objective` call.  The sweeps
+whose points differ in their config build one geometry per point and run
+the sweep designs as one group on its true problem.  The steering-error
+and sensing presets keep their config: they build the geometry and the
+true problem once and loop over their own values.  Steering-error trials
+are grouped by their perturbed directions (at most 2^K sign patterns per
+error value), each group on one perturbed link matrix; the sensing preset
+senses all trials in one pass per snapshot count, designs each trial
+alone on its estimated link factor, and designs all trials together on
+the true problem once per preset.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from .arrays import AnglePair
 from .config import (ConfigError, ScenarioConfig, build_geometry, validate_config,
-                     watts_to_db, with_seed)
+                     watts_to_db)
 from .estimation import sense
 from .optimizers import SOLVERS, ConvergenceError, min_irs_elements
 from .power_model import QcqpInstance, _distance, link_factor
-
-PRESET_NAMES = ("power-vs-distance", "power-vs-elements", "power-vs-angle",
-                "power-vs-aoa-error", "power-vs-num-radars",
-                "min-elements-validation", "estimation-pipeline")
 
 
 @dataclass(frozen=True)
@@ -98,16 +94,6 @@ def _steered(truth: AnglePair, error_deg: float, sign: float) -> AnglePair:
     return AnglePair(azimuth, truth.elevation)
 
 
-class _Group(NamedTuple):
-    """Trials ``members`` of a sweep point, designed on ``problem`` (one column
-    of coating terms per member).  ``solvers`` maps each row name to its
-    :data:`~irstealth.optimizers.SOLVERS` entry."""
-
-    solvers: dict
-    problem: QcqpInstance
-    members: np.ndarray
-
-
 def _sweep_solvers(truth: QcqpInstance) -> dict:
     """The sweep designs: ``pgd`` and ``dft-codebook``, ``reverse-alignment``
     for one radar or ``mmse`` for more, and the two baselines."""
@@ -115,77 +101,45 @@ def _sweep_solvers(truth: QcqpInstance) -> dict:
     return {name: name for name in ("pgd", fitted, "dft-codebook", "random-phase", "no-irs")}
 
 
-def _batch_powers(truth: QcqpInstance, seeds, group: _Group) -> dict[str, np.ndarray]:
-    """Sum received power of every design of ``group``, one entry per member.
+def _group_rows(value, truth, seeds, solvers, problem, members):
+    """Rows of trials ``members`` at sweep point ``value``, every design of
+    ``solvers`` (row name to :data:`~irstealth.optimizers.SOLVERS` entry)
+    run on ``problem``, one coating-term column per member.
 
-    Member t has its true coating terms in ``truth`` and the random-phase
-    seed ``seeds[t]``.  Every ||D theta + r_t||^2 comes from one objective
-    call: the designs stacked side by side, on the true problem with the
-    members' coating terms repeated once per solver.
+    Trial t has its true coating terms in column t of ``truth`` and the
+    random-phase seed ``seeds[t]``.  Every ||D theta + r_t||^2 comes from one
+    objective call: the designs stacked side by side, on the true problem
+    with the members' coating terms repeated once per solver.  A solve that
+    runs out of steps is reported with its (sweep, trial, seed) point.
     """
-    thetas = [np.column_stack([sol.theta for sol in SOLVERS[solver](group.problem, seeds)])
-              for solver in group.solvers.values()]
-    trials = group.members.size
-    stacked = QcqpInstance(truth.d_mat, np.tile(truth.columns[:, group.members], len(thetas)),
-                           truth.beta_max)
-    power = stacked.objective(np.hstack(thetas))
-    return {row: power[i * trials:(i + 1) * trials] for i, row in enumerate(group.solvers)}
-
-
-@contextmanager
-def _trial_point(value, trials, seeds):
-    """Name the (sweep, trial, seed) point of a solve that ran out of steps;
-    ``trials`` and ``seeds`` give the trial of each batch column."""
+    seeds = seeds[members]
     try:
-        yield
+        thetas = [np.column_stack([sol.theta for sol in SOLVERS[solver](problem, seeds)])
+                  for solver in solvers.values()]
     except ConvergenceError as exc:
-        raise ConvergenceError(f"{exc} at sweep {value:g}, trial {trials[exc.column]}, "
+        raise ConvergenceError(f"{exc} at sweep {value:g}, trial {members[exc.column]}, "
                                f"seed {seeds[exc.column]}", exc.best) from exc
+    stacked = QcqpInstance(truth.d_mat, np.tile(truth.columns[:, members], len(thetas)),
+                           truth.beta_max)
+    powers = stacked.objective(np.hstack(thetas)).reshape(len(thetas), -1).tolist()
+    return [ExperimentRow(float(value), row, int(trial), int(seed), power, watts_to_db(power))
+            for row, watts in zip(solvers, powers)
+            for trial, seed, power in zip(members, seeds, watts)]
 
 
-def _geometries(sweep_values, config_for):
-    """(value, geometry) of every sweep point, given its config by ``config_for``.
+def _sweep_rows(config, trials, values, config_for, solvers=None):
+    """Rows of a sweep whose points differ in their config, ``config_for(value)``.
 
-    Each point's geometry is validated and built once and shared by all its
-    trials; a point whose config (seed aside) equals the previous point's
-    shares that point's geometry too.  Only one geometry is held at a time.
+    Each point's geometry is built once, and all its trials run ``solvers``
+    (by default the sweep designs) as one group on its true problem.
     """
-    last = geometry = None
-    for value in sweep_values:
-        point = with_seed(config_for(value), 0)
-        if point != last:
-            last, geometry = point, build_geometry(point)
-        yield value, geometry
-
-
-def _true_groups(solvers=None):
-    """``groups_for`` of one group of all trials on the true problem, running
-    ``solvers`` (by default the sweep designs)."""
-    return lambda geometry, value, truth: [
-        _Group(solvers or _sweep_solvers(truth), truth, np.arange(truth.columns.shape[1]))]
-
-
-def _sweep_rows(config, trials, sweep_values, config_for, groups_for=_true_groups()):
-    """Rows of every sweep point, its trials run as one batch per design group.
-
-    ``groups_for(geometry, value, truth)`` gives the point's design groups
-    (:class:`_Group`), given the true problem of all its trials, one
-    coating-term column each; by default one group runs the sweep designs
-    on the true problem.
-    """
-    rows = []
     seeds = trial_seeds(config.seed, trials)
-    for value, geometry in _geometries(sweep_values, config_for):
+    rows = []
+    for value in values:
+        geometry = build_geometry(config_for(value))
         truth = geometry.factor(geometry.coatings(seeds))
-        for group in groups_for(geometry, value, truth):
-            members = group.members
-            seed_group = seeds[members]
-            with _trial_point(value, members, seed_group):
-                powers = _batch_powers(truth, seed_group, group)
-            for solver, watts in powers.items():
-                for trial, seed, power in zip(members, seed_group, watts.tolist()):
-                    rows.append(ExperimentRow(float(value), solver, int(trial), int(seed),
-                                              power, watts_to_db(power)))
+        rows += _group_rows(value, truth, seeds, solvers or _sweep_solvers(truth), truth,
+                            np.arange(trials))
     return rows
 
 
@@ -235,26 +189,29 @@ def _preset_angle(config, trials):
 
 def _preset_aoa_error(config, trials):
     sweep = (0.0, 0.5, 1.0, 2.0)
+    seeds = trial_seeds(config.seed, trials)
+    geometry = build_geometry(config)
+    truth = geometry.factor(geometry.coatings(seeds))
+    solvers = _sweep_solvers(truth)
     # Radar k of a trial errs with the sign drawn from seed + k, whatever the
     # error's magnitude (as in inject_aoa_error).
     signs = [tuple(_error_sign(int(seed) + k) for k in range(len(config.radars)))
-             for seed in trial_seeds(config.seed, trials)]
-
-    def groups_for(geometry, value, truth):
-        # Steering error: perturbed panel rows, true coating gains and weights.
+             for seed in seeds]
+    rows = []
+    for value in sweep:
+        # Trials with equal perturbed directions form one group: perturbed
+        # panel rows, true coating gains and weights.
         groups = {}
         for trial, pattern in enumerate(signs):
             angles = (geometry.true_angles if value == 0 else
                       tuple(_steered(a, value, sign)
                             for a, sign in zip(geometry.true_angles, pattern)))
             groups.setdefault(angles, []).append(trial)
-        solvers = _sweep_solvers(truth)
-        return [_Group(solvers, QcqpInstance(geometry.link_matrix(angles),
-                                             truth.columns[:, members], truth.beta_max),
-                       np.array(members)) for angles, members in groups.items()]
-
-    return "aoa_error_deg", sweep, _sweep_rows(config, trials, sweep,
-                                               lambda value: config, groups_for)
+        for angles, members in groups.items():
+            problem = QcqpInstance(geometry.link_matrix(angles), truth.columns[:, members],
+                                   truth.beta_max)
+            rows += _group_rows(value, truth, seeds, solvers, problem, np.array(members))
+    return "aoa_error_deg", sweep, rows
 
 
 def _preset_num_radars(config, trials):
@@ -283,29 +240,28 @@ def _preset_min_elements(config, trials, realizations: int = 20):
     sweep = tuple(n1x * n1y for n1x in range(max(1, n1x_pred - 2), n1x_pred + 2))
     return "num_elements", sweep, _sweep_rows(
         config, trials, sweep, lambda value: _with_elements(config, value),
-        _true_groups({"reverse-alignment": "reverse-alignment"}))
+        {"reverse-alignment": "reverse-alignment"})
 
 
 def _preset_estimation(config, trials):
     sweep = (16.0, 32.0, 64.0)
     seeds = trial_seeds(config.seed, trials)
-    draws = functools.cache(lambda geometry: [geometry.draw(int(seed)) for seed in seeds])
-
-    def groups_for(geometry, value, truth):
-        # Each trial designs on its own sensed parameters (one sensing pass),
-        # and all trials on the true problem once, at the first count.
-        scenarios = draws(geometry)
+    geometry = build_geometry(config)
+    scenarios = [geometry.draw(int(seed)) for seed in seeds]
+    truth = geometry.factor(geometry.coatings(seeds))
+    rows = []
+    for value in sweep:
+        # Each trial designs alone on its sensed parameters (one sensing pass).
         sensed = sense(scenarios, int(value), [int(seed) + 0xA0A for seed in seeds])
         for trial, (scenario, (angles, g2)) in enumerate(zip(scenarios, sensed)):
-            yield _Group({"pgd-estimated": "pgd"}, link_factor(scenario, angles, g2),
-                         np.array([trial]))
+            rows += _group_rows(value, truth, seeds, {"pgd-estimated": "pgd"},
+                                link_factor(scenario, angles, g2), np.array([trial]))
         if value == sweep[0]:
-            yield from _true_groups({"pgd-true": "pgd"})(geometry, value, truth)
-
-    rows = _sweep_rows(config, trials, sweep, lambda value: config, groups_for)
-    rows += [replace(row, sweep=value) for value in sweep[1:]
-             for row in rows if row.solver == "pgd-true"]
-    return "num_snapshots", sweep, rows
+            # All trials design on the true problem once, at the first count.
+            true = _group_rows(value, truth, seeds, {"pgd-true": "pgd"}, truth,
+                               np.arange(trials))
+    return "num_snapshots", sweep, rows + [replace(row, sweep=value) for value in sweep
+                                           for row in true]
 
 
 _PRESETS = {
@@ -317,6 +273,7 @@ _PRESETS = {
     "min-elements-validation": _preset_min_elements,
     "estimation-pipeline": _preset_estimation,
 }
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def run_experiment(preset: str, config: ScenarioConfig, trials: int) -> ExperimentResult:

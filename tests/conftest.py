@@ -1,7 +1,21 @@
 """Shared generators and independent oracles for the test suite."""
 
+import warnings
+
 import numpy as np
 import pytest
+
+# Hypothesis writes a patch for every failing example with libcst, whose
+# first import warns (a DeprecationWarning of mypy_extensions.TypedDict).
+# Under ``-W error`` that warning, raised in a report hook, aborts the whole
+# session; importing the patch writer here, warning ignored, lets the run
+# go on and list its failures.  Without libcst there is no patch writer.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
 from irstealth.power_model import QcqpInstance, angles_between

@@ -170,7 +170,8 @@ class TestMalformedFields:
         ("radars[0].noise_dbm", 1e308), ("target.cssa_noise_dbm", 1e308),
         ("seed", 1.5), ("seed", -1), ("seed", True),
         ("radars[1].foo", 1.0), ("target", MISSING), ("radars[0]", 5),
-        ("target.position", 5), ("radars[1].position", MISSING), ("alpha_db", MISSING)])
+        ("target.position", 5), ("radars[1].position", MISSING), ("alpha_db", MISSING),
+        ("target.cssa_ly", 4), ("radars[0].my", 0)])
     def test_rejected_with_field_path(self, tmp_path, capsys, fieldpath, value):
         doc = _with_field(multi_radar_config(num_radars=2).to_dict(), fieldpath, value)
         with pytest.raises(ConfigError) as err:

@@ -291,12 +291,17 @@ class TestGeometryReuse:
                                                 ("power-vs-num-radars", 3),
                                                 ("estimation-pipeline", 1)])
     def test_one_geometry_per_distinct_point(self, monkeypatch, preset, builds):
-        count = []
-        build = experiments.build_geometry
+        # The error and sensing presets keep their config, so all their sweep
+        # values share one geometry and one true problem too.
+        count, problems = [], []
+        build, coatings = experiments.build_geometry, ScenarioGeometry.coatings
         monkeypatch.setattr(experiments, "build_geometry",
                             lambda cfg: count.append(cfg) or build(cfg))
+        monkeypatch.setattr(ScenarioGeometry, "coatings",
+                            lambda geometry, seeds: problems.append(seeds)
+                            or coatings(geometry, seeds))
         run_experiment(preset, multi_radar_config(num_radars=3, n1x=4), 2)
-        assert len(count) == builds
+        assert len(count) == len(problems) == builds
 
     def test_sensing_preset_draws_each_trial_once(self, monkeypatch):
         draws = []
@@ -445,15 +450,20 @@ class TestTrialBatch:
 
     @pytest.mark.parametrize("num_radars, preset", BATCH_CASES)
     def test_rows_match_the_one_trial_path(self, monkeypatch, num_radars, preset):
-        points = {}
-        sweep_points = experiments._geometries
+        points, built = {}, []
+        build, group_rows = experiments.build_geometry, experiments._group_rows
 
-        def recording(sweep_values, config_for):
-            for value, geometry in sweep_points(sweep_values, config_for):
-                points[float(value)] = geometry
-                yield value, geometry
+        def building(cfg):
+            built.append(build(cfg))
+            return built[-1]
 
-        monkeypatch.setattr(experiments, "_geometries", recording)
+        def recording(value, *args):
+            # Every design group of a point runs on the geometry built last.
+            points[float(value)] = built[-1]
+            return group_rows(value, *args)
+
+        monkeypatch.setattr(experiments, "build_geometry", building)
+        monkeypatch.setattr(experiments, "_group_rows", recording)
         config = _batch_config(num_radars)
         rows, failure = self._run(preset, config, 5)
         got = {(r.sweep, r.trial, r.solver): r for r in rows}
