@@ -224,6 +224,8 @@ def validate_config(cfg: ScenarioConfig) -> None:
     for name in ("n1x", "n1y", "n2x", "n2y", "cssa_lx", "cssa_ly"):
         if getattr(tgt, name) < 1:
             raise ConfigError(f"target.{name}", "element counts must be positive")
+    if tgt.spacing <= 0:
+        raise ConfigError("target.spacing", "spacing must be positive")
     if tgt.n1y != tgt.n2y:
         raise ConfigError("target.n2y", "panel and coating must share the y-grid")
     if not 0 < tgt.beta_max <= 1:
@@ -243,7 +245,7 @@ def build_geometry(config: ScenarioConfig) -> ScenarioGeometry:
     The geometry holds everything the seed does not change; its
     :meth:`~irstealth.power_model.ScenarioGeometry.draw` makes the scenario
     of any seed, and every scenario drawn from one geometry shares its
-    responses, gains and true link matrix.
+    responses, gains and link amplitudes.
     """
     validate_config(config)
     tgt = config.target

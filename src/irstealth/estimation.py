@@ -210,9 +210,8 @@ _GRID_STEP = np.deg2rad(1.0)
 # power of two: boxes are halved down to single points).
 _REFINE_BOX = 16
 
-# Most boxes per round of a lockstep refine, and scenarios :func:`sense` refines
-# together: more cost memory for little speed.
-_REFINE_BUDGET, _SENSE_TRIALS = 2048, 4
+# Most boxes per round of a lockstep refine: more cost memory for little speed.
+_REFINE_BUDGET = 2048
 
 
 def _block_radius(geometry, wavelength, az, el, d_az, d_el):
@@ -330,13 +329,13 @@ def sense(scenarios, n_snapshots: int,
     """Estimated angles and squared gains (:func:`gain_estimate`) of scenarios
     drawn from one geometry, scenario t's noise from ``seeds[t]``.
 
-    Each pair can be fed to :func:`~irstealth.power_model.link_factor` as
-    ``angles`` and ``g2``.  The gains read the first radar's interval and
+    Each pair can be fed to :meth:`~irstealth.power_model.ScenarioGeometry.factor`
+    as ``angles`` and ``g2``.  The gains read the first radar's interval and
     pulse and carry one transmit power, so radars that differ in
     ``tx_power``, ``pri`` or ``pulse`` raise a :class:`ConfigError` naming
-    ``radars[i].<field>``.  :data:`_SENSE_TRIALS` scenarios at a time are
-    scanned in order (the first with too few peaks raises), their peaks
-    refined in lockstep and their angles steered in one call.
+    ``radars[i].<field>``.  All scenarios are scanned in order (the first
+    with too few peaks raises), their peaks refined in lockstep and their
+    angles steered in one call.
     """
     first = scenarios[0].radars[0]
     for i, radar in enumerate(scenarios[0].radars[1:], start=1):
@@ -345,12 +344,9 @@ def sense(scenarios, n_snapshots: int,
                 raise ConfigError(f"radars[{i}].{name}", "sensing needs every radar "
                                   f"to share radars[0].{name}")
     sets, k = collect_snapshots(scenarios, n_snapshots, seeds), scenarios[0].num_radars
-    sensed = []
-    for chunk in (sets[lo:lo + _SENSE_TRIALS] for lo in range(0, len(sets), _SENSE_TRIALS)):
-        estimates = music_aoa(chunk, k, _GRID_STEP)
-        steering = steering_matrix(chunk[0].geometry, chunk[0].wavelength,
-                                   [pair for angles in estimates for pair in angles])
-        for t, (snapshots, angles) in enumerate(zip(chunk, estimates)):
-            recovered = ls_recover(snapshots, steering[:, t * k:(t + 1) * k])
-            sensed.append((angles, gain_estimate(recovered, first.pri, first.pulse)))
-    return sensed
+    estimates = music_aoa(sets, k, _GRID_STEP)
+    steering = steering_matrix(sets[0].geometry, sets[0].wavelength,
+                               [pair for angles in estimates for pair in angles])
+    return [(angles, gain_estimate(ls_recover(snapshots, steering[:, t * k:(t + 1) * k]),
+                                   first.pri, first.pulse))
+            for t, (snapshots, angles) in enumerate(zip(sets, estimates))]

@@ -9,10 +9,12 @@ parameters (the imperfect-information presets), but powers are always
 evaluated on the true scenario.
 
 The trials of a sweep point run as one batch: they share the point's true
-link matrix and differ only in their coating coefficients, so one call of
-:meth:`~irstealth.power_model.ScenarioGeometry.factor` builds their true
-problem, one batched :class:`~irstealth.power_model.QcqpInstance` with a
-K^2 x T coating-term matrix; a single trial is a batch of one.  A design
+link matrix and differ only in their coating coefficients.  Every problem,
+true, steered or sensed, comes from
+:meth:`~irstealth.power_model.ScenarioGeometry.factor`, and one call builds
+a point's true problem, one batched
+:class:`~irstealth.power_model.QcqpInstance` with a K^2 x T coating-term
+matrix; a single trial is a batch of one.  A design
 group is some of a point's trials running a solver table (CSV row name to
 :data:`~irstealth.optimizers.SOLVERS` entry) on one batched problem,
 reduced once for all of them; all of a group's true powers come from one
@@ -22,18 +24,16 @@ the sweep designs as one group on its true problem.  The steering-error
 and sensing presets keep their config: they build the geometry and the
 true problem once and loop over their own values.  Steering-error trials
 are grouped by their perturbed directions (at most 2^K sign patterns per
-error value), each group on one perturbed link matrix; the sensing preset
-senses all trials in one pass per snapshot count, designs each trial
-alone on its estimated link factor, and designs all trials together on
-the true problem once per preset.
+error value), each group designed on the factor of its members' coatings
+toward those directions; the sensing preset senses all trials in one pass
+per snapshot count, designs each trial alone on its sensed factor, and
+designs all trials together on the true problem once per preset.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .config import (ConfigError, ScenarioConfig, build_geometry, validate_confi
                      watts_to_db)
 from .estimation import sense
 from .optimizers import SOLVERS, ConvergenceError, min_irs_elements
-from .power_model import QcqpInstance, _distance, link_factor
+from .power_model import QcqpInstance, _distance
 
 
 @dataclass(frozen=True)
@@ -57,10 +57,8 @@ class ExperimentRow:
 
 @dataclass
 class ExperimentResult:
-    sweep_name: str
     sweep_values: tuple
     rows: tuple[ExperimentRow, ...]
-    metadata: dict = field(default_factory=dict)
 
 
 def trial_seeds(master_seed: int, trials: int) -> np.ndarray:
@@ -164,7 +162,7 @@ def _preset_distance(config, trials):
     def config_for(value):
         return _scaled_positions(config, value / base)
 
-    return "distance_m", sweep, _sweep_rows(config, trials, sweep, config_for)
+    return sweep, _sweep_rows(config, trials, sweep, config_for)
 
 
 def _preset_elements(config, trials):
@@ -173,8 +171,8 @@ def _preset_elements(config, trials):
     else:
         n1x_values = (5, 10, 15, 20, 25, 30, 35, 40, 45)
     sweep = tuple(n * config.target.n1y for n in n1x_values)
-    return "num_elements", sweep, _sweep_rows(
-        config, trials, sweep, lambda value: _with_elements(config, value))
+    return sweep, _sweep_rows(config, trials, sweep,
+                              lambda value: _with_elements(config, value))
 
 
 def _preset_angle(config, trials):
@@ -184,14 +182,15 @@ def _preset_angle(config, trials):
         radars = tuple(replace(r, beam_azimuth_deg=value) for r in config.radars)
         return replace(config, radars=radars)
 
-    return "beam_azimuth_deg", sweep, _sweep_rows(config, trials, sweep, config_for)
+    return sweep, _sweep_rows(config, trials, sweep, config_for)
 
 
 def _preset_aoa_error(config, trials):
     sweep = (0.0, 0.5, 1.0, 2.0)
     seeds = trial_seeds(config.seed, trials)
     geometry = build_geometry(config)
-    truth = geometry.factor(geometry.coatings(seeds))
+    phis = geometry.coatings(seeds)
+    truth = geometry.factor(phis)
     solvers = _sweep_solvers(truth)
     # Radar k of a trial errs with the sign drawn from seed + k, whatever the
     # error's magnitude (as in inject_aoa_error).
@@ -208,10 +207,9 @@ def _preset_aoa_error(config, trials):
                             for a, sign in zip(geometry.true_angles, pattern)))
             groups.setdefault(angles, []).append(trial)
         for angles, members in groups.items():
-            problem = QcqpInstance(geometry.link_matrix(angles), truth.columns[:, members],
-                                   truth.beta_max)
-            rows += _group_rows(value, truth, seeds, solvers, problem, np.array(members))
-    return "aoa_error_deg", sweep, rows
+            rows += _group_rows(value, truth, seeds, solvers,
+                                geometry.factor(phis[:, members], angles), np.array(members))
+    return sweep, rows
 
 
 def _preset_num_radars(config, trials):
@@ -220,7 +218,7 @@ def _preset_num_radars(config, trials):
     def config_for(value):
         return replace(config, radars=config.radars[: int(value)])
 
-    return "num_radars", sweep, _sweep_rows(config, trials, sweep, config_for)
+    return sweep, _sweep_rows(config, trials, sweep, config_for)
 
 
 def _preset_min_elements(config, trials, realizations: int = 20):
@@ -238,9 +236,9 @@ def _preset_min_elements(config, trials, realizations: int = 20):
                                  realizations)
     n1x_pred = max(1, math.ceil(predicted / n1y))
     sweep = tuple(n1x * n1y for n1x in range(max(1, n1x_pred - 2), n1x_pred + 2))
-    return "num_elements", sweep, _sweep_rows(
-        config, trials, sweep, lambda value: _with_elements(config, value),
-        {"reverse-alignment": "reverse-alignment"})
+    return sweep, _sweep_rows(config, trials, sweep,
+                              lambda value: _with_elements(config, value),
+                              {"reverse-alignment": "reverse-alignment"})
 
 
 def _preset_estimation(config, trials):
@@ -248,20 +246,21 @@ def _preset_estimation(config, trials):
     seeds = trial_seeds(config.seed, trials)
     geometry = build_geometry(config)
     scenarios = [geometry.draw(int(seed)) for seed in seeds]
-    truth = geometry.factor(geometry.coatings(seeds))
+    phis = geometry.coatings(seeds)
+    truth = geometry.factor(phis)
     rows = []
     for value in sweep:
         # Each trial designs alone on its sensed parameters (one sensing pass).
         sensed = sense(scenarios, int(value), [int(seed) + 0xA0A for seed in seeds])
-        for trial, (scenario, (angles, g2)) in enumerate(zip(scenarios, sensed)):
+        for trial, (angles, g2) in enumerate(sensed):
             rows += _group_rows(value, truth, seeds, {"pgd-estimated": "pgd"},
-                                link_factor(scenario, angles, g2), np.array([trial]))
+                                geometry.factor(phis[:, [trial]], angles, g2),
+                                np.array([trial]))
         if value == sweep[0]:
             # All trials design on the true problem once, at the first count.
             true = _group_rows(value, truth, seeds, {"pgd-true": "pgd"}, truth,
                                np.arange(trials))
-    return "num_snapshots", sweep, rows + [replace(row, sweep=value) for value in sweep
-                                           for row in true]
+    return sweep, rows + [replace(row, sweep=value) for value in sweep for row in true]
 
 
 _PRESETS = {
@@ -283,13 +282,9 @@ def run_experiment(preset: str, config: ScenarioConfig, trials: int) -> Experime
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     validate_config(config)
-    sweep_name, sweep_values, rows = _PRESETS[preset](config, trials)
+    sweep_values, rows = _PRESETS[preset](config, trials)
     rows = tuple(sorted(rows, key=lambda r: (r.sweep, r.solver, r.trial)))
-    digest = hashlib.sha256(json.dumps(config.to_dict(), sort_keys=True)
-                            .encode()).hexdigest()[:16]
-    metadata = {"preset": preset, "config_hash": digest, "trials": trials,
-                "master_seed": config.seed}
-    return ExperimentResult(sweep_name, tuple(sweep_values), rows, metadata)
+    return ExperimentResult(tuple(sweep_values), rows)
 
 
 _CSV_HEADER = "sweep,solver,trial,seed,power_watts,power_db"
@@ -314,7 +309,7 @@ def emit_csv(result: ExperimentResult, path) -> None:
 
 
 def parse_csv(path) -> ExperimentResult:
-    """Inverse of :func:`emit_csv` up to row content (metadata is not stored)."""
+    """Inverse of :func:`emit_csv`: the rows, and the sweep values they hold."""
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -325,4 +320,4 @@ def parse_csv(path) -> ExperimentResult:
             rows.append(ExperimentRow(float(sweep), solver, int(trial), int(seed),
                                       float(watts), float(db)))
     values = tuple(sorted({r.sweep for r in rows}))
-    return ExperimentResult("sweep", values, tuple(rows), {})
+    return ExperimentResult(values, tuple(rows))

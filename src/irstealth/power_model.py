@@ -14,9 +14,9 @@ its stacked link factor, one problem object (:class:`QcqpInstance`, built by
 panel only through K^2 rank-one links.
 
 A scenario splits into a seed-free :class:`ScenarioGeometry` (nodes,
-surface responses, radar gains, link amplitudes and the true link matrix,
-each built once on first use) and the per-seed coating phases and pulse
-epochs that :meth:`ScenarioGeometry.draw` adds.  Scenarios drawn from one
+surface responses, radar gains and link amplitudes, each built once on
+first use) and the per-seed coating phases and pulse epochs that
+:meth:`ScenarioGeometry.draw` adds.  Scenarios drawn from one
 geometry share everything it has built.
 """
 
@@ -325,7 +325,7 @@ class ScenarioGeometry:
     epochs are the bare propagation delays), the target (its coating at zero
     phase) and the pulse-clock jitter bound.  On first use, and then once,
     it builds the surface blocks toward the radars, the radars' beamforming
-    gains, the link amplitudes and the true link matrix, all read-only.
+    gains and the link amplitudes, all read-only.
     :meth:`factor` builds the link factor of any coating coefficients from
     them.  Coating phases and pulse epochs are never read from it:
     :meth:`draw` and :meth:`coatings` draw them per seed.
@@ -392,36 +392,31 @@ class ScenarioGeometry:
           scale of the estimates rescales the objective without moving its
           minimizer.  Assumes a common transmit power across radars.
 
-        True angles reuse the cached :attr:`true_link`; other angles build their
-        surface blocks with one :meth:`blocks` call.
+        True angles reuse the cached :attr:`true_blocks`; other angles build
+        their surface blocks with one :meth:`blocks` call.  The coating
+        product reads ``phis`` as a C-contiguous array, so its bits do not
+        depend on the memory layout of the columns passed in.
         """
         n2 = self._coating_magnitude.size
         if np.ndim(phis) != 2 or np.shape(phis)[0] != n2:
             raise ValueError(f"need {n2} x T coating coefficients, got {np.shape(phis)}")
+        true = angles is None or tuple(angles) == self.true_angles
+        panel, coating = self.true_blocks if true else self.blocks(angles)
         if g2 is None:
             if angles is not None and len(angles) != len(self.radars):
                 raise ValueError(f"need one angle per radar, got {len(angles)} "
                                  f"for {len(self.radars)}")
             amp, coating = self.amplitudes, self.true_blocks[1]
-            d_mat = self.link_matrix(self.true_angles if angles is None else angles)
         else:
             g2 = np.asarray(g2, dtype=float)
             if angles is None or len(angles) != g2.size:
                 raise ValueError("need one gain estimate per estimated angle")
             if not np.all(np.isfinite(g2)) or np.any(g2 < 0):
                 raise ValueError(f"gain estimates g2 must be finite and nonnegative, got {g2}")
-            panel, coating = self.blocks(angles)
             amp = np.sqrt(g2[:, None] * g2[None, :]).reshape(-1)
-            d_mat = amp[:, None] * _pairs(panel)
-        return QcqpInstance(d_mat, amp[:, None] * (_pairs(coating) @ phis),
+        return QcqpInstance(amp[:, None] * _pairs(panel),
+                            amp[:, None] * (_pairs(coating) @ np.ascontiguousarray(phis)),
                             self.target.beta_max)
-
-    def link_matrix(self, angles) -> np.ndarray:
-        """Read-only link matrix with true link amplitudes and panel rows toward
-        ``angles`` (one per radar); the true angles give the cached :attr:`true_link`."""
-        if tuple(angles) == self.true_angles:
-            return self.true_link
-        return _read_only(self.amplitudes[:, None] * _pairs(self.blocks(angles)[0]))
 
     def blocks(self, angles) -> tuple[np.ndarray, np.ndarray]:
         """Panel and coating blocks toward each direction, one C-contiguous row
@@ -463,12 +458,6 @@ class ScenarioGeometry:
         powers = np.array([r.tx_power for r in self.radars])
         g2 = np.abs(self.gains) ** 2
         return _read_only(np.sqrt(g2[:, None] * (powers * g2)[None, :]).reshape(-1))
-
-    @cached_property
-    def true_link(self) -> np.ndarray:
-        """True link matrix D, read-only, shared by every scenario drawn from
-        this geometry."""
-        return _read_only(self.amplitudes[:, None] * _pairs(self.true_blocks[0]))
 
 
 def _checked_seed(seed) -> int:

@@ -171,7 +171,8 @@ class TestMalformedFields:
         ("seed", 1.5), ("seed", -1), ("seed", True),
         ("radars[1].foo", 1.0), ("target", MISSING), ("radars[0]", 5),
         ("target.position", 5), ("radars[1].position", MISSING), ("alpha_db", MISSING),
-        ("target.cssa_ly", 4), ("radars[0].my", 0)])
+        ("target.cssa_ly", 4), ("radars[0].my", 0), ("target.spacing", 0.0),
+        ("target.spacing", -0.0125)])
     def test_rejected_with_field_path(self, tmp_path, capsys, fieldpath, value):
         doc = _with_field(multi_radar_config(num_radars=2).to_dict(), fieldpath, value)
         with pytest.raises(ConfigError) as err:

@@ -11,7 +11,7 @@ from irstealth.config import (ConfigError, build_geometry, build_scenario,
 from irstealth.estimation import (EstimationError, SnapshotSet, collect_snapshots,
                                   gain_estimate, ls_recover, music_aoa, sense,
                                   steering_matrix, _block_radius, _coarse_grid,
-                                  _refine_peaks, _scan, _SENSE_TRIALS, _spectrum,
+                                  _refine_peaks, _scan, _spectrum,
                                   _subspaces)
 from irstealth.optimizers import codebook_designs, mmse_designs, pgd_designs
 from irstealth.power_model import link_factor, sum_power
@@ -292,13 +292,13 @@ class TestSense:
     def test_first_failing_scenario_raises_what_it_raises_alone(self):
         # Five radars at 16 snapshots: with noise seed 8 the scenario of seed 2
         # resolves 2 of 5 peaks and with noise seed 2 it resolves 3; seeds 1
-        # and 3 resolve all five.  The failing scenario sits in the first
-        # chunk, then in the second.
+        # and 3 resolve all five.  The failing scenario follows one good
+        # scenario, then five.
         geometry = build_geometry(multi_radar_config(num_radars=5))
         ok, failing, later = geometry.draw(1), geometry.draw(2), geometry.draw(3)
         with pytest.raises(EstimationError) as alone:
             sense([failing], 16, [8])
-        for before in (1, _SENSE_TRIALS + 1):
+        for before in (1, 5):
             with pytest.raises(EstimationError) as batch:
                 sense([ok] * before + [failing, later, failing], 16, [8] * (before + 2) + [2])
             assert str(batch.value) == str(alone.value) == "found 2 peaks, expected 5"

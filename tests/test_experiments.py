@@ -80,7 +80,7 @@ row_st = st.builds(
 class TestCsvRoundTrip:
     def test_empty_result_is_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit_csv(ExperimentResult("x", (), (), {}), path)
+        emit_csv(ExperimentResult((), ()), path)
         assert path.read_text() == "sweep,solver,trial,seed,power_watts,power_db\n"
 
     @given(st.lists(row_st, max_size=24))
@@ -88,7 +88,7 @@ class TestCsvRoundTrip:
     def test_round_trip_rows_exactly(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "rows.csv")
-            emit_csv(ExperimentResult("x", (), tuple(rows), {}), path)
+            emit_csv(ExperimentResult((), tuple(rows)), path)
             parsed = parse_csv(path)
         want = sorted(rows, key=lambda r: (r.sweep, r.solver, r.trial))
         assert list(parsed.rows) == want

@@ -612,9 +612,9 @@ class TestColumnBatches:
         config = dataclasses.replace(
             config, target=dataclasses.replace(config.target, beta_max=0.05))
         geometry = build_geometry(config)
-        r_mat = (geometry.factor(geometry.coatings(range(120))).columns
-                 * np.tile([1e-4, 1.0, 1e3, 1e8], 30))
-        problem = QcqpInstance(geometry.true_link, r_mat, 0.05)
+        truth = geometry.factor(geometry.coatings(range(120)))
+        r_mat = truth.columns * np.tile([1e-4, 1.0, 1e3, 1e8], 30)
+        problem = QcqpInstance(truth.d_mat, r_mat, 0.05)
         return problem, [QcqpInstance(problem.d_mat, r, 0.05) for r in r_mat.T]
 
     @staticmethod

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import RADAR_AXES, oracle_radar_powers
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, upa_response
-from irstealth.config import (build_geometry, build_scenario, multi_radar_config,
-                              single_radar_config, with_seed)
+from irstealth.config import (ScenarioConfig, build_geometry, build_scenario,
+                              multi_radar_config, single_radar_config, with_seed)
 from irstealth.experiments import inject_aoa_error
 from irstealth.optimizers import codebook_designs, mmse_designs, pgd_designs
 from irstealth.power_model import (NirsPanel, angles_between, chirp_waveform,
@@ -331,11 +332,29 @@ class TestSharedGeometry:
     def test_true_factors_share_one_link_matrix(self):
         geometry = build_geometry(multi_radar_config(n1x=5))
         a, b = (link_factor(geometry.draw(seed)) for seed in (1, 2))
-        # Each holds a read-only view of the geometry's one true link matrix;
-        # only the coating terms are its own.
-        assert np.shares_memory(a.d_mat, geometry.true_link)
-        assert np.shares_memory(b.d_mat, geometry.true_link)
+        # Both carry the same true link matrix, bit for bit; only the coating
+        # terms are their own.
+        assert np.array_equal(a.d_mat, b.d_mat)
         assert not np.array_equal(a.columns, b.columns)
+
+    def test_column_selection_gives_the_bits_of_its_contiguous_copy(self):
+        config = ScenarioConfig.load(Path(__file__).parent / "golden" / "radar1-n8.json")
+        geometry = build_geometry(config)
+        phis = geometry.coatings(range(8))
+        steered = [AnglePair(a.azimuth + 0.01, a.elevation) for a in geometry.true_angles]
+        for members in ([0], [1, 3], [0, 2, 5, 7], [6, 1, 4]):
+            for angles in (None, steered):
+                picked = geometry.factor(phis[:, members], angles)
+                copied = geometry.factor(np.ascontiguousarray(phis[:, members]), angles)
+                assert np.array_equal(picked.d_mat, copied.d_mat)
+                assert np.array_equal(picked.columns, copied.columns)
+
+    def test_true_angles_give_the_true_factor_bit_for_bit(self):
+        geometry = build_geometry(multi_radar_config(n1x=5))
+        phis = geometry.coatings([1, 2, 3])
+        given, true = geometry.factor(phis, geometry.true_angles), geometry.factor(phis)
+        assert np.array_equal(given.d_mat, true.d_mat)
+        assert np.array_equal(given.columns, true.columns)
 
     def test_draw_keeps_the_seed_stream(self):
         # Coating phases first, then one clock jitter per radar, so a seed
@@ -395,7 +414,7 @@ class TestSharedGeometry:
         geometry = build_geometry(multi_radar_config(n1x=5))
         factor = link_factor(geometry.draw(1))
         steered = [AnglePair(a.azimuth + 0.01, a.elevation) for a in geometry.true_angles]
-        shared = [geometry.true_link, geometry.link_matrix(steered), *factor.svd,
+        shared = [geometry.factor(geometry.coatings([1]), steered).d_mat, *factor.svd,
                   factor.reduced.d_mat, factor.reduced.columns, *factor.reduced.svd,
                   factor.reduced.fft, factor.reduced.ridge_grid,
                   geometry.amplitudes, geometry.gains, *geometry.true_blocks,
