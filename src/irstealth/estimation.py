@@ -135,15 +135,11 @@ def _spectrum(noise_basis: np.ndarray, steering: np.ndarray) -> np.ndarray:
 def _local_peaks(spectrum: np.ndarray) -> list[tuple[int, int]]:
     padded = np.full((spectrum.shape[0] + 2, spectrum.shape[1] + 2), -np.inf)
     padded[1:-1, 1:-1] = spectrum
-    center = padded[1:-1, 1:-1]
-    is_peak = np.ones_like(spectrum, dtype=bool)
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            neighbor = padded[1 + di: 1 + di + spectrum.shape[0],
-                              1 + dj: 1 + dj + spectrum.shape[1]]
-            is_peak &= center >= neighbor
+    # A point is a peak iff it is at least the maximum of its 3 x 3 window,
+    # taken over rows and then over columns (a NaN anywhere in it is none).
+    rows = np.maximum(np.maximum(padded[:-2], padded[1:-1]), padded[2:])
+    window = np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+    is_peak = spectrum >= window
     # Largest first; a stable sort keeps equal peaks in row-major order.
     order = np.argsort(-spectrum[is_peak], kind="stable")
     return [tuple(ij) for ij in np.argwhere(is_peak)[order]]

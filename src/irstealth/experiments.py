@@ -19,8 +19,13 @@ group is some of a point's trials running a solver table (CSV row name to
 :data:`~irstealth.optimizers.SOLVERS` entry) on one batched problem,
 reduced once for all of them; all of a group's true powers come from one
 :meth:`~irstealth.power_model.QcqpInstance.objective` call.  The sweeps
-whose points differ in their config build one geometry per point and run
-the sweep designs as one group on its true problem.  The steering-error
+whose points differ in their geometry draw the trials' coatings once per
+sweep and run the sweep designs at each point as one group on its true
+problem.  The distance, element-count, beam-angle and minimum-elements
+sweeps build one geometry per point; the radar-count sweep builds one
+geometry and reads each count k as its
+:meth:`~irstealth.power_model.ScenarioGeometry.prefix` view of the first
+k radars.  The steering-error
 and sensing presets keep their config: they build the geometry and the
 true problem once and loop over their own values.  Steering-error trials
 are grouped by their perturbed directions (at most 2^K sign patterns per
@@ -125,17 +130,21 @@ def _group_rows(value, truth, seeds, solvers, problem, members):
             for trial, seed, power in zip(members, seeds, watts)]
 
 
-def _sweep_rows(config, trials, values, config_for, solvers=None):
-    """Rows of a sweep whose points differ in their config, ``config_for(value)``.
+def _sweep_rows(config, trials, values, geometry_for, solvers=None):
+    """Rows of a sweep whose points differ in their geometry, ``geometry_for(value)``.
 
-    Each point's geometry is built once, and all its trials run ``solvers``
-    (by default the sweep designs) as one group on its true problem.
+    The trials' coatings are drawn once, from the first point's geometry:
+    the coating grid, its absorbing efficiency and the trial seeds are the
+    same at every point.  At each point all trials run ``solvers`` (by
+    default the sweep designs) as one group on its true problem.
     """
     seeds = trial_seeds(config.seed, trials)
-    rows = []
+    rows, phis = [], None
     for value in values:
-        geometry = build_geometry(config_for(value))
-        truth = geometry.factor(geometry.coatings(seeds))
+        geometry = geometry_for(value)
+        if phis is None:
+            phis = geometry.coatings(seeds)
+        truth = geometry.factor(phis)
         rows += _group_rows(value, truth, seeds, solvers or _sweep_solvers(truth), truth,
                             np.arange(trials))
     return rows
@@ -159,10 +168,8 @@ def _preset_distance(config, trials):
     base = min(_distance(r.position, config.target.position) for r in config.radars)
     sweep = (60.0, 80.0, 100.0, 120.0, 140.0, 160.0, 180.0, 200.0)
 
-    def config_for(value):
-        return _scaled_positions(config, value / base)
-
-    return sweep, _sweep_rows(config, trials, sweep, config_for)
+    return sweep, _sweep_rows(config, trials, sweep, lambda value: build_geometry(
+        _scaled_positions(config, value / base)))
 
 
 def _preset_elements(config, trials):
@@ -171,18 +178,18 @@ def _preset_elements(config, trials):
     else:
         n1x_values = (5, 10, 15, 20, 25, 30, 35, 40, 45)
     sweep = tuple(n * config.target.n1y for n in n1x_values)
-    return sweep, _sweep_rows(config, trials, sweep,
-                              lambda value: _with_elements(config, value))
+    return sweep, _sweep_rows(config, trials, sweep, lambda value: build_geometry(
+        _with_elements(config, value)))
 
 
 def _preset_angle(config, trials):
     sweep = tuple(float(a) for a in range(-60, 61, 10))
 
-    def config_for(value):
+    def geometry_for(value):
         radars = tuple(replace(r, beam_azimuth_deg=value) for r in config.radars)
-        return replace(config, radars=radars)
+        return build_geometry(replace(config, radars=radars))
 
-    return sweep, _sweep_rows(config, trials, sweep, config_for)
+    return sweep, _sweep_rows(config, trials, sweep, geometry_for)
 
 
 def _preset_aoa_error(config, trials):
@@ -214,11 +221,8 @@ def _preset_aoa_error(config, trials):
 
 def _preset_num_radars(config, trials):
     sweep = tuple(float(k) for k in range(1, len(config.radars) + 1))
-
-    def config_for(value):
-        return replace(config, radars=config.radars[: int(value)])
-
-    return sweep, _sweep_rows(config, trials, sweep, config_for)
+    # The first k radars of one geometry: their rows of its blocks and gains.
+    return sweep, _sweep_rows(config, trials, sweep, build_geometry(config).prefix)
 
 
 def _preset_min_elements(config, trials, realizations: int = 20):
@@ -236,12 +240,20 @@ def _preset_min_elements(config, trials, realizations: int = 20):
                                  realizations)
     n1x_pred = max(1, math.ceil(predicted / n1y))
     sweep = tuple(n1x * n1y for n1x in range(max(1, n1x_pred - 2), n1x_pred + 2))
-    return sweep, _sweep_rows(config, trials, sweep,
-                              lambda value: _with_elements(config, value),
-                              {"reverse-alignment": "reverse-alignment"})
+    return sweep, _sweep_rows(config, trials, sweep, lambda value: build_geometry(
+        _with_elements(config, value)), {"reverse-alignment": "reverse-alignment"})
 
 
 def _preset_estimation(config, trials):
+    """Designs on sensed parameters at 16, 32 and 64 snapshots.
+
+    MUSIC separates the K radars only on a sensing array of more than K
+    elements.
+    """
+    sensors = config.target.cssa_lx + config.target.cssa_ly - 1
+    if sensors <= len(config.radars):
+        raise ConfigError("target.cssa_lx", f"estimation-pipeline needs more sensing "
+                          f"elements ({sensors}) than radars ({len(config.radars)})")
     sweep = (16.0, 32.0, 64.0)
     seeds = trial_seeds(config.seed, trials)
     geometry = build_geometry(config)

@@ -327,8 +327,9 @@ class ScenarioGeometry:
     it builds the surface blocks toward the radars, the radars' beamforming
     gains and the link amplitudes, all read-only.
     :meth:`factor` builds the link factor of any coating coefficients from
-    them.  Coating phases and pulse epochs are never read from it:
-    :meth:`draw` and :meth:`coatings` draw them per seed.
+    them, and :meth:`prefix` views the geometry of its first k radars on
+    the same arrays.  Coating phases and pulse epochs are never read from
+    it: :meth:`draw` and :meth:`coatings` draw them per seed.
     """
 
     def __init__(self, wavelength: float, ref_gain: float, radars: tuple[RadarNode, ...],
@@ -351,6 +352,25 @@ class ScenarioGeometry:
         scenario.__dict__["geometry"] = self
         return scenario
 
+    def prefix(self, k) -> ScenarioGeometry:
+        """Geometry of the first ``k`` radars, 1 <= k <= K (an integral number).
+
+        It shares this geometry's read-only arrays without copying them: the
+        leading k true angles, rows of both true blocks and gains, and the
+        coating magnitudes.  Only the link amplitudes are computed again.
+        """
+        count = len(self.radars)
+        if not (isinstance(k, numbers.Real) and 1 <= k <= count and k == int(k)):
+            raise ValueError(f"need 1 <= k <= {count} radars, got {k!r}")
+        k = int(k)
+        view = ScenarioGeometry(self.wavelength, self.ref_gain, self.radars[:k],
+                                self.target, self.epoch_jitter)
+        view.__dict__.update(true_angles=self.true_angles[:k],
+                             true_blocks=tuple(b[:k] for b in self.true_blocks),
+                             gains=self.gains[:k],
+                             _coating_magnitude=self._coating_magnitude)
+        return view
+
     def coatings(self, seeds) -> np.ndarray:
         """Coating coefficients of every seed, one column each: the phases
         :meth:`draw` gives the seed's scenario (the first draws of its own
@@ -365,7 +385,7 @@ class ScenarioGeometry:
 
     @cached_property
     def _coating_magnitude(self) -> np.ndarray:
-        return np.sqrt(1.0 - np.asarray(self.target.nirs.zeta))
+        return _read_only(np.sqrt(1.0 - np.asarray(self.target.nirs.zeta)))
 
     def factor(self, phis, angles=None, g2=None) -> QcqpInstance:
         """Stacked link factor (D, r) of the sum-received-power objective, one

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 
@@ -166,6 +167,23 @@ class TestRun:
         assert proc.returncode == 1
         assert proc.stderr.strip() == ("error: radars: min-elements-validation needs "
                                        "exactly one radar, got 3")
+        assert not out.exists()
+
+    def test_estimation_needs_more_sensing_elements_than_radars(self, tmp_path):
+        # A one-element sensing array cannot separate three radars; the run
+        # names the field before any work, and no CSV is written.
+        config = multi_radar_config(num_radars=3, n1x=25)
+        config = dataclasses.replace(config, target=dataclasses.replace(
+            config.target, cssa_lx=1, cssa_ly=1))
+        config_path = tmp_path / "cssa1.json"
+        config.save(config_path)
+        out = tmp_path / "x.csv"
+        proc = run_cli("run", "estimation-pipeline", "--config", str(config_path),
+                       "--trials", "1", "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.strip() == (
+            "error: target.cssa_lx: estimation-pipeline needs more sensing elements (1) "
+            "than radars (3)")
         assert not out.exists()
 
     def test_sensing_failure_is_reported_without_traceback(self, tmp_path):

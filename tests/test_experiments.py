@@ -273,8 +273,9 @@ class TestGeometryReuse:
     def test_surface_response_once_per_point_and_direction(self, monkeypatch, trials):
         config = multi_radar_config(num_radars=3, n1x=4)
         calls = self._surface_calls(monkeypatch, "power-vs-num-radars", config, trials)
-        # One call per sweep point of 1, 2 and 3 radars, toward every radar.
-        assert [len(directions) for directions in calls] == [1, 2, 3]
+        # One call toward all three radars: the points of 1 and 2 radars read
+        # the leading rows of its blocks.
+        assert [len(directions) for directions in calls] == [3]
 
     def test_steering_errors_reuse_perturbed_directions(self, monkeypatch):
         config = multi_radar_config(num_radars=3, n1x=4)
@@ -288,11 +289,12 @@ class TestGeometryReuse:
         assert len(set(calls)) == len(calls)
 
     @pytest.mark.parametrize("preset, builds", [("power-vs-aoa-error", 1),
-                                                ("power-vs-num-radars", 3),
+                                                ("power-vs-num-radars", 1),
                                                 ("estimation-pipeline", 1)])
     def test_one_geometry_per_distinct_point(self, monkeypatch, preset, builds):
         # The error and sensing presets keep their config, so all their sweep
-        # values share one geometry and one true problem too.
+        # values share one geometry and one true problem too; the radar-count
+        # sweep reads every count from one geometry.
         count, problems = [], []
         build, coatings = experiments.build_geometry, ScenarioGeometry.coatings
         monkeypatch.setattr(experiments, "build_geometry",
@@ -302,6 +304,22 @@ class TestGeometryReuse:
                             or coatings(geometry, seeds))
         run_experiment(preset, multi_radar_config(num_radars=3, n1x=4), 2)
         assert len(count) == len(problems) == builds
+
+    @pytest.mark.parametrize("preset", ["power-vs-distance", "power-vs-elements",
+                                        "power-vs-angle", "power-vs-num-radars",
+                                        "min-elements-validation"])
+    def test_sweep_draws_its_coatings_once(self, monkeypatch, preset):
+        # Every point of a sweep has the same coating grid and trial seeds.
+        problems = []
+        coatings = ScenarioGeometry.coatings
+        monkeypatch.setattr(ScenarioGeometry, "coatings",
+                            lambda geometry, seeds: problems.append(seeds)
+                            or coatings(geometry, seeds))
+        config = (single_radar_config(n1x=4) if preset == "min-elements-validation"
+                  else multi_radar_config(num_radars=3, n1x=4))
+        result = run_experiment(preset, config, 2)
+        assert len(result.sweep_values) > 1
+        assert len(problems) == 1
 
     def test_sensing_preset_draws_each_trial_once(self, monkeypatch):
         draws = []
@@ -451,18 +469,25 @@ class TestTrialBatch:
     @pytest.mark.parametrize("num_radars, preset", BATCH_CASES)
     def test_rows_match_the_one_trial_path(self, monkeypatch, num_radars, preset):
         points, built = {}, []
-        build, group_rows = experiments.build_geometry, experiments._group_rows
+        build, prefix = experiments.build_geometry, ScenarioGeometry.prefix
+        group_rows = experiments._group_rows
 
         def building(cfg):
             built.append(build(cfg))
             return built[-1]
 
+        def viewing(geometry, k):
+            built.append(prefix(geometry, k))
+            return built[-1]
+
         def recording(value, *args):
-            # Every design group of a point runs on the geometry built last.
+            # Every design group of a point runs on the geometry built or
+            # viewed last.
             points[float(value)] = built[-1]
             return group_rows(value, *args)
 
         monkeypatch.setattr(experiments, "build_geometry", building)
+        monkeypatch.setattr(ScenarioGeometry, "prefix", viewing)
         monkeypatch.setattr(experiments, "_group_rows", recording)
         config = _batch_config(num_radars)
         rows, failure = self._run(preset, config, 5)
