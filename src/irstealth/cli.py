@@ -76,17 +76,15 @@ def _cmd_solve(args) -> int:
     scenario = build_scenario(config)
     factor = link_factor(scenario)
     solution = SOLVERS[args.solver](factor, [config.seed])[0]
-    theta = solution.theta
-    objective = float(factor.objective(theta)[0])
     lam, kkt = kkt_certificate(factor, solution)
     print(f"solver: {args.solver}")
-    print(f"objective_watts: {_fmt(objective)}")
+    print(f"objective_watts: {_fmt(solution.objective)}")
     if solution.termination is not None:
         print(f"termination: {solution.termination}")
         print(f"iterations: {solution.iterations}")
     print(f"kkt_residual: {_fmt(kkt)}")
-    print(f"duality_gap_watts: {_fmt(objective - dual_value(factor, lam))}")
-    for n, value in enumerate(theta):
+    print(f"duality_gap_watts: {_fmt(solution.objective - dual_value(factor, lam))}")
+    for n, value in enumerate(solution.theta):
         print(f"theta[{n}] = {value.real:+.12e}{value.imag:+.12e}j")
     return 0
 

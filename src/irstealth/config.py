@@ -3,8 +3,10 @@
 Configs hold dB/dBm quantities at the boundary and convert to linear units
 exactly once when the scenario is built.  Randomized scenario state (coating
 phases, radar pulse clocks) is drawn from the config seed, so one config
-maps to one reproducible scenario.  :func:`build_geometry` validates a
-config and builds its seed-free half once; drawing a seed from it gives the
+maps to one reproducible scenario.  A :class:`ScenarioConfig` is valid by
+construction (also one made by ``dataclasses.replace``): it runs
+:func:`validate_config`, which names a bad field.  :func:`build_geometry`
+builds a config's seed-free half once; drawing a seed from it gives the
 same scenario as :func:`build_scenario` on the config with that seed.
 """
 
@@ -83,6 +85,9 @@ class ScenarioConfig:
     radars: tuple[RadarConfig, ...] = field(default_factory=tuple)
     target: TargetConfig = field(default_factory=TargetConfig)
 
+    def __post_init__(self):
+        validate_config(self)
+
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -96,9 +101,7 @@ class ScenarioConfig:
                                  for i, r in enumerate(values["radars"]))
         values["target"] = TargetConfig(**_section(TargetConfig, values["target"],
                                                    "target"))
-        cfg = cls(**values)
-        validate_config(cfg)
-        return cfg
+        return cls(**values)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -240,14 +243,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 
 def build_geometry(config: ScenarioConfig) -> ScenarioGeometry:
-    """Validate a config and build its seed-free geometry.
+    """Build the seed-free geometry of a config.
 
     The geometry holds everything the seed does not change; its
     :meth:`~irstealth.power_model.ScenarioGeometry.draw` makes the scenario
     of any seed, and every scenario drawn from one geometry shares its
     responses, gains and link amplitudes.
     """
-    validate_config(config)
     tgt = config.target
 
     zeta = np.full(tgt.n2x * tgt.n2y, float(tgt.zeta))

@@ -329,7 +329,8 @@ def sense(scenarios, n_snapshots: int,
     as ``angles`` and ``g2``.  The gains read the first radar's interval and
     pulse and carry one transmit power, so radars that differ in
     ``tx_power``, ``pri`` or ``pulse`` raise a :class:`ConfigError` naming
-    ``radars[i].<field>``.  All scenarios are scanned in order (the first
+    ``radars[i].<field>``; so does a second radar of bandwidth 0, since two
+    unchirped pulses are one tone.  All scenarios are scanned in order (the first
     with too few peaks raises), their peaks refined in lockstep and their
     angles steered in one call.
     """
@@ -339,6 +340,10 @@ def sense(scenarios, n_snapshots: int,
             if getattr(radar, name) != getattr(first, name):
                 raise ConfigError(f"radars[{i}].{name}", "sensing needs every radar "
                                   f"to share radars[0].{name}")
+    unchirped = [i for i, radar in enumerate(scenarios[0].radars) if radar.bandwidth == 0]
+    if len(unchirped) > 1:
+        raise ConfigError(f"radars[{unchirped[1]}].bandwidth", "sensing needs distinct "
+                          f"pulses, but radars[{unchirped[0]}] is unchirped (bandwidth 0) too")
     sets, k = collect_snapshots(scenarios, n_snapshots, seeds), scenarios[0].num_radars
     estimates = music_aoa(sets, k, _GRID_STEP)
     steering = steering_matrix(sets[0].geometry, sets[0].wavelength,

@@ -18,12 +18,11 @@ real system), and the codebook one N1-point FFT per reduced row.  Every
 design (``pgd_designs``, ``mmse_designs``, ``codebook_designs``,
 ``alignment_designs``) returns one solution per column: a sweep point's
 trials run as one batch, and a single problem is the one-column case
-(``pgd_designs(problem)[0]``).  Every objective a design reports comes
-from :meth:`~irstealth.power_model.QcqpInstance.objective`, except
-``mmse``'s and ``dft-codebook``'s, which are the values they chose by, on
-the reduced factor.  :data:`SOLVERS` maps each solver name to its batched
-design, for the sweeps and ``irstealth solve`` alike.  Five designs are
-provided:
+(``pgd_designs(problem)[0]``).  Every design scores its N x T designs on D
+with one :meth:`~irstealth.power_model.QcqpInstance.objective` call
+(``mmse`` and ``dft-codebook`` choose by reduced-factor values, but report
+D's).  :data:`SOLVERS` maps each solver name to its batched design, for
+the sweeps and ``irstealth solve`` alike.  Five designs are provided:
 
 * the certified global optimum of the QCQP (``pgd``): the minimum-norm
   point when it is feasible, otherwise a semismooth Newton ascent on the
@@ -75,6 +74,18 @@ class ReflectionSolution:
     solver: str
     iterations: int = 0
     termination: str | None = None
+
+
+def _solutions(name: str, problem: QcqpInstance, thetas: np.ndarray, iterations=0,
+               terminations=None) -> list[ReflectionSolution]:
+    """One solution per column of the N x T designs ``thetas``, each scored on D
+    by one ``problem.objective`` call; ``iterations`` is one count or one per
+    column, ``terminations`` one exit name per column or none."""
+    objectives = problem.objective(thetas).tolist()
+    iterations = [iterations] * len(objectives) if isinstance(iterations, int) else iterations
+    terminations = terminations or [None] * len(objectives)
+    return [ReflectionSolution(thetas[:, t], objective, name, iterations[t], terminations[t])
+            for t, objective in enumerate(objectives)]
 
 
 def _project(theta: np.ndarray, beta: float) -> np.ndarray:
@@ -139,15 +150,17 @@ def pgd_designs(problem: QcqpInstance, tol: float = 1e-10) -> list[ReflectionSol
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     reduced, beta = problem.reduced, problem.beta_max
-    theta_u = _ridge_designs(reduced, reduced.columns, [0.0])[0][:, 0, :]
-    inside = np.max(np.abs(theta_u), axis=0) <= beta * (1.0 + 1e-12)
-    theta_u = _project(theta_u, beta)
-    objectives = problem.objective(theta_u)
-    return [ReflectionSolution(theta_u[:, t], float(objectives[t]), "pgd", 0, "min-norm")
-            if inside[t] else _newton_solve(problem, t, tol) for t in range(inside.size)]
+    thetas = _ridge_designs(reduced, reduced.columns, [0.0])[0][:, 0, :]
+    inside = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
+    thetas = _project(thetas, beta)
+    steps = [0] * inside.size
+    for t in np.flatnonzero(~inside).tolist():
+        thetas[:, t], steps[t] = _newton_solve(problem, t, tol)
+    return _solutions("pgd", problem, thetas, steps,
+                      ["min-norm" if t else "newton" for t in inside.tolist()])
 
 
-def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> ReflectionSolution:
+def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> tuple[np.ndarray, int]:
     """Certified solve of one column of ``problem`` on its reduced factor (B, r').
 
     Semismooth Newton steps (:func:`_dual_newton_step`) ascend the dual of
@@ -163,8 +176,9 @@ def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> ReflectionS
     within tol (f + 1e-2 s) of a certified lower bound: the split dual
     Re(mu^H r') - |mu|^2 / 4 - beta sum |w_n| or the Frank-Wolfe bound
     f - 2 sum(beta |g_n| + Re(conj(g_n) theta_n)), g = B^H (B theta + r'),
-    which holds on D up to 1e-13 s.  ``iterations`` counts Newton steps; when
-    they run out, :class:`ConvergenceError` names ``column`` with the last iterate.
+    which holds on D up to 1e-13 s.  Returns the design and its Newton-step
+    count; when the steps run out, :class:`ConvergenceError` names
+    ``column`` with the last iterate.
     """
     reduced = problem.reduced
     d_mat, r_col, beta = reduced.d_mat, reduced.columns[:, column], problem.beta_max
@@ -199,8 +213,7 @@ def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> ReflectionS
             if f_pol - max(lower, frank_wolfe) <= tol * (f_pol + 1e-2 * obj_scale):
                 theta, certified = polished, True
             if certified:
-                return ReflectionSolution(theta, float(problem.objective(theta)[column]),
-                                          "pgd", steps, termination="newton")
+                return theta, steps
             if eps > eps_min:
                 eps = max(eps / 100.0, eps_min)
                 continue
@@ -416,36 +429,35 @@ def alignment_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
     amps = np.where(index < full, beta_max,
                     np.where(index == full, mags - full * beta_max, 0.0))
     amps[:, np.ceil(mags / beta_max) > u.size] = beta_max
-    thetas = -amps * u[:, None] * units
-    objectives = problem.objective(thetas)
-    return [ReflectionSolution(thetas[:, t], float(objectives[t]), "reverse-alignment", 0)
-            for t in range(gains.size)]
+    return _solutions("reverse-alignment", problem, -amps * u[:, None] * units)
 
 
 def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]]:
     """Smallest-residual amplitude-feasible ridge solution of D theta = -r, and its
     regularization, per column r.
 
-    Evaluates the regularization values of the ridge grid
-    (:attr:`~irstealth.power_model.QcqpInstance.ridge_grid`) in increasing
-    order and keeps the feasible design with the smallest residual on the
-    reduced factor (ties go to the smaller regularization).  All candidates
-    come from the reduced factor's known SVD.  The residual never falls as
-    the regularization grows (also in rounding, see :func:`_ridge_designs`),
-    so a column feasible at the smallest value is answered there, and only
-    the other columns try the rest of the grid.  For a column with no
-    feasible candidate the grid widens upward, since large regularization
-    shrinks the design to zero, which is always feasible.  A solution's
-    ``iterations`` counts the candidates tried.
+    Evaluates 40 log-spaced regularization values, sigma_1^2 times 1e-12 to
+    1e4, in increasing order and keeps the feasible design with the smallest
+    residual on the reduced factor (ties go to the smaller regularization).
+    All candidates come from the reduced factor's known SVD.  The residual
+    never falls as the regularization grows (also in rounding, see
+    :func:`_ridge_designs`), so a column feasible at the smallest value is
+    answered there, and only the other columns try the rest of the grid.
+    For a column with no feasible candidate the grid widens upward, since
+    large regularization shrinks the design to zero, which is always
+    feasible.  A solution's ``iterations`` counts the candidates tried.
     """
     reduced, beta = problem.reduced, problem.beta_max
     r_red = reduced.columns
-    found = {}
+    lam_top = max(float(np.max(reduced.svd[1], initial=0.0)) ** 2, 1e-300)
+    grid = np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40)
+    chosen = np.zeros((reduced.n_elements, r_red.shape[1]), dtype=complex)
+    regularizations = np.full(r_red.shape[1], np.nan)
+    tried = np.zeros(r_red.shape[1], dtype=int)
     pending = np.arange(r_red.shape[1])
-    deltas = reduced.ridge_grid[:1]
-    tried = 0
+    deltas = grid[:1]
     for attempt in range(7):  # the first grid value, the rest of the grid, five widenings
-        tried += deltas.size
+        tried[pending] += deltas.size
         for cols in _column_chunks(pending.size, reduced.n_elements * deltas.size):
             columns = pending[cols]
             thetas, residuals = _ridge_designs(reduced, r_red[:, columns], deltas)
@@ -453,21 +465,21 @@ def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]
             residuals = np.where(feasible, residuals, np.inf)
             for i in np.flatnonzero(np.any(feasible, axis=0)):
                 best = int(np.argmin(residuals[:, i]))
-                found[int(columns[i])] = (float(deltas[best]), ReflectionSolution(
-                    thetas[:, best, i].copy(), float(residuals[best, i]), "mmse", tried))
-        pending = np.array([t for t in pending if t not in found], dtype=int)
+                chosen[:, columns[i]] = thetas[:, best, i]
+                regularizations[columns[i]] = deltas[best]
+        pending = np.flatnonzero(np.isnan(regularizations))
         if not pending.size:
-            return [found[t] for t in range(r_red.shape[1])]
-        deltas = (reduced.ridge_grid[1:] if attempt == 0 else
+            solutions = _solutions("mmse", problem, chosen, tried.tolist())
+            return list(zip(regularizations.tolist(), solutions))
+        deltas = (grid[1:] if attempt == 0 else
                   np.geomspace(deltas[-1] * 10.0, deltas[-1] * 1e5, 16))
     raise InfeasibleError("no feasible regularization found while widening")
 
 
-def _codebook_objectives(problem: QcqpInstance, r_mat: np.ndarray) -> np.ndarray:
-    """Objective of every DFT codeword (rows) for every column of coating terms
-    ``r_mat`` on the link matrix of ``problem``; the link responses are one FFT
-    per row of D, computed once per problem."""
-    links = (problem.beta_max * problem.fft)[:, :, None] + r_mat[:, None, :]
+def _codebook_objectives(fft: np.ndarray, beta: float, r_mat: np.ndarray) -> np.ndarray:
+    """Objective of every DFT codeword of modulus ``beta`` (rows) for every
+    column of coating terms ``r_mat``, from the FFT of every link row."""
+    links = (beta * fft)[:, :, None] + r_mat[:, None, :]
     return np.sum(np.abs(links) ** 2, axis=0)
 
 
@@ -480,14 +492,11 @@ def codebook_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
     """
     reduced, beta = problem.reduced, problem.beta_max
     r_red, n = reduced.columns, reduced.n_elements
-    designs = []
-    for cols in _column_chunks(r_red.shape[1], reduced.fft.size):
-        objectives = _codebook_objectives(reduced, r_red[:, cols])
-        best = np.argmin(objectives, axis=0)
-        thetas = beta * np.exp(-2j * np.pi * (np.arange(n)[:, None] * best) / n)
-        designs += [ReflectionSolution(thetas[:, t], float(objectives[b, t]),
-                                       "dft-codebook", n) for t, b in enumerate(best)]
-    return designs
+    fft = np.fft.fft(reduced.d_mat, axis=1)
+    best = np.concatenate([np.argmin(_codebook_objectives(fft, beta, r_red[:, cols]), axis=0)
+                           for cols in _column_chunks(r_red.shape[1], fft.size)])
+    thetas = beta * np.exp(-2j * np.pi * (np.arange(n)[:, None] * best) / n)
+    return _solutions("dft-codebook", problem, thetas, n)
 
 
 def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:
@@ -500,13 +509,6 @@ def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:
     return beta_max * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n1))
 
 
-def _baseline(name: str, problem: QcqpInstance, thetas) -> list[ReflectionSolution]:
-    """Solutions of fixed design columns, with their objectives on D."""
-    objectives = problem.objective(thetas)
-    return [ReflectionSolution(thetas[:, t], float(objectives[t]), name)
-            for t in range(thetas.shape[1])]
-
-
 # Every design by its solver name, batched on (problem, seeds): one solution
 # per coating-term column, with ``seeds[t]`` the trial seed of column t.
 SOLVERS = {
@@ -514,10 +516,10 @@ SOLVERS = {
     "reverse-alignment": lambda problem, seeds: alignment_designs(problem),
     "mmse": lambda problem, seeds: [sol for _, sol in mmse_designs(problem)],
     "dft-codebook": lambda problem, seeds: codebook_designs(problem),
-    "random-phase": lambda problem, seeds: _baseline(
+    "random-phase": lambda problem, seeds: _solutions(
         "random-phase", problem, np.column_stack([random_phase(
             problem.n_elements, problem.beta_max, int(s) + 0x5EED) for s in seeds])),
-    "no-irs": lambda problem, seeds: _baseline(
+    "no-irs": lambda problem, seeds: _solutions(
         "no-irs", problem, np.zeros((problem.n_elements, len(seeds)), dtype=complex)),
 }
 

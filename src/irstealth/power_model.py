@@ -239,8 +239,9 @@ class QcqpInstance:
     v = D^H r and c = ||r||^2, so it is positive semidefinite by
     construction and is never formed.  ``beta_max`` caps every element's
     reflection amplitude.  ``d_mat`` and ``columns`` are read-only, and so
-    are the thin SVD, :attr:`reduced` problem, row FFTs and ridge grid, each
-    computed on first use.
+    are the thin SVD and the :attr:`reduced` problem, each computed on first
+    use.  :meth:`objective` is the one evaluation of the objective: every
+    design reports its value from it.
     """
 
     def __init__(self, d_mat, columns, beta_max: float):
@@ -297,18 +298,6 @@ class QcqpInstance:
                                np.concatenate([coords, outside]), self.beta_max)
         reduced.__dict__["svd"] = (eye, sig[:k], qh[:k])
         return reduced
-
-    @cached_property
-    def fft(self) -> np.ndarray:
-        """FFT of every row of D."""
-        return _read_only(np.fft.fft(self.d_mat, axis=1))
-
-    @cached_property
-    def ridge_grid(self) -> np.ndarray:
-        """Default ridge regularizations, ascending: 40 log-spaced multiples of
-        sigma_1^2 from 1e-12 to 1e4."""
-        lam_top = max(float(np.max(self.svd[1], initial=0.0)) ** 2, 1e-300)
-        return _read_only(np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40))
 
 
 def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:

@@ -186,6 +186,27 @@ class TestRun:
             "than radars (3)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("unchirped", [(0,), (0, 1)])
+    def test_two_unchirped_radars_are_named_before_sensing(self, tmp_path, unchirped):
+        # Two zero-bandwidth pulses of one power, interval and pulse are one
+        # tone; the second such radar is named and no CSV is written.  One
+        # unchirped radar still senses.
+        config = multi_radar_config()
+        radars = tuple(dataclasses.replace(r, bandwidth=0.0) if i in unchirped else r
+                       for i, r in enumerate(config.radars))
+        config_path = tmp_path / "unchirped.json"
+        dataclasses.replace(config, radars=radars).save(config_path)
+        out = tmp_path / "x.csv"
+        proc = run_cli("run", "estimation-pipeline", "--config", str(config_path),
+                       "--trials", "1", "--out", str(out))
+        if len(unchirped) == 1:
+            assert proc.returncode == 0, proc.stderr
+            assert out.exists()
+        else:
+            assert proc.returncode == 1
+            assert proc.stderr.startswith("error: radars[1].bandwidth: ")
+            assert not out.exists()
+
     def test_sensing_failure_is_reported_without_traceback(self, tmp_path):
         # Five-radar MUSIC finds only four peaks on a trial of this run; the
         # sensing error ends the run like every other library error.

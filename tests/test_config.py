@@ -63,28 +63,25 @@ class TestRoundTrip:
 
 
 class TestValidation:
+    """An invalid config cannot be built: construction names the bad field."""
+
     def test_field_path_in_error(self):
         config = single_radar_config()
-        bad = dataclasses.replace(
-            config, radars=(dataclasses.replace(config.radars[0], pulse=1.0),))
         with pytest.raises(ConfigError) as err:
-            build_scenario(bad)
+            dataclasses.replace(
+                config, radars=(dataclasses.replace(config.radars[0], pulse=1.0),))
         assert err.value.fieldpath == "radars[0].pulse"
 
     def test_target_grid_mismatch(self):
         config = single_radar_config()
-        bad = dataclasses.replace(
-            config, target=dataclasses.replace(config.target, n1y=3))
         with pytest.raises(ConfigError) as err:
-            build_scenario(bad)
+            dataclasses.replace(config, target=dataclasses.replace(config.target, n1y=3))
         assert err.value.fieldpath.startswith("target")
 
     def test_even_sensing_arms_rejected(self):
         config = single_radar_config()
-        bad = dataclasses.replace(
-            config, target=dataclasses.replace(config.target, cssa_lx=4))
         with pytest.raises(ConfigError):
-            build_scenario(bad)
+            dataclasses.replace(config, target=dataclasses.replace(config.target, cssa_lx=4))
 
     def test_num_radars_range(self):
         with pytest.raises(ConfigError):
@@ -100,21 +97,20 @@ class TestValidation:
         config = multi_radar_config(num_radars=2)
         section, _, name = fieldpath.rpartition(".")
         value = (0.0, bad, 0.0) if name == "position" else bad
-        if not section:
-            bad_config = dataclasses.replace(config, **{name: value})
-        elif section == "target":
-            bad_config = dataclasses.replace(config, target=dataclasses.replace(
-                config.target, **{name: value}))
-        else:
-            k = int(section[len("radars["):-1])
-            radars = list(config.radars)
-            radars[k] = dataclasses.replace(radars[k], **{name: value})
-            bad_config = dataclasses.replace(config, radars=tuple(radars))
         with pytest.raises(ConfigError) as err:
-            build_scenario(bad_config)
+            if not section:
+                dataclasses.replace(config, **{name: value})
+            elif section == "target":
+                dataclasses.replace(config, target=dataclasses.replace(
+                    config.target, **{name: value}))
+            else:
+                k = int(section[len("radars["):-1])
+                radars = list(config.radars)
+                radars[k] = dataclasses.replace(radars[k], **{name: value})
+                dataclasses.replace(config, radars=tuple(radars))
         assert err.value.fieldpath == fieldpath
         with pytest.raises(ConfigError) as err:
-            ScenarioConfig.from_dict(bad_config.to_dict())
+            ScenarioConfig.from_dict(_with_field(config.to_dict(), fieldpath, value))
         assert err.value.fieldpath == fieldpath
 
     @pytest.mark.parametrize("position", [(0.0, 0.0, 200.0), (0.0, 50.0, 100.0),
@@ -130,10 +126,9 @@ class TestValidation:
 
     def test_beam_override_outside_visible_range_rejected(self):
         config = single_radar_config()
-        bad = dataclasses.replace(config, radars=(dataclasses.replace(
-            config.radars[0], beam_azimuth_deg=90.0),))
         with pytest.raises(ConfigError) as err:
-            build_scenario(bad)
+            dataclasses.replace(config, radars=(dataclasses.replace(
+                config.radars[0], beam_azimuth_deg=90.0),))
         assert err.value.fieldpath == "radars[0].beam_azimuth_deg"
 
 

@@ -17,7 +17,7 @@ from irstealth.config import (ScenarioConfig, build_geometry, build_scenario,
 from irstealth.estimation import sense
 from irstealth import optimizers
 from irstealth.experiments import inject_aoa_error, trial_seeds
-from irstealth.optimizers import (ConvergenceError, ReflectionSolution,
+from irstealth.optimizers import (SOLVERS, ConvergenceError, ReflectionSolution,
                                   alignment_designs, codebook_designs, dual_value,
                                   kkt_certificate, lagrange_semiclosed,
                                   min_irs_elements, mmse_designs, pgd_designs,
@@ -510,7 +510,8 @@ class TestFactorOracles:
         idx = np.arange(n)
         codebook = inst.beta_max * np.exp(-2j * np.pi * np.outer(idx, idx) / n)
         explicit = np.sum(np.abs(inst.d_mat @ codebook + inst.columns) ** 2, axis=0)
-        objectives = _codebook_objectives(inst, inst.columns)[:, 0]
+        objectives = _codebook_objectives(np.fft.fft(inst.d_mat, axis=1), inst.beta_max,
+                                          inst.columns)[:, 0]
         np.testing.assert_allclose(objectives, explicit, rtol=1e-9)
         sol = codebook_designs(inst)[0]
         best = int(np.argmin(explicit))
@@ -651,6 +652,22 @@ class TestColumnBatches:
             np.testing.assert_array_equal(inst.columns[:, 0], problem.columns[:, t])
             np.testing.assert_allclose(inst.reduced.columns, problem.reduced.columns[:, t:t + 1],
                                        rtol=0, atol=1e-12 * np.linalg.norm(inst.columns))
+
+    @pytest.mark.parametrize("name", list(SOLVERS))
+    def test_reported_objective_is_the_factors_own(self, name):
+        # Every design reports ||D theta_t + r_t||^2 of its own column, bit for
+        # bit, also mmse and dft-codebook, which choose by reduced-factor values.
+        config = multi_radar_config(num_radars=1 if name == "reverse-alignment" else 3)
+        geometry = build_geometry(config)
+        seeds = np.array([1, 2, 3])
+        problems = [geometry.factor(geometry.coatings(seeds))]
+        if name != "reverse-alignment":
+            # Min-norm exits beside Newton solves, default and widened ridge grids.
+            problems.append(self._columns(3)[0])
+        for problem in problems:
+            solutions = SOLVERS[name](problem, np.arange(problem.columns.shape[1]))
+            want = problem.objective(np.column_stack([sol.theta for sol in solutions]))
+            assert [sol.objective for sol in solutions] == want.tolist()
 
     def test_objective_is_each_columns_squared_norm(self):
         problem, _ = self._columns(3)

@@ -416,7 +416,6 @@ class TestSharedGeometry:
         steered = [AnglePair(a.azimuth + 0.01, a.elevation) for a in geometry.true_angles]
         shared = [geometry.factor(geometry.coatings([1]), steered).d_mat, *factor.svd,
                   factor.reduced.d_mat, factor.reduced.columns, *factor.reduced.svd,
-                  factor.reduced.fft, factor.reduced.ridge_grid,
                   geometry.amplitudes, geometry.gains, *geometry.true_blocks,
                   factor.d_mat, factor.columns]
         for array in shared:
