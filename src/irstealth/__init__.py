@@ -5,9 +5,8 @@ from .arrays import (AnglePair, ArrayGeometry, ArrayKind, cssa_responses,
 from .config import (ConfigError, RadarConfig, ScenarioConfig, TargetConfig,
                      build_geometry, build_scenario, multi_radar_config,
                      single_radar_config)
-from .estimation import (EstimationError, SnapshotSet, collect_snapshots,
-                         gain_estimate, ls_recover, music_aoa, sense,
-                         steering_matrix)
+from .estimation import (EstimationError, collect_snapshots, gain_estimate,
+                         ls_recover, music_aoa, sense, steering_matrix)
 from .experiments import (ExperimentResult, ExperimentRow, emit_csv,
                           inject_aoa_error, parse_csv, run_experiment)
 from .optimizers import (SOLVERS, ConvergenceError, InfeasibleError,

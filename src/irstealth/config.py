@@ -82,7 +82,7 @@ class ScenarioConfig:
     wavelength: float = 0.05
     alpha_db: float = -30.0
     seed: int = 1
-    radars: tuple[RadarConfig, ...] = field(default_factory=tuple)
+    radars: tuple[RadarConfig, ...] = field(kw_only=True)
     target: TargetConfig = field(default_factory=TargetConfig)
 
     def __post_init__(self):

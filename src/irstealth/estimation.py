@@ -5,11 +5,11 @@ processing recovers each radar's arrival direction and a least-squares pass
 recovers the per-radar beamformed signals, whose mean pulse power estimates
 the squared beamforming gains up to the common transmit power.  That scale
 ambiguity is harmless downstream because the reflection designs are
-invariant to a uniform gain rescaling.  Snapshot collection, MUSIC and
-:func:`sense` take a list of scenarios or snapshot sets and return one
-result each; a single scenario is the one-element case
-(``sense([scenario], n, [seed])[0]``).  Every steering vector comes from
-:func:`~irstealth.arrays.cssa_responses`.
+invariant to a uniform gain rescaling.  A sensing batch is one T x L x S
+array (trial, sensing element, snapshot), and :func:`music_aoa` and
+:func:`sense` return one result per trial; a single scenario is the
+one-element case (``sense([scenario], n, [seed])[0]``).  Every steering
+vector comes from :func:`~irstealth.arrays.cssa_responses`.
 
 Elevation is searched over [0, pi/2) only: a planar array cannot tell the
 sign of the elevation, so the nonnegative representative is reported.  Each
@@ -25,7 +25,6 @@ radars, which :func:`sense` enforces.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,29 +41,12 @@ class EstimationError(RuntimeError):
         self.peaks = peaks
 
 
-@dataclass(frozen=True, eq=False)
-class SnapshotSet:
-    """Sensing-array samples (elements by snapshots) with their time stamps."""
-
-    samples: np.ndarray
-    sample_times: np.ndarray
-    geometry: ArrayGeometry
-    wavelength: float
-
-    def __post_init__(self):
-        if self.samples.shape[0] != self.geometry.num_elements:
-            raise ValueError("sample rows must match the sensing-array size")
-        if self.samples.shape[1] != self.sample_times.size:
-            raise ValueError("one time stamp per snapshot required")
-        if self.samples.shape[1] < 1:
-            raise ValueError("need at least one snapshot")
-
-
-def collect_snapshots(scenarios, n_snapshots: int, seeds) -> list[SnapshotSet]:
-    """Sample the sensing array uniformly over each scenario's common pulse
-    window (the overlap of its radars' pulses): the steering-matrix mix of
-    the beamformed pulses plus white noise, scenario t's from ``seeds[t]``.
-    The scenarios share one geometry, its steering matrix and its gains."""
+def collect_snapshots(scenarios, n_snapshots: int, seeds) -> np.ndarray:
+    """Sensing-array samples of T scenarios, shape T x L x S: S uniform
+    samples over each scenario's common pulse window (the overlap of its
+    radars' pulses) of the steering-matrix mix of the beamformed pulses plus
+    white noise, scenario t's from ``seeds[t]``.  The scenarios share one
+    geometry, its steering matrix and its gains."""
     if n_snapshots < 1:
         raise ValueError(f"need at least one snapshot, got {n_snapshots}")
     geometry, target = scenarios[0].geometry, scenarios[0].target
@@ -72,7 +54,7 @@ def collect_snapshots(scenarios, n_snapshots: int, seeds) -> list[SnapshotSet]:
         raise ValueError("a sensing batch needs scenarios drawn from one geometry")
     steering = steering_matrix(target.cssa_geometry, geometry.wavelength,
                                geometry.true_angles)
-    sets = []
+    batch = []
     for scenario, seed in zip(scenarios, seeds, strict=True):
         radars = scenario.radars
         t_lo = max(r.pulse_epoch for r in radars)
@@ -87,8 +69,8 @@ def collect_snapshots(scenarios, n_snapshots: int, seeds) -> list[SnapshotSet]:
             rng = np.random.default_rng(seed)
             noise = rng.standard_normal(samples.shape) + 1j * rng.standard_normal(samples.shape)
             samples = samples + np.sqrt(target.cssa_noise / 2.0) * noise
-        sets.append(SnapshotSet(samples, times, target.cssa_geometry, geometry.wavelength))
-    return sets
+        batch.append(samples)
+    return np.stack(batch)
 
 
 def steering_matrix(geometry: ArrayGeometry, wavelength: float, angles) -> np.ndarray:
@@ -114,10 +96,10 @@ def _coarse_grid(geometry: ArrayGeometry, wavelength: float, grid_step: float):
     return azimuths, elevations, steering
 
 
-def _subspaces(snapshots: SnapshotSet, k_sources: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signal and noise bases E_s, E_n: the sample covariance's eigenvectors of
-    the ``k_sources`` largest and of the remaining eigenvalues."""
-    z = snapshots.samples
+def _subspaces(z: np.ndarray, k_sources: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signal and noise bases E_s, E_n of one trial's L x S samples: the sample
+    covariance's eigenvectors of the ``k_sources`` largest and of the
+    remaining eigenvalues."""
     cov = z @ z.conj().T / z.shape[1]
     _, vectors = np.linalg.eigh(cov)
     split = z.shape[0] - k_sources
@@ -145,41 +127,42 @@ def _local_peaks(spectrum: np.ndarray) -> list[tuple[int, int]]:
     return [tuple(ij) for ij in np.argwhere(is_peak)[order]]
 
 
-def music_aoa(sets, k_sources: int, grid_step: float) -> list[tuple[AnglePair, ...]]:
-    """Source directions of each snapshot set as its largest pseudo-spectrum peaks.
+def music_aoa(samples: np.ndarray, geometry: ArrayGeometry, wavelength: float,
+              k_sources: int, grid_step: float) -> list[tuple[AnglePair, ...]]:
+    """Source directions of each trial of T x L x S ``samples`` of the sensing
+    array ``geometry`` at ``wavelength``, as its largest pseudo-spectrum peaks.
 
-    The sets share one array and wavelength.  Each set's sample covariance
-    is eigen-decomposed, the noise subspace spans the smallest
-    eigenvectors, and the pseudo-spectrum is scanned on a coarse angle grid
-    of the given step (its steering vectors are cached per array,
-    wavelength and step; the scan is one matrix product with the K signal
-    eigenvectors).  Peaks closer than two grid steps merge into the larger
-    one.  The sets are scanned alone, in order (the first with too few
-    peaks raises), and all their kept peaks are refined together, each to
-    the argmax of a local lattice one hundred times finer (found by branch
-    and bound, :func:`_refine_peaks`); that lattice point is the estimate.
+    Each trial's sample covariance is eigen-decomposed, the noise subspace
+    spans the smallest eigenvectors, and the pseudo-spectrum is scanned on a
+    coarse angle grid of the given step (its steering vectors are cached per
+    array, wavelength and step; the scan is one matrix product with the K
+    signal eigenvectors).  Peaks closer than two grid steps merge into the
+    larger one.  The trials are scanned alone, in order (the first with too
+    few peaks raises), and all their kept peaks are refined together, each
+    to the argmax of a local lattice one hundred times finer (found by
+    branch and bound, :func:`_refine_peaks`); that lattice point is the
+    estimate.
     """
-    geometry, wavelength = sets[0].geometry, sets[0].wavelength
-    if any((s.geometry, s.wavelength) != (geometry, wavelength) for s in sets):
-        raise ValueError("MUSIC needs snapshot sets of one array and wavelength")
     n_elem = geometry.num_elements
+    if samples.ndim != 3 or samples.shape[1] != n_elem:
+        raise ValueError(f"need samples of trials x {n_elem} elements x snapshots")
     if k_sources >= n_elem:
         raise ValueError(f"need fewer sources ({k_sources}) than sensors ({n_elem})")
     if k_sources < 1:
         raise ValueError("need at least one source")
-    if min(s.samples.shape[1] for s in sets) < k_sources:
+    if samples.shape[2] < k_sources:
         raise ValueError("need at least as many snapshots as sources")
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
     grid = _coarse_grid(geometry, wavelength, grid_step)
-    peaks = [peak for snapshots in sets for peak in _scan(snapshots, k_sources, *grid)]
+    peaks = [peak for z in samples for peak in _scan(z, k_sources, *grid)]
     refined = iter(_refine_peaks(geometry, wavelength, peaks, grid_step, grid_step / 100.0))
-    return [tuple(AnglePair(*next(refined)) for _ in range(k_sources)) for _ in sets]
+    return [tuple(AnglePair(*next(refined)) for _ in range(k_sources)) for _ in samples]
 
 
-def _scan(snapshots: SnapshotSet, k_sources: int, azimuths, elevations, steering):
-    """Kept coarse-spectrum peaks of one set as (E_n, azimuth, elevation)."""
-    signal_basis, noise_basis = _subspaces(snapshots, k_sources)
+def _scan(z: np.ndarray, k_sources: int, azimuths, elevations, steering):
+    """Kept coarse-spectrum peaks of one trial's samples as (E_n, azimuth, elevation)."""
+    signal_basis, noise_basis = _subspaces(z, k_sources)
     # Steering entries have unit modulus, so ||E_n^H a||^2 = L - ||E_s^H a||^2:
     # K projections per angle instead of L - K.  The difference is kept
     # positive, so an exact null stays the largest value.
@@ -293,13 +276,14 @@ def _refine_peaks(geometry, wavelength, peaks, coarse, fine):
     return result
 
 
-def ls_recover(snapshots: SnapshotSet, a_matrix: np.ndarray) -> np.ndarray:
-    """Least-squares source signals (A^H A)^{-1} A^H z per snapshot.
+def ls_recover(samples: np.ndarray, a_matrix: np.ndarray) -> np.ndarray:
+    """Least-squares source signals (A^H A)^{-1} A^H z per snapshot z, a column
+    of one trial's L x S ``samples``.
 
     Raises ``numpy.linalg.LinAlgError`` when the steering matrix is rank
     deficient (source directions too close to separate).
     """
-    recovered, _, _, singulars = np.linalg.lstsq(a_matrix, snapshots.samples, rcond=None)
+    recovered, _, _, singulars = np.linalg.lstsq(a_matrix, samples, rcond=None)
     if singulars[-1] <= 1e-10 * singulars[0]:
         raise np.linalg.LinAlgError("steering matrix is rank deficient; "
                                     "source directions too close")
@@ -344,10 +328,10 @@ def sense(scenarios, n_snapshots: int,
     if len(unchirped) > 1:
         raise ConfigError(f"radars[{unchirped[1]}].bandwidth", "sensing needs distinct "
                           f"pulses, but radars[{unchirped[0]}] is unchirped (bandwidth 0) too")
-    sets, k = collect_snapshots(scenarios, n_snapshots, seeds), scenarios[0].num_radars
-    estimates = music_aoa(sets, k, _GRID_STEP)
-    steering = steering_matrix(sets[0].geometry, sets[0].wavelength,
-                               [pair for angles in estimates for pair in angles])
-    return [(angles, gain_estimate(ls_recover(snapshots, steering[:, t * k:(t + 1) * k]),
+    samples, k = collect_snapshots(scenarios, n_snapshots, seeds), scenarios[0].num_radars
+    cssa, wavelength = scenarios[0].target.cssa_geometry, scenarios[0].wavelength
+    estimates = music_aoa(samples, cssa, wavelength, k, _GRID_STEP)
+    steering = steering_matrix(cssa, wavelength, [pair for angles in estimates for pair in angles])
+    return [(angles, gain_estimate(ls_recover(z, steering[:, t * k:(t + 1) * k]),
                                    first.pri, first.pulse))
-            for t, (snapshots, angles) in enumerate(zip(sets, estimates))]
+            for t, (z, angles) in enumerate(zip(samples, estimates))]

@@ -31,9 +31,10 @@ and sensing presets keep their config: they build the geometry and the
 true problem once and loop over their own values.  Steering-error trials
 are grouped by their perturbed directions (at most 2^K sign patterns per
 error value), each group designed on the factor of its members' coatings
-toward those directions; the sensing preset senses all trials in one pass
-per snapshot count, designs each trial alone on its sensed factor, and
-designs all trials together on the true problem once per preset.
+toward those directions; the sensing preset draws each trial once, senses
+all trials in one pass per snapshot count, designs each trial alone on its
+sensed factor, and designs all trials on the true problem of the drawn
+coatings once per preset.
 """
 
 from __future__ import annotations
@@ -261,7 +262,7 @@ def _preset_estimation(config, trials):
     seeds = trial_seeds(config.seed, trials)
     geometry = build_geometry(config)
     scenarios = [geometry.draw(int(seed)) for seed in seeds]
-    phis = geometry.coatings(seeds)
+    phis = np.column_stack([scenario.target.nirs.phi for scenario in scenarios])
     truth = geometry.factor(phis)
     rows = []
     for value in sweep:

@@ -109,31 +109,24 @@ def _column_chunks(columns: int, per_column: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, columns, step)]
 
 
-def _ridge_designs(problem: QcqpInstance, r_mat: np.ndarray,
-                   deltas) -> tuple[np.ndarray, np.ndarray]:
-    """Ridge designs -(U + delta I)^{-1} D^H r and their residuals ||D theta + r||^2,
-    ``thetas[:, i, t]`` and ``residuals[i, t]`` for ``deltas[i]`` and column t of r.
+def _ridge_designs(problem: QcqpInstance, r_mat: np.ndarray, deltas) -> np.ndarray:
+    """Ridge designs -(U + delta I)^{-1} D^H r, ``thetas[:, i, t]`` for ``deltas[i]``
+    and column t of r.
 
     With D = P diag(sigma) Q^H the design is
-    -Q diag(sigma / (sigma^2 + delta)) P^H r, and its residual is
-    ||r - P P^H r||^2 + sum_i (delta / (sigma_i^2 + delta))^2 |(P^H r)_i|^2,
-    which carries no cancellation and grows with delta, also in rounding,
-    since every operation on delta is monotone.  ``delta = 0`` gives the
-    minimum-norm least-squares point and needs every singular value
-    positive, as a reduced factor's are.  ``r_mat`` holds coating terms on
-    the link matrix of ``problem``, whose SVD is read.
+    -Q diag(sigma / (sigma^2 + delta)) P^H r, and its residual
+    ||D theta + r||^2 = ||r - P P^H r||^2
+    + sum_i (delta / (sigma_i^2 + delta))^2 |(P^H r)_i|^2 grows with delta.
+    ``delta = 0`` gives the minimum-norm least-squares point and needs every
+    singular value positive, as a reduced factor's are.  ``r_mat`` holds
+    coating terms on the link matrix of ``problem``, whose SVD is read.
     """
     p, sig, qh = problem.svd
     deltas = np.asarray(deltas, dtype=float)
-    denom = sig[:, None] ** 2 + deltas[None, :]
-    gain, kept = sig[:, None] / denom, deltas[None, :] / denom
-    coords = p.conj().T @ r_mat
-    outside = r_mat - p @ coords
-    residuals = (np.sum(outside.real ** 2 + outside.imag ** 2, axis=0)
-                 + np.sum((kept[:, :, None] * np.abs(coords)[:, None, :]) ** 2, axis=0))
-    scaled = -gain[:, :, None] * coords[:, None, :]
+    gain = sig[:, None] / (sig[:, None] ** 2 + deltas[None, :])
+    scaled = -gain[:, :, None] * (p.conj().T @ r_mat)[:, None, :]
     thetas = qh.conj().T @ scaled.reshape(sig.size, deltas.size * r_mat.shape[1])
-    return thetas.reshape(-1, deltas.size, r_mat.shape[1]), residuals
+    return thetas.reshape(-1, deltas.size, r_mat.shape[1])
 
 
 _NEWTON_STEPS = 300  # Newton-step allowance of a ``pgd`` solve
@@ -150,7 +143,7 @@ def pgd_designs(problem: QcqpInstance, tol: float = 1e-10) -> list[ReflectionSol
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     reduced, beta = problem.reduced, problem.beta_max
-    thetas = _ridge_designs(reduced, reduced.columns, [0.0])[0][:, 0, :]
+    thetas = _ridge_designs(reduced, reduced.columns, [0.0])[:, 0, :]
     inside = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
     thetas = _project(thetas, beta)
     steps = [0] * inside.size
@@ -433,19 +426,19 @@ def alignment_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
 
 
 def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]]:
-    """Smallest-residual amplitude-feasible ridge solution of D theta = -r, and its
+    """First amplitude-feasible ridge solution of D theta = -r, and its
     regularization, per column r.
 
     Evaluates 40 log-spaced regularization values, sigma_1^2 times 1e-12 to
-    1e4, in increasing order and keeps the feasible design with the smallest
-    residual on the reduced factor (ties go to the smaller regularization).
-    All candidates come from the reduced factor's known SVD.  The residual
-    never falls as the regularization grows (also in rounding, see
-    :func:`_ridge_designs`), so a column feasible at the smallest value is
-    answered there, and only the other columns try the rest of the grid.
-    For a column with no feasible candidate the grid widens upward, since
-    large regularization shrinks the design to zero, which is always
-    feasible.  A solution's ``iterations`` counts the candidates tried.
+    1e4, in increasing order and keeps the feasible design of the smallest
+    one.  The residual never falls as the regularization grows (see
+    :func:`_ridge_designs`), so that design has the smallest residual of
+    the feasible ones.  All candidates come from the reduced factor's known
+    SVD.  A column feasible at the smallest value is answered there, and
+    only the other columns try the rest of the grid.  For a column with no
+    feasible candidate the grid widens upward, since large regularization
+    shrinks the design to zero, which is always feasible.  A solution's
+    ``iterations`` counts the candidates tried.
     """
     reduced, beta = problem.reduced, problem.beta_max
     r_red = reduced.columns
@@ -460,13 +453,12 @@ def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]
         tried[pending] += deltas.size
         for cols in _column_chunks(pending.size, reduced.n_elements * deltas.size):
             columns = pending[cols]
-            thetas, residuals = _ridge_designs(reduced, r_red[:, columns], deltas)
+            thetas = _ridge_designs(reduced, r_red[:, columns], deltas)
             feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
-            residuals = np.where(feasible, residuals, np.inf)
-            for i in np.flatnonzero(np.any(feasible, axis=0)):
-                best = int(np.argmin(residuals[:, i]))
-                chosen[:, columns[i]] = thetas[:, best, i]
-                regularizations[columns[i]] = deltas[best]
+            found = np.flatnonzero(np.any(feasible, axis=0))
+            first = np.argmax(feasible, axis=0)[found]
+            chosen[:, columns[found]] = thetas[:, first, found]
+            regularizations[columns[found]] = deltas[first]
         pending = np.flatnonzero(np.isnan(regularizations))
         if not pending.size:
             solutions = _solutions("mmse", problem, chosen, tried.tolist())

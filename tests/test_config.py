@@ -55,6 +55,15 @@ class TestRoundTrip:
         config = single_radar_config(n1x=6, seed=9)
         assert ScenarioConfig.from_dict(config.to_dict()) == config
 
+    def test_radars_are_required(self):
+        # No default radar list: a config without one fails at construction,
+        # naming the field, and derived configs keep the radars they had.
+        with pytest.raises(TypeError, match="radars"):
+            ScenarioConfig()
+        config = multi_radar_config(seed=3)
+        assert dataclasses.replace(config) == config
+        assert dataclasses.replace(config, seed=4).radars == config.radars
+
     def test_missing_field_reported(self):
         data = single_radar_config().to_dict()
         del data["wavelength"]

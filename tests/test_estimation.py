@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 from irstealth.arrays import AnglePair, ArrayGeometry, ArrayKind, cssa_responses
 from irstealth.config import (ConfigError, build_geometry, build_scenario,
                               multi_radar_config, single_radar_config)
-from irstealth.estimation import (EstimationError, SnapshotSet, collect_snapshots,
-                                  gain_estimate, ls_recover, music_aoa, sense,
-                                  steering_matrix, _block_radius, _coarse_grid,
-                                  _refine_peaks, _scan, _spectrum,
-                                  _subspaces)
+from irstealth.estimation import (EstimationError, collect_snapshots, gain_estimate,
+                                  ls_recover, music_aoa, sense, steering_matrix,
+                                  _block_radius, _coarse_grid, _refine_peaks, _scan,
+                                  _spectrum, _subspaces)
 from irstealth.optimizers import codebook_designs, mmse_designs, pgd_designs
 from irstealth.power_model import link_factor, sum_power
 
@@ -22,6 +21,11 @@ GRID = np.deg2rad(1.0)
 def noiseless(scenario):
     target = dataclasses.replace(scenario.target, cssa_noise=0.0)
     return dataclasses.replace(scenario, target=target)
+
+
+def sensing_array(scenario):
+    """The cross array and wavelength that sense ``scenario``."""
+    return scenario.target.cssa_geometry, scenario.wavelength
 
 
 def coplanar_multi_config(**kwargs):
@@ -42,23 +46,32 @@ def clean_multi():
 
 class TestCollectSnapshots:
     def test_single_source_snapshots_stay_parallel(self, clean_single):
-        snaps = collect_snapshots([clean_single], 16, [0])[0]
-        reference = snaps.samples[:, :1]
+        z = collect_snapshots([clean_single], 16, [0])[0]
+        reference = z[:, :1]
         projector = reference @ reference.conj().T / np.vdot(reference, reference)
-        np.testing.assert_allclose(projector @ snaps.samples, snaps.samples,
-                                   atol=1e-12)
+        np.testing.assert_allclose(projector @ z, z, atol=1e-12)
 
     def test_noiseless_covariance_rank_equals_sources(self, clean_multi):
-        snaps = collect_snapshots([clean_multi], 32, [0])[0]
-        cov = snaps.samples @ snaps.samples.conj().T / 32
+        z = collect_snapshots([clean_multi], 32, [0])[0]
+        cov = z @ z.conj().T / 32
         eigvals = np.linalg.eigvalsh(cov)
         assert eigvals[-3] > 1e-10 * eigvals[-1]
         assert eigvals[-4] <= 1e-10 * eigvals[-1]
 
     def test_seeded_determinism(self, multi_scenario):
-        a = collect_snapshots([multi_scenario], 8, [99])[0]
-        b = collect_snapshots([multi_scenario], 8, [99])[0]
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = collect_snapshots([multi_scenario], 8, [99])
+        b = collect_snapshots([multi_scenario], 8, [99])
+        np.testing.assert_array_equal(a, b)
+
+    def test_batch_stacks_each_scenario_alone(self):
+        # Trial t of a batch is scenario t collected alone, bit for bit.
+        geometry = build_geometry(multi_radar_config(seed=4))
+        scenarios = [geometry.draw(seed) for seed in range(10, 14)]
+        seeds = list(range(20, 24))
+        batch = collect_snapshots(scenarios, 16, seeds)
+        assert batch.shape == (4, geometry.target.cssa_geometry.num_elements, 16)
+        for z, scenario, seed in zip(batch, scenarios, seeds, strict=True):
+            assert np.array_equal(z, collect_snapshots([scenario], 16, [seed])[0])
 
     def test_needs_snapshots(self, clean_single):
         with pytest.raises(ValueError):
@@ -67,15 +80,15 @@ class TestCollectSnapshots:
 
 class TestMusicAoa:
     def test_single_source_on_grid_is_exact(self, clean_single):
-        snaps = collect_snapshots([clean_single], 16, [0])[0]
-        estimate = music_aoa([snaps], 1, GRID)[0]
+        samples = collect_snapshots([clean_single], 16, [0])
+        estimate = music_aoa(samples, *sensing_array(clean_single), 1, GRID)[0]
         truth = clean_single.geometry.true_angles[0]
         assert estimate[0].azimuth == pytest.approx(truth.azimuth, abs=1e-12)
         assert estimate[0].elevation == pytest.approx(0.0, abs=1e-12)
 
     def test_three_sources_recovered(self, clean_multi):
-        snaps = collect_snapshots([clean_multi], 64, [1])[0]
-        estimate = music_aoa([snaps], 3, GRID)[0]
+        samples = collect_snapshots([clean_multi], 64, [1])
+        estimate = music_aoa(samples, *sensing_array(clean_multi), 3, GRID)[0]
         got = sorted(a.azimuth for a in estimate)
         want = sorted(clean_multi.geometry.true_angles[k].azimuth for k in range(3))
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -90,48 +103,47 @@ class TestMusicAoa:
             target = dataclasses.replace(scenario.target,
                                          cssa_noise=signal / 100.0)
             scenario = dataclasses.replace(scenario, target=target)
-            snaps = collect_snapshots([scenario], 64, [seed])[0]
-            estimate = music_aoa([snaps], 1, GRID)[0]
+            samples = collect_snapshots([scenario], 64, [seed])
+            estimate = music_aoa(samples, *sensing_array(scenario), 1, GRID)[0]
             truth = scenario.geometry.true_angles[0]
             errors.append(abs(estimate[0].azimuth - truth.azimuth))
         assert np.quantile(errors, 0.95) <= np.deg2rad(0.5)
 
     def test_too_many_sources_rejected(self, clean_multi):
-        snaps = collect_snapshots([clean_multi], 16, [0])[0]
+        samples = collect_snapshots([clean_multi], 16, [0])
         with pytest.raises(ValueError):
-            music_aoa([snaps], 9, GRID)
+            music_aoa(samples, *sensing_array(clean_multi), 9, GRID)
 
     def test_missing_peaks_reported(self, clean_single):
         # One dominant source scanned on a very coarse grid: neighboring
         # grid maxima merge into a single peak, fewer than requested.
-        snaps = collect_snapshots([clean_single], 32, [0])[0]
+        samples = collect_snapshots([clean_single], 32, [0])
         with pytest.raises(EstimationError) as err:
-            music_aoa([snaps], 2, np.deg2rad(45.0))
+            music_aoa(samples, *sensing_array(clean_single), 2, np.deg2rad(45.0))
         assert len(err.value.peaks) == 1
 
-    def test_rejects_sets_of_different_arrays(self, clean_single):
-        snaps = collect_snapshots([clean_single], 16, [0])[0]
-        other = SnapshotSet(snaps.samples, snaps.sample_times, snaps.geometry,
-                            2.0 * snaps.wavelength)
-        with pytest.raises(ValueError, match="one array and wavelength"):
-            music_aoa([snaps, other], 1, GRID)
+    def test_rejects_samples_of_another_array(self, clean_single):
+        # One row per element of the given array, in a trials x rows x
+        # snapshots batch.
+        samples = collect_snapshots([clean_single], 16, [0])
+        for wrong in (samples[:, :-1], samples[0]):
+            with pytest.raises(ValueError, match="trials x 9 elements x snapshots"):
+                music_aoa(wrong, *sensing_array(clean_single), 1, GRID)
 
     def test_noise_subspace_orthogonal_to_steering(self, clean_multi):
-        snaps = collect_snapshots([clean_multi], 64, [2])[0]
-        basis = _subspaces(snaps, 3)[1]
-        truth = steering_matrix(snaps.geometry, snaps.wavelength,
-                                clean_multi.geometry.true_angles)
+        z = collect_snapshots([clean_multi], 64, [2])[0]
+        basis = _subspaces(z, 3)[1]
+        truth = steering_matrix(*sensing_array(clean_multi), clean_multi.geometry.true_angles)
         assert np.linalg.norm(basis.conj().T @ truth) <= 1e-8
 
     def test_spectrum_invariant_to_sample_scaling(self, clean_multi):
-        snaps = collect_snapshots([clean_multi], 64, [3])[0]
-        doubled = SnapshotSet(2.0 * snaps.samples, snaps.sample_times,
-                              snaps.geometry, snaps.wavelength)
+        z = collect_snapshots([clean_multi], 64, [3])[0]
         az = np.deg2rad(np.arange(-60, 61, 5, dtype=float))
         el = np.deg2rad(np.arange(0, 31, 5, dtype=float))
-        steering = cssa_responses(snaps.geometry, az[:, None], el[None, :], snaps.wavelength)
-        spec_a = _spectrum(_subspaces(snaps, 3)[1], steering)
-        spec_b = _spectrum(_subspaces(doubled, 3)[1], steering)
+        cssa, wavelength = sensing_array(clean_multi)
+        steering = cssa_responses(cssa, az[:, None], el[None, :], wavelength)
+        spec_a = _spectrum(_subspaces(z, 3)[1], steering)
+        spec_b = _spectrum(_subspaces(2.0 * z, 3)[1], steering)
         np.testing.assert_allclose(spec_b, spec_a, rtol=1e-9)
 
     def test_broadcast_responses_match_single_angle_response(self):
@@ -163,48 +175,49 @@ def _snapshot_signal_power(scenario):
 
 class TestLsRecover:
     def test_noiseless_recovery_is_exact(self, clean_multi):
-        snaps = collect_snapshots([clean_multi], 32, [0])[0]
-        a_matrix = steering_matrix(snaps.geometry, snaps.wavelength,
+        z = collect_snapshots([clean_multi], 32, [0])[0]
+        a_matrix = steering_matrix(*sensing_array(clean_multi),
                                    clean_multi.geometry.true_angles)
-        recovered = ls_recover(snaps, a_matrix)
+        recovered = ls_recover(z, a_matrix)
         gains = clean_multi.geometry.gains
         from irstealth.power_model import chirp_waveform
-        expected = np.stack([gains[k]
-                             * chirp_waveform(snaps.sample_times,
-                                              clean_multi.radars[k])
+        # 32 uniform samples from the latest pulse epoch to the earliest pulse end.
+        t_lo = max(r.pulse_epoch for r in clean_multi.radars)
+        t_hi = min(r.pulse_epoch + r.pulse for r in clean_multi.radars)
+        times = t_lo + (t_hi - t_lo) * np.arange(32) / 32
+        expected = np.stack([gains[k] * chirp_waveform(times, clean_multi.radars[k])
                              for k in range(3)])
         np.testing.assert_allclose(recovered, expected, rtol=1e-10)
 
     def test_single_source_matched_filter_equivalence(self, clean_single):
-        snaps = collect_snapshots([clean_single], 16, [0])[0]
-        a_matrix = steering_matrix(snaps.geometry, snaps.wavelength,
+        z = collect_snapshots([clean_single], 16, [0])[0]
+        a_matrix = steering_matrix(*sensing_array(clean_single),
                                    [clean_single.geometry.true_angles[0]])
-        recovered = ls_recover(snaps, a_matrix)
-        matched = a_matrix[:, 0].conj() @ snaps.samples / a_matrix.shape[0]
+        recovered = ls_recover(z, a_matrix)
+        matched = a_matrix[:, 0].conj() @ z / a_matrix.shape[0]
         np.testing.assert_allclose(recovered[0], matched, rtol=1e-10)
 
     def test_residual_orthogonal_to_steering(self, multi_scenario):
-        snaps = collect_snapshots([multi_scenario], 32, [5])[0]
-        a_matrix = steering_matrix(snaps.geometry, snaps.wavelength,
+        z = collect_snapshots([multi_scenario], 32, [5])[0]
+        a_matrix = steering_matrix(*sensing_array(multi_scenario),
                                    multi_scenario.geometry.true_angles)
-        recovered = ls_recover(snaps, a_matrix)
-        residual = snaps.samples - a_matrix @ recovered
-        assert np.max(np.abs(a_matrix.conj().T @ residual)) <= 1e-9 * np.max(
-            np.abs(snaps.samples))
+        recovered = ls_recover(z, a_matrix)
+        residual = z - a_matrix @ recovered
+        assert np.max(np.abs(a_matrix.conj().T @ residual)) <= 1e-9 * np.max(np.abs(z))
 
     def test_rank_deficient_steering_rejected(self, clean_multi):
-        snaps = collect_snapshots([clean_multi], 16, [0])[0]
+        z = collect_snapshots([clean_multi], 16, [0])[0]
         pair = clean_multi.geometry.true_angles[0]
         with pytest.raises(np.linalg.LinAlgError):
-            ls_recover(snaps, steering_matrix(snaps.geometry, snaps.wavelength, [pair, pair]))
+            ls_recover(z, steering_matrix(*sensing_array(clean_multi), [pair, pair]))
 
 
 class TestGainEstimate:
     def test_noiseless_equals_power_scaled_gain(self, clean_multi):
-        snaps = collect_snapshots([clean_multi], 64, [0])[0]
-        a_matrix = steering_matrix(snaps.geometry, snaps.wavelength,
+        z = collect_snapshots([clean_multi], 64, [0])[0]
+        a_matrix = steering_matrix(*sensing_array(clean_multi),
                                    clean_multi.geometry.true_angles)
-        recovered = ls_recover(snaps, a_matrix)
+        recovered = ls_recover(z, a_matrix)
         radar = clean_multi.radars[0]
         estimate = gain_estimate(recovered, radar.pri, radar.pulse)
         gains = clean_multi.geometry.gains
@@ -233,10 +246,8 @@ class TestGainEstimate:
             rng = np.random.default_rng(seed)
             noise = np.sqrt(sigma2 / 2) * (rng.standard_normal((9, 64))
                                            + 1j * rng.standard_normal((9, 64)))
-            snaps = SnapshotSet(noise, np.linspace(0, pulse, 64, endpoint=False),
-                                geometry, 0.05)
             a_matrix = steering_matrix(geometry, 0.05, angles)
-            estimates.append(gain_estimate(ls_recover(snaps, a_matrix),
+            estimates.append(gain_estimate(ls_recover(noise, a_matrix),
                                            pri, pulse))
         a_matrix = steering_matrix(geometry, 0.05, angles)
         gram_inv = np.linalg.inv(a_matrix.conj().T @ a_matrix)
@@ -337,7 +348,7 @@ class TestGainScaleInvariance:
                     assert abs(power - base) <= 1e-9 * dark, (seed, name, scale)
 
 
-def exhaustive_refine(noise_basis, snapshots, az0, el0, coarse, fine):
+def exhaustive_refine(noise_basis, scenario, az0, el0, coarse, fine):
     """Refine oracle: argmax over the whole fine lattice within one coarse
     step of the peak, with the azimuth clipped into the admissible range."""
     half = np.pi / 2
@@ -345,8 +356,8 @@ def exhaustive_refine(noise_basis, snapshots, az0, el0, coarse, fine):
     el_lo, el_hi = max(el0 - coarse, 0.0), min(el0 + coarse, half - fine)
     az_grid = az_lo + fine * np.arange(int(round((az_hi - az_lo) / fine)) + 1)
     el_grid = el_lo + fine * np.arange(int(round((el_hi - el_lo) / fine)) + 1)
-    steering = cssa_responses(snapshots.geometry, az_grid[:, None], el_grid[None, :],
-                              snapshots.wavelength)
+    cssa, wavelength = sensing_array(scenario)
+    steering = cssa_responses(cssa, az_grid[:, None], el_grid[None, :], wavelength)
     local = 1.0 / np.sum(np.abs(np.einsum("lk,lae->kae", noise_basis.conj(),
                                           steering)) ** 2, axis=0)
     i, j = np.unravel_index(int(np.argmax(local)), local.shape)
@@ -358,14 +369,15 @@ def check_peaks(cases):
     case in one batch and check each against the exhaustive lattice argmax."""
     peaks = []
     for config, num_radars, n_snapshots, seed in cases:
-        snapshots = collect_snapshots([build_scenario(config)], n_snapshots, [seed])[0]
-        grid = _coarse_grid(snapshots.geometry, snapshots.wavelength, GRID)
-        peaks += [(seed, num_radars, (noise_basis, snapshots, az, el, GRID, GRID / 100))
-                  for noise_basis, az, el in _scan(snapshots, num_radars, *grid)]
-    snapshots = peaks[0][2][1]
-    assert all(p[2][1].geometry == snapshots.geometry for p in peaks)
-    refined = _refine_peaks(snapshots.geometry, snapshots.wavelength,
-                            [(args[0], args[2], args[3]) for *_, args in peaks], GRID, GRID / 100)
+        scenario = build_scenario(config)
+        z = collect_snapshots([scenario], n_snapshots, [seed])[0]
+        grid = _coarse_grid(*sensing_array(scenario), GRID)
+        peaks += [(seed, num_radars, (noise_basis, scenario, az, el, GRID, GRID / 100))
+                  for noise_basis, az, el in _scan(z, num_radars, *grid)]
+    array = sensing_array(peaks[0][2][1])
+    assert all(sensing_array(p[2][1]) == array for p in peaks)
+    refined = _refine_peaks(*array, [(args[0], args[2], args[3]) for *_, args in peaks],
+                            GRID, GRID / 100)
     for got, (seed, num_radars, args) in zip(refined, peaks, strict=True):
         assert got == exhaustive_refine(*args), (seed, num_radars, args[2], args[3])
 

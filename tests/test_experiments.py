@@ -294,7 +294,8 @@ class TestGeometryReuse:
     def test_one_geometry_per_distinct_point(self, monkeypatch, preset, builds):
         # The error and sensing presets keep their config, so all their sweep
         # values share one geometry and one true problem too; the radar-count
-        # sweep reads every count from one geometry.
+        # sweep reads every count from one geometry.  The sensing preset takes
+        # its coatings from the scenarios it draws, so it draws none apart.
         count, problems = [], []
         build, coatings = experiments.build_geometry, ScenarioGeometry.coatings
         monkeypatch.setattr(experiments, "build_geometry",
@@ -303,7 +304,8 @@ class TestGeometryReuse:
                             lambda geometry, seeds: problems.append(seeds)
                             or coatings(geometry, seeds))
         run_experiment(preset, multi_radar_config(num_radars=3, n1x=4), 2)
-        assert len(count) == len(problems) == builds
+        assert len(count) == builds
+        assert len(problems) == (0 if preset == "estimation-pipeline" else builds)
 
     @pytest.mark.parametrize("preset", ["power-vs-distance", "power-vs-elements",
                                         "power-vs-angle", "power-vs-num-radars",
@@ -329,6 +331,15 @@ class TestGeometryReuse:
         config = single_radar_config(seed=5)
         run_experiment("estimation-pipeline", config, 3)
         assert draws == [int(seed) for seed in trial_seeds(config.seed, 3)]
+
+    def test_sensing_preset_draws_each_coating_once(self, monkeypatch):
+        # The designs read the coatings of the scenarios that were sensed.
+        coatings = []
+        coating = ScenarioGeometry._coating
+        monkeypatch.setattr(ScenarioGeometry, "_coating",
+                            lambda geometry, rng: coatings.append(rng) or coating(geometry, rng))
+        run_experiment("estimation-pipeline", multi_radar_config(num_radars=3, n1x=4), 3)
+        assert len(coatings) == 3
 
 
 class TestReducedProblemReuse:

@@ -325,30 +325,45 @@ class TestReverseAlignment:
 class TestMmse:
     def test_min_norm_cancels_single_radar(self, single_scenario):
         inst = link_factor(single_scenario)
-        theta = _ridge_designs(inst, inst.columns, [0.0])[0][:, 0, 0]
+        theta = _ridge_designs(inst, inst.columns, [0.0])[:, 0, 0]
         _, _, u, u_nirs = link_oracle(single_scenario)
         c = np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi)
         assert abs(np.vdot(u[0, 0], theta) + c) <= 1e-10
 
     def test_heavy_regularization_goes_dark(self, multi_scenario):
         inst = link_factor(multi_scenario)
-        theta = _ridge_designs(inst, inst.columns, [1e12])[0]
+        theta = _ridge_designs(inst, inst.columns, [1e12])[:, 0, 0]
         assert np.max(np.abs(theta)) < 1e-9
 
     def test_residual_monotone_in_regularization(self, multi_scenario):
         inst = link_factor(multi_scenario)
         gram_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
         deltas = np.geomspace(1e-10 * gram_top, 1e2 * gram_top, 13)
-        thetas, reported = _ridge_designs(inst, inst.columns, deltas)
-        reported = reported[:, 0]
+        thetas = _ridge_designs(inst, inst.columns, deltas)
         residuals = [inst.objective(theta)[0] for theta in thetas[:, :, 0].T]
-        # The direct evaluation rounds at about eps * ||r||^2 * ||D theta + r||.
-        np.testing.assert_allclose(reported, residuals, rtol=1e-9,
-                                   atol=1e-18 * dense_terms(inst)[2])
         assert all(a <= b * (1 + 1e-9) for a, b in zip(residuals, residuals[1:]))
-        # The reported residuals never fall, not even in rounding: the delta
-        # search stops at the first feasible value on that account.
-        assert np.all(np.diff(reported) >= 0)
+
+    @pytest.mark.parametrize("beta", [1.0, 0.3, 0.1])
+    def test_first_feasible_regularization_beats_every_feasible_candidate(self, beta):
+        # The delta search keeps the first feasible value of its default
+        # grid; since residuals grow with delta, no feasible dense ridge
+        # candidate -(U + delta I)^{-1} v on that grid does better.
+        for seed in (1, 2, 3):
+            config = multi_radar_config(seed=seed)
+            config = dataclasses.replace(
+                config, target=dataclasses.replace(config.target, beta_max=beta))
+            inst = link_factor(build_scenario(config))
+            _, sol = mmse_designs(inst)[0]
+            assert np.max(np.abs(sol.theta)) <= beta * (1 + 1e-12)
+            u_mat, v_vec, _ = dense_terms(inst)
+            lam_top = float(np.linalg.eigvalsh(u_mat)[-1])
+            candidates = [-np.linalg.solve(u_mat + delta * np.eye(inst.n_elements), v_vec)
+                          for delta in np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40)]
+            feasible = [theta for theta in candidates
+                        if np.max(np.abs(theta)) <= beta * (1 + 1e-12)]
+            assert feasible
+            for theta in feasible:
+                assert sol.objective <= (1 + 1e-9) * inst.objective(theta)[0], seed
 
     def test_delta_search_picks_smallest_feasible_residual(self, multi_scenario):
         inst = link_factor(multi_scenario)
@@ -528,15 +543,14 @@ class TestFactorOracles:
         u_mat, v_vec, _ = dense_terms(inst)
         lam_top = float(np.linalg.eigvalsh(u_mat)[-1])
         deltas = lam_top * np.geomspace(1e-3, 1e2, 6)
-        thetas, residuals = _ridge_designs(inst, inst.columns, deltas)
-        thetas, residuals = thetas[:, :, 0], residuals[:, 0]
-        assert np.all(np.diff(residuals) >= 0)
+        thetas = _ridge_designs(inst, inst.columns, deltas)[:, :, 0]
         eye = np.eye(inst.n_elements)
         for col, delta in enumerate(deltas):
             dense = -np.linalg.solve(u_mat + delta * eye, v_vec)
             np.testing.assert_allclose(thetas[:, col], dense, rtol=1e-9,
                                        atol=1e-12 * np.linalg.norm(dense))
-            assert residuals[col] == pytest.approx(inst.objective(dense)[0], rel=1e-9)
+            assert inst.objective(thetas[:, col])[0] == pytest.approx(
+                inst.objective(dense)[0], rel=1e-9)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=25, deadline=None)
