@@ -67,6 +67,22 @@ class AnglePair:
                 raise ValueError(f"{name} must lie in (-pi/2, pi/2), got {v}")
 
 
+def _phases(caller: str, kind: ArrayKind, geom: ArrayGeometry, azimuths, elevations,
+            wavelength: float):
+    """Per-axis phases (2*spacing/wavelength times each direction cosine) of a
+    ``kind`` array at broadcast angle arrays, and the trailing unit shape that
+    lines an element axis up against them; errors name ``caller``."""
+    if geom.kind is not kind:
+        raise ValueError(f"{caller} needs a {kind.name} geometry, got {geom.kind}")
+    if wavelength <= 0:
+        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    ce = np.cos(elevations)
+    scale = 2.0 * geom.spacing / wavelength
+    phase_x = scale * (ce * np.cos(azimuths))
+    phase_y = scale * (ce * np.sin(azimuths))
+    return phase_x, phase_y, (1,) * phase_x.ndim
+
+
 def upa_response(geom: ArrayGeometry, angles: AnglePair, wavelength: float) -> np.ndarray:
     """Planar-array response toward one direction: the one-angle case of
     :func:`upa_responses`."""
@@ -80,15 +96,8 @@ def upa_responses(geom: ArrayGeometry, azimuths, elevations, wavelength: float) 
     times that axis's direction cosine; element (m, n) is x-entry m times
     y-entry n, as in the Kronecker product of the two axis vectors.
     """
-    if geom.kind is not ArrayKind.UPA:
-        raise ValueError(f"upa_response needs a UPA geometry, got {geom.kind}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    ce = np.cos(elevations)
-    scale = 2.0 * geom.spacing / wavelength
-    phase_x = scale * (ce * np.cos(azimuths))
-    phase_y = scale * (ce * np.sin(azimuths))
-    lead = (1,) * phase_x.ndim
+    phase_x, phase_y, lead = _phases("upa_response", ArrayKind.UPA, geom, azimuths,
+                                     elevations, wavelength)
     arm_x = np.exp(-1j * np.pi * np.arange(geom.nx).reshape((-1, 1) + lead) * phase_x)
     arm_y = np.exp(-1j * np.pi * np.arange(geom.ny).reshape((1, -1) + lead) * phase_y)
     return (arm_x * arm_y).reshape((geom.num_elements,) + phase_x.shape)
@@ -102,15 +111,8 @@ def cssa_responses(geom: ArrayGeometry, azimuths, elevations, wavelength: float)
     1), so the two arms agree there and the device appears once: the x-arm
     first, then the y-arm with its central entry dropped.
     """
-    if geom.kind is not ArrayKind.CSSA:
-        raise ValueError(f"cssa_responses needs a CSSA geometry, got {geom.kind}")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    ce = np.cos(elevations)
-    scale = 2.0 * geom.spacing / wavelength
-    phase_x = scale * (ce * np.cos(azimuths))
-    phase_y = scale * (ce * np.sin(azimuths))
-    lead = (1,) * phase_x.ndim
+    phase_x, phase_y, lead = _phases("cssa_responses", ArrayKind.CSSA, geom, azimuths,
+                                     elevations, wavelength)
     off_x = (np.arange(geom.nx) - (geom.nx - 1) / 2).reshape((-1,) + lead)
     off_y = (np.arange(geom.ny) - (geom.ny - 1) / 2).reshape((-1,) + lead)
     arm_x = np.exp(-1j * np.pi * off_x * phase_x[None])

@@ -278,7 +278,6 @@ def build_geometry(config: ScenarioConfig) -> ScenarioGeometry:
                                 tx_power=dbm_to_watts(rc.tx_power_dbm),
                                 pri=rc.pri, pulse=rc.pulse,
                                 bandwidth=rc.bandwidth,
-                                noise_power=dbm_to_watts(rc.noise_dbm),
                                 pulse_epoch=_distance(rc.position, tgt.position)
                                 / SPEED_OF_LIGHT))
     return ScenarioGeometry(config.wavelength, db_to_linear(config.alpha_db),

@@ -24,9 +24,8 @@ whose points differ in their geometry draw the trials' coatings once per
 sweep and run the sweep designs at each point as one group on its true
 problem.  The distance, element-count, beam-angle and minimum-elements
 sweeps build one geometry per point; the radar-count sweep builds one
-geometry and reads each count k as its
-:meth:`~irstealth.power_model.ScenarioGeometry.prefix` view of the first
-k radars.  The steering-error
+true factor and reads each count k as its leading k x k block of link
+rows, the links among the first k radars.  The steering-error
 and sensing presets keep their config: they build the geometry and the
 true problem once and loop over their own values.  Steering-error trials
 are grouped by their perturbed directions (at most 2^K sign patterns per
@@ -41,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -131,8 +131,8 @@ def _group_rows(value, truth, seeds, solvers, problem, members):
             for trial, seed, power in zip(members, seeds, watts)]
 
 
-def _sweep_rows(config, trials, values, geometry_for, solvers=None):
-    """Rows of a sweep whose points differ in their geometry, ``geometry_for(value)``.
+def _sweep_rows(config, trials, values, config_for, solvers=None):
+    """Rows of a sweep whose points each build the geometry of ``config_for(value)``.
 
     The trials' coatings are drawn once, from the first point's geometry:
     the coating grid, its absorbing efficiency and the trial seeds are the
@@ -142,7 +142,7 @@ def _sweep_rows(config, trials, values, geometry_for, solvers=None):
     seeds = trial_seeds(config.seed, trials)
     rows, phis = [], None
     for value in values:
-        geometry = geometry_for(value)
+        geometry = build_geometry(config_for(value))
         if phis is None:
             phis = geometry.coatings(seeds)
         truth = geometry.factor(phis)
@@ -169,8 +169,8 @@ def _preset_distance(config, trials):
     base = min(_distance(r.position, config.target.position) for r in config.radars)
     sweep = (60.0, 80.0, 100.0, 120.0, 140.0, 160.0, 180.0, 200.0)
 
-    return sweep, _sweep_rows(config, trials, sweep, lambda value: build_geometry(
-        _scaled_positions(config, value / base)))
+    return sweep, _sweep_rows(config, trials, sweep,
+                              lambda value: _scaled_positions(config, value / base))
 
 
 def _preset_elements(config, trials):
@@ -179,18 +179,17 @@ def _preset_elements(config, trials):
     else:
         n1x_values = (5, 10, 15, 20, 25, 30, 35, 40, 45)
     sweep = tuple(n * config.target.n1y for n in n1x_values)
-    return sweep, _sweep_rows(config, trials, sweep, lambda value: build_geometry(
-        _with_elements(config, value)))
+    return sweep, _sweep_rows(config, trials, sweep, partial(_with_elements, config))
 
 
 def _preset_angle(config, trials):
     sweep = tuple(float(a) for a in range(-60, 61, 10))
 
-    def geometry_for(value):
-        radars = tuple(replace(r, beam_azimuth_deg=value) for r in config.radars)
-        return build_geometry(replace(config, radars=radars))
+    def config_for(value):
+        return replace(config, radars=tuple(replace(r, beam_azimuth_deg=value)
+                                            for r in config.radars))
 
-    return sweep, _sweep_rows(config, trials, sweep, geometry_for)
+    return sweep, _sweep_rows(config, trials, sweep, config_for)
 
 
 def _preset_aoa_error(config, trials):
@@ -221,9 +220,17 @@ def _preset_aoa_error(config, trials):
 
 
 def _preset_num_radars(config, trials):
-    sweep = tuple(float(k) for k in range(1, len(config.radars) + 1))
-    # The first k radars of one geometry: their rows of its blocks and gains.
-    return sweep, _sweep_rows(config, trials, sweep, build_geometry(config).prefix)
+    count = len(config.radars)
+    seeds = trial_seeds(config.seed, trials)
+    geometry = build_geometry(config)
+    full = geometry.factor(geometry.coatings(seeds))
+    rows = []
+    for k in range(1, count + 1):
+        # The first k radars see the panel through the links (i, j), i, j < k.
+        truth = QcqpInstance(*(x.reshape(count, count, -1)[:k, :k].reshape(k * k, -1)
+                               for x in (full.d_mat, full.columns)), full.beta_max)
+        rows += _group_rows(k, truth, seeds, _sweep_solvers(truth), truth, np.arange(trials))
+    return tuple(float(k) for k in range(1, count + 1)), rows
 
 
 _MIN_ELEMENT_REALIZATIONS = 20  # coating draws the predicted element count covers
@@ -244,8 +251,8 @@ def _preset_min_elements(config, trials):
                                  _MIN_ELEMENT_REALIZATIONS)
     n1x_pred = max(1, math.ceil(predicted / n1y))
     sweep = tuple(n1x * n1y for n1x in range(max(1, n1x_pred - 2), n1x_pred + 2))
-    return sweep, _sweep_rows(config, trials, sweep, lambda value: build_geometry(
-        _with_elements(config, value)), {"reverse-alignment": "reverse-alignment"})
+    return sweep, _sweep_rows(config, trials, sweep, partial(_with_elements, config),
+                              {"reverse-alignment": "reverse-alignment"})
 
 
 def _preset_estimation(config, trials):

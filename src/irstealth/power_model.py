@@ -11,7 +11,8 @@ inside the world x-z plane give zero elevation and in-plane azimuths.
 Powers are linear watts throughout.  The received-power objective is held as
 its stacked link factor, one problem object (:class:`QcqpInstance`, built by
 :meth:`ScenarioGeometry.factor`) that alone evaluates it: K radars see the
-panel only through K^2 rank-one links.
+panel only through K^2 rank-one links, so the problem of the first k radars
+is the leading k x k block of link rows of the K-radar factor.
 
 A scenario splits into a seed-free :class:`ScenarioGeometry` (nodes,
 surface responses, radar gains and link amplitudes, each built once on
@@ -48,7 +49,6 @@ class RadarNode:
     pri: float
     pulse: float
     bandwidth: float
-    noise_power: float
     pulse_epoch: float = 0.0
 
     def __post_init__(self):
@@ -316,9 +316,9 @@ class ScenarioGeometry:
     it builds the surface blocks toward the radars, the radars' beamforming
     gains and the link amplitudes, all read-only.
     :meth:`factor` builds the link factor of any coating coefficients from
-    them, and :meth:`prefix` views the geometry of its first k radars on
-    the same arrays.  Coating phases and pulse epochs are never read from
-    it: :meth:`draw` and :meth:`coatings` draw them per seed.
+    them; the factor of its first k radars is the leading k x k block of
+    link rows of its K-radar factor.  Coating phases and pulse epochs are
+    never read from it: :meth:`draw` and :meth:`coatings` draw them per seed.
     """
 
     def __init__(self, wavelength: float, ref_gain: float, radars: tuple[RadarNode, ...],
@@ -340,25 +340,6 @@ class ScenarioGeometry:
                             ref_gain=self.ref_gain, seed=int(seed))
         scenario.__dict__["geometry"] = self
         return scenario
-
-    def prefix(self, k) -> ScenarioGeometry:
-        """Geometry of the first ``k`` radars, 1 <= k <= K (an integral number).
-
-        It shares this geometry's read-only arrays without copying them: the
-        leading k true angles, rows of both true blocks and gains, and the
-        coating magnitudes.  Only the link amplitudes are computed again.
-        """
-        count = len(self.radars)
-        if not (isinstance(k, numbers.Real) and 1 <= k <= count and k == int(k)):
-            raise ValueError(f"need 1 <= k <= {count} radars, got {k!r}")
-        k = int(k)
-        view = ScenarioGeometry(self.wavelength, self.ref_gain, self.radars[:k],
-                                self.target, self.epoch_jitter)
-        view.__dict__.update(true_angles=self.true_angles[:k],
-                             true_blocks=tuple(b[:k] for b in self.true_blocks),
-                             gains=self.gains[:k],
-                             _coating_magnitude=self._coating_magnitude)
-        return view
 
     def coatings(self, seeds) -> np.ndarray:
         """Coating coefficients of every seed, one column each: the phases

@@ -219,3 +219,17 @@ class TestRun:
         assert proc.stderr.strip() == "error: found 4 peaks, expected 5"
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+class TestImport:
+    def test_cli_loads_only_numpy_and_the_standard_library(self):
+        # Interpreter start and this import are most of a benchmark round's
+        # setup time, and numpy alone is over half of the import.
+        probe = ("import sys; before = set(sys.modules); import irstealth.cli; "
+                 "print(*sorted({name.partition('.')[0] for name in sys.modules} "
+                 "- {name.partition('.')[0] for name in before}))")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                              text=True, check=True)
+        loaded = set(proc.stdout.split())
+        assert {"irstealth", "numpy"} <= loaded
+        assert loaded - sys.stdlib_module_names <= {"irstealth", "numpy"}

@@ -2,6 +2,7 @@ import functools
 import os
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -307,6 +308,18 @@ class TestGeometryReuse:
         assert len(count) == builds
         assert len(problems) == (0 if preset == "estimation-pipeline" else builds)
 
+    def test_radar_counts_share_one_true_factor(self, monkeypatch):
+        # Every count reads its link rows from the factor of all K radars.
+        calls = []
+        factor = ScenarioGeometry.factor
+        monkeypatch.setattr(ScenarioGeometry, "factor",
+                            lambda geometry, phis, angles=None, g2=None: calls.append(
+                                (angles, g2)) or factor(geometry, phis, angles, g2))
+        result = run_experiment("power-vs-num-radars",
+                                multi_radar_config(num_radars=4, n1x=4), 3)
+        assert result.sweep_values == (1.0, 2.0, 3.0, 4.0)
+        assert calls == [(None, None)]
+
     @pytest.mark.parametrize("preset", ["power-vs-distance", "power-vs-elements",
                                         "power-vs-angle", "power-vs-num-radars",
                                         "min-elements-validation"])
@@ -480,30 +493,27 @@ class TestTrialBatch:
     @pytest.mark.parametrize("num_radars, preset", BATCH_CASES)
     def test_rows_match_the_one_trial_path(self, monkeypatch, num_radars, preset):
         points, built = {}, []
-        build, prefix = experiments.build_geometry, ScenarioGeometry.prefix
+        build = experiments.build_geometry
         group_rows = experiments._group_rows
 
         def building(cfg):
             built.append(build(cfg))
             return built[-1]
 
-        def viewing(geometry, k):
-            built.append(prefix(geometry, k))
-            return built[-1]
-
         def recording(value, *args):
-            # Every design group of a point runs on the geometry built or
-            # viewed last.
+            # Every design group of a point runs on the geometry built last.
             points[float(value)] = built[-1]
             return group_rows(value, *args)
 
         monkeypatch.setattr(experiments, "build_geometry", building)
-        monkeypatch.setattr(ScenarioGeometry, "prefix", viewing)
         monkeypatch.setattr(experiments, "_group_rows", recording)
         config = _batch_config(num_radars)
         rows, failure = self._run(preset, config, 5)
         got = {(r.sweep, r.trial, r.solver): r for r in rows}
         for value, geometry in points.items():
+            if preset == "power-vs-num-radars":
+                # The point of k radars is the scenario of the first k alone.
+                geometry = build_geometry(replace(config, radars=config.radars[:int(value)]))
             failures = []
             for trial, seed in enumerate(trial_seeds(config.seed, 5)):
                 try:

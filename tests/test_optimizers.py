@@ -613,6 +613,22 @@ class TestFactorOracles:
         assert c == pytest.approx(np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi),
                                   rel=1e-12)
 
+    @pytest.mark.parametrize("n1x", [4, 25])
+    @pytest.mark.parametrize("num_radars", [2, 3, 4, 5])
+    def test_designs_do_not_depend_on_the_radar_order(self, num_radars, n1x):
+        # Reversing the radars permutes the link rows: the same objective, so
+        # the same true power of every design.  Both orders draw one coating.
+        for seed in range(1, 21):
+            config = multi_radar_config(num_radars=num_radars, n1x=n1x, seed=seed)
+            truth = link_factor(build_scenario(config))
+            reverse = link_factor(build_scenario(
+                dataclasses.replace(config, radars=config.radars[::-1])))
+            p0 = truth.objective(np.zeros(truth.n_elements))[0]
+            for name in ("pgd", "mmse", "dft-codebook"):
+                power = truth.objective(SOLVERS[name](truth, [seed])[0].theta)[0]
+                permuted = reverse.objective(SOLVERS[name](reverse, [seed])[0].theta)[0]
+                assert abs(permuted - power) <= 1e-9 * p0, (name, seed)
+
 
 class TestColumnBatches:
     """A batched design answers each coating-term column as it answers that
