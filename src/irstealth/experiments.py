@@ -9,31 +9,32 @@ powers agree within 1e-12 of the trial's largest).  Designs may be
 computed from perturbed or estimated parameters (the imperfect-information
 presets), but powers are always evaluated on the true scenario.
 
-The trials of a sweep point run as one batch: they share the point's true
-link matrix and differ only in their coating coefficients.  Every problem,
-true, steered or sensed, comes from
-:meth:`~irstealth.power_model.ScenarioGeometry.factor`, and one call builds
-a point's true problem, one batched
-:class:`~irstealth.power_model.QcqpInstance` with a K^2 x T coating-term
-matrix; a single trial is a batch of one.  A design
-group is some of a point's trials running a solver table (CSV row name to
-:data:`~irstealth.optimizers.SOLVERS` entry) on one batched problem,
-reduced once for all of them; all of a group's true powers come from one
-:meth:`~irstealth.power_model.QcqpInstance.objective` call.  The sweeps
-whose points differ in their geometry draw the trials' coatings once per
-sweep and run the sweep designs at each point as one group on its true
-problem.  The distance, element-count, beam-angle and minimum-elements
-sweeps build one geometry per point; the radar-count sweep builds one
-true factor and reads each count k as its leading k x k block of link
-rows, the links among the first k radars.  The steering-error
-and sensing presets keep their config: they build the geometry and the
-true problem once and loop over their own values.  Steering-error trials
-are grouped by their perturbed directions (at most 2^K sign patterns per
-error value), each group designed on the factor of its members' coatings
-toward those directions; the sensing preset draws each trial once, senses
-all trials in one pass per snapshot count, designs each trial alone on its
-sensed factor, and designs all trials on the true problem of the drawn
-coatings once per preset.
+The trials of a sweep point run as one batch: one problem, one batched
+:class:`~irstealth.power_model.QcqpInstance` whose column t is trial t's
+problem, built by one
+:meth:`~irstealth.power_model.ScenarioGeometry.factor` call.  On true data
+the trials share the point's link matrix and differ only in their coating
+terms (a K^2 x T matrix); steered and sensed trials each have their own
+link matrix, so their problem is a T x K^2 x N1 stack.  A single trial is a
+batch of one.  At each point the solver table (CSV row name to a function
+giving the N x T designs of a problem, most of them
+:data:`~irstealth.optimizers.SOLVERS` entries) runs on that one problem,
+reduced once for all of its trials, and all the point's true powers come
+from one :meth:`~irstealth.power_model.QcqpInstance.objective` call.  The
+sweeps whose points differ in their geometry draw the trials' coatings once
+per sweep and run the sweep designs on each point's true problem.  The
+distance, element-count, beam-angle and minimum-elements sweeps build one
+geometry per point; the radar-count sweep builds one true factor and reads
+each count k as its leading k x k block of link rows, the links among the
+first k radars.  The steering-error and sensing presets keep their
+config: they build the geometry and the true problem once and loop over
+their own values.  The steering-error preset draws each trial's error signs
+once and designs each nonzero error value on one stack of every trial's
+panel rows toward its own perturbed directions; the sensing preset draws
+each trial once, senses all trials in one pass per snapshot count and
+designs them on one stack of their sensed factors, and designs all trials
+on the true problem of the drawn coatings once per preset.  Each trial's
+``random-phase`` design is drawn once per preset and panel size.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from .arrays import AnglePair
 from .config import ConfigError, ScenarioConfig, build_geometry, watts_to_db
 from .estimation import sense
-from .optimizers import SOLVERS, ConvergenceError, min_irs_elements
+from .optimizers import SOLVERS, ConvergenceError, _random_phases, min_irs_elements
 from .power_model import QcqpInstance, _distance
 
 
@@ -91,44 +92,70 @@ def _error_sign(seed) -> float:
 
 
 def _steered(truth: AnglePair, error_deg: float, sign: float) -> AnglePair:
-    half = np.pi / 2
+    half = math.pi / 2
     eps = 1e-9
-    azimuth = float(np.clip(truth.azimuth + sign * np.deg2rad(error_deg),
-                            -half + eps, half - eps))
-    return AnglePair(azimuth, truth.elevation)
+    azimuth = min(max(truth.azimuth + sign * math.radians(error_deg), -half + eps), half - eps)
+    return AnglePair(float(azimuth), truth.elevation)
 
 
-def _sweep_solvers(truth: QcqpInstance) -> dict:
+def _designs(name):
+    """Solver-table entry of the :data:`~irstealth.optimizers.SOLVERS` design
+    ``name``: its N x T designs on a problem."""
+    return lambda problem, seeds: np.column_stack([sol.theta
+                                                   for sol in SOLVERS[name](problem, seeds)])
+
+
+def _random_phase_designs():
+    """Solver-table entry of the ``random-phase`` baseline for one preset: the
+    trials' designs are drawn once per panel size and cap, then reused."""
+    drawn = {}
+
+    def design(problem, seeds):
+        key = (problem.n_elements, problem.beta_max)
+        if key not in drawn:
+            drawn[key] = _random_phases(problem.n_elements, problem.beta_max, seeds)
+        return drawn[key]
+
+    return design
+
+
+def _sweep_solvers(truth: QcqpInstance, random_phase) -> dict:
     """The sweep designs: ``pgd`` and ``dft-codebook``, ``reverse-alignment``
-    for one radar or ``mmse`` for more, and the two baselines."""
+    for one radar or ``mmse`` for more, and the two baselines, with the
+    preset's ``random-phase`` entry (:func:`_random_phase_designs`)."""
     fitted = "reverse-alignment" if truth.d_mat.shape[0] == 1 else "mmse"
-    return {name: name for name in ("pgd", fitted, "dft-codebook", "random-phase", "no-irs")}
+    return {"pgd": _designs("pgd"), fitted: _designs(fitted),
+            "dft-codebook": _designs("dft-codebook"), "random-phase": random_phase,
+            "no-irs": _designs("no-irs")}
 
 
-def _group_rows(value, truth, seeds, solvers, problem, members):
-    """Rows of trials ``members`` at sweep point ``value``, every design of
-    ``solvers`` (row name to :data:`~irstealth.optimizers.SOLVERS` entry)
-    run on ``problem``, one coating-term column per member.
+def _group_rows(value, truth, seeds, solvers, problem):
+    """Rows of every trial at sweep point ``value``: each entry of ``solvers``
+    (row name to a function of (problem, seeds) giving N x T designs) run on
+    ``problem``, whose column t is trial t's problem.
 
-    Trial t has its true coating terms in column t of ``truth`` and the
-    random-phase seed ``seeds[t]``.  Every ||D theta + r_t||^2 comes from one
-    objective call: the designs stacked side by side, on the true problem
-    with the members' coating terms repeated once per solver.  A solve that
-    runs out of steps is reported with its (sweep, trial, seed) point.
+    Trial t has its true coating terms in column t of ``truth`` and the trial
+    seed ``seeds[t]``.  Every ||D theta + r_t||^2 comes from one objective
+    call: the designs stacked side by side, on the true problem with its
+    coating terms repeated once per solver.  When ``problem`` is a stack,
+    one link matrix per trial, the true link matrix is broadcast to a stack
+    too, so each design is scored alone, as its trial's one-column problem
+    scores it.  A solve that runs out of steps is reported with its
+    (sweep, trial, seed) point.
     """
-    seeds = seeds[members]
     try:
-        thetas = [np.column_stack([sol.theta for sol in SOLVERS[solver](problem, seeds)])
-                  for solver in solvers.values()]
+        thetas = [design(problem, seeds) for design in solvers.values()]
     except ConvergenceError as exc:
-        raise ConvergenceError(f"{exc} at sweep {value:g}, trial {members[exc.column]}, "
-                               f"seed {seeds[exc.column]}", exc.best) from exc
-    stacked = QcqpInstance(truth.d_mat, np.tile(truth.columns[:, members], len(thetas)),
-                           truth.beta_max)
+        raise ConvergenceError(f"{exc} at sweep {value:g}, trial {exc.column}, "
+                               f"seed {seeds[exc.column]}", exc.best, exc.column) from exc
+    d_mat = truth.d_mat
+    if problem.d_mat.ndim == 3:
+        d_mat = np.broadcast_to(d_mat, (len(thetas) * len(seeds),) + d_mat.shape)
+    stacked = QcqpInstance(d_mat, np.tile(truth.columns, len(thetas)), truth.beta_max)
     powers = stacked.objective(np.hstack(thetas)).reshape(len(thetas), -1).tolist()
-    return [ExperimentRow(float(value), row, int(trial), int(seed), power, watts_to_db(power))
+    return [ExperimentRow(float(value), row, trial, int(seed), power, watts_to_db(power))
             for row, watts in zip(solvers, powers)
-            for trial, seed, power in zip(members, seeds, watts)]
+            for trial, (seed, power) in enumerate(zip(seeds, watts))]
 
 
 def _sweep_rows(config, trials, values, config_for, solvers=None):
@@ -137,17 +164,18 @@ def _sweep_rows(config, trials, values, config_for, solvers=None):
     The trials' coatings are drawn once, from the first point's geometry:
     the coating grid, its absorbing efficiency and the trial seeds are the
     same at every point.  At each point all trials run ``solvers`` (by
-    default the sweep designs) as one group on its true problem.
+    default the sweep designs, whose random phases are drawn once per panel
+    size) as one batch on its true problem.
     """
     seeds = trial_seeds(config.seed, trials)
-    rows, phis = [], None
+    rows, phis, random_phase = [], None, _random_phase_designs()
     for value in values:
         geometry = build_geometry(config_for(value))
         if phis is None:
             phis = geometry.coatings(seeds)
         truth = geometry.factor(phis)
-        rows += _group_rows(value, truth, seeds, solvers or _sweep_solvers(truth), truth,
-                            np.arange(trials))
+        rows += _group_rows(value, truth, seeds, solvers or _sweep_solvers(truth, random_phase),
+                            truth)
     return rows
 
 
@@ -198,24 +226,19 @@ def _preset_aoa_error(config, trials):
     geometry = build_geometry(config)
     phis = geometry.coatings(seeds)
     truth = geometry.factor(phis)
-    solvers = _sweep_solvers(truth)
+    solvers = _sweep_solvers(truth, _random_phase_designs())
     # Radar k of a trial errs with the sign drawn from seed + k, whatever the
     # error's magnitude (as in inject_aoa_error).
-    signs = [tuple(_error_sign(int(seed) + k) for k in range(len(config.radars)))
+    signs = [[_error_sign(int(seed) + k) for k in range(len(config.radars))]
              for seed in seeds]
     rows = []
     for value in sweep:
-        # Trials with equal perturbed directions form one group: perturbed
-        # panel rows, true coating gains and weights.
-        groups = {}
-        for trial, pattern in enumerate(signs):
-            angles = (geometry.true_angles if value == 0 else
-                      tuple(_steered(a, value, sign)
-                            for a, sign in zip(geometry.true_angles, pattern)))
-            groups.setdefault(angles, []).append(trial)
-        for angles, members in groups.items():
-            rows += _group_rows(value, truth, seeds, solvers,
-                                geometry.factor(phis[:, members], angles), np.array(members))
+        # One stack: each trial's perturbed panel rows, true coating gains
+        # and weights.
+        problem = truth if value == 0 else geometry.factor(phis, [
+            [_steered(a, value, sign) for a, sign in zip(geometry.true_angles, pattern)]
+            for pattern in signs])
+        rows += _group_rows(value, truth, seeds, solvers, problem)
     return sweep, rows
 
 
@@ -224,12 +247,12 @@ def _preset_num_radars(config, trials):
     seeds = trial_seeds(config.seed, trials)
     geometry = build_geometry(config)
     full = geometry.factor(geometry.coatings(seeds))
-    rows = []
+    random_phase, rows = _random_phase_designs(), []
     for k in range(1, count + 1):
         # The first k radars see the panel through the links (i, j), i, j < k.
         truth = QcqpInstance(*(x.reshape(count, count, -1)[:k, :k].reshape(k * k, -1)
                                for x in (full.d_mat, full.columns)), full.beta_max)
-        rows += _group_rows(k, truth, seeds, _sweep_solvers(truth), truth, np.arange(trials))
+        rows += _group_rows(k, truth, seeds, _sweep_solvers(truth, random_phase), truth)
     return tuple(float(k) for k in range(1, count + 1)), rows
 
 
@@ -252,7 +275,7 @@ def _preset_min_elements(config, trials):
     n1x_pred = max(1, math.ceil(predicted / n1y))
     sweep = tuple(n1x * n1y for n1x in range(max(1, n1x_pred - 2), n1x_pred + 2))
     return sweep, _sweep_rows(config, trials, sweep, partial(_with_elements, config),
-                              {"reverse-alignment": "reverse-alignment"})
+                              {"reverse-alignment": _designs("reverse-alignment")})
 
 
 def _preset_estimation(config, trials):
@@ -271,18 +294,15 @@ def _preset_estimation(config, trials):
     scenarios = [geometry.draw(int(seed)) for seed in seeds]
     phis = np.column_stack([scenario.target.nirs.phi for scenario in scenarios])
     truth = geometry.factor(phis)
-    rows = []
+    rows, pgd = [], {"pgd-estimated": _designs("pgd")}
     for value in sweep:
-        # Each trial designs alone on its sensed parameters (one sensing pass).
-        sensed = sense(scenarios, int(value), [int(seed) + 0xA0A for seed in seeds])
-        for trial, (angles, g2) in enumerate(sensed):
-            rows += _group_rows(value, truth, seeds, {"pgd-estimated": "pgd"},
-                                geometry.factor(phis[:, [trial]], angles, g2),
-                                np.array([trial]))
+        # One stack: each trial's problem on its sensed angles and gains,
+        # from one sensing pass.
+        angles, g2 = zip(*sense(scenarios, int(value), [int(seed) + 0xA0A for seed in seeds]))
+        rows += _group_rows(value, truth, seeds, pgd, geometry.factor(phis, angles, np.array(g2)))
         if value == sweep[0]:
             # All trials design on the true problem once, at the first count.
-            true = _group_rows(value, truth, seeds, {"pgd-true": "pgd"}, truth,
-                               np.arange(trials))
+            true = _group_rows(value, truth, seeds, {"pgd-true": _designs("pgd")}, truth)
     return sweep, rows + [replace(row, sweep=value) for value in sweep for row in true]
 
 

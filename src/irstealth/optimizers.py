@@ -5,7 +5,9 @@ per-element amplitude caps |theta_n| <= beta.  Every design reads one
 problem object, :class:`~irstealth.power_model.QcqpInstance` (built by
 :meth:`~irstealth.power_model.ScenarioGeometry.factor`): the link factor D,
 one row per radar link (K^2 rows for K radars), with an M x T matrix of
-coating terms r, one problem per column.  The expanded form
+coating terms r, one problem per column, on one link matrix shared by all
+columns or on a T x M x N stack of one link matrix per column.  The
+expanded form
 theta^H U theta + 2 Re(v^H theta) + c has U = D^H D, v = D^H r and
 c = ||r||^2, but no design forms the N1 x N1 matrix U.  ``pgd``, ``mmse``
 and ``dft-codebook`` read only the instance's reduced problem (B, r'): D's
@@ -18,11 +20,15 @@ real system), and the codebook one N1-point FFT per reduced row.  Every
 design (``pgd_designs``, ``mmse_designs``, ``codebook_designs``,
 ``alignment_designs``) returns one solution per column: a sweep point's
 trials run as one batch, and a single problem is the one-column case
-(``pgd_designs(problem)[0]``).  Every design scores its N x T designs on D
-with one :meth:`~irstealth.power_model.QcqpInstance.objective` call
-(``mmse`` and ``dft-codebook`` choose by reduced-factor values, but report
-D's).  :data:`SOLVERS` maps each solver name to its batched design, for
-the sweeps and ``irstealth solve`` alike.  Five designs are provided:
+(``pgd_designs(problem)[0]``).  On a stack every stage broadcasts over the
+link matrices (one stacked SVD, reduction, ridge grid and FFT; only the
+Newton solve runs column by column, on the column's own reduced rows), and
+column t gets the bits of the one-column problem of its own link matrix.
+Every design scores its N x T designs on D with one
+:meth:`~irstealth.power_model.QcqpInstance.objective` call (``mmse`` and
+``dft-codebook`` choose by reduced-factor values, but report D's).
+:data:`SOLVERS` maps each solver name to its batched design, for the sweeps
+and ``irstealth solve`` alike.  Five designs are provided:
 
 * the certified global optimum of the QCQP (``pgd``): the minimum-norm
   point when it is feasible, otherwise a semismooth Newton ascent on the
@@ -46,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .power_model import QcqpInstance
+from .power_model import QcqpInstance, _column_vectors
 
 
 class ConvergenceError(RuntimeError):
@@ -109,24 +115,35 @@ def _column_chunks(columns: int, per_column: int) -> list[slice]:
     return [slice(start, start + step) for start in range(0, columns, step)]
 
 
-def _ridge_designs(problem: QcqpInstance, r_mat: np.ndarray, deltas) -> np.ndarray:
-    """Ridge designs -(U + delta I)^{-1} D^H r, ``thetas[:, i, t]`` for ``deltas[i]``
-    and column t of r.
+def _ridge_designs(problem: QcqpInstance, deltas, cols=slice(None)) -> np.ndarray:
+    """Ridge designs -(U + delta I)^{-1} D^H r, ``thetas[:, i, t]`` for the i-th
+    regularization and the t-th of the columns ``cols`` of ``problem`` (all
+    by default).
 
     With D = P diag(sigma) Q^H the design is
     -Q diag(sigma / (sigma^2 + delta)) P^H r, and its residual
     ||D theta + r||^2 = ||r - P P^H r||^2
     + sum_i (delta / (sigma_i^2 + delta))^2 |(P^H r)_i|^2 grows with delta.
-    ``delta = 0`` gives the minimum-norm least-squares point and needs every
-    singular value positive, as a reduced factor's are.  ``r_mat`` holds
-    coating terms on the link matrix of ``problem``, whose SVD is read.
+    ``deltas`` holds the regularizations of a shared link matrix, or one row
+    of them per selected column of a stack.  A zero singular value gets
+    zero gain, so ``delta = 0`` gives the minimum-norm least-squares point
+    when every other singular value is positive, as a reduced factor's are
+    (its padded directions have sigma = 0).
     """
-    p, sig, qh = problem.svd
-    deltas = np.asarray(deltas, dtype=float)
-    gain = sig[:, None] / (sig[:, None] ** 2 + deltas[None, :])
-    scaled = -gain[:, :, None] * (p.conj().T @ r_mat)[:, None, :]
-    thetas = qh.conj().T @ scaled.reshape(sig.size, deltas.size * r_mat.shape[1])
-    return thetas.reshape(-1, deltas.size, r_mat.shape[1])
+    stacked = problem.d_mat.ndim == 3
+    p, sig, qh = (x[cols] for x in problem.svd) if stacked else problem.svd
+    r_mat = problem.columns[:, cols]
+    r_mat = _column_vectors(r_mat) if stacked else r_mat
+    deltas = np.asarray(deltas, dtype=float)[..., None, :]
+    sig = sig[..., None]
+    gain = np.divide(sig, sig ** 2 + deltas, where=sig > 0,
+                     out=np.zeros(np.broadcast_shapes(sig.shape, deltas.shape)))
+    scaled = -gain[..., None] * (np.swapaxes(p.conj(), -1, -2) @ r_mat)[..., :, None, :]
+    flat = scaled.reshape(scaled.shape[:-2] + (scaled.shape[-2] * scaled.shape[-1],))
+    thetas = np.swapaxes(qh.conj(), -1, -2) @ flat
+    if stacked:  # T x N x deltas, one column each
+        return thetas.transpose(1, 2, 0)
+    return thetas.reshape(thetas.shape[0], deltas.shape[-1], -1)
 
 
 _NEWTON_STEPS = 300  # Newton-step allowance of a ``pgd`` solve
@@ -143,7 +160,7 @@ def pgd_designs(problem: QcqpInstance, tol: float = 1e-10) -> list[ReflectionSol
     if not tol > 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     reduced, beta = problem.reduced, problem.beta_max
-    thetas = _ridge_designs(reduced, reduced.columns, [0.0])[:, 0, :]
+    thetas = _ridge_designs(reduced, [0.0])[:, 0, :]
     inside = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
     thetas = _project(thetas, beta)
     steps = [0] * inside.size
@@ -173,10 +190,15 @@ def _newton_solve(problem: QcqpInstance, column: int, tol: float) -> tuple[np.nd
     count; when the steps run out, :class:`ConvergenceError` names
     ``column`` with the last iterate.
     """
-    reduced = problem.reduced
-    d_mat, r_col, beta = reduced.d_mat, reduced.columns[:, column], problem.beta_max
-    n = problem.n_elements
-    lam_max = float(reduced.svd[1][0]) ** 2
+    reduced, beta, n = problem.reduced, problem.beta_max, problem.n_elements
+    d_mat, r_col, sig = reduced.d_mat, reduced.columns[:, column], reduced.svd[1]
+    if d_mat.ndim == 3:
+        # The column's own k kept rows and the residual row of a stack
+        # padded to the largest k.
+        sig = sig[column]
+        rows = np.r_[:np.count_nonzero(sig), -1]
+        d_mat, r_col = d_mat[column, rows], r_col[rows]
+    lam_max = float(sig[0]) ** 2
     obj_scale = (lam_max * beta ** 2 * n
                  + 2.0 * float(np.linalg.norm(d_mat.conj().T @ r_col)) * beta * math.sqrt(n)
                  + float(np.real(np.vdot(r_col, r_col))))
@@ -399,30 +421,32 @@ def dual_value(instance: QcqpInstance, multipliers: np.ndarray) -> float:
 def alignment_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
     """Closed-form single-radar design anti-phasing the coating gain, per column r.
 
-    The one-link factor's row is a * u^H, with the link amplitude a > 0 and
-    the cascaded response u of unit-modulus entries, and its coating terms
-    are a * c.  Every used element points opposite to the coating gain c
-    along u.  With too few elements all of them saturate at ``beta_max``
-    and the residual objective is a^2 (|c| - N*beta)^2; otherwise
-    floor(|c|/beta) elements saturate, one carries the remainder |c| mod
-    beta and the rest stay dark, cancelling the gain exactly.
+    The one-link factor's row is a * u^H (one per column of a stack), with
+    the link amplitude a > 0 and the cascaded response u of unit-modulus
+    entries, and its coating terms are a * c.  Every used element points
+    opposite to the coating gain c along u.  With too few elements all of
+    them saturate at ``beta_max`` and the residual objective is
+    a^2 (|c| - N*beta)^2; otherwise floor(|c|/beta) elements saturate, one
+    carries the remainder |c| mod beta and the rest stay dark, cancelling
+    the gain exactly.
     """
-    if problem.d_mat.shape[0] != 1:
+    if problem.d_mat.shape[-2] != 1:
         raise ValueError("reverse alignment applies to single-radar scenarios: need a "
-                         f"one-link factor, got {problem.d_mat.shape[0]} links")
-    row, beta_max = problem.d_mat[0], problem.beta_max
-    amp = float(np.abs(row[0]))
-    if not amp > 0 or np.max(np.abs(np.abs(row) / amp - 1.0)) > 1e-9:
+                         f"one-link factor, got {problem.d_mat.shape[-2]} links")
+    n, beta_max = problem.n_elements, problem.beta_max
+    rows = problem.d_mat.reshape(-1, n)
+    amp = np.abs(rows[:, 0])
+    if not np.all(amp > 0) or np.max(np.abs(np.abs(rows) / amp[:, None] - 1.0)) > 1e-9:
         raise ValueError("reverse alignment needs a link row of nonzero constant modulus")
-    u, gains = row.conj() / amp, problem.columns[0] / amp
+    u, gains = rows.conj().T / amp, problem.columns[0] / amp
     mags = np.abs(gains)
     units = np.divide(gains, mags, out=np.zeros_like(gains), where=mags > 0)
     full = np.floor(mags / beta_max)
-    index = np.arange(u.size)[:, None]
+    index = np.arange(n)[:, None]
     amps = np.where(index < full, beta_max,
                     np.where(index == full, mags - full * beta_max, 0.0))
-    amps[:, np.ceil(mags / beta_max) > u.size] = beta_max
-    return _solutions("reverse-alignment", problem, -amps * u[:, None] * units)
+    amps[:, np.ceil(mags / beta_max) > n] = beta_max
+    return _solutions("reverse-alignment", problem, -amps * u * units)
 
 
 def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]]:
@@ -434,45 +458,49 @@ def mmse_designs(problem: QcqpInstance) -> list[tuple[float, ReflectionSolution]
     one.  The residual never falls as the regularization grows (see
     :func:`_ridge_designs`), so that design has the smallest residual of
     the feasible ones.  All candidates come from the reduced factor's known
-    SVD.  A column feasible at the smallest value is answered there, and
+    SVD; each link matrix of a stack has its own sigma_1.  A column
+    feasible at the smallest value is answered there, and
     only the other columns try the rest of the grid.  For a column with no
     feasible candidate the grid widens upward, since large regularization
     shrinks the design to zero, which is always feasible.  A solution's
     ``iterations`` counts the candidates tried.
     """
     reduced, beta = problem.reduced, problem.beta_max
-    r_red = reduced.columns
-    lam_top = max(float(np.max(reduced.svd[1], initial=0.0)) ** 2, 1e-300)
-    grid = np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40)
-    chosen = np.zeros((reduced.n_elements, r_red.shape[1]), dtype=complex)
-    regularizations = np.full(r_red.shape[1], np.nan)
-    tried = np.zeros(r_red.shape[1], dtype=int)
-    pending = np.arange(r_red.shape[1])
-    deltas = grid[:1]
+    stacked, count = reduced.d_mat.ndim == 3, reduced.columns.shape[1]
+    lam_top = np.maximum(np.max(reduced.svd[1], axis=-1, initial=0.0) ** 2, 1e-300)
+    grid = np.geomspace(1e-12 * lam_top, 1e4 * lam_top, 40, axis=-1)
+    chosen = np.zeros((reduced.n_elements, count), dtype=complex)
+    regularizations = np.full(count, np.nan)
+    tried = np.zeros(count, dtype=int)
+    pending = np.arange(count)
+    deltas = grid[..., :1]  # one row per link matrix of a stack
     for attempt in range(7):  # the first grid value, the rest of the grid, five widenings
-        tried[pending] += deltas.size
-        for cols in _column_chunks(pending.size, reduced.n_elements * deltas.size):
+        tried[pending] += deltas.shape[-1]
+        for cols in _column_chunks(pending.size, reduced.n_elements * deltas.shape[-1]):
             columns = pending[cols]
-            thetas = _ridge_designs(reduced, r_red[:, columns], deltas)
+            own = deltas[columns] if stacked else deltas
+            thetas = _ridge_designs(reduced, own, columns)
             feasible = np.max(np.abs(thetas), axis=0) <= beta * (1.0 + 1e-12)
             found = np.flatnonzero(np.any(feasible, axis=0))
             first = np.argmax(feasible, axis=0)[found]
             chosen[:, columns[found]] = thetas[:, first, found]
-            regularizations[columns[found]] = deltas[first]
+            regularizations[columns[found]] = own[found, first] if stacked else own[first]
         pending = np.flatnonzero(np.isnan(regularizations))
         if not pending.size:
             solutions = _solutions("mmse", problem, chosen, tried.tolist())
             return list(zip(regularizations.tolist(), solutions))
-        deltas = (grid[1:] if attempt == 0 else
-                  np.geomspace(deltas[-1] * 10.0, deltas[-1] * 1e5, 16))
+        deltas = (grid[..., 1:] if attempt == 0 else
+                  np.geomspace(deltas[..., -1] * 10.0, deltas[..., -1] * 1e5, 16, axis=-1))
     raise InfeasibleError("no feasible regularization found while widening")
 
 
 def _codebook_objectives(fft: np.ndarray, beta: float, r_mat: np.ndarray) -> np.ndarray:
     """Objective of every DFT codeword of modulus ``beta`` (rows) for every
-    column of coating terms ``r_mat``, from the FFT of every link row."""
-    links = (beta * fft)[:, :, None] + r_mat[:, None, :]
-    return np.sum(np.abs(links) ** 2, axis=0)
+    column of coating terms ``r_mat``, from the FFT of every link row: one
+    R x N array for all columns, or one per column (T x R x N)."""
+    scaled = beta * fft
+    scaled = scaled[:, :, None] if fft.ndim == 2 else scaled.transpose(1, 2, 0)
+    return np.sum(np.abs(scaled + r_mat[:, None, :]) ** 2, axis=0)
 
 
 def codebook_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
@@ -484,9 +512,11 @@ def codebook_designs(problem: QcqpInstance) -> list[ReflectionSolution]:
     """
     reduced, beta = problem.reduced, problem.beta_max
     r_red, n = reduced.columns, reduced.n_elements
-    fft = np.fft.fft(reduced.d_mat, axis=1)
-    best = np.concatenate([np.argmin(_codebook_objectives(fft, beta, r_red[:, cols]), axis=0)
-                           for cols in _column_chunks(r_red.shape[1], fft.size)])
+    fft = np.fft.fft(reduced.d_mat, axis=-1)
+    best = np.concatenate([
+        np.argmin(_codebook_objectives(fft[cols] if fft.ndim == 3 else fft, beta,
+                                       r_red[:, cols]), axis=0)
+        for cols in _column_chunks(r_red.shape[1], fft.shape[-2] * n)])
     thetas = beta * np.exp(-2j * np.pi * (np.arange(n)[:, None] * best) / n)
     return _solutions("dft-codebook", problem, thetas, n)
 
@@ -501,6 +531,11 @@ def random_phase(n1: int, beta_max: float, seed) -> np.ndarray:
     return beta_max * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n1))
 
 
+def _random_phases(n1: int, beta_max: float, seeds) -> np.ndarray:
+    """The ``random-phase`` design of every trial seed, one column each."""
+    return np.column_stack([random_phase(n1, beta_max, int(s) + 0x5EED) for s in seeds])
+
+
 # Every design by its solver name, batched on (problem, seeds): one solution
 # per coating-term column, with ``seeds[t]`` the trial seed of column t.
 SOLVERS = {
@@ -509,8 +544,7 @@ SOLVERS = {
     "mmse": lambda problem, seeds: [sol for _, sol in mmse_designs(problem)],
     "dft-codebook": lambda problem, seeds: codebook_designs(problem),
     "random-phase": lambda problem, seeds: _solutions(
-        "random-phase", problem, np.column_stack([random_phase(
-            problem.n_elements, problem.beta_max, int(s) + 0x5EED) for s in seeds])),
+        "random-phase", problem, _random_phases(problem.n_elements, problem.beta_max, seeds)),
     "no-irs": lambda problem, seeds: _solutions(
         "no-irs", problem, np.zeros((problem.n_elements, len(seeds)), dtype=complex)),
 }

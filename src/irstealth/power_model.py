@@ -12,7 +12,12 @@ Powers are linear watts throughout.  The received-power objective is held as
 its stacked link factor, one problem object (:class:`QcqpInstance`, built by
 :meth:`ScenarioGeometry.factor`) that alone evaluates it: K radars see the
 panel only through K^2 rank-one links, so the problem of the first k radars
-is the leading k x k block of link rows of the K-radar factor.
+is the leading k x k block of link rows of the K-radar factor.  Trials on
+true data share one link matrix; trials designed toward their own steered or
+sensed directions hold one link matrix each, as one stacked problem whose
+slices broadcast through every operation.  Each scenario builds its own
+true factor once (:attr:`Scenario.factor`), which :func:`sum_power` and
+:func:`radar_powers` read.
 
 A scenario splits into a seed-free :class:`ScenarioGeometry` (nodes,
 surface responses, radar gains and link amplitudes, each built once on
@@ -124,8 +129,9 @@ class Scenario:
 
     ``geometry`` is the scenario's seed-free half: the one it was drawn from
     by :meth:`ScenarioGeometry.draw`, shared with every scenario drawn from
-    it, or else one built from the scenario's own fields on first use.  A
-    scenario changed with ``dataclasses.replace`` builds its own.
+    it, or else one built from the scenario's own fields on first use.
+    ``factor`` is its true link factor, built on first use.  A scenario
+    changed with ``dataclasses.replace`` builds its own of both.
     """
 
     wavelength: float
@@ -149,6 +155,13 @@ class Scenario:
     @cached_property
     def geometry(self) -> ScenarioGeometry:
         return ScenarioGeometry(self.wavelength, self.ref_gain, self.radars, self.target)
+
+    @cached_property
+    def factor(self) -> QcqpInstance:
+        """The true link factor on the scenario's own coating, built once, on
+        first use: the one-column :meth:`ScenarioGeometry.factor` of its
+        geometry."""
+        return self.geometry.factor(np.asarray(self.target.nirs.phi)[:, None])
 
 
 def angles_between(pos_from, pos_to, axes) -> AnglePair:
@@ -215,8 +228,10 @@ def matched_beamformer(radar_geometry: ArrayGeometry, target_angles: AnglePair,
 
 def _pairs(block: np.ndarray) -> np.ndarray:
     """Row-wise Khatri-Rao product of a K-row block with itself: row (k, j) is
-    block[k] * block[j], K^2 rows in link-row order."""
-    return (block[:, None, :] * block[None, :, :]).reshape(block.shape[0] ** 2, -1)
+    block[k] * block[j], K^2 rows in link-row order (per leading index of a
+    stack of blocks)."""
+    pairs = block[..., :, None, :] * block[..., None, :, :]
+    return pairs.reshape(block.shape[:-2] + (block.shape[-2] ** 2, block.shape[-1]))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -226,6 +241,13 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return view
 
 
+def _column_vectors(x: np.ndarray) -> np.ndarray:
+    """The T columns of ``x`` (rows x T) as a T x rows x 1 stack, each column
+    copied to unit stride, as a one-column problem's column is, since BLAS
+    may round a strided vector otherwise."""
+    return np.ascontiguousarray(x.T)[:, :, None]
+
+
 _DROPPED = 1e-13  # drop bound of QcqpInstance.reduced, a thousandth of pgd's default tol
 
 
@@ -233,26 +255,35 @@ class QcqpInstance:
     """Received-power objective ||D theta + r||^2 held as its stacked link factor.
 
     ``d_mat`` has one row per link and one column per panel element, and
-    ``columns`` the matching coating terms, an M x T matrix of T problems on
-    one link matrix (a vector given to the constructor becomes one column).
-    The expanded form theta^H U theta + 2 Re(v^H theta) + c has U = D^H D,
-    v = D^H r and c = ||r||^2, so it is positive semidefinite by
-    construction and is never formed.  ``beta_max`` caps every element's
+    ``columns`` the matching coating terms, an M x T matrix of T problems (a
+    vector given to the constructor becomes one column).  Either all T
+    problems share one M x N link matrix, as the trials of a true sweep
+    point do, or ``d_mat`` is a T x M x N stack with one link matrix per
+    column, as steered or sensed trials have.  The expanded form
+    theta^H U theta + 2 Re(v^H theta) + c has U = D^H D, v = D^H r and
+    c = ||r||^2, so it is positive semidefinite by construction and is never
+    formed.  ``beta_max`` caps every element's
     reflection amplitude.  ``d_mat`` and ``columns`` are read-only, and so
     are the thin SVD and the :attr:`reduced` problem, each computed on first
     use.  :meth:`objective` is the one evaluation of the objective: every
-    design reports its value from it.
+    design reports its value from it.  A stack broadcasts every operation
+    over its slices, and slice t gives the bits of the one-problem instance
+    of ``d_mat[t]`` and column t.
     """
 
     def __init__(self, d_mat, columns, beta_max: float):
         d, r = np.asarray(d_mat, dtype=complex), np.asarray(columns, dtype=complex)
         r = r[:, None] if r.ndim == 1 else r
-        if d.ndim != 2:
-            raise ValueError(f"link matrix must be two-dimensional, got {d.shape}")
-        if r.ndim != 2 or r.shape[0] != d.shape[0]:
+        if d.ndim not in (2, 3):
+            raise ValueError("link matrix must be two-dimensional, or a stack of them, "
+                             f"got {d.shape}")
+        if r.ndim != 2 or r.shape[0] != d.shape[-2]:
             raise ValueError("coating terms do not match the link rows")
         if r.shape[1] == 0:
             raise ValueError("coating terms need at least one column")
+        if d.ndim == 3 and d.shape[0] != r.shape[1]:
+            raise ValueError(f"a stack of {d.shape[0]} link matrices needs as many "
+                             f"coating-term columns, got {r.shape[1]}")
         if not (np.all(np.isfinite(d)) and np.all(np.isfinite(r))):
             raise ValueError("link factor must be finite")
         if not 0 < beta_max <= 1:
@@ -261,19 +292,25 @@ class QcqpInstance:
 
     @property
     def n_elements(self) -> int:
-        return self.d_mat.shape[1]
+        return self.d_mat.shape[-1]
 
     def objective(self, thetas) -> np.ndarray:
         """||D theta_t + r_t||^2 of every column t, the sum over link rows of
         Re^2 + Im^2 of the residual; ``thetas`` holds one design per column
         (N x T), or one design (a vector) for every column."""
-        residual = self.d_mat @ thetas
-        residual = residual.reshape(residual.shape[0], -1) + self.columns
-        return np.sum(residual.real ** 2 + residual.imag ** 2, axis=0)
+        thetas = np.asarray(thetas)
+        if self.d_mat.ndim == 2:
+            residual = self.d_mat @ thetas
+            residual = residual.reshape(residual.shape[0], -1) + self.columns
+            return np.sum(residual.real ** 2 + residual.imag ** 2, axis=0)
+        if thetas.ndim == 1:
+            thetas = np.broadcast_to(thetas[:, None], (thetas.size, self.columns.shape[1]))
+        residual = (self.d_mat @ _column_vectors(thetas))[:, :, 0] + self.columns.T
+        return np.sum(residual.real ** 2 + residual.imag ** 2, axis=1)
 
     @cached_property
     def svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Thin SVD (P, sigma, Q^H) of D, sigma descending."""
+        """Thin SVD (P, sigma, Q^H) of D, sigma descending (per slice of a stack)."""
         return tuple(_read_only(x) for x in np.linalg.svd(self.d_mat, full_matrices=False))
 
     @cached_property
@@ -287,24 +324,45 @@ class QcqpInstance:
         reduced problem keeps ||D theta + r||^2 to ``_DROPPED``
         (sigma_1^2 N1 beta^2 + 2 ||D^H r|| beta sqrt(N1) + ||r||^2) over
         |theta_n| <= beta.  Its thin SVD ([I; 0], sigma_k, Q_k^H) is known.
+        Each problem of a stack keeps its own k_t: the stack is padded to the
+        largest k with zero directions (zero rows, zero coating terms and
+        sigma = 0), and the residual row stays last, so problem t's reduced
+        problem is its k_t kept rows and the last row.
         """
         p, sig, qh = self.svd
-        rho = sig / sig[0] if sig[0] > 0 else np.zeros_like(sig)
-        k = int(np.count_nonzero(np.cumsum((rho ** 2 + rho)[::-1])[::-1] > _DROPPED))
-        coords = p[:, :k].conj().T @ self.columns
-        outside = np.linalg.norm(self.columns - p[:, :k] @ coords, axis=0, keepdims=True)
-        eye = _read_only(np.eye(k + 1, k, dtype=complex))
-        reduced = QcqpInstance(eye @ (sig[:k, None] * qh[:k]),
-                               np.concatenate([coords, outside]), self.beta_max)
-        reduced.__dict__["svd"] = (eye, sig[:k], qh[:k])
+        top = sig[..., :1]
+        rho = np.divide(sig, top, out=np.zeros_like(sig), where=top > 0)
+        kept = np.count_nonzero(np.cumsum((rho ** 2 + rho)[..., ::-1], axis=-1)[..., ::-1]
+                                > _DROPPED, axis=-1)
+        k = int(np.max(kept))
+        inside = np.arange(k) < kept[..., None]
+        p_k = np.where(inside[..., None, :], p[..., :k], 0.0)
+        sig_k = np.where(inside, sig[..., :k], 0.0)
+        r_mat = self.columns if self.d_mat.ndim == 2 else _column_vectors(self.columns)
+        coords = np.swapaxes(p_k.conj(), -1, -2) @ r_mat
+        outside = np.linalg.norm(r_mat - p_k @ coords, axis=-2, keepdims=True)
+        terms = np.concatenate([coords, outside], axis=-2)
+        qh_k = qh[..., :k, :]
+        rows = np.concatenate([sig_k[..., None] * qh_k,
+                               np.zeros(qh_k.shape[:-2] + (1, self.n_elements))], axis=-2)
+        eye = np.broadcast_to(np.eye(k + 1, k, dtype=complex), rows.shape[:-2] + (k + 1, k))
+        reduced = QcqpInstance(rows, terms if terms.ndim == 2 else terms[:, :, 0].T,
+                               self.beta_max)
+        reduced.__dict__["svd"] = tuple(_read_only(x) for x in (eye, sig_k, qh_k))
         return reduced
 
 
 def link_factor(scenario: Scenario, angles=None, g2=None) -> QcqpInstance:
     """Link factor of one scenario, on its own coating coefficients: the
-    one-column :meth:`ScenarioGeometry.factor` of its geometry."""
+    one-column :meth:`ScenarioGeometry.factor` of its geometry, toward one
+    angle tuple and with one g2 row when given.  The true factor
+    (``angles`` and ``g2`` both None) is the scenario's own
+    :attr:`Scenario.factor`, built once."""
+    if angles is None and g2 is None:
+        return scenario.factor
     return scenario.geometry.factor(np.asarray(scenario.target.nirs.phi)[:, None],
-                                    angles, g2)
+                                    None if angles is None else [angles],
+                                    None if g2 is None else np.asarray(g2)[None])
 
 
 class ScenarioGeometry:
@@ -365,48 +423,71 @@ class ScenarioGeometry:
         carries the link amplitude sqrt(w_kj) times the panel response
         a_k * a_j, and the same amplitude times the coating gain
         sum_n b_k[n] b_j[n] phi[n], where a and b are the panel and coating
-        blocks of the surface response.  The inputs select one of three
+        blocks of the surface response.  ``angles`` holds one angle tuple per
+        column and ``g2`` one row per column; the inputs select one of three
         documented cases:
 
         * neither ``angles`` nor ``g2``: the true scenario, with weights
           w_kj = P_j |g_k|^2 |g_j|^2 from the :attr:`gains` g, so the
           objective at any feasible theta equals :func:`sum_power` in watts;
-        * ``angles`` alone, one per radar in radar order: a steering error.
-          The panel rows follow the given (perturbed) angles, while the
-          coating gains and link weights keep their true,
+        * ``angles`` alone, one per radar in radar order in each tuple: a
+          steering error.  The panel rows follow the given (perturbed)
+          angles, while the coating gains and link weights keep their true,
           offline-calibrated values;
-        * ``angles`` and ``g2``: sensed parameters.  ``angles`` are estimated
-          arrival directions in any order and ``g2`` the matching
-          power-scaled squared gains, so w_kj = g2_k g2_j; panel rows and
-          coating gains both follow the estimated angles.  The uniform power
-          scale of the estimates rescales the objective without moving its
-          minimizer.  Assumes a common transmit power across radars.
+        * ``angles`` and ``g2``: sensed parameters.  Each tuple holds
+          estimated arrival directions in any order, as many in every
+          column, and its g2 row the matching power-scaled squared gains, so
+          w_kj = g2_k g2_j; panel rows and coating gains both follow the
+          estimated angles.  The uniform power scale of the estimates
+          rescales the objective without moving its minimizer.  Assumes a
+          common transmit power across radars.
 
-        True angles reuse the cached :attr:`true_blocks`; other angles build
-        their surface blocks with one :meth:`blocks` call.  The coating
-        product reads ``phis`` as a C-contiguous array, so its bits do not
-        depend on the memory layout of the columns passed in.
+        All columns share one link matrix when every tuple holds the true
+        angles and no g2 is given, and then reuse the cached
+        :attr:`true_blocks`.  Otherwise D is a T x M x N stack, one link
+        matrix per column (the matrix itself for T = 1), whose surface
+        blocks come from one :meth:`blocks` call over all T x K directions,
+        and each column's coating product is its own, so column t gives the
+        bits of its one-column factor.  The coating product reads ``phis``
+        as a C-contiguous array, so its bits do not depend on the memory
+        layout of the columns passed in.
         """
         n2 = self._coating_magnitude.size
         if np.ndim(phis) != 2 or np.shape(phis)[0] != n2:
             raise ValueError(f"need {n2} x T coating coefficients, got {np.shape(phis)}")
-        true = angles is None or tuple(angles) == self.true_angles
-        panel, coating = self.true_blocks if true else self.blocks(angles)
+        count = np.shape(phis)[1]
+        if angles is not None:
+            angles = [tuple(column) for column in angles]
+            if len(angles) != count:
+                raise ValueError(f"need one angle tuple per coating column ({count}), "
+                                 f"got {len(angles)}")
+            if len({len(column) for column in angles}) > 1:
+                raise ValueError("need as many angles in every column")
+        sources = len(angles[0]) if angles else len(self.radars)
+        true = angles is None or all(column == self.true_angles for column in angles)
+        if true:
+            panel, coating = self.true_blocks
+        else:
+            panel, coating = (b.reshape(count, sources, -1) for b in
+                              self.blocks([a for column in angles for a in column]))
         if g2 is None:
-            if angles is not None and len(angles) != len(self.radars):
-                raise ValueError(f"need one angle per radar, got {len(angles)} "
+            if sources != len(self.radars):
+                raise ValueError(f"need one angle per radar, got {sources} "
                                  f"for {len(self.radars)}")
             amp, coating = self.amplitudes, self.true_blocks[1]
         else:
             g2 = np.asarray(g2, dtype=float)
-            if angles is None or len(angles) != g2.size:
+            if angles is None or g2.shape != (count, sources):
                 raise ValueError("need one gain estimate per estimated angle")
             if not np.all(np.isfinite(g2)) or np.any(g2 < 0):
                 raise ValueError(f"gain estimates g2 must be finite and nonnegative, got {g2}")
-            amp = np.sqrt(g2[:, None] * g2[None, :]).reshape(-1)
-        return QcqpInstance(amp[:, None] * _pairs(panel),
-                            amp[:, None] * (_pairs(coating) @ np.ascontiguousarray(phis)),
-                            self.target.beta_max)
+            amp = np.sqrt(g2[:, :, None] * g2[:, None, :]).reshape(count, -1)
+        d_mat, beta = amp[..., None] * _pairs(panel), self.target.beta_max
+        phis = np.ascontiguousarray(phis)
+        if d_mat.ndim == 2:
+            return QcqpInstance(d_mat, amp[:, None] * (_pairs(coating) @ phis), beta)
+        terms = (_pairs(coating) @ _column_vectors(phis))[:, :, 0]
+        return QcqpInstance(d_mat[0] if count == 1 else d_mat, (amp * terms).T, beta)
 
     def blocks(self, angles) -> tuple[np.ndarray, np.ndarray]:
         """Panel and coating blocks toward each direction, one C-contiguous row
@@ -475,15 +556,16 @@ def radar_powers(theta: np.ndarray, scenario: Scenario) -> np.ndarray:
     Entry k sums the squared link-factor residuals of rows (k, 0..K-1), the
     echoes of every probing radar j at radar k; with a common transmit power
     this is P times radar k's stealth objective.  The entries add up to
-    :func:`sum_power`.
+    :func:`sum_power`.  One objective call on the scenario's factor cut into
+    a stack of K blocks of K rows gives them all.
     """
-    factor, theta = link_factor(scenario), _check_amplitudes(theta, scenario)
-    blocks = zip(np.split(factor.d_mat, scenario.num_radars),
-                 np.split(factor.columns, scenario.num_radars))
-    return np.array([QcqpInstance(d, r, factor.beta_max).objective(theta)[0]
-                     for d, r in blocks])
+    factor, theta = scenario.factor, _check_amplitudes(theta, scenario)
+    k = scenario.num_radars
+    blocks = QcqpInstance(factor.d_mat.reshape(k, k, -1), factor.columns.reshape(k, k).T,
+                          factor.beta_max)
+    return blocks.objective(theta)
 
 
 def sum_power(theta: np.ndarray, scenario: Scenario) -> float:
     """Sum of the received signal powers over all radars, in watts."""
-    return float(link_factor(scenario).objective(_check_amplitudes(theta, scenario))[0])
+    return float(scenario.factor.objective(_check_amplitudes(theta, scenario))[0])

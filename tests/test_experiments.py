@@ -281,13 +281,20 @@ class TestGeometryReuse:
     def test_steering_errors_reuse_perturbed_directions(self, monkeypatch):
         config = multi_radar_config(num_radars=3, n1x=4)
         calls = self._surface_calls(monkeypatch, "power-vs-aoa-error", config, 6)
-        # The true directions once, then one call per distinct sign pattern
-        # at each of the three nonzero errors.
+        # The true directions once, then one call at each of the three
+        # nonzero errors toward every trial's own perturbed directions, trial
+        # by trial, however many sign patterns the trials share.
+        truth = build_geometry(config).true_angles
+        seeds = trial_seeds(config.seed, 6)
+        want = [tuple((a.azimuth, a.elevation) for a in truth)]
+        for error in (0.5, 1.0, 2.0):
+            steered = [inject_aoa_error(a, error, int(seed) + k)
+                       for seed in seeds for k, a in enumerate(truth)]
+            want.append(tuple((a.azimuth, a.elevation) for a in steered))
         patterns = {tuple(experiments._error_sign(int(seed) + k) for k in range(3))
-                    for seed in trial_seeds(config.seed, 6)}
-        assert len(patterns) > 1
-        assert len(calls) == 1 + 3 * len(patterns)
-        assert len(set(calls)) == len(calls)
+                    for seed in seeds}
+        assert 1 < len(patterns) < 6
+        assert calls == want
 
     @pytest.mark.parametrize("preset, builds", [("power-vs-aoa-error", 1),
                                                 ("power-vs-num-radars", 1),
@@ -354,13 +361,30 @@ class TestGeometryReuse:
         run_experiment("estimation-pipeline", multi_radar_config(num_radars=3, n1x=4), 3)
         assert len(coatings) == 3
 
+    @pytest.mark.parametrize("preset", ["power-vs-aoa-error", "power-vs-num-radars",
+                                        "power-vs-distance", "power-vs-angle",
+                                        "power-vs-elements"])
+    def test_random_phases_drawn_once_per_trial_and_panel_size(self, monkeypatch, preset):
+        calls = []
+        draw = optimizers.random_phase
+        monkeypatch.setattr(optimizers, "random_phase",
+                            lambda *args: calls.append(args) or draw(*args))
+        config = multi_radar_config(num_radars=3, n1x=4)
+        result = run_experiment(preset, config, 5)
+        seeds = [int(seed) + 0x5EED for seed in trial_seeds(config.seed, 5)]
+        beta = config.target.beta_max
+        # Only the element-count sweep changes the panel size between points.
+        sizes = (result.sweep_values if preset == "power-vs-elements"
+                 else [config.target.n1x * config.target.n1y])
+        assert calls == [(int(n1), beta, seed) for n1 in sizes for seed in seeds]
+
 
 class TestReducedProblemReuse:
     """Every design run on one batched problem shares its one reduced problem."""
 
     @staticmethod
-    def _reductions(monkeypatch, preset, config, trials):
-        """Number of reduced problems the preset computes."""
+    def _reduced_problems(monkeypatch, preset, config, trials):
+        """Every problem whose reduction the preset computes, in order."""
         count = []
         reduce = QcqpInstance.reduced.func
         counting = functools.cached_property(lambda problem: count.append(problem)
@@ -368,22 +392,25 @@ class TestReducedProblemReuse:
         counting.__set_name__(QcqpInstance, "reduced")
         monkeypatch.setattr(QcqpInstance, "reduced", counting)
         run_experiment(preset, config, trials)
-        return len(count)
+        return count
 
     def test_one_reduction_per_point(self, monkeypatch):
         # pgd, mmse and dft-codebook read the reduction of each of the
         # points of 1, 2 and 3 radars.
         config = multi_radar_config(num_radars=3, n1x=4)
-        assert self._reductions(monkeypatch, "power-vs-num-radars", config, 4) == 3
+        assert len(self._reduced_problems(monkeypatch, "power-vs-num-radars", config, 4)) == 3
 
     def test_one_reduction_per_steering_group(self, monkeypatch):
         config = multi_radar_config(num_radars=3, n1x=4)
         patterns = {tuple(experiments._error_sign(int(seed) + k) for k in range(3))
                     for seed in trial_seeds(config.seed, 6)}
-        # The unperturbed group, then one per distinct sign pattern at each of
-        # the three nonzero errors.
-        assert self._reductions(monkeypatch, "power-vs-aoa-error", config, 6) == (
-            1 + 3 * len(patterns))
+        assert len(patterns) > 1
+        # The true problem of all six trials at zero error, then one stack of
+        # six link matrices at each of the three nonzero errors, however many
+        # sign patterns the trials draw.
+        problems = self._reduced_problems(monkeypatch, "power-vs-aoa-error", config, 6)
+        assert [(p.d_mat.shape[:-1], p.columns.shape[1]) for p in problems] == (
+            [((9,), 6)] + [((6, 9), 6)] * 3)
 
     def test_sensing_preset_designs_on_the_truth_once(self, monkeypatch):
         config = ScenarioConfig.load(Path(__file__).parent / "golden" / "radar1-n8.json")
@@ -391,14 +418,15 @@ class TestReducedProblemReuse:
         solve = optimizers.pgd_designs
 
         def counting(problem, *args):
-            batches.append(problem.columns.shape[1])
+            batches.append((problem.d_mat.shape[:-2], problem.columns.shape[1]))
             return solve(problem, *args)
 
         monkeypatch.setattr(optimizers, "pgd_designs", counting)
         rows = run_experiment("estimation-pipeline", config, 4).rows
-        # One estimated design per trial at each of three snapshot counts, and
-        # one true batch of all four trials.
-        assert sorted(batches) == [1] * 12 + [4]
+        # One stack of the four trials' sensed problems at each of three
+        # snapshot counts, and one true batch of all four trials on one link
+        # matrix, designed once, after the first stack.
+        assert batches == [((4,), 4), ((), 4), ((4,), 4), ((4,), 4)]
         true = {}
         for row in rows:
             if row.solver == "pgd-true":
@@ -552,26 +580,23 @@ class TestTrialBatch:
             assert twin.seed == row.seed
             _assert_rows_agree(twin, row.power_watts, _coating_power(geometry, row.seed))
 
-    def test_failure_in_a_steering_group_names_its_trial(self, monkeypatch):
+    def test_failure_in_a_steering_stack_names_its_trial(self, monkeypatch):
         config = multi_radar_config(num_radars=3, n1x=4, seed=5)
         seeds = trial_seeds(5, 6)
-        truth = build_geometry(config).true_angles
-        patterns = [tuple(inject_aoa_error(a, 0.5, int(seed) + k)
-                          for k, a in enumerate(truth)) for seed in seeds]
-        group = [t for t, pattern in enumerate(patterns) if pattern == patterns[0]]
         solve = optimizers.pgd_designs
         calls = []
 
         def failing(problem, *args):
-            # Call 1 is the unperturbed point; call 2 the first group at 0.5 degrees.
-            calls.append(problem.columns.shape[1])
+            # Call 1 is the unperturbed point; call 2 the stack of all six
+            # trials at 0.5 degrees, whose column 4 runs out of steps.
+            calls.append((problem.d_mat.shape[:-2], problem.columns.shape[1]))
             if len(calls) == 2:
-                raise ConvergenceError("no convergence", None, calls[-1] - 1)
+                raise ConvergenceError("no convergence", None, 4)
             return solve(problem, *args)
 
         monkeypatch.setattr(optimizers, "pgd_designs", failing)
         with pytest.raises(ConvergenceError) as err:
             run_experiment("power-vs-aoa-error", config, 6)
-        assert calls == [6, len(group)]
-        assert str(err.value) == (f"no convergence at sweep 0.5, trial {group[-1]}, "
-                                  f"seed {seeds[group[-1]]}")
+        assert calls == [((), 6), ((6,), 6)]
+        assert str(err.value) == f"no convergence at sweep 0.5, trial 4, seed {seeds[4]}"
+        assert err.value.column == 4

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -325,21 +326,21 @@ class TestReverseAlignment:
 class TestMmse:
     def test_min_norm_cancels_single_radar(self, single_scenario):
         inst = link_factor(single_scenario)
-        theta = _ridge_designs(inst, inst.columns, [0.0])[:, 0, 0]
+        theta = _ridge_designs(inst, [0.0])[:, 0, 0]
         _, _, u, u_nirs = link_oracle(single_scenario)
         c = np.vdot(u_nirs[0, 0], single_scenario.target.nirs.phi)
         assert abs(np.vdot(u[0, 0], theta) + c) <= 1e-10
 
     def test_heavy_regularization_goes_dark(self, multi_scenario):
         inst = link_factor(multi_scenario)
-        theta = _ridge_designs(inst, inst.columns, [1e12])[:, 0, 0]
+        theta = _ridge_designs(inst, [1e12])[:, 0, 0]
         assert np.max(np.abs(theta)) < 1e-9
 
     def test_residual_monotone_in_regularization(self, multi_scenario):
         inst = link_factor(multi_scenario)
         gram_top = float(np.linalg.eigvalsh(dense_terms(inst)[0])[-1])
         deltas = np.geomspace(1e-10 * gram_top, 1e2 * gram_top, 13)
-        thetas = _ridge_designs(inst, inst.columns, deltas)
+        thetas = _ridge_designs(inst, deltas)
         residuals = [inst.objective(theta)[0] for theta in thetas[:, :, 0].T]
         assert all(a <= b * (1 + 1e-9) for a, b in zip(residuals, residuals[1:]))
 
@@ -543,7 +544,7 @@ class TestFactorOracles:
         u_mat, v_vec, _ = dense_terms(inst)
         lam_top = float(np.linalg.eigvalsh(u_mat)[-1])
         deltas = lam_top * np.geomspace(1e-3, 1e2, 6)
-        thetas = _ridge_designs(inst, inst.columns, deltas)[:, :, 0]
+        thetas = _ridge_designs(inst, deltas)[:, :, 0]
         eye = np.eye(inst.n_elements)
         for col, delta in enumerate(deltas):
             dense = -np.linalg.solve(u_mat + delta * eye, v_vec)
@@ -727,6 +728,119 @@ class TestColumnBatches:
         with pytest.raises(ValueError, match="one problem, got 120 coating-term columns"):
             certificate(problem, lam)
         certificate(singles[0], lam)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _steered_stack(error_deg):
+    """The stack power-vs-aoa-error designs on at ``error_deg`` for eight trials
+    of the golden radars3-n50 config, and each trial's one-problem factor."""
+    geometry = build_geometry(ScenarioConfig.load(GOLDEN / "radars3-n50.json"))
+    seeds = trial_seeds(1, 8)
+    angles = [[inject_aoa_error(a, error_deg, int(seed) + k)
+               for k, a in enumerate(geometry.true_angles)] for seed in seeds]
+    stack = geometry.factor(geometry.coatings(seeds), angles)
+    return stack, [link_factor(geometry.draw(int(seed)), column)
+                   for seed, column in zip(seeds, angles)]
+
+
+def _sensed_stack():
+    """The stack estimation-pipeline designs on at 16 snapshots for eight
+    trials of the golden radar1-n8 config, and each trial's one-problem factor."""
+    geometry = build_geometry(ScenarioConfig.load(GOLDEN / "radar1-n8.json"))
+    seeds = trial_seeds(1, 8)
+    scenarios = [geometry.draw(int(seed)) for seed in seeds]
+    sensed = sense(scenarios, 16, [int(seed) + 0xA0A for seed in seeds])
+    angles, g2 = zip(*sensed)
+    phis = np.column_stack([scenario.target.nirs.phi for scenario in scenarios])
+    return (geometry.factor(phis, angles, np.array(g2)),
+            [link_factor(scenario, a, g) for scenario, (a, g) in zip(scenarios, sensed)])
+
+
+class TestStackedProblems:
+    """A stack of T link matrices answers column t as the one-problem instance
+    of its own link matrix does, bit for bit."""
+
+    @pytest.mark.parametrize("case", ["steered", "sensed"])
+    def test_each_slice_is_its_one_problem_instance(self, case):
+        stack, singles = _steered_stack(1.0) if case == "steered" else _sensed_stack()
+        assert stack.d_mat.shape[0] == len(singles)
+        reduced = stack.reduced
+        rng = np.random.default_rng(3)
+        thetas = stack.beta_max * unit_phases(rng, stack.n_elements * len(singles)).reshape(
+            stack.n_elements, -1)
+        objectives = stack.objective(thetas)
+        for t, one in enumerate(singles):
+            assert np.array_equal(stack.d_mat[t], one.d_mat)
+            assert np.array_equal(stack.columns[:, t], one.columns[:, 0])
+            for got, want in zip(stack.svd, one.svd):
+                assert np.array_equal(got[t], want)
+            # The slice's own k kept rows and the residual row, with zero
+            # padding between them.
+            kept = one.reduced.d_mat.shape[0] - 1
+            rows = np.r_[:kept, -1]
+            assert np.array_equal(reduced.d_mat[t, rows], one.reduced.d_mat)
+            assert np.array_equal(reduced.columns[rows, t], one.reduced.columns[:, 0])
+            assert not np.any(reduced.d_mat[t, kept:-1])
+            assert not np.any(reduced.columns[kept:-1, t])
+            assert objectives[t] == one.objective(np.ascontiguousarray(thetas[:, t:t + 1]))[0]
+        if case == "steered":
+            # Trial 1 keeps six directions, the others five.
+            assert sorted({one.reduced.d_mat.shape[0] for one in singles}) == [6, 7]
+
+    @pytest.mark.parametrize("case", ["steered", "sensed"])
+    def test_every_design_answers_each_column_as_its_one_problem(self, case):
+        stack, singles = _steered_stack(2.0) if case == "steered" else _sensed_stack()
+        seeds = np.arange(len(singles))
+        names = ["pgd", "mmse", "dft-codebook", "random-phase", "no-irs"]
+        if case == "sensed":
+            names.append("reverse-alignment")
+        designs = {name: SOLVERS[name](stack, seeds) for name in names}
+        if case == "steered":
+            # Trial 1 at 2 degrees is a Newton solve.
+            assert designs["pgd"][1].termination == "newton"
+        for t, one in enumerate(singles):
+            for name, solutions in designs.items():
+                alone = SOLVERS[name](one, seeds[t:t + 1])[0]
+                assert np.array_equal(solutions[t].theta, alone.theta), (name, t)
+                assert solutions[t].objective == alone.objective, (name, t)
+                assert (solutions[t].iterations, solutions[t].termination) == (
+                    alone.iterations, alone.termination), (name, t)
+
+    def test_mixed_ranks_pad_with_zero_gain(self):
+        rng = np.random.default_rng(5)
+
+        def draw(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        # Ranks 4, 2 and 4: the second problem is padded with two directions.
+        d_mat = np.stack([draw(4, 6), draw(4, 2) @ draw(2, 6), 1e-3 * draw(4, 6)])
+        stack = QcqpInstance(d_mat, 3.0 * draw(4, 3), 0.5)
+        singles = [QcqpInstance(d_mat[t], stack.columns[:, t], 0.5) for t in range(3)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reduced = stack.reduced
+            assert [np.count_nonzero(sig) for sig in reduced.svd[1]] == [4, 2, 4]
+            # The second problem's two padded directions have zero rows and
+            # coating terms, and its residual row stays last.
+            assert not np.any(reduced.d_mat[1, 2:]) and not np.any(reduced.columns[2:4, 1])
+            assert reduced.columns[4, 1] != 0
+            min_norm = _ridge_designs(reduced, [0.0])[:, 0, :]
+            designs = {name: SOLVERS[name](stack, [0, 1, 2])
+                       for name in ("pgd", "mmse", "dft-codebook")}
+        alone = _ridge_designs(singles[1].reduced, [0.0])[:, 0, 0]
+        np.testing.assert_allclose(min_norm[:, 1], alone, rtol=0, atol=1e-12)
+        for name, solutions in designs.items():
+            for sol, one in zip(solutions, singles):
+                assert np.all(np.isfinite(sol.theta))
+                assert np.max(np.abs(sol.theta)) <= 0.5 * (1 + 1e-12)
+                want = SOLVERS[name](one, [0])[0].objective
+                assert sol.objective == pytest.approx(want, rel=1e-12), name
+
+    def test_stack_needs_one_link_matrix_per_column(self):
+        with pytest.raises(ValueError, match="needs as many"):
+            QcqpInstance(np.ones((2, 1, 3)), np.ones((1, 3)), 1.0)
 
 
 def dense_barrier(inst, gap):

@@ -12,9 +12,10 @@ from irstealth.config import (ScenarioConfig, build_geometry, build_scenario,
                               multi_radar_config, single_radar_config, with_seed)
 from irstealth.experiments import inject_aoa_error
 from irstealth.optimizers import codebook_designs, mmse_designs, pgd_designs
-from irstealth.power_model import (NirsPanel, angles_between, chirp_waveform,
-                                   link_factor, matched_beamformer, path_gain,
-                                   radar_powers, sum_power)
+from irstealth.power_model import (NirsPanel, QcqpInstance, ScenarioGeometry,
+                                   angles_between, chirp_waveform, link_factor,
+                                   matched_beamformer, path_gain, radar_powers,
+                                   sum_power)
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +200,29 @@ class TestRadarPower:
             power(np.full(n1, bad, dtype=complex), multi_scenario)
 
 
+class TestScenarioFactor:
+    @pytest.mark.parametrize("num_radars", [1, 3, 5])
+    def test_powers_build_the_factor_once(self, monkeypatch, num_radars):
+        scenario = build_scenario(multi_radar_config(num_radars=num_radars, n1x=5))
+        theta = _random_feasible(np.random.default_rng(num_radars),
+                                 scenario.target.irs_geometry.num_elements)
+        # The values a fresh factor per call gives: its objective, and one
+        # per K-row block.
+        fresh = scenario.geometry.factor(np.asarray(scenario.target.nirs.phi)[:, None])
+        blocks = zip(np.split(fresh.d_mat, num_radars), np.split(fresh.columns, num_radars))
+        per_radar = [QcqpInstance(d, r, fresh.beta_max).objective(theta)[0] for d, r in blocks]
+        calls = []
+        factor = ScenarioGeometry.factor
+        monkeypatch.setattr(ScenarioGeometry, "factor",
+                            lambda *args: calls.append(args) or factor(*args))
+        totals = [sum_power(theta, scenario), sum_power(theta, scenario)]
+        assert radar_powers(theta, scenario).tolist() == per_radar
+        assert radar_powers(theta, scenario).tolist() == per_radar
+        assert totals == [fresh.objective(theta)[0]] * 2
+        assert len(calls) == 1
+        assert link_factor(scenario) is scenario.factor
+
+
 class TestSumPower:
     def test_single_radar_reduces_to_radar_power(self, single_scenario):
         n1 = single_scenario.target.irs_geometry.num_elements
@@ -343,7 +367,7 @@ class TestSharedGeometry:
         phis = geometry.coatings(range(8))
         steered = [AnglePair(a.azimuth + 0.01, a.elevation) for a in geometry.true_angles]
         for members in ([0], [1, 3], [0, 2, 5, 7], [6, 1, 4]):
-            for angles in (None, steered):
+            for angles in (None, [steered] * len(members)):
                 picked = geometry.factor(phis[:, members], angles)
                 copied = geometry.factor(np.ascontiguousarray(phis[:, members]), angles)
                 assert np.array_equal(picked.d_mat, copied.d_mat)
@@ -352,7 +376,7 @@ class TestSharedGeometry:
     def test_true_angles_give_the_true_factor_bit_for_bit(self):
         geometry = build_geometry(multi_radar_config(n1x=5))
         phis = geometry.coatings([1, 2, 3])
-        given, true = geometry.factor(phis, geometry.true_angles), geometry.factor(phis)
+        given, true = geometry.factor(phis, [geometry.true_angles] * 3), geometry.factor(phis)
         assert np.array_equal(given.d_mat, true.d_mat)
         assert np.array_equal(given.columns, true.columns)
 
@@ -414,7 +438,7 @@ class TestSharedGeometry:
         geometry = build_geometry(multi_radar_config(n1x=5))
         factor = link_factor(geometry.draw(1))
         steered = [AnglePair(a.azimuth + 0.01, a.elevation) for a in geometry.true_angles]
-        shared = [geometry.factor(geometry.coatings([1]), steered).d_mat, *factor.svd,
+        shared = [geometry.factor(geometry.coatings([1]), [steered]).d_mat, *factor.svd,
                   factor.reduced.d_mat, factor.reduced.columns, *factor.reduced.svd,
                   geometry.amplitudes, geometry.gains, *geometry.true_blocks,
                   factor.d_mat, factor.columns]
